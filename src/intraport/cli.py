@@ -324,9 +324,13 @@ def _cmd_swap(args) -> int:
     n = args.channels
     if n < 2:
         return _error("--channels must be >= 2")
-    targets = [int(x) for x in args.to.split(",")] if args.to else list(range(2, n + 1)) + [1]
+    not_permutation = f"--to must be a permutation of 1..{n}"
+    try:
+        targets = [int(x) for x in args.to.split(",")] if args.to else list(range(2, n + 1)) + [1]
+    except ValueError:
+        return _error(not_permutation)
     if sorted(targets) != list(range(1, n + 1)):
-        return _error(f"--to must be a permutation of 1..{n}")
+        return _error(not_permutation)
     current = {ch: ("slot", ch) for ch in range(1, n + 1)}
     desired = {targets[ch - 1]: ("slot", ch) for ch in range(1, n + 1)}
     gates = post_swap_plan(current, desired)

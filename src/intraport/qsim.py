@@ -158,6 +158,11 @@ class Segment(enum.Enum):
 
 # ---------------------------------------------------------------------------
 # Raw kernels on flat arrays (shared with the decoder search for speed)
+#
+# _apply_h, _apply_cn and _apply_gates take one state of shape (2^N,) or a
+# batch of shape (B, 2^N) and return the same shape.  Rows are contiguous,
+# so the batch axis merges with the bits above the gate's highest channel
+# and a batch costs no extra array axis.
 
 
 def _check_channel(n: int, k: int):
@@ -175,25 +180,25 @@ _SQRT_HALF = 0.7071067811865476
 
 
 def _apply_h(amps: np.ndarray, n: int, k: int) -> np.ndarray:
-    t = amps.reshape(1 << (k - 1), 2, 1 << (n - k))
+    t = amps.reshape(-1, 2, 1 << (n - k))
     out = np.empty_like(t)
-    out[:, 0, :] = t[:, 0, :] + t[:, 1, :]
-    out[:, 1, :] = t[:, 0, :] - t[:, 1, :]
+    out[:, 0] = t[:, 0] + t[:, 1]
+    out[:, 1] = t[:, 0] - t[:, 1]
     out *= _SQRT_HALF
-    return out.reshape(-1)
+    return out.reshape(amps.shape)
 
 
 def _apply_cn(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
     a, b = (control, target) if control < target else (target, control)
-    t = amps.reshape(1 << (a - 1), 2, 1 << (b - a - 1), 2, 1 << (n - b))
+    t = amps.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << (n - b))
     out = t.copy()
     if control < target:
-        out[:, 1, :, 0, :] = t[:, 1, :, 1, :]
-        out[:, 1, :, 1, :] = t[:, 1, :, 0, :]
+        out[:, 1, :, 0] = t[:, 1, :, 1]
+        out[:, 1, :, 1] = t[:, 1, :, 0]
     else:
-        out[:, 0, :, 1, :] = t[:, 1, :, 1, :]
-        out[:, 1, :, 1, :] = t[:, 0, :, 1, :]
-    return out.reshape(-1)
+        out[:, 0, :, 1] = t[:, 1, :, 1]
+        out[:, 1, :, 1] = t[:, 0, :, 1]
+    return out.reshape(amps.shape)
 
 
 def _apply_gates(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:

@@ -8,11 +8,22 @@ two prunings: a gate never follows itself (self-inverse pairs cancel), and
 adjacent commuting gates must appear in canonical order (each commutation
 class is enumerated once, by its least word).
 
-Candidate words are screened on one fixed Haar-random reference input and
-survivors are verified exactly: on the full spanning grid
-{|0>, |1>, |+>, |0>+i|1>}
-per message channel (gates are linear, so spanning-grid correctness implies
-correctness for all inputs) and on 20 further random message tuples.  All
+The depth-first walk runs on one fixed Haar-random reference input.  Above
+the last two levels it steps one gate at a time.  At a node two gates short
+of the depth it expands every allowed (first, second) gate pair at once: CN
+children are one gather through precomputed basis-index permutations, H
+children come from the batched kernel, and all (at most g^2, g the alphabet
+size) grandchildren are screened in one vectorized pass, each channel's
+purity tested only on the survivors of the channels before it.  Hits are
+verified in row-major (first, second) order, so the first accepted word is
+still the least canonical word of its length.
+
+Verification pushes every message tuple through the whole word as one
+batch: the spanning grid {|0>, |1>, |+>, |0>+i|1>} per message channel plus
+20 further random tuples, each required to reproduce the expected layout
+with fidelity >= 1 - 1e-9.  This is a check, not a proof: every grid point
+is compared only up to its own global phase, so grid correctness does not
+by linearity imply correctness on superpositions of grid points.  All
 randomness is internally seeded, so identical arguments always produce the
 identical program.
 
@@ -47,6 +58,7 @@ from .qsim import (
     Hadamard,
     SingleQubit,
     _apply_gates,
+    _apply_h,
     gates_commute,
 )
 
@@ -58,12 +70,9 @@ _VERIFY_TOL = 1e-9
 # Largest exhaustively enumerated extension length per channel count.
 _DEPTH_HORIZON = {3: 7, 4: 6, 5: 5, 6: 4}
 
-_SPAN_STATES = (
-    np.array([1, 0], dtype=complex),
-    np.array([0, 1], dtype=complex),
-    np.array([1, 1], dtype=complex) / np.sqrt(2),
-    np.array([1, 1j], dtype=complex) / np.sqrt(2),
-)
+# |0>, |1>, |+>, |0>+i|1> (normalized)
+_SPAN_STATES = (np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
+                / np.sqrt([[1], [1], [2], [2]]))
 
 
 def gate_alphabet(channel_count: int) -> list[Gate]:
@@ -76,28 +85,13 @@ def gate_alphabet(channel_count: int) -> list[Gate]:
     return gates
 
 
-def _gate_matrix(n: int, gate: Gate) -> np.ndarray:
-    dim = 2**n
-    u = np.zeros((dim, dim))
-    if isinstance(gate, Hadamard):
-        k, s = gate.channel, 1 / np.sqrt(2)
-        for idx in range(dim):
-            bit = (idx >> (n - k)) & 1
-            u[idx, idx] += s * (1.0 if bit == 0 else -1.0)
-            u[idx ^ (1 << (n - k)), idx] += s
-    else:
-        for idx in range(dim):
-            if (idx >> (n - gate.control)) & 1:
-                u[idx ^ (1 << (n - gate.target)), idx] = 1.0
-            else:
-                u[idx, idx] = 1.0
-    return u
-
-
-def _kron_all(qubits: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    for q in qubits:
-        out = np.kron(out, q)
+def _random_messages(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
+    """(count, m, 2) Haar-random message qubits, drawn tuple by tuple."""
+    out = np.empty((count, m, 2), dtype=complex)
+    for t in range(count):
+        for j in range(m):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            out[t, j] = v / np.linalg.norm(v)
     return out
 
 
@@ -108,23 +102,31 @@ class _Task:
                  target: Optional[Mapping[int, ExpectedOut]]):
         self.n = n
         self.dim = 2**n
-        self.aux_channel = aux_channel
-        self.value = value
         self.message_channels = tuple(c for c in range(1, n + 1) if c != aux_channel)
+        m = len(self.message_channels)
         self.pre_gates = alice_encoder(n) + bob_prefix(n)
+        # the input is itself a layout: the auxiliary value plus the messages in order
+        self.input_layout = {ch: MessageOut(self.message_channels.index(ch))
+                             for ch in self.message_channels}
+        self.input_layout[aux_channel] = ResidueOut(value.qubit)
 
-        rng = np.random.default_rng(_REFERENCE_SEED)
-        self.ref_messages = []
-        for _ in self.message_channels:
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            self.ref_messages.append(v / np.linalg.norm(v))
-        self.psi0 = _apply_gates(self._input_state(self.ref_messages), n, self.pre_gates)
+        self.ref_messages = _random_messages(np.random.default_rng(_REFERENCE_SEED), 1, m)
+        ref_input = self._layout_states(self.input_layout, self.ref_messages)
+        self.psi0 = _apply_gates(ref_input, n, self.pre_gates)[0]
+        grid = np.array(list(itertools.product(range(len(_SPAN_STATES)), repeat=m)))
+        self.verify_messages = np.concatenate([
+            _SPAN_STATES[grid].reshape(-1, m, 2),
+            _random_messages(np.random.default_rng(_VERIFY_SEED), 20, m),
+        ])
 
         self.gates = gate_alphabet(n)
         g = len(self.gates)
-        mats = np.stack([_gate_matrix(n, gt) for gt in self.gates]).astype(complex)
-        self.mats = mats
-        self.stacked = mats.reshape(g * self.dim, self.dim)
+        # CN(c,t) is an involution on basis indices: child[i] = state[perm[i]]
+        idx = np.arange(self.dim)
+        self.cn_perm = np.array([
+            np.where((idx >> (n - gt.control)) & 1, idx ^ (1 << (n - gt.target)), idx)
+            for gt in self.gates[n:]
+        ])
         # allowed[i+1][j]: gate j may follow gate i; row 0 is the word start
         allowed = np.ones((g + 1, g), dtype=bool)
         for i, gi in enumerate(self.gates):
@@ -136,18 +138,7 @@ class _Task:
         self.target = target
         if target is not None:
             self._check_target(target)
-            self.goal = self._expected_state(target, self.ref_messages)
-
-    def _input_state(self, messages: Sequence[np.ndarray]) -> np.ndarray:
-        qubits = []
-        mi = 0
-        for ch in range(1, self.n + 1):
-            if ch == self.aux_channel:
-                qubits.append(self.value.qubit.as_array())
-            else:
-                qubits.append(messages[mi])
-                mi += 1
-        return _kron_all(qubits)
+            self.goal = self._layout_states(target, self.ref_messages)[0]
 
     def _check_target(self, target: Mapping[int, ExpectedOut]):
         if set(target) != set(range(1, self.n + 1)):
@@ -158,36 +149,48 @@ class _Task:
         if indices != list(range(len(self.message_channels))):
             raise InvalidInput("target layout must place every message exactly once")
 
-    def _expected_state(
-        self, layout: Mapping[int, ExpectedOut], messages: Sequence[np.ndarray]
+    def _layout_states(
+        self, layout: Mapping[int, ExpectedOut], messages: np.ndarray
     ) -> np.ndarray:
-        qubits = []
+        """(T, 2^n) product states, channel by channel, for (T, m, 2) message tuples."""
+        count = len(messages)
+        out = np.ones((count, 1), dtype=complex)
         for ch in range(1, self.n + 1):
-            out = layout[ch]
-            if isinstance(out, MessageOut):
-                qubits.append(messages[out.index])
+            entry = layout[ch]
+            if isinstance(entry, MessageOut):
+                q = messages[:, entry.index]
             else:
-                qubits.append(out.state.as_array())
-        return _kron_all(qubits)
+                q = np.broadcast_to(entry.state.as_array(), (count, 2))
+            out = (out[:, :, None] * q[:, None, :]).reshape(count, -1)
+        return out
 
     # -- candidate screening ------------------------------------------------
 
-    def screen(self, children: np.ndarray) -> np.ndarray:
-        """Boolean mask of children worth verifying (reference input only)."""
+    def screen(self, children: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The subset of `rows` (indices into the (K, 2^n) `children`) worth
+        verifying, judged on the reference input only; order is kept."""
         if self.target is not None:
-            return np.abs(children @ self.goal.conj()) > 1 - _HIT_TOL
-        # free mode: all channels must be pure on the reference output
-        g = children.shape[0]
-        ok = np.ones(g, dtype=bool)
-        t = children.reshape((g,) + (2,) * self.n)
-        for ch in range(self.n):
-            m = np.moveaxis(t, ch + 1, 1).reshape(g, 2, -1)
-            rho = np.einsum("gax,gbx->gab", m, m.conj())
-            purity = np.einsum("gab,gba->g", rho, rho).real
-            ok &= purity > 1 - _HIT_TOL
-            if not ok.any():
+            return rows[np.abs(children[rows] @ self.goal.conj()) > 1 - _HIT_TOL]
+        # free mode: all channels must be pure on the reference output; each
+        # channel is tested only on the survivors of the channels before it
+        for ch in range(1, self.n + 1):
+            if not rows.size:
                 break
-        return ok
+            t = children[rows].reshape(len(rows), 1 << (ch - 1), 2, -1)
+            m0, m1 = t[:, :, 0], t[:, :, 1]
+            # Tr(rho^2) = rho00^2 + rho11^2 + 2|rho01|^2 for the channel's rho
+            rho00 = np.einsum("kix,kix->k", m0, m0.conj()).real
+            rho11 = np.einsum("kix,kix->k", m1, m1.conj()).real
+            rho01 = np.einsum("kix,kix->k", m0, m1.conj())
+            purity = rho00**2 + rho11**2 + 2 * (rho01.real**2 + rho01.imag**2)
+            rows = rows[purity > 1 - _HIT_TOL]
+        return rows
+
+    def accepts(self, ext: Sequence[Gate], out_ref: np.ndarray) -> bool:
+        """Screen and verify one extension whose reference output is known."""
+        if not self.screen(out_ref[None, :], np.arange(1)).size:
+            return False
+        return self.verify(ext, out_ref)
 
     def _discover_layout(
         self, out_state: np.ndarray
@@ -202,7 +205,7 @@ class _Task:
             factors.append(vecs[:, -1])
         layout: dict[int, ExpectedOut] = {}
         used = set()
-        for j, msg in enumerate(self.ref_messages):
+        for j, msg in enumerate(self.ref_messages[0]):
             matches = [
                 ch for ch in range(1, self.n + 1)
                 if ch not in used and abs(np.vdot(factors[ch - 1], msg)) ** 2 > 1 - _HIT_TOL
@@ -219,7 +222,8 @@ class _Task:
         return layout, res_ch
 
     def verify(self, ext: Sequence[Gate], out_ref: np.ndarray) -> bool:
-        """Exact check on the spanning grid plus 20 random message tuples."""
+        """Check on the spanning grid plus 20 random message tuples, run
+        through the word as one batch; every tuple must reach its layout."""
         if self.target is not None:
             layout = self.target
         else:
@@ -227,55 +231,55 @@ class _Task:
             if found is None:
                 return False
             layout, _ = found
-        gates = self.pre_gates + list(ext)
-        m = len(self.message_channels)
-        for combo in itertools.product(range(len(_SPAN_STATES)), repeat=m):
-            msgs = [_SPAN_STATES[i] for i in combo]
-            out = _apply_gates(self._input_state(msgs), self.n, gates)
-            exp = self._expected_state(layout, msgs)
-            if abs(np.vdot(exp, out)) ** 2 < 1 - _VERIFY_TOL:
-                return False
-        rng = np.random.default_rng(_VERIFY_SEED)
-        for _ in range(20):
-            msgs = []
-            for _ in range(m):
-                v = rng.normal(size=2) + 1j * rng.normal(size=2)
-                msgs.append(v / np.linalg.norm(v))
-            out = _apply_gates(self._input_state(msgs), self.n, gates)
-            exp = self._expected_state(layout, msgs)
-            if abs(np.vdot(exp, out)) ** 2 < 1 - _VERIFY_TOL:
-                return False
-        return True
+        inputs = self._layout_states(self.input_layout, self.verify_messages)
+        out = _apply_gates(inputs, self.n, self.pre_gates + list(ext))
+        exp = self._layout_states(layout, self.verify_messages)
+        overlap = np.einsum("ti,ti->t", exp.conj(), out)
+        return bool(np.all(np.abs(overlap) ** 2 >= 1 - _VERIFY_TOL))
 
     # -- depth-limited enumeration -------------------------------------------
 
+    def _expand(self, states: np.ndarray) -> np.ndarray:
+        """(B, 2^n) -> (B, g, 2^n): each state followed by each alphabet gate."""
+        out = np.empty((len(states), len(self.gates), self.dim), dtype=complex)
+        for k in range(1, self.n + 1):
+            out[:, k - 1] = _apply_h(states, self.n, k)
+        out[:, self.n:] = states[:, self.cn_perm]
+        return out
+
     def search_depth(self, depth: int) -> Optional[list[Gate]]:
         if depth == 0:
-            if self.screen(self.psi0[None, :])[0] and self.verify([], self.psi0):
-                return []
-            return None
+            return [] if self.accepts([], self.psi0) else None
 
         g = len(self.gates)
         word: list[int] = []
 
-        def children_of(state):
-            return (self.stacked @ state).reshape(g, self.dim)
+        def last_gates(state, prev_row) -> Optional[list[Gate]]:
+            """Screen every allowed ending of the word below `state` (its last
+            gate, or last two when depth >= 2) in one pass; verify the hits in
+            row-major gate order, so the first accepted is the least word."""
+            one_gate = len(word) == depth - 1
+            children = self._expand(state[None])[0]
+            rows = np.flatnonzero(self.allowed[prev_row])
+            if not one_gate:
+                firsts = rows
+                children = self._expand(children[firsts]).reshape(-1, self.dim)
+                rows = np.flatnonzero(self.allowed[firsts + 1])
+            prefix = [self.gates[i] for i in word]
+            for r in self.screen(children, rows):
+                ending = (r,) if one_gate else (firsts[r // g], r % g)
+                ext = prefix + [self.gates[j] for j in ending]
+                if self.verify(ext, children[r]):
+                    return ext
+            return None
 
         def dfs(state, prev_row) -> Optional[list[Gate]]:
-            if len(word) == depth - 1:
-                children = children_of(state)
-                mask = self.screen(children) & self.allowed[prev_row]
-                for j in np.nonzero(mask)[0]:
-                    ext = [self.gates[i] for i in word] + [self.gates[j]]
-                    if self.verify(ext, children[j]):
-                        return ext
-                return None
-            row = self.allowed[prev_row]
-            for j in range(g):
-                if not row[j]:
-                    continue
+            if len(word) >= depth - 2:
+                return last_gates(state, prev_row)
+            children = self._expand(state[None])[0]
+            for j in np.flatnonzero(self.allowed[prev_row]):
                 word.append(j)
-                hit = dfs(self.mats[j] @ state, j + 1)
+                hit = dfs(children[j], j + 1)
                 if hit is not None:
                     return hit
                 word.pop()
@@ -319,6 +323,6 @@ def solve_bob_program(
         ext = list(case.bob_program[len(bob_prefix(n)):])
         if len(ext) <= max_gates:
             out_ref = _apply_gates(task.psi0.copy(), n, ext)
-            if task.screen(out_ref[None, :])[0] and task.verify(ext, out_ref):
+            if task.accepts(ext, out_ref):
                 return ext
     return None

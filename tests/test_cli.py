@@ -194,6 +194,9 @@ def test_swap_default_cycle():
 def test_swap_rejects_bad_permutation():
     code, doc = run_cli(["swap", "--to", "1,1,2"])
     assert code == 2
+    code, doc = run_cli(["swap", "--channels", "3", "--to", "1,x"])
+    assert code == 2
+    assert doc["error"]["message"] == "--to must be a permutation of 1..3"
 
 
 # ---------------------------------------------------------------------------

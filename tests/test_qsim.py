@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intraport.errors import (
     ChannelOutOfRange,
@@ -21,6 +22,7 @@ from intraport.qsim import (
     QUBIT_ZERO,
     Segment,
     SingleQubit,
+    _apply_gates,
     apply_gate,
     channel_fidelity,
     equal_up_to_global_phase,
@@ -228,8 +230,6 @@ def test_run_circuit_shape_mismatch():
 
 def test_raw_application_is_linear():
     # alpha*s + beta*t maps to alpha*U s + beta*U t, amplitude-wise
-    from intraport.qsim import _apply_gates
-
     rng = np.random.default_rng(8)
     gates = [Hadamard(1), ControlledNot(1, 3), Hadamard(3), ControlledNot(2, 1)]
     for _ in range(10):
@@ -239,6 +239,29 @@ def test_raw_application_is_linear():
         lhs = _apply_gates(alpha * s + beta * t, 3, gates)
         rhs = alpha * _apply_gates(s, 3, gates) + beta * _apply_gates(t, 3, gates)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+@st.composite
+def _words(draw):
+    n = draw(st.integers(1, 6))
+    gate = st.builds(Hadamard, st.integers(1, n))
+    if n >= 2:
+        pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+        gate = gate | pair.map(lambda p: ControlledNot(*p))
+    return n, draw(st.lists(gate, max_size=12))
+
+
+@settings(deadline=None)
+@given(_words(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_batched_application_matches_oracle_row_by_row(word, batch, seed):
+    n, gates = word
+    rng = np.random.default_rng(seed)
+    states = np.array([random_state_vector(rng, n) for _ in range(batch)])
+    out = _apply_gates(states, n, gates)
+    assert out.shape == states.shape
+    for vec, row in zip(states, out):
+        np.testing.assert_allclose(row, apply_circuit_oracle(vec, n, gates), atol=1e-12)
+    np.testing.assert_array_equal(_apply_gates(states[0], n, gates), out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Decoder-program search: correctness, determinism, canonical order."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from intraport.circuit import Circuit
+from intraport.circuit import Circuit, parse_circuit
 from intraport.errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from intraport.protocol import (
     AuxValue,
@@ -86,6 +89,20 @@ def test_free_search_four_channels_zero():
     program = solve_bob_program(4, 4, AuxValue.ZERO, 10)
     assert program is not None and len(program) == 5
     assert_decodes(4, 4, AuxValue.ZERO, program)
+
+
+def test_search_returns_pinned_least_words():
+    """Exact words pinned in golden/search_programs.json: a traversal that
+    returns any other word of the same length fails here."""
+    path = Path(__file__).parent / "golden" / "search_programs.json"
+    for case in json.loads(path.read_text(encoding="utf-8")):
+        n = case["channels"]
+        target = (None if case["target_figure"] is None
+                  else builtin_scenario(case["target_figure"]).claimed_outputs)
+        program = solve_bob_program(n, case["aux_channel"], AuxValue(case["aux_value"]),
+                                    case["max_gates"], target=target)
+        pinned = parse_circuit("\n".join([f"channels {n}"] + case["program"])).gates
+        assert program is not None and tuple(program) == pinned, case
 
 
 def test_search_is_deterministic():
