@@ -28,10 +28,8 @@ from .errors import (
 from .protocol import (
     AuxValue,
     MessageOut,
-    MessageSlot,
     ProtocolCase,
     ResidueOut,
-    Scenario,
     VerificationReport,
     alice_encoder,
     bell_byproduct,

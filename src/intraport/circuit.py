@@ -169,16 +169,20 @@ def parse_circuit(source: str) -> Circuit:
     return Circuit(channel_count, tuple(gates), border, tuple(measurements))
 
 
+def gate_text(g: Gate) -> str:
+    """One gate as its directive line: 'h K' or 'cn C T'."""
+    if isinstance(g, Hadamard):
+        return f"h {g.channel}"
+    return f"cn {g.control} {g.target}"
+
+
 def serialize_circuit(circuit: Circuit) -> str:
     """Canonical text form; round-trips exactly through parse_circuit."""
     lines = [f"channels {circuit.channel_count}"]
     for i, g in enumerate(circuit.gates):
         if circuit.border_index == i:
             lines.append("border")
-        if isinstance(g, Hadamard):
-            lines.append(f"h {g.channel}")
-        else:
-            lines.append(f"cn {g.control} {g.target}")
+        lines.append(gate_text(g))
     if circuit.border_index == len(circuit.gates):
         lines.append("border")
     for ch, label in circuit.measurements:

@@ -17,21 +17,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitParseError, parse_circuit
+from .circuit import Circuit, CircuitParseError, gate_text, parse_circuit
 from .eavesdrop import DetectionMode, EveStrategy, run_experiment
 from .errors import IntraportError
 from .protocol import (
+    DEFAULT_TOL,
+    SCENARIO_FIGURES,
     AuxValue,
     MessageOut,
+    ProtocolCase,
     bell_byproduct,
     builtin_scenario,
     protocol_table,
     post_swap_plan,
     run_scenario,
-    scenario_input,
 )
 from .qsim import (
-    Hadamard,
     PureState,
     Segment,
     SingleQubit,
@@ -44,20 +45,6 @@ from .qsim import (
     run_circuit,
 )
 from .search import solve_bob_program
-
-DEFAULT_TOL = 1e-10
-
-# Which amplitude-flag pairs feed each figure's message slots.
-_FIGURE_FLAGS = {
-    1: ("ab", "ef"),
-    2: ("ab", "ef"),
-    3: ("ab", "ef"),
-    4: ("ab", "cd"),
-    6: ("cd", "ef"),
-    7: ("ab", "cd", "ef"),
-    8: ("ab", "cd", "ef"),
-    9: ("ab", "cd", "ef"),
-}
 
 
 def _tol_default() -> float:
@@ -91,10 +78,8 @@ def _amplitudes_json(state: PureState) -> list[list[float]]:
     return [_pair(z) for z in state.amplitudes]
 
 
-def _gate_text(g) -> str:
-    if isinstance(g, Hadamard):
-        return f"h {g.channel}"
-    return f"cn {g.control} {g.target}"
+def _state_json(q: SingleQubit) -> list[list[float]]:
+    return [_pair(q.coeff0), _pair(q.coeff1)]
 
 
 def _emit(doc: dict) -> None:
@@ -106,9 +91,13 @@ def _error(message: str, **extra) -> int:
     return 2
 
 
-def _messages_from_args(args, figure: int) -> Optional[list[SingleQubit]]:
-    """Build message qubits from --a..--f, or None if none were given."""
-    flags = _FIGURE_FLAGS[figure]
+def _messages_from_args(args, case: ProtocolCase) -> Optional[list[SingleQubit]]:
+    """Build message qubits from --a..--f, or None if none were given.
+
+    Each message takes the flag pair of its input channel: --a/--b for
+    channel 1, --c/--d for channel 2, --e/--f for channel 3.
+    """
+    flags = tuple(("ab", "cd", "ef")[ch - 1] for ch in case.message_channels)
     given = {name: getattr(args, name) for name in "abcdef" if getattr(args, name) is not None}
     if not given:
         return None
@@ -117,7 +106,7 @@ def _messages_from_args(args, figure: int) -> Optional[list[SingleQubit]]:
         hi, lo = pair[0], pair[1]
         if hi not in given or lo not in given:
             raise IntraportError(
-                f"figure {figure} needs --{hi}/--{lo} (messages use flags {flags})"
+                f"figure {case.figure_id} needs --{hi}/--{lo} (messages use flags {flags})"
             )
         messages.append(SingleQubit(coeff0=given[lo], coeff1=given[hi]))
     return messages
@@ -130,10 +119,7 @@ def _layout_json(layout) -> dict:
         if isinstance(entry, MessageOut):
             out[str(ch)] = {"kind": "message", "index": entry.index}
         else:
-            out[str(ch)] = {
-                "kind": "residue",
-                "state": [_pair(entry.state.coeff0), _pair(entry.state.coeff1)],
-            }
+            out[str(ch)] = {"kind": "residue", "state": _state_json(entry.state)}
     return out
 
 
@@ -146,40 +132,35 @@ def _cmd_run_figure(args) -> int:
     figure = args.figure
     if figure == 5:
         return _error("figure 5 is the swap demonstration; use 'swap'")
-    if figure not in _FIGURE_FLAGS:
+    if figure not in SCENARIO_FIGURES:
         return _error(f"no scenario for figure {figure} (valid: 1-4, 6-9)")
     tol = args.tol if args.tol is not None else _tol_default()
 
+    case = builtin_scenario(figure)
     try:
-        messages = _messages_from_args(args, figure)
+        messages = _messages_from_args(args, case)
     except (IntraportError, ValueError) as exc:
         return _error(str(exc))
-    scenario = builtin_scenario(figure)
     if messages is None:
         if args.seed is None:
             return _error("provide message amplitudes or --seed")
         rng = np.random.default_rng(args.seed)
-        messages = [random_qubit(rng) for _ in range(scenario.message_count)]
-    elif len(messages) != scenario.message_count:
-        return _error(f"figure {figure} takes {scenario.message_count} messages")
+        messages = [random_qubit(rng) for _ in case.message_channels]
 
     report = run_scenario(figure, messages, tol)
-    state = run_circuit(scenario_input(scenario, messages), scenario.circuit, Segment.ALL)
     channels = []
-    for ch in range(1, scenario.circuit.channel_count + 1):
-        if scenario.psi_block is not None and ch in scenario.psi_block:
-            claimed = {"kind": "psi-block", "channels": list(scenario.psi_block)}
+    for ch in range(1, case.channel_count + 1):
+        if case.psi_block is not None and ch in case.psi_block:
+            claimed = {"kind": "psi-block", "channels": list(case.psi_block)}
         else:
-            entry = scenario.claimed_outputs[ch]
+            entry = case.expected_layout[ch]
             if isinstance(entry, MessageOut):
                 claimed = {"kind": "message", "index": entry.index,
-                           "state": [_pair(messages[entry.index].coeff0),
-                                     _pair(messages[entry.index].coeff1)]}
+                           "state": _state_json(entry.qubit(messages))}
             else:
-                claimed = {"kind": "residue",
-                           "state": [_pair(entry.state.coeff0), _pair(entry.state.coeff1)]}
-        split = factor_channel(state, ch) if state.channel_count >= 2 else None
-        observed = None if split is None else [_pair(split[0].coeff0), _pair(split[0].coeff1)]
+                claimed = {"kind": "residue", "state": _state_json(entry.state)}
+        split = factor_channel(report.output, ch)
+        observed = None if split is None else _state_json(split[0])
         channels.append({
             "channel": ch,
             "claimed": claimed,
@@ -191,8 +172,8 @@ def _cmd_run_figure(args) -> int:
         "figure": figure,
         "tolerance": tol,
         "inputs": {"messages": [_qubit_json(m) for m in messages],
-                   "aux_value": scenario.aux_value.value,
-                   "aux_channel": scenario.aux_channel},
+                   "aux_value": case.aux_value.value,
+                   "aux_channel": case.aux_channel},
         "channels": channels,
         "product_ok": report.product_ok,
         "entangled_block_fidelity": report.entangled_block_fidelity,
@@ -205,18 +186,18 @@ def _cmd_run_figure(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     t0 = time.perf_counter()
-    if args.figure == 5 or args.figure not in _FIGURE_FLAGS:
+    if args.figure not in SCENARIO_FIGURES:
         return _error(f"no scenario for figure {args.figure} (valid: 1-4, 6-9)")
     if args.trials < 1:
         return _error("--trials must be >= 1")
     tol = args.tol if args.tol is not None else _tol_default()
-    scenario = builtin_scenario(args.figure)
+    case = builtin_scenario(args.figure)
     rng = np.random.default_rng(args.seed)
     failures = 0
     min_fid = 1.0
     min_block = None
     for _ in range(args.trials):
-        messages = [random_qubit(rng) for _ in range(scenario.message_count)]
+        messages = [random_qubit(rng) for _ in case.message_channels]
         report = run_scenario(args.figure, messages, tol)
         if not report.passed:
             failures += 1
@@ -249,7 +230,7 @@ def _cmd_table(args) -> int:
             "aux_channel": case.aux_channel,
             "aux_value": case.aux_value.value,
             "message_channels": list(case.message_channels),
-            "bob_program": [_gate_text(g) for g in case.bob_program],
+            "bob_program": [gate_text(g) for g in case.bob_program],
             "expected_layout": _layout_json(case.expected_layout),
         })
     _emit({
@@ -313,7 +294,7 @@ def _cmd_exec(args) -> int:
         "gate_count": len(circuit.gates),
         "amplitudes": _amplitudes_json(out),
         "factors": None if factors is None else
-            [[_pair(f.coeff0), _pair(f.coeff1)] for f in factors],
+            [_state_json(f) for f in factors],
         "measurements": measurements,
     })
     return 0
@@ -350,7 +331,7 @@ def _cmd_swap(args) -> int:
         "channels": n,
         "content_moves_to": targets,
         "seed": args.seed,
-        "gates": [_gate_text(g) for g in gates],
+        "gates": [gate_text(g) for g in gates],
         "per_channel_fidelity": fids,
         "passed": bool(passed),
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
@@ -375,7 +356,7 @@ def _cmd_solve_bob(args) -> int:
         "aux_value": value.value,
         "max_gates": args.max_gates,
         "found": program is not None,
-        "program": None if program is None else [_gate_text(g) for g in program],
+        "program": None if program is None else [gate_text(g) for g in program],
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
     })
     return 0 if program is not None else 1

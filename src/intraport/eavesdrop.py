@@ -24,6 +24,7 @@ execution order.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,18 +36,19 @@ from .protocol import (
     CANONICAL_AUX_CHANNEL,
     MessageOut,
     ProtocolCase,
+    ResidueOut,
     alice_encoder,
-    canonical_case,
+    layout_states,
+    message_batch,
     post_swap_plan,
     relocated_case,
 )
 from .qsim import (
     Hadamard,
     PureState,
-    SingleQubit,
     _apply_gates,
     channel_fidelity,
-    make_state,
+    make_state,  # noqa: F401  (perfbench/tracer.py traces this name here)
     random_qubit,
 )
 
@@ -119,25 +121,16 @@ class ExperimentStats:
     base_seed: int
 
 
-_case_memo: dict[tuple[int, int, AuxValue], ProtocolCase] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _case(n: int, aux_channel: int, value: AuxValue) -> ProtocolCase:
-    key = (n, aux_channel, value)
-    if key not in _case_memo:
-        _case_memo[key] = relocated_case(n, aux_channel, value)
-    return _case_memo[key]
+    return relocated_case(n, aux_channel, value)
 
 
 def _reencode_gates(case: ProtocolCase):
     """Eve's rebuild: believed outputs back to input placement, residue
     channel refreshed to the auxiliary value, then the encoder."""
-    current = {}
-    for ch, out in case.expected_layout.items():
-        current[ch] = ("m", out.index) if isinstance(out, MessageOut) else ("r",)
-    desired = {case.message_channels[j]: ("m", j) for j in range(len(case.message_channels))}
-    desired[case.aux_channel] = ("r",)
-    gates = post_swap_plan(current, desired)
+    desired = {**case.input_layout, case.aux_channel: ResidueOut(case.residue)}
+    gates = post_swap_plan(case.expected_layout, desired)
 
     res = case.residue
     value_q = case.aux_value.qubit
@@ -163,16 +156,8 @@ def run_trial(
         raise InvalidInput("true_case does not match channel_count")
     rng = np.random.default_rng(trial_seed & _MASK64)
     messages = [random_qubit(rng) for _ in true_case.message_channels]
-
-    qubits = []
-    mi = 0
-    for ch in range(1, n + 1):
-        if ch == true_case.aux_channel:
-            qubits.append(true_case.aux_value.qubit)
-        else:
-            qubits.append(messages[mi])
-            mi += 1
-    wire = _apply_gates(make_state(qubits).amplitudes, n, alice_encoder(n))
+    sent = layout_states(true_case.input_layout, message_batch(messages))[0]
+    wire = _apply_gates(sent, n, alice_encoder(n))
 
     guessed_id = None
     eve_success = False
@@ -213,8 +198,7 @@ def run_trial(
 
     fids = {}
     for ch, expected in true_case.expected_layout.items():
-        q = messages[expected.index] if isinstance(expected, MessageOut) else expected.state
-        fids[ch] = channel_fidelity(out, ch, q)
+        fids[ch] = channel_fidelity(out, ch, expected.qubit(messages))
     if detection_mode is DetectionMode.OMNISCIENT:
         detects = any(f < _FIDELITY_BAR for f in fids.values())
     else:

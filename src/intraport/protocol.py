@@ -1,10 +1,10 @@
 """Intraportation protocol engine.
 
 Covers the sender's encoder network, the receiver's universal five-gate
-prefix, the builtin figure scenarios with their claimed outputs, quantum
-swapping and post-transmission channel rearrangement, the nine-case
-three-channel protocol table, entangled-pair transmission, and the
-Bell-state measurement byproduct.
+prefix, the protocol case model with the builtin figures, quantum swapping
+and post-transmission channel rearrangement, the nine-case three-channel
+protocol table, entangled-pair transmission, and the Bell-state measurement
+byproduct.
 
 Scheme summary: N channels carry N-1 unknown message qubits plus one known
 auxiliary qubit (|0>, |1> or (|0>+|1>)/sqrt(2)).  The sender entangles all
@@ -13,13 +13,22 @@ was used travels as a classical token.  The receiver applies the decoding
 program agreed for (auxiliary channel, auxiliary value) and every message
 reappears, unmeasured, on some output channel, with a known residue state
 left on one channel.
+
+figures/manifest.json is the single source of the figure facts: which
+channel carries the auxiliary state and its value, where each message
+reappears, the residue left behind, and the entangled block of figure 6.
+builtin_scenario loads each figure from it as a ProtocolCase, the same case
+type the protocol table and the registered decoders use.  One builder
+(layout_states) turns a layout into product states, and one routine
+(verify_case) checks a case's output.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache
+import json
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -41,18 +50,16 @@ from .qsim import (
     Gate,
     Hadamard,
     PureState,
-    QUBIT_MINUS10,
     QUBIT_ONE,
     QUBIT_PLUS,
     QUBIT_ZERO,
-    Segment,
     SingleQubit,
     _apply_gates,
     channel_fidelity,
     factor_channel,
     factor_all,
     make_state,
-    run_circuit,
+    project,
 )
 
 DEFAULT_TOL = 1e-10
@@ -83,77 +90,60 @@ _AUX_QUBITS = {
     AuxValue.PLUS: QUBIT_PLUS,
 }
 
-# Residue left on the auxiliary channel by the base three-channel decoders.
-AUX_RESIDUE = {
-    AuxValue.PLUS: QUBIT_PLUS,
-    AuxValue.ZERO: QUBIT_PLUS,
-    AuxValue.ONE: QUBIT_MINUS10,
-}
-
 
 # ---------------------------------------------------------------------------
-# Channel roles and expected outputs
-
-
-@dataclass(frozen=True)
-class MessageSlot:
-    index: int
-
-
-@dataclass(frozen=True)
-class AuxSlot:
-    value: AuxValue
-
-
-Role = MessageSlot | AuxSlot
+# Layouts: what each channel carries, and the product states they describe
 
 
 @dataclass(frozen=True)
 class MessageOut:
     index: int
 
+    def qubit(self, messages: Sequence[SingleQubit]) -> SingleQubit:
+        return messages[self.index]
+
 
 @dataclass(frozen=True)
 class ResidueOut:
     state: SingleQubit
 
+    def qubit(self, messages: Sequence[SingleQubit]) -> SingleQubit:
+        return self.state
+
 
 ExpectedOut = MessageOut | ResidueOut
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A builtin figure: circuit, input roles, claimed output layout."""
-
-    figure_id: int
-    circuit: Circuit
-    roles: tuple[Role, ...]
-    claimed_outputs: Mapping[int, ExpectedOut]
-    psi_block: Optional[tuple[int, int]] = None
-
-    @property
-    def message_count(self) -> int:
-        return sum(1 for r in self.roles if isinstance(r, MessageSlot))
-
-    @property
-    def aux_channel(self) -> int:
-        for ch, r in enumerate(self.roles, start=1):
-            if isinstance(r, AuxSlot):
-                return ch
-        raise InvalidInput("scenario has no auxiliary channel")
-
-    @property
-    def aux_value(self) -> AuxValue:
-        return next(r.value for r in self.roles if isinstance(r, AuxSlot))
+def input_layout(
+    message_channels: Sequence[int], aux_channel: int, value: AuxValue
+) -> dict[int, ExpectedOut]:
+    """A protocol input as a layout: message j on message_channels[j], and
+    the auxiliary value as the known state of its channel."""
+    layout: dict[int, ExpectedOut] = {
+        ch: MessageOut(j) for j, ch in enumerate(message_channels)
+    }
+    layout[aux_channel] = ResidueOut(value.qubit)
+    return layout
 
 
-@dataclass
-class VerificationReport:
-    per_channel_fidelity: list[float]
-    product_ok: bool
-    entangled_block_fidelity: Optional[float]
-    passed: bool
-    relative_phase: complex
+def message_batch(messages: Sequence[SingleQubit]) -> np.ndarray:
+    """One message tuple as the (1, m, 2) batch layout_states takes."""
+    return np.array([[(q.coeff0, q.coeff1) for q in messages]], dtype=complex)
+
+
+def layout_states(layout: Mapping[int, ExpectedOut], messages: np.ndarray) -> np.ndarray:
+    """(T, 2^n) product states of a layout over channels 1..n, one for each
+    (m, 2) message tuple of the (T, m, 2) batch `messages`."""
+    count = len(messages)
+    out = np.ones((count, 1), dtype=complex)
+    for ch in range(1, len(layout) + 1):
+        entry = layout[ch]
+        if isinstance(entry, MessageOut):
+            q = messages[:, entry.index]
+        else:
+            q = entry.state.as_array()[None]  # broadcast over the batch
+        out = (out[:, :, None] * q[:, None, :]).reshape(count, -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,34 +183,81 @@ def bob_prefix(channel_count: int) -> list[Gate]:
 
 
 # ---------------------------------------------------------------------------
-# Builtin figure scenarios
+# Protocol cases
 
-_M = MessageSlot
-_A = AuxSlot
 
-_FIGURE_ROLES: dict[int, tuple[Role, ...]] = {
-    1: (_M(0), _A(AuxValue.PLUS), _M(1)),
-    2: (_M(0), _A(AuxValue.ZERO), _M(1)),
-    3: (_M(0), _A(AuxValue.ONE), _M(1)),
-    4: (_M(0), _M(1), _A(AuxValue.ZERO)),
-    6: (_A(AuxValue.ZERO), _M(0), _M(1)),
-    7: (_M(0), _M(1), _M(2), _A(AuxValue.PLUS)),
-    8: (_M(0), _M(1), _M(2), _A(AuxValue.ZERO)),
-    9: (_M(0), _M(1), _M(2), _A(AuxValue.ONE)),
+@dataclass(frozen=True)
+class ProtocolCase:
+    """One agreed (auxiliary channel, auxiliary value, program, layout) tuple.
+
+    A builtin figure is a case that also carries its figure number and
+    circuit.  Figure 6 claims an entangled pair on its psi_block channels
+    instead of one factor per channel; its expected layout leaves those
+    channels out.
+    """
+
+    case_id: str
+    channel_count: int
+    aux_channel: int
+    aux_value: AuxValue
+    message_channels: tuple[int, ...]
+    bob_program: tuple[Gate, ...]
+    expected_layout: Mapping[int, ExpectedOut]
+    figure_id: Optional[int] = None
+    circuit: Optional[Circuit] = None
+    psi_block: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        chans = set(range(1, self.channel_count + 1))
+        if set(self.message_channels) | {self.aux_channel} != chans or len(
+            self.message_channels
+        ) != self.channel_count - 1:
+            raise InvalidLayout("message channels plus auxiliary must cover all channels")
+        if set(self.expected_layout) | set(self.psi_block or ()) != chans:
+            raise InvalidLayout("expected layout must cover all output channels")
+
+    @cached_property
+    def input_layout(self) -> dict[int, ExpectedOut]:
+        return input_layout(self.message_channels, self.aux_channel, self.aux_value)
+
+    @property
+    def residue_channel(self) -> int:
+        for ch, out in self.expected_layout.items():
+            if isinstance(out, ResidueOut):
+                return ch
+        raise InvalidLayout("case has no residue channel")
+
+    @property
+    def residue(self) -> SingleQubit:
+        return self.expected_layout[self.residue_channel].state
+
+
+@dataclass
+class VerificationReport:
+    per_channel_fidelity: list[float]
+    product_ok: bool
+    entangled_block_fidelity: Optional[float]
+    passed: bool
+    relative_phase: complex
+    output: PureState
+
+
+# ---------------------------------------------------------------------------
+# Builtin figures, loaded from figures/manifest.json
+
+
+def _figures_file(name: str):
+    return resources.files("intraport").joinpath("figures").joinpath(name)
+
+
+_MANIFEST = {
+    entry["id"]: entry
+    for entry in json.loads(
+        _figures_file("manifest.json").read_text(encoding="utf-8")
+    )["figures"]
 }
 
-_FIGURE_CLAIMS: dict[int, dict[int, ExpectedOut]] = {
-    1: {1: MessageOut(1), 2: MessageOut(0), 3: ResidueOut(QUBIT_PLUS)},
-    2: {1: MessageOut(1), 2: ResidueOut(QUBIT_PLUS), 3: MessageOut(0)},
-    3: {1: MessageOut(1), 2: ResidueOut(QUBIT_MINUS10), 3: MessageOut(0)},
-    4: {1: ResidueOut(QUBIT_ZERO), 2: MessageOut(0), 3: MessageOut(1)},
-    6: {3: ResidueOut(QUBIT_ZERO)},
-    7: {1: ResidueOut(QUBIT_ZERO), 2: MessageOut(2), 3: MessageOut(1), 4: MessageOut(0)},
-    8: {1: ResidueOut(QUBIT_ZERO), 2: MessageOut(0), 3: MessageOut(1), 4: MessageOut(2)},
-    9: {1: ResidueOut(QUBIT_ONE), 2: MessageOut(2), 3: MessageOut(1), 4: MessageOut(0)},
-}
-
-SCENARIO_FIGURES = (1, 2, 3, 4, 6, 7, 8, 9)
+SCENARIO_FIGURES = tuple(_MANIFEST)
 
 
 @lru_cache(maxsize=None)
@@ -230,40 +267,53 @@ def figure_circuit(name: int | str) -> Circuit:
     Circuits are immutable, so the parsed value is cached and shared.
     """
     fname = name if isinstance(name, str) else f"fig{name}"
-    path = resources.files("intraport").joinpath("figures").joinpath(f"{fname}.qc")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = _figures_file(f"{fname}.qc").read_text(encoding="utf-8")
     except FileNotFoundError:
         raise UnknownScenario(f"no bundled circuit '{fname}'") from None
     return parse_circuit(text)
 
 
 @lru_cache(maxsize=None)
-def builtin_scenario(figure_id: int) -> Scenario:
+def builtin_scenario(figure_id: int) -> ProtocolCase:
+    """A bundled figure as a case, with its roles, claimed outputs and
+    entangled block read from the manifest."""
     if figure_id == 5:
         raise UnknownScenario("figure 5 is the swap demonstration, not a scenario")
-    if figure_id not in SCENARIO_FIGURES:
+    if figure_id not in _MANIFEST:
         raise UnknownScenario(f"no builtin scenario for figure {figure_id}")
-    return Scenario(
+    entry = _MANIFEST[figure_id]
+    circuit = figure_circuit(figure_id)
+    (aux,) = [r for r in entry["roles"] if r["kind"] == "aux"]
+    messages = sorted(
+        (r for r in entry["roles"] if r["kind"] == "message"), key=lambda r: r["index"]
+    )
+    layout: dict[int, ExpectedOut] = {}
+    psi_block = None
+    for claim in entry["claimed_outputs"]:
+        if claim["kind"] == "psi-block":
+            psi_block = tuple(claim["channels"])
+        elif claim["kind"] == "message":
+            layout[claim["channel"]] = MessageOut(claim["index"])
+        else:
+            coeff0, coeff1 = (complex(re, im) for re, im in claim["state"])
+            layout[claim["channel"]] = ResidueOut(SingleQubit(coeff0, coeff1))
+    return ProtocolCase(
+        case_id=f"fig{figure_id}",
+        channel_count=circuit.channel_count,
+        aux_channel=aux["channel"],
+        aux_value=AuxValue(aux["value"]),
+        message_channels=tuple(r["channel"] for r in messages),
+        bob_program=circuit.bob_gates,
+        expected_layout=MappingProxyType(layout),
         figure_id=figure_id,
-        circuit=figure_circuit(figure_id),
-        roles=_FIGURE_ROLES[figure_id],
-        claimed_outputs=MappingProxyType(_FIGURE_CLAIMS[figure_id]),
-        psi_block=(1, 2) if figure_id == 6 else None,
+        circuit=circuit,
+        psi_block=psi_block,
     )
 
 
-def scenario_input(scenario: Scenario, messages: Sequence[SingleQubit]) -> PureState:
-    if len(messages) != scenario.message_count:
-        raise ShapeMismatch(
-            f"scenario {scenario.figure_id} takes {scenario.message_count} messages, "
-            f"got {len(messages)}"
-        )
-    qubits = [
-        messages[r.index] if isinstance(r, MessageSlot) else r.value.qubit
-        for r in scenario.roles
-    ]
-    return make_state(qubits)
+# ---------------------------------------------------------------------------
+# Running and verifying a case
 
 
 def construct_psi(c: complex, d: complex, e: complex, f: complex) -> PureState:
@@ -284,71 +334,64 @@ def construct_psi(c: complex, d: complex, e: complex, f: complex) -> PureState:
     return PureState(2, amps)
 
 
-def _expected_full_state(scenario: Scenario, messages: Sequence[SingleQubit]) -> PureState:
-    n = scenario.circuit.channel_count
-    if scenario.psi_block is not None:
-        # Entangled block on channels 1-2, residue factor on channel 3.
-        m0, m1 = messages[0], messages[1]
-        psi = construct_psi(m0.coeff1, m0.coeff0, m1.coeff1, m1.coeff0)
-        res = scenario.claimed_outputs[3].state
-        amps = np.kron(psi.amplitudes, res.as_array())
-        return PureState(n, amps)
-    qubits = []
-    for ch in range(1, n + 1):
-        out = scenario.claimed_outputs[ch]
-        qubits.append(messages[out.index] if isinstance(out, MessageOut) else out.state)
-    return make_state(qubits)
-
-
-def run_scenario(
-    figure_id: int, messages: Sequence[SingleQubit], tol: float = DEFAULT_TOL
+def verify_case(
+    case: ProtocolCase, messages: Sequence[SingleQubit], tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """Run a figure end to end and verify the claimed output layout.
+    """Encode, decode with the case's program, compare against its layout.
 
-    Per-channel fidelities are computed against the claimed factors through
+    Per-channel fidelities are computed against the expected factors through
     the channel's reduced density, so they stay meaningful even when the
-    output fails to factor.  For the entangled-pair figure the joint block
-    is compared against construct_psi and both block channels report the
-    block fidelity.
+    output fails to factor.  For the entangled-pair figure (block on
+    channels 1-2, residue on channel 3) the joint block is compared against
+    construct_psi and both block channels report the block fidelity.
     """
-    scenario = builtin_scenario(figure_id)
-    state = scenario_input(scenario, messages)
-    out = run_circuit(state, scenario.circuit, Segment.ALL)
-    n = out.channel_count
+    m = len(case.message_channels)
+    if len(messages) != m:
+        raise ShapeMismatch(f"case {case.case_id} takes {m} messages, got {len(messages)}")
+    n = case.channel_count
+    batch = message_batch(messages)
+    amps = _apply_gates(
+        layout_states(case.input_layout, batch)[0], n, alice_encoder(n) + list(case.bob_program)
+    )
+    out = PureState(n, amps, _trust=True)
 
     block_fid: Optional[float] = None
-    fids: list[float] = []
-    if scenario.psi_block is not None:
-        m0, m1 = messages[0], messages[1]
-        psi = construct_psi(m0.coeff1, m0.coeff0, m1.coeff1, m1.coeff0)
-        split = factor_channel(out, 3)
-        product_ok = split is not None
-        if product_ok:
-            factor, block = split
-            block_fid = float(abs(np.vdot(psi.amplitudes, block.amplitudes)) ** 2)
-        else:
-            block_fid = 0.0
-        res_fid = channel_fidelity(out, 3, scenario.claimed_outputs[3].state)
-        fids = [block_fid, block_fid, res_fid]
-        passed = product_ok and block_fid >= 1 - tol and res_fid >= 1 - tol
-    else:
-        for ch in range(1, n + 1):
-            claim = scenario.claimed_outputs[ch]
-            q = messages[claim.index] if isinstance(claim, MessageOut) else claim.state
-            fids.append(channel_fidelity(out, ch, q))
+    if case.psi_block is None:
+        fids = [
+            channel_fidelity(out, ch, case.expected_layout[ch].qubit(messages))
+            for ch in range(1, n + 1)
+        ]
         product_ok = factor_all(out) is not None
-        passed = product_ok and min(fids) >= 1 - tol
+        expected = layout_states(case.expected_layout, batch)[0]
+    else:
+        m0, m1 = messages
+        psi = construct_psi(m0.coeff1, m0.coeff0, m1.coeff1, m1.coeff0)
+        split = factor_channel(out, case.residue_channel)
+        product_ok = split is not None
+        block_fid = (
+            float(abs(np.vdot(psi.amplitudes, split[1].amplitudes)) ** 2) if product_ok else 0.0
+        )
+        res_fid = channel_fidelity(out, case.residue_channel, case.residue)
+        fids = [block_fid, block_fid, res_fid]
+        expected = np.kron(psi.amplitudes, case.residue.as_array())
 
-    expected = _expected_full_state(scenario, messages)
-    overlap = complex(np.vdot(expected.amplitudes, out.amplitudes))
+    overlap = complex(np.vdot(expected, out.amplitudes))
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else overlap
     return VerificationReport(
         per_channel_fidelity=fids,
         product_ok=product_ok,
         entangled_block_fidelity=block_fid,
-        passed=bool(passed),
+        passed=bool(product_ok and min(fids) >= 1 - tol),
         relative_phase=phase,
+        output=out,
     )
+
+
+def run_scenario(
+    figure_id: int, messages: Sequence[SingleQubit], tol: float = DEFAULT_TOL
+) -> VerificationReport:
+    """Run a builtin figure end to end and verify its claimed output layout."""
+    return verify_case(builtin_scenario(figure_id), messages, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +409,21 @@ def post_swap_plan(current: Mapping[int, object], desired: Mapping[int, object])
     """Swap triples moving each channel's content to its desired channel.
 
     Both layouts map channel -> token and must be bijections over the same
-    channels and tokens.  Cycles are decomposed into transpositions anchored
-    at each cycle's smallest channel, giving a deterministic gate list.
+    channels and tokens.  Tokens are told apart by value (== and hash), so
+    they must be hashable; 1 and 1.0 are the same token.  Cycles are
+    decomposed into transpositions anchored at each cycle's smallest
+    channel, giving a deterministic gate list.
     """
     chans = sorted(current)
     if sorted(desired) != chans:
         raise InvalidLayout("layouts cover different channel sets")
-    if len({repr(t) for t in current.values()}) != len(chans):
+    if len(set(current.values())) != len(chans):
         raise InvalidLayout("current layout repeats a token")
-    token_to_desired = {}
-    for ch in chans:
-        key = repr(desired[ch])
-        if key in token_to_desired:
-            raise InvalidLayout("desired layout repeats a token")
-        token_to_desired[key] = ch
+    token_to_desired = {tok: ch for ch, tok in desired.items()}
+    if len(token_to_desired) != len(chans):
+        raise InvalidLayout("desired layout repeats a token")
     try:
-        perm = {ch: token_to_desired[repr(current[ch])] for ch in chans}
+        perm = {ch: token_to_desired[current[ch]] for ch in chans}
     except KeyError:
         raise InvalidLayout("layouts carry different tokens") from None
 
@@ -408,88 +450,36 @@ def post_swap_plan(current: Mapping[int, object], desired: Mapping[int, object])
 # ---------------------------------------------------------------------------
 # Protocol table (three channels, auxiliary on channel 2)
 
-_RES_TOKEN = ("residue",)
-
-
-def _layout_tokens(layout: Mapping[int, ExpectedOut]) -> dict[int, object]:
-    return {
-        ch: (("message", out.index) if isinstance(out, MessageOut) else _RES_TOKEN)
-        for ch, out in layout.items()
-    }
-
-
 # The three possible output arrangements for messages entering on channels
-# 1 and 3 with the auxiliary on channel 2 (message 0 from channel 1).
-_ARRANGEMENTS: dict[str, dict[int, object]] = {
-    "a": {1: ("message", 1), 2: ("message", 0), 3: _RES_TOKEN},
-    "b": {1: _RES_TOKEN, 2: ("message", 1), 3: ("message", 0)},
-    "c": {1: ("message", 1), 2: _RES_TOKEN, 3: ("message", 0)},
+# 1 and 3 with the auxiliary on channel 2 (message 0 from channel 1); None
+# marks the residue's channel.
+_ARRANGEMENTS = {
+    "a": (MessageOut(1), MessageOut(0), None),
+    "b": (None, MessageOut(1), MessageOut(0)),
+    "c": (MessageOut(1), None, MessageOut(0)),
 }
-
-_BASE_ARRANGEMENT = {AuxValue.PLUS: "a", AuxValue.ZERO: "c", AuxValue.ONE: "c"}
-_BASE_FIGURE = {AuxValue.PLUS: 1, AuxValue.ZERO: 2, AuxValue.ONE: 3}
-
-
-@dataclass(frozen=True)
-class ProtocolCase:
-    """One agreed (auxiliary channel, auxiliary value, program, layout) tuple."""
-
-    case_id: str
-    channel_count: int
-    aux_channel: int
-    aux_value: AuxValue
-    message_channels: tuple[int, ...]
-    bob_program: tuple[Gate, ...]
-    expected_layout: Mapping[int, ExpectedOut]
-
-    def __post_init__(self):
-        chans = set(self.message_channels) | {self.aux_channel}
-        if chans != set(range(1, self.channel_count + 1)) or len(
-            self.message_channels
-        ) != self.channel_count - 1:
-            raise InvalidLayout("message channels plus auxiliary must cover all channels")
-        if set(self.expected_layout) != set(range(1, self.channel_count + 1)):
-            raise InvalidLayout("expected layout must cover all output channels")
-
-    @property
-    def residue_channel(self) -> int:
-        for ch, out in self.expected_layout.items():
-            if isinstance(out, ResidueOut):
-                return ch
-        raise InvalidLayout("case has no residue channel")
-
-    @property
-    def residue(self) -> SingleQubit:
-        return self.expected_layout[self.residue_channel].state
-
-
-def _tokens_to_layout(tokens: Mapping[int, object], residue: SingleQubit) -> dict[int, ExpectedOut]:
-    layout: dict[int, ExpectedOut] = {}
-    for ch, tok in tokens.items():
-        layout[ch] = ResidueOut(residue) if tok == _RES_TOKEN else MessageOut(tok[1])
-    return layout
 
 
 def protocol_table(channel_count: int, reduced: bool = False) -> list[ProtocolCase]:
     """The nine agreed cases for three channels (auxiliary on channel 2).
 
     Three auxiliary values times three output arrangements.  Each value's
-    base arrangement uses the figure decoder as-is; the other arrangements
-    append the swap plan moving the base outputs into place.  With
-    reduced=True only the three base cases are returned.
+    base arrangement is the one its figure claims and uses the figure
+    decoder as-is; the other arrangements append the swap plan moving the
+    base outputs into place.  With reduced=True only the three base cases
+    are returned.
     """
     if channel_count != 3:
         raise UnsupportedSize("the protocol table is enumerated for 3 channels only")
     cases = []
     for value in (AuxValue.PLUS, AuxValue.ZERO, AuxValue.ONE):
-        base_arr = _BASE_ARRANGEMENT[value]
-        base_prog = tuple(figure_circuit(_BASE_FIGURE[value]).bob_gates)
-        residue = AUX_RESIDUE[value]
-        arrangements = (base_arr,) if reduced else ("a", "b", "c")
-        for arr in arrangements:
-            prog = base_prog + tuple(
-                post_swap_plan(_ARRANGEMENTS[base_arr], _ARRANGEMENTS[arr])
-            )
+        base = canonical_case(3, value)
+        layouts = {
+            name: {ch: out or ResidueOut(base.residue) for ch, out in enumerate(slots, start=1)}
+            for name, slots in _ARRANGEMENTS.items()
+        }
+        base_arr = next(name for name, lay in layouts.items() if lay == base.expected_layout)
+        for arr in (base_arr,) if reduced else tuple(layouts):
             cases.append(
                 ProtocolCase(
                     case_id=f"n3-aux2-{value.value}-{arr}",
@@ -497,8 +487,9 @@ def protocol_table(channel_count: int, reduced: bool = False) -> list[ProtocolCa
                     aux_channel=2,
                     aux_value=value,
                     message_channels=(1, 3),
-                    bob_program=prog,
-                    expected_layout=_tokens_to_layout(_ARRANGEMENTS[arr], residue),
+                    bob_program=base.bob_program
+                    + tuple(post_swap_plan(layouts[base_arr], layouts[arr])),
+                    expected_layout=layouts[arr],
                 )
             )
     return cases
@@ -532,48 +523,27 @@ def general_extension(channel_count: int, value: AuxValue) -> list[Gate]:
 
 def general_residue(value: AuxValue) -> SingleQubit:
     """Residue the general extension leaves on the auxiliary channel."""
-    return {
-        AuxValue.PLUS: QUBIT_PLUS,
-        AuxValue.ZERO: QUBIT_ZERO,
-        AuxValue.ONE: QUBIT_ONE,
-    }[value]
+    return value.qubit
 
 
 CANONICAL_AUX_CHANNEL = {3: 2, 4: 4, 5: 5, 6: 6}
+
+# Figures whose decoders are the registered ones for three and four channels.
+_BASE_FIGURE = {
+    3: {AuxValue.PLUS: 1, AuxValue.ZERO: 2, AuxValue.ONE: 3},
+    4: {AuxValue.PLUS: 7, AuxValue.ZERO: 8, AuxValue.ONE: 9},
+}
 
 
 def canonical_case(channel_count: int, value: AuxValue) -> ProtocolCase:
     """The registered decoder for the canonical auxiliary placement."""
     n = channel_count
-    if n == 3:
-        fig = _BASE_FIGURE[value]
-        scenario = builtin_scenario(fig)
-        return ProtocolCase(
-            case_id=f"n3-aux2-{value.value}",
-            channel_count=3,
-            aux_channel=2,
-            aux_value=value,
-            message_channels=(1, 3),
-            bob_program=tuple(scenario.circuit.bob_gates),
-            expected_layout=dict(scenario.claimed_outputs),
-        )
-    if n == 4:
-        fig = {AuxValue.PLUS: 7, AuxValue.ZERO: 8, AuxValue.ONE: 9}[value]
-        scenario = builtin_scenario(fig)
-        return ProtocolCase(
-            case_id=f"n4-aux4-{value.value}",
-            channel_count=4,
-            aux_channel=4,
-            aux_value=value,
-            message_channels=(1, 2, 3),
-            bob_program=tuple(scenario.circuit.bob_gates),
-            expected_layout=dict(scenario.claimed_outputs),
-        )
+    if n in _BASE_FIGURE:
+        figure = builtin_scenario(_BASE_FIGURE[n][value])
+        return replace(figure, case_id=f"n{n}-aux{figure.aux_channel}-{value.value}")
     if n in (5, 6):
-        layout: dict[int, ExpectedOut] = {
-            ch: MessageOut(ch - 1) for ch in range(1, n)
-        }
-        layout[n] = ResidueOut(general_residue(value))
+        # The general extension returns the input layout: every message on
+        # its own channel, general_residue(value) on channel N.
         return ProtocolCase(
             case_id=f"n{n}-aux{n}-{value.value}",
             channel_count=n,
@@ -581,7 +551,7 @@ def canonical_case(channel_count: int, value: AuxValue) -> ProtocolCase:
             aux_value=value,
             message_channels=tuple(range(1, n)),
             bob_program=tuple(bob_prefix(n)) + tuple(general_extension(n, value)),
-            expected_layout=layout,
+            expected_layout=input_layout(range(1, n), n, value),
         )
     raise UnsupportedSize(f"no registered decoders for {n} channels")
 
@@ -630,50 +600,6 @@ def relocated_case(channel_count: int, aux_channel: int, value: AuxValue) -> Pro
     )
 
 
-def case_input(case: ProtocolCase, messages: Sequence[SingleQubit]) -> PureState:
-    if len(messages) != len(case.message_channels):
-        raise ShapeMismatch(
-            f"case takes {len(case.message_channels)} messages, got {len(messages)}"
-        )
-    qubits = []
-    mi = 0
-    for ch in range(1, case.channel_count + 1):
-        if ch == case.aux_channel:
-            qubits.append(case.aux_value.qubit)
-        else:
-            qubits.append(messages[mi])
-            mi += 1
-    return make_state(qubits)
-
-
-def verify_case(
-    case: ProtocolCase, messages: Sequence[SingleQubit], tol: float = DEFAULT_TOL
-) -> VerificationReport:
-    """Encode, decode with the case's program, compare against its layout."""
-    state = case_input(case, messages)
-    amps = _apply_gates(state.amplitudes, case.channel_count, alice_encoder(case.channel_count))
-    amps = _apply_gates(amps, case.channel_count, case.bob_program)
-    out = PureState(case.channel_count, amps, _trust=True)
-    fids = []
-    expected_qubits = []
-    for ch in range(1, case.channel_count + 1):
-        claim = case.expected_layout[ch]
-        q = messages[claim.index] if isinstance(claim, MessageOut) else claim.state
-        expected_qubits.append(q)
-        fids.append(channel_fidelity(out, ch, q))
-    product_ok = factor_all(out) is not None
-    expected = make_state(expected_qubits)
-    overlap = complex(np.vdot(expected.amplitudes, out.amplitudes))
-    phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else overlap
-    return VerificationReport(
-        per_channel_fidelity=fids,
-        product_ok=product_ok,
-        entangled_block_fidelity=None,
-        passed=bool(product_ok and min(fids) >= 1 - tol),
-        relative_phase=phase,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bell-state measurement byproduct
 
@@ -689,22 +615,10 @@ def bell_byproduct(
     on |1> leaves eb|10>+fa|01> (probability |eb|^2+|fa|^2).  The
     outcome-to-branch pairing is fixed by simulation and frozen in tests.
     """
-    if outcome not in (0, 1):
-        raise InvalidInput("outcome must be 0 or 1")
-    m1 = SingleQubit(b, a)
-    m3 = SingleQubit(f, e)
-    state = make_state([m1, QUBIT_PLUS, m3])
+    state = make_state([SingleQubit(b, a), QUBIT_PLUS, SingleQubit(f, e)])
     amps = _apply_gates(state.amplitudes, 3, alice_encoder(3) + bob_prefix(3))
-    t = amps.reshape(2, 2, 2)
-    branch = t[:, :, outcome].reshape(-1)
-    prob = float(np.vdot(branch, branch).real)
-    if prob < 1e-12:
-        from .errors import ImpossibleBranch
-
-        raise ImpossibleBranch(
-            f"projection outcome {outcome} has probability {prob}", probability=prob
-        )
-    return prob, PureState(2, branch / np.sqrt(prob), _trust=True)
+    prob, collapsed = project(PureState(3, amps, _trust=True), 3, outcome)
+    return prob, PureState(2, collapsed.tensor()[:, :, outcome].reshape(-1), _trust=True)
 
 
 # ---------------------------------------------------------------------------
@@ -714,24 +628,14 @@ def bell_byproduct(
 def verify_circuit_action_equal(c1: Circuit, c2: Circuit) -> bool:
     """True iff the circuits' unitaries agree up to one global phase.
 
-    Compares the action on all basis states and on one fixed pseudo-random
-    state; the random state catches basis-dependent phase mismatches.
+    Pushes the identity through each circuit as one batch (row i is U e_i)
+    and compares the unitaries exactly: |tr(U2^dagger U1)| = 2^n holds iff
+    U1 = e^{i phi} U2, because both have Frobenius norm sqrt(2^n).
     """
     if c1.channel_count != c2.channel_count:
         raise ShapeMismatch("channel counts differ")
     n = c1.channel_count
-    dim = 2**n
-    g1, g2 = list(c1.gates), list(c2.gates)
-    for i in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[i] = 1.0
-        v1 = _apply_gates(e, n, g1)
-        v2 = _apply_gates(e.copy(), n, g2)
-        if abs(abs(np.vdot(v2, v1)) - 1) > 1e-10:
-            return False
-    rng = np.random.default_rng(0x5EED)
-    r = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    r = r / np.linalg.norm(r)
-    w1 = _apply_gates(r, n, g1)
-    w2 = _apply_gates(r.copy(), n, g2)
-    return abs(abs(np.vdot(w2, w1)) - 1) <= 1e-10
+    identity = np.eye(2**n, dtype=complex)
+    u1 = _apply_gates(identity, n, c1.gates)
+    u2 = _apply_gates(identity, n, c2.gates)
+    return abs(abs(np.vdot(u2, u1)) - 2**n) <= 1e-10

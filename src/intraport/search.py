@@ -51,6 +51,8 @@ from .protocol import (
     alice_encoder,
     bob_prefix,
     canonical_case,
+    input_layout,
+    layout_states,
 )
 from .qsim import (
     ControlledNot,
@@ -105,13 +107,10 @@ class _Task:
         self.message_channels = tuple(c for c in range(1, n + 1) if c != aux_channel)
         m = len(self.message_channels)
         self.pre_gates = alice_encoder(n) + bob_prefix(n)
-        # the input is itself a layout: the auxiliary value plus the messages in order
-        self.input_layout = {ch: MessageOut(self.message_channels.index(ch))
-                             for ch in self.message_channels}
-        self.input_layout[aux_channel] = ResidueOut(value.qubit)
+        self.input_layout = input_layout(self.message_channels, aux_channel, value)
 
         self.ref_messages = _random_messages(np.random.default_rng(_REFERENCE_SEED), 1, m)
-        ref_input = self._layout_states(self.input_layout, self.ref_messages)
+        ref_input = layout_states(self.input_layout, self.ref_messages)
         self.psi0 = _apply_gates(ref_input, n, self.pre_gates)[0]
         grid = np.array(list(itertools.product(range(len(_SPAN_STATES)), repeat=m)))
         self.verify_messages = np.concatenate([
@@ -138,7 +137,7 @@ class _Task:
         self.target = target
         if target is not None:
             self._check_target(target)
-            self.goal = self._layout_states(target, self.ref_messages)[0]
+            self.goal = layout_states(target, self.ref_messages)[0]
 
     def _check_target(self, target: Mapping[int, ExpectedOut]):
         if set(target) != set(range(1, self.n + 1)):
@@ -148,21 +147,6 @@ class _Task:
         )
         if indices != list(range(len(self.message_channels))):
             raise InvalidInput("target layout must place every message exactly once")
-
-    def _layout_states(
-        self, layout: Mapping[int, ExpectedOut], messages: np.ndarray
-    ) -> np.ndarray:
-        """(T, 2^n) product states, channel by channel, for (T, m, 2) message tuples."""
-        count = len(messages)
-        out = np.ones((count, 1), dtype=complex)
-        for ch in range(1, self.n + 1):
-            entry = layout[ch]
-            if isinstance(entry, MessageOut):
-                q = messages[:, entry.index]
-            else:
-                q = np.broadcast_to(entry.state.as_array(), (count, 2))
-            out = (out[:, :, None] * q[:, None, :]).reshape(count, -1)
-        return out
 
     # -- candidate screening ------------------------------------------------
 
@@ -231,9 +215,9 @@ class _Task:
             if found is None:
                 return False
             layout, _ = found
-        inputs = self._layout_states(self.input_layout, self.verify_messages)
+        inputs = layout_states(self.input_layout, self.verify_messages)
         out = _apply_gates(inputs, self.n, self.pre_gates + list(ext))
-        exp = self._layout_states(layout, self.verify_messages)
+        exp = layout_states(layout, self.verify_messages)
         overlap = np.einsum("ti,ti->t", exp.conj(), out)
         return bool(np.all(np.abs(overlap) ** 2 >= 1 - _VERIFY_TOL))
 

@@ -80,6 +80,34 @@ def test_run_figure_rejects_malformed_amplitudes():
     assert code == 2
 
 
+@pytest.mark.parametrize("figure, flags", [(4, "abcd"), (6, "cdef"), (7, "abcdef")])
+def test_run_figure_takes_each_message_from_its_channel_flags(figure, flags):
+    # --a/--b feed channel 1, --c/--d channel 2, --e/--f channel 3
+    amps = {"a": "0.6", "b": "0.8", "c": "0,1", "d": "0", "e": "0.8", "f": "0,-0.6"}
+    argv = ["run-figure", str(figure)]
+    for name in flags:
+        argv += [f"--{name}", amps[name]]
+    code, doc = run_cli(argv)
+    assert code == 0
+    assert doc["passed"] is True
+
+    def pair(text):
+        return [float(x) for x in (text.split(",") + ["0"])[:2]]
+
+    assert doc["inputs"]["messages"] == [
+        {"coeff1": pair(amps[hi]), "coeff0": pair(amps[lo])}
+        for hi, lo in zip(flags[::2], flags[1::2])
+    ]
+
+
+def test_run_figure_names_the_flags_it_needs():
+    code, doc = run_cli(["run-figure", "6", "--a", "1", "--b", "0"])
+    assert code == 2
+    assert doc["error"]["message"] == (
+        "figure 6 needs --c/--d (messages use flags ('cd', 'ef'))"
+    )
+
+
 def test_run_figure_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("INTRAPORT_TOL", "0.5")
     code, doc = run_cli(["run-figure", "2", "--seed", "3"])

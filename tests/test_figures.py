@@ -13,12 +13,15 @@ from intraport.protocol import (
     SCENARIO_FIGURES,
     builtin_scenario,
     figure_circuit,
+    layout_states,
+    message_batch,
     run_scenario,
-    scenario_input,
 )
 from intraport.qsim import (
     QUBIT_MINUS10,
     QUBIT_ONE,
+    QUBIT_PLUS,
+    PureState,
     Segment,
     channel_fidelity,
     fidelity,
@@ -76,12 +79,12 @@ def test_builtin_scenario_rejects_non_scenarios():
 def test_scenario_claims_match_quoted_outputs():
     # Figure 1 returns the first message on channel 2
     sc = builtin_scenario(1)
-    assert sc.claimed_outputs[2].index == 0
+    assert sc.expected_layout[2].index == 0
     # Figure 3 leaves (|1>-|0>)/sqrt2 on the auxiliary channel
-    res = builtin_scenario(3).claimed_outputs[2].state
+    res = builtin_scenario(3).expected_layout[2].state
     assert fidelity(make_state([res]), make_state([QUBIT_MINUS10])) >= 1 - 1e-12
     # Figure 9's residue is |1>
-    res = builtin_scenario(9).claimed_outputs[1].state
+    res = builtin_scenario(9).expected_layout[1].state
     assert fidelity(make_state([res]), make_state([QUBIT_ONE])) >= 1 - 1e-12
 
 
@@ -90,7 +93,7 @@ def test_scenario_conformance_random_messages(fig):
     rng = np.random.default_rng(100 + fig)
     sc = builtin_scenario(fig)
     for _ in range(100):
-        msgs = [random_qubit(rng) for _ in range(sc.message_count)]
+        msgs = [random_qubit(rng) for _ in sc.message_channels]
         report = run_scenario(fig, msgs)
         assert report.passed
         assert min(report.per_channel_fidelity) >= 1 - 1e-10
@@ -105,8 +108,9 @@ def test_fig1_literal_fails_conformance():
     failures = 0
     for _ in range(20):
         msgs = [random_qubit(rng) for _ in range(2)]
-        out = run_circuit(scenario_input(sc, msgs), literal, Segment.ALL)
-        fid_ch3 = channel_fidelity(out, 3, sc.claimed_outputs[3].state)
+        state = PureState(3, layout_states(sc.input_layout, message_batch(msgs))[0])
+        out = run_circuit(state, literal, Segment.ALL)
+        fid_ch3 = channel_fidelity(out, 3, sc.expected_layout[3].state)
         if fid_ch3 < 1 - 1e-10:
             failures += 1
     assert failures == 20
@@ -119,26 +123,30 @@ def test_fig1_shares_literal_prefix():
     assert fig1.bob_gates[:5] == literal.bob_gates[:5]
 
 
-def test_manifest_matches_builtin_tables():
+def test_builtin_scenarios_are_loaded_from_the_manifest():
     doc = json.loads(
         resources.files("intraport").joinpath("figures").joinpath("manifest.json")
         .read_text(encoding="utf-8")
     )
     assert doc["version"] == 1
+    assert SCENARIO_FIGURES == (1, 2, 3, 4, 6, 7, 8, 9)
     entries = {e["id"]: e for e in doc["figures"]}
     assert set(entries) == set(SCENARIO_FIGURES)
     for fig in SCENARIO_FIGURES:
         sc = builtin_scenario(fig)
         entry = entries[fig]
         assert entry["file"] == f"fig{fig}.qc"
+        assert sc.figure_id == fig and sc.circuit == figure_circuit(fig)
         roles = {r["channel"]: r for r in entry["roles"]}
-        for ch, role in enumerate(sc.roles, start=1):
-            if hasattr(role, "index"):
-                assert roles[ch] == {"channel": ch, "kind": "message", "index": role.index}
-            else:
-                assert roles[ch] == {"channel": ch, "kind": "aux", "value": role.value.value}
+        assert set(roles) == set(range(1, sc.channel_count + 1))
+        assert roles[sc.aux_channel] == {
+            "channel": sc.aux_channel, "kind": "aux", "value": sc.aux_value.value,
+        }
+        for index, ch in enumerate(sc.message_channels):
+            assert roles[ch] == {"channel": ch, "kind": "message", "index": index}
         outs = {o.get("channel"): o for o in entry["claimed_outputs"] if "channel" in o}
-        for ch, claim in sc.claimed_outputs.items():
+        assert set(outs) == set(sc.expected_layout)
+        for ch, claim in sc.expected_layout.items():
             if hasattr(claim, "index"):
                 assert outs[ch] == {"channel": ch, "kind": "message", "index": claim.index}
             else:
@@ -147,9 +155,15 @@ def test_manifest_matches_builtin_tables():
                 state = [complex(*got["state"][0]), complex(*got["state"][1])]
                 assert abs(state[0] - claim.state.coeff0) < 1e-12
                 assert abs(state[1] - claim.state.coeff1) < 1e-12
+        blocks = [o for o in entry["claimed_outputs"] if o.get("kind") == "psi-block"]
         if fig == 6:
-            blocks = [o for o in entry["claimed_outputs"] if o.get("kind") == "psi-block"]
             assert blocks == [{"channels": [1, 2], "kind": "psi-block"}]
+            assert sc.psi_block == (1, 2)
+        else:
+            assert blocks == [] and sc.psi_block is None
         if fig == 1:
             assert entry["literal_file"] == "fig1_literal.qc"
             assert "note" in entry
+    # the manifest's literals round-trip exactly to the package's qubits
+    assert builtin_scenario(1).expected_layout[3].state == QUBIT_PLUS
+    assert builtin_scenario(3).expected_layout[2].state == QUBIT_MINUS10

@@ -25,11 +25,12 @@ from intraport.protocol import (
     figure_circuit,
     general_extension,
     general_residue,
+    layout_states,
+    message_batch,
     post_swap_plan,
     protocol_table,
     relocated_case,
     run_scenario,
-    scenario_input,
     swap_circuit,
     verify_case,
     verify_circuit_action_equal,
@@ -139,7 +140,8 @@ def test_run_scenario_fig1_basis_instance():
     report = run_scenario(1, msgs)
     assert report.passed
     sc = builtin_scenario(1)
-    out = run_circuit(scenario_input(sc, msgs), sc.circuit, Segment.ALL)
+    state = PureState(3, layout_states(sc.input_layout, message_batch(msgs))[0])
+    out = run_circuit(state, sc.circuit, Segment.ALL)
     assert channel_fidelity(out, 1, QUBIT_ZERO) == pytest.approx(1.0, abs=1e-12)
     assert channel_fidelity(out, 2, QUBIT_ONE) == pytest.approx(1.0, abs=1e-12)
     assert channel_fidelity(out, 3, QUBIT_PLUS) == pytest.approx(1.0, abs=1e-12)
@@ -160,7 +162,7 @@ def test_run_scenario_reports_relative_phase_unit():
     rng = np.random.default_rng(23)
     for fig in (1, 3, 6, 9):
         sc = builtin_scenario(fig)
-        msgs = [random_qubit(rng) for _ in range(sc.message_count)]
+        msgs = [random_qubit(rng) for _ in sc.message_channels]
         report = run_scenario(fig, msgs)
         assert abs(abs(report.relative_phase) - 1) < 1e-9
 
@@ -328,6 +330,12 @@ def test_post_swap_plan_random_permutations_five_channels():
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def test_post_swap_plan_compares_tokens_by_value():
+    # equal tokens with different reprs: 1 and 1.0, np.float64(2.0) and 2.0
+    assert post_swap_plan({1: 1, 2: np.float64(2.0)}, {1: 2.0, 2: 1.0}) == swap_circuit(1, 2)
+    assert post_swap_plan({1: 1, 2: 2}, {1: 1.0, 2: 2.0}) == []
+
+
 def test_post_swap_plan_rejects_bad_layouts():
     with pytest.raises(InvalidLayout):
         post_swap_plan({1: "a", 2: "a"}, {1: "a", 2: "b"})
@@ -490,6 +498,13 @@ def test_verify_circuit_action_equal_global_phase_blind():
     c1 = Circuit(1, (Hadamard(1),))
     c2 = Circuit(1, (Hadamard(1), Hadamard(1), Hadamard(1)))
     assert verify_circuit_action_equal(c1, c2)
+
+
+def test_verify_circuit_action_equal_sees_per_column_signs():
+    # CZ (h 2; cn 1 2; h 2) maps every basis state to +-itself: it differs
+    # from the identity only by a sign on one column of the unitary
+    cz = Circuit(2, (Hadamard(2), ControlledNot(1, 2), Hadamard(2)))
+    assert not verify_circuit_action_equal(cz, Circuit(2))
 
 
 def test_verify_circuit_action_equal_shape_mismatch():

@@ -98,7 +98,7 @@ def test_search_returns_pinned_least_words():
     for case in json.loads(path.read_text(encoding="utf-8")):
         n = case["channels"]
         target = (None if case["target_figure"] is None
-                  else builtin_scenario(case["target_figure"]).claimed_outputs)
+                  else builtin_scenario(case["target_figure"]).expected_layout)
         program = solve_bob_program(n, case["aux_channel"], AuxValue(case["aux_value"]),
                                     case["max_gates"], target=target)
         pinned = parse_circuit("\n".join([f"channels {n}"] + case["program"])).gates
@@ -114,7 +114,7 @@ def test_search_is_deterministic():
 def test_constrained_search_reproduces_figure_decoders():
     for fig, value in ((2, AuxValue.ZERO), (3, AuxValue.ONE)):
         scenario = builtin_scenario(fig)
-        program = solve_bob_program(3, 2, value, 6, target=scenario.claimed_outputs)
+        program = solve_bob_program(3, 2, value, 6, target=scenario.expected_layout)
         assert program is not None
         decoder = Circuit(3, tuple(bob_prefix(3)) + tuple(program))
         figure_bob = Circuit(3, tuple(scenario.circuit.bob_gates))
