@@ -3,7 +3,7 @@
 Grammar, one directive per line; `#` starts a comment, blank lines are
 ignored, tokens are whitespace-separated:
 
-    channels N        required first directive, N >= 1
+    channels N        required first directive, 1 <= N <= MAX_CHANNELS (16)
     h K               Hadamard on channel K
     cn C T            controlled-NOT, control C, target T
     border            sender/receiver split, at most once
@@ -21,6 +21,12 @@ from dataclasses import dataclass, field
 
 from .errors import IntraportError
 from .qsim import ControlledNot, Gate, Hadamard
+
+
+# Largest channel count a circuit file may declare.  A state on 16 channels
+# holds 2^16 complex amplitudes (1 MiB); a larger count is refused on its
+# 'channels' line, before anything is allocated.
+MAX_CHANNELS = 16
 
 
 class ParseErrorKind(enum.Enum):
@@ -115,6 +121,9 @@ def parse_circuit(source: str) -> Circuit:
             if n < 1:
                 err(line_no, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
                     f"channel count must be >= 1, got {n}")
+            if n > MAX_CHANNELS:
+                err(line_no, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
+                    f"channel count must be <= {MAX_CHANNELS}, got {n}")
             channel_count = n
             continue
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -362,6 +363,39 @@ def _cmd_solve_bob(args) -> int:
     return 0 if program is not None else 1
 
 
+# Each tail of the eavesdrop exit-code check: a correct implementation exits 1
+# with probability at most twice this.
+_EVE_TAIL_ALPHA = 1e-9
+_EVE_HELP = (
+    "run the interception Monte-Carlo experiment; exits 1 when Eve's success "
+    "count lies outside the exact two-sided binomial region of the analytic "
+    "rate (false-alarm rate at most 2e-9 for a correct implementation)"
+)
+
+
+def _binomial_consistent(successes: int, trials: int, p: float) -> bool:
+    """True iff P(X <= successes) > alpha and P(X >= successes) > alpha for
+    X ~ Binomial(trials, p), alpha = _EVE_TAIL_ALPHA.  For p = 0 or 1 that
+    leaves exactly 0 or `trials` successes.
+
+    The pmf is summed in log space (math.lgamma), because math.comb(trials, k)
+    times a float overflows beyond about 1,030 trials.
+    """
+    if p <= 0.0:
+        return successes == 0
+    if p >= 1.0:
+        return successes == trials
+    log_p, log_q, log_norm = math.log(p), math.log1p(-p), math.lgamma(trials + 1)
+
+    def pmf(k: int) -> float:
+        return math.exp(log_norm - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                        + k * log_p + (trials - k) * log_q)
+
+    below = math.fsum(pmf(k) for k in range(successes + 1))
+    above = math.fsum(pmf(k) for k in range(successes, trials + 1))
+    return below > _EVE_TAIL_ALPHA and above > _EVE_TAIL_ALPHA
+
+
 def _cmd_eavesdrop(args) -> int:
     if args.trials < 1:
         return _error("--trials must be >= 1")
@@ -395,8 +429,8 @@ def _cmd_eavesdrop(args) -> int:
         "ci95_halfwidth": stats.ci95_halfwidth,
         "base_seed": stats.base_seed,
     })
-    within = abs(stats.eve_success_rate - stats.analytic_success_rate) <= stats.ci95_halfwidth
-    return 0 if within else 1
+    successes = round(stats.eve_success_rate * stats.trials)
+    return 0 if _binomial_consistent(successes, stats.trials, stats.analytic_success_rate) else 1
 
 
 def _cmd_bell(args) -> int:
@@ -489,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-gates", type=int, default=10)
     p.set_defaults(func=_cmd_solve_bob)
 
-    p = sub.add_parser("eavesdrop", help="run the interception Monte-Carlo experiment")
+    p = sub.add_parser("eavesdrop", help=_EVE_HELP, description=_EVE_HELP)
     p.add_argument("--channels", type=int, default=3)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

@@ -16,6 +16,12 @@ channel against the protocol's expectation, either omnisciently (fidelity
 of every channel's reduced state) or by sampling a projective check of the
 auxiliary-residue channel.
 
+Every gate word a trial runs depends only on the protocol cases involved,
+never on the trial, so each registered case's decoder and Eve's re-encode,
+and the encoder for each size, are compiled once into cached real matrices
+(qsim.gate_unitary).  A trial applies at most four of them: the encoder,
+Eve's decoder, Eve's re-encode and the true decoder.
+
 Per-trial seeds derive from the experiment base seed through the splitmix64
 sequence, so results are reproducible bit for bit and independent of
 execution order.
@@ -48,6 +54,7 @@ from .qsim import (
     PureState,
     _apply_gates,
     channel_fidelity,
+    gate_unitary,
     make_state,  # noqa: F401  (perfbench/tracer.py traces this name here)
     random_qubit,
 )
@@ -121,9 +128,26 @@ class ExperimentStats:
     base_seed: int
 
 
+@dataclass(frozen=True)
+class _CompiledCase:
+    """A registered case with its gate words compiled to real matrices."""
+
+    case: ProtocolCase
+    decoder: np.ndarray  # the case's bob_program
+    reencode: np.ndarray  # Eve's rebuild after decoding as this case
+
+
 @functools.lru_cache(maxsize=None)
-def _case(n: int, aux_channel: int, value: AuxValue) -> ProtocolCase:
-    return relocated_case(n, aux_channel, value)
+def _compiled(n: int, aux_channel: int, value: AuxValue) -> _CompiledCase:
+    case = relocated_case(n, aux_channel, value)
+    return _CompiledCase(
+        case, gate_unitary(n, case.bob_program), gate_unitary(n, _reencode_gates(case))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(n: int) -> np.ndarray:
+    return gate_unitary(n, alice_encoder(n))
 
 
 def _reencode_gates(case: ProtocolCase):
@@ -150,14 +174,21 @@ def run_trial(
     trial_seed: int,
     detection_mode: DetectionMode = DetectionMode.OMNISCIENT,
 ) -> TrialOutcome:
-    """One intercept-decode-reencode trial.  strategy=None is Eve absent."""
+    """One intercept-decode-reencode trial.  strategy=None is Eve absent.
+
+    `true_case` must be the registered case for its auxiliary channel and
+    value (relocated_case's), whose compiled matrices the trial applies.
+    """
     n = channel_count
     if true_case.channel_count != n:
         raise InvalidInput("true_case does not match channel_count")
+    true = _compiled(n, true_case.aux_channel, true_case.aux_value)
+    if true.case is not true_case and true.case != true_case:
+        raise InvalidInput("true_case is not the registered case for its auxiliary channel")
     rng = np.random.default_rng(trial_seed & _MASK64)
     messages = [random_qubit(rng) for _ in true_case.message_channels]
     sent = layout_states(true_case.input_layout, message_batch(messages))[0]
-    wire = _apply_gates(sent, n, alice_encoder(n))
+    wire = _encoder(n) @ sent
 
     guessed_id = None
     eve_success = False
@@ -174,9 +205,10 @@ def run_trial(
             g, v = strategy.fixed_channel, strategy.fixed_value
         else:
             raise InvalidInput(f"unknown strategy mode '{strategy.mode}'")
-        eve_case = _case(n, g, v)
+        eve = _compiled(n, g, v)
+        eve_case = eve.case
         guessed_id = eve_case.case_id
-        decoded = _apply_gates(wire, n, eve_case.bob_program)
+        decoded = eve.decoder @ wire
         decoded_state = PureState(n, decoded, _trust=True)
 
         # Full recovery requires her believed message channels to be the true
@@ -192,9 +224,9 @@ def run_trial(
                     ok = False
                     break
             eve_success = ok
-        forwarded = _apply_gates(decoded, n, _reencode_gates(eve_case))
+        forwarded = eve.reencode @ decoded
 
-    out = PureState(n, _apply_gates(forwarded, n, true_case.bob_program), _trust=True)
+    out = PureState(n, true.decoder @ forwarded, _trust=True)
 
     fids = {}
     for ch, expected in true_case.expected_layout.items():
@@ -247,7 +279,7 @@ def run_experiment(
             value = _AUX_CYCLE[splitmix64(seed_i) % 3]
         else:
             value = aux_value
-        true_case = _case(n, CANONICAL_AUX_CHANNEL[n], value)
+        true_case = _compiled(n, CANONICAL_AUX_CHANNEL[n], value).case
         outcome = run_trial(n, true_case, strategy, seed_i, detection_mode)
         successes += outcome.eve_success
         detections += outcome.bob_detects

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from intraport.circuit import (
+    MAX_CHANNELS,
     Circuit,
     CircuitParseError,
     ParseErrorKind,
@@ -58,6 +60,9 @@ def test_parse_measure():
         ("channels 3\nh 5\n", 2, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
         ("channels 3\ncn 0 2\n", 2, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
         ("channels 0\n", 1, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
+        # above MAX_CHANNELS; parsing allocates no amplitudes at any size
+        ("channels 17\n", 1, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
+        ("channels 64\nh 1\n", 1, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
         ("channels 2\ncn 2 2\n", 2, ParseErrorKind.CONTROL_EQUALS_TARGET),
         ("channels 2\nfoo 1\n", 2, ParseErrorKind.UNKNOWN_DIRECTIVE),
         ("channels 2\nchannels 3\n", 2, ParseErrorKind.UNKNOWN_DIRECTIVE),
@@ -134,6 +139,35 @@ def test_round_trip_random_circuits():
         text = serialize_circuit(c)
         assert parse_circuit(text) == c
         assert serialize_circuit(parse_circuit(text)) == text
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, MAX_CHANNELS))
+    channel = st.integers(1, n)
+    gate = st.builds(Hadamard, channel)
+    if n >= 2:
+        pair = st.lists(channel, min_size=2, max_size=2, unique=True)
+        gate = gate | pair.map(lambda p: ControlledNot(*p))
+    gates = draw(st.lists(gate, max_size=16))
+    border = draw(st.none() | st.integers(0, len(gates)))
+    label = st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True)
+    measurements = draw(
+        st.lists(st.tuples(channel, label), max_size=4, unique_by=lambda m: m[1])
+    )
+    return Circuit(n, tuple(gates), border, tuple(measurements))
+
+
+@given(_circuits())
+def test_parse_serialize_round_trip_property(c):
+    text = serialize_circuit(c)
+    assert parse_circuit(text) == c
+    assert serialize_circuit(parse_circuit(text)) == text
+
+
+def test_parse_accepts_the_channel_cap():
+    top = parse_circuit(f"channels {MAX_CHANNELS}\nh {MAX_CHANNELS}\n")
+    assert top.channel_count == MAX_CHANNELS
 
 
 def test_circuit_construction_validation():

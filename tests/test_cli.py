@@ -4,11 +4,13 @@ import copy
 import io
 import json
 import contextlib
+import math
 from pathlib import Path
 
 import pytest
 
 from intraport import cli
+from intraport.eavesdrop import ExperimentStats
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIG1_PATH = str(
@@ -207,6 +209,17 @@ def test_exec_parse_error_reports_line(tmp_path):
     assert doc["error"]["kind"] == "ChannelOutOfRange"
 
 
+def test_exec_refuses_oversized_circuit(tmp_path):
+    qc = tmp_path / "big.qc"
+    qc.write_text("channels 64\nh 1\n", encoding="utf-8")
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps({"basis": "0" * 64}), encoding="utf-8")
+    code, doc = run_cli(["exec", str(qc), "--in", str(infile)])
+    assert code == 2
+    assert doc["error"]["line"] == 1
+    assert doc["error"]["kind"] == "ChannelOutOfRange"
+
+
 # ---------------------------------------------------------------------------
 # swap
 
@@ -265,6 +278,57 @@ def test_eavesdrop_schema_and_exit():
         "detection_rate", "analytic_success_rate", "ci95_halfwidth", "base_seed",
     }
     assert_matches_golden(doc, "eavesdrop_n3.json")
+
+
+@pytest.mark.parametrize("seed", [6, 47, 48, 53, 71, 88, 91, 99])
+def test_eavesdrop_uniform_exits_zero_where_a_95_percent_interval_misses(seed):
+    # these seeds put the success rate outside its 95% interval
+    code, doc = run_cli(["eavesdrop", "--channels", "3", "--trials", "200",
+                         "--seed", str(seed), "--strategy-seed", "0"])
+    assert code == 0
+    assert abs(doc["eve_success_rate"] - doc["analytic_success_rate"]) > doc["ci95_halfwidth"]
+
+
+def _stub_stats(n, trials, successes, analytic):
+    return ExperimentStats(
+        channel_count=n, trials=trials, mode="omniscient", strategy="stub",
+        eve_success_rate=successes / trials, detection_rate=0.0,
+        analytic_success_rate=analytic, ci95_halfwidth=0.0, base_seed=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "n,successes,analytic,code",
+    [(3, 67, 1 / 3, 0), (3, 150, 1 / 3, 1), (3, 5, 1 / 3, 1),
+     (3, 200, 1.0, 0), (3, 199, 1.0, 1), (3, 0, 0.0, 0), (3, 1, 0.0, 1)],
+)
+def test_eavesdrop_exit_code_follows_the_binomial_region(
+    monkeypatch, n, successes, analytic, code
+):
+    stats = _stub_stats(n, 200, successes, analytic)
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: stats)
+    got, doc = run_cli(["eavesdrop", "--channels", str(n), "--trials", "200"])
+    assert got == code
+    assert doc["eve_success_rate"] == stats.eve_success_rate
+
+
+def _comb_region(trials, p, alpha=1e-9):
+    pmf = [math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(trials + 1)]
+    return {k for k in range(trials + 1)
+            if sum(pmf[: k + 1]) > alpha and sum(pmf[k:]) > alpha}
+
+
+@pytest.mark.parametrize("trials", [1, 10, 64, 200, 1000])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_binomial_region_matches_math_comb(trials, n):
+    region = {k for k in range(trials + 1) if cli._binomial_consistent(k, trials, 1 / n)}
+    assert region == _comb_region(trials, 1 / n)
+
+
+def test_binomial_region_handles_many_trials():
+    # math.comb(trials, k) times a float overflows here; log space does not
+    assert cli._binomial_consistent(33_333, 100_000, 1 / 3)
+    assert not cli._binomial_consistent(35_000, 100_000, 1 / 3)
 
 
 def test_eavesdrop_fixed_needs_flags():

@@ -1,8 +1,13 @@
 """Interception Monte-Carlo: determinism, analytic rates, detection."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from intraport import eavesdrop
 from intraport.eavesdrop import (
     DetectionMode,
     EveStrategy,
@@ -12,7 +17,12 @@ from intraport.eavesdrop import (
     trial_seed,
 )
 from intraport.errors import InvalidInput
-from intraport.protocol import AuxValue, CANONICAL_AUX_CHANNEL, relocated_case
+from intraport.protocol import (
+    AuxValue,
+    CANONICAL_AUX_CHANNEL,
+    builtin_scenario,
+    relocated_case,
+)
 
 
 def test_splitmix64_reference_stream():
@@ -124,3 +134,51 @@ def test_ci_halfwidth_formula():
     p = stats.analytic_success_rate
     expected = 1.959963984540054 * np.sqrt(p * (1 - p) / 400)
     assert stats.ci95_halfwidth == pytest.approx(expected, rel=1e-12)
+
+
+def test_trial_rejects_an_unregistered_true_case():
+    # figure 1 shares channel 2 and value plus with the registered n=3 case
+    # but carries its own program and case id
+    figure = builtin_scenario(1)
+    with pytest.raises(InvalidInput):
+        run_trial(3, figure, None, trial_seed(14, 0))
+
+
+def test_trials_reuse_compiled_cases():
+    strategy = EveStrategy.uniform_guess(seed=4)
+    first = run_experiment(4, 60, strategy, base_seed=15)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial compiled a gate word")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_apply_gates", "post_swap_plan", "relocated_case", "gate_unitary"):
+            mp.setattr(eavesdrop, name, refuse)
+        assert run_experiment(4, 60, strategy, base_seed=15) == first
+
+
+GRID_SEEDS = (11, 12)
+GRID_TRIALS = 100
+
+
+def _grid():
+    for n in (3, 4, 5, 6):
+        aux = CANONICAL_AUX_CHANNEL[n]
+        om, sa = DetectionMode.OMNISCIENT, DetectionMode.SAMPLED
+        strategies = {
+            "uniform-omniscient": (EveStrategy.uniform_guess(seed=3), om),
+            "uniform-sampled": (EveStrategy.uniform_guess(seed=3), sa),
+            "fixed-wrong": (EveStrategy.fixed_guess(1, AuxValue.PLUS), om),
+            "fixed-correct": (EveStrategy.fixed_guess(aux, AuxValue.ZERO), om),
+            "absent": (None, sa),
+        }
+        for name, (strategy, mode) in strategies.items():
+            for seed in GRID_SEEDS:
+                stats = run_experiment(n, GRID_TRIALS, strategy, seed, mode)
+                yield f"n{n}/{name}/seed{seed}", dataclasses.asdict(stats)
+
+
+def test_experiment_grid_matches_golden():
+    """Every statistic of a size x strategy x seed grid, pinned exactly."""
+    path = Path(__file__).parent / "golden" / "eavesdrop_grid.json"
+    assert dict(_grid()) == json.loads(path.read_text(encoding="utf-8"))

@@ -1,7 +1,10 @@
 """Protocol engine: encoders, scenarios, psi, swapping, table, byproduct."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from intraport.circuit import Circuit
 from intraport.errors import (
@@ -16,6 +19,7 @@ from intraport.protocol import (
     AuxValue,
     MessageOut,
     ResidueOut,
+    SCENARIO_FIGURES,
     alice_encoder,
     bell_byproduct,
     bob_prefix,
@@ -55,7 +59,7 @@ from intraport.qsim import (
     run_circuit,
 )
 
-from helpers import permute_channels_oracle, random_state_vector
+from helpers import apply_circuit_oracle, permute_channels_oracle, random_state_vector
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -330,6 +334,23 @@ def test_post_swap_plan_random_permutations_five_channels():
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+@st.composite
+def _permutations(draw):
+    n = draw(st.integers(2, 6))
+    return n, draw(st.permutations(range(1, n + 1)))
+
+
+@given(_permutations(), st.integers(0, 2**32 - 1))
+def test_post_swap_plan_moves_every_channel_property(case, seed):
+    n, perm = case
+    current = {ch: ("t", ch) for ch in range(1, n + 1)}
+    desired = {perm[ch - 1]: ("t", ch) for ch in range(1, n + 1)}
+    gates = post_swap_plan(current, desired)
+    vec = random_state_vector(np.random.default_rng(seed), n)
+    expected = permute_channels_oracle(vec, n, {ch: perm[ch - 1] for ch in range(1, n + 1)})
+    np.testing.assert_allclose(apply_circuit_oracle(vec, n, gates), expected, atol=1e-12)
+
+
 def test_post_swap_plan_compares_tokens_by_value():
     # equal tokens with different reprs: 1 and 1.0, np.float64(2.0) and 2.0
     assert post_swap_plan({1: 1, 2: np.float64(2.0)}, {1: 2.0, 2: 1.0}) == swap_circuit(1, 2)
@@ -460,6 +481,25 @@ def test_relocated_cases_decode(n):
             assert case.aux_channel == g
             msgs = [random_qubit(rng) for _ in range(n - 1)]
             assert verify_case(case, msgs).passed, case.case_id
+
+
+def test_cases_are_hashable_and_equal_cases_hash_equal():
+    sizes = (3, 4, 5, 6)
+    canonical = [canonical_case(n, v) for n in sizes for v in AuxValue]
+    relocated = [relocated_case(n, g, v) for n in sizes for g in range(1, n + 1) for v in AuxValue]
+    figures = [builtin_scenario(f) for f in SCENARIO_FIGURES]
+    cases = set(canonical + relocated + figures)
+    # each canonical case is the relocated case of its canonical channel
+    assert len(cases) == len(relocated) + len(figures)
+    rebuilt = (
+        [canonical_case(c.channel_count, c.aux_value) for c in canonical]
+        + [relocated_case(c.channel_count, c.aux_channel, c.aux_value) for c in relocated]
+        + [replace(c, expected_layout=dict(c.expected_layout)) for c in figures]
+    )
+    for original, again in zip(canonical + relocated + figures, rebuilt):
+        assert again == original
+        assert hash(again) == hash(original)
+        assert again in cases
 
 
 def test_general_extension_residues():
