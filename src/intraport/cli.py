@@ -9,6 +9,7 @@ variable overrides the default conformance tolerance of 1e-10.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, CircuitParseError, gate_text, parse_circuit
+from .circuit import MAX_CHANNELS, Circuit, CircuitParseError, gate_text, parse_circuit
 from .eavesdrop import DetectionMode, EveStrategy, run_experiment
 from .errors import IntraportError
 from .protocol import (
@@ -39,7 +40,6 @@ from .qsim import (
     SingleQubit,
     channel_fidelity,
     factor_all,
-    factor_channel,
     make_state,
     project,
     random_qubit,
@@ -48,14 +48,26 @@ from .qsim import (
 from .search import solve_bob_program
 
 
+def _tolerance(text: str) -> float:
+    """A conformance tolerance: a number in [0, 1] (so never NaN, which
+    would fail every check and is not valid JSON)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance is not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"tolerance must lie in [0, 1], got {text!r}")
+    return value
+
+
 def _tol_default() -> float:
     raw = os.environ.get("INTRAPORT_TOL")
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
-    except ValueError:
-        raise IntraportError(f"INTRAPORT_TOL is not a number: {raw!r}") from None
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise IntraportError(f"INTRAPORT_TOL: {exc}") from None
 
 
 def _parse_complex(text: str) -> complex:
@@ -160,8 +172,8 @@ def _cmd_run_figure(args) -> int:
                            "state": _state_json(entry.qubit(messages))}
             else:
                 claimed = {"kind": "residue", "state": _state_json(entry.state)}
-        split = factor_channel(report.output, ch)
-        observed = None if split is None else _state_json(split[0])
+        factor = report.factors[ch - 1]
+        observed = None if factor is None else _state_json(factor)
         channels.append({
             "channel": ch,
             "claimed": claimed,
@@ -304,8 +316,9 @@ def _cmd_exec(args) -> int:
 def _cmd_swap(args) -> int:
     t0 = time.perf_counter()
     n = args.channels
-    if n < 2:
-        return _error("--channels must be >= 2")
+    if not 2 <= n <= MAX_CHANNELS:
+        # the demonstration holds a 2^n state vector
+        return _error(f"--channels must lie in 2..{MAX_CHANNELS}")
     not_permutation = f"--to must be a permutation of 1..{n}"
     try:
         targets = [int(x) for x in args.to.split(",")] if args.to else list(range(2, n + 1)) + [1]
@@ -471,8 +484,35 @@ def _cmd_bell(args) -> int:
 # Argument parsing
 
 
+def _rng_seed(text: str) -> int:
+    """A --seed for numpy's default_rng, which refuses negative seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+class _UsageError(Exception):
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing them to stderr and exiting,
+    so that main can report them as the JSON error document."""
+
+    def error(self, message):
+        raise _UsageError(message, self.format_usage().strip())
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser, built once: parsing does not change it."""
+    parser = _Parser(
         prog="intraport",
         description="Simulate and verify multi-state transmission over a "
                     "Hadamard/CNOT network split between sender and receiver.",
@@ -486,16 +526,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-figure", help="run one builtin figure scenario")
     p.add_argument("figure", type=int)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=_rng_seed, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     add_amp_flags(p)
     p.set_defaults(func=_cmd_run_figure)
 
     p = sub.add_parser("fuzz", help="random-input conformance fuzzing of a figure")
     p.add_argument("--figure", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=_rng_seed, default=0)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("table", help="print the three-channel protocol table")
@@ -512,8 +552,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=3)
     p.add_argument("--to", type=str, default=None,
                    help="comma list: content of channel i moves to the i-th entry")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=_rng_seed, default=0)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_swap)
 
     p = sub.add_parser("solve-bob", help="search for a receiver decoding program")
@@ -537,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eavesdrop)
 
     p = sub.add_parser("bell", help="entangled byproduct of measuring channel 3 early")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_rng_seed, default=None)
     add_amp_flags(p)
     p.set_defaults(func=_cmd_bell)
 
@@ -545,10 +585,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _error(str(exc), usage=exc.usage)
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)

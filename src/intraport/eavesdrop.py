@@ -9,7 +9,13 @@ whether every message would now sit on the channels her case predicts,
 then rebuilds a protocol input from her decoded channels (messages back to
 the guessed input placement, a fresh auxiliary in place of the residue),
 re-encodes and forwards.  A correct guess makes the whole intercept the
-identity on the wire; any wrong guess disturbs the state.
+identity on the wire.  A wrong channel guess never recovers every message,
+because her case takes a true message channel for the auxiliary one, but
+it need not disturb the state: for some wrong guesses her decode and
+re-encode compose to the identity on every state the sender can send, so
+no check at the receiver can see them (at three channels, a guess of
+channel 1 with the true value, or of channel 3 with value one).  The other
+wrong guesses disturb the state.
 
 The receiver decodes with the true program and compares each output
 channel against the protocol's expectation, either omnisciently (fidelity
@@ -18,9 +24,9 @@ auxiliary-residue channel.
 
 Every gate word a trial runs depends only on the protocol cases involved,
 never on the trial, so each registered case's decoder and Eve's re-encode,
-and the encoder for each size, are compiled once into cached real matrices
-(qsim.gate_unitary).  A trial applies at most four of them: the encoder,
-Eve's decoder, Eve's re-encode and the true decoder.
+and the encoder for each size, are compiled once into cached matrices
+(qsim.gate_unitary, stored as complex128).  A trial applies at most four
+of them: the encoder, Eve's decoder, Eve's re-encode and the true decoder.
 
 Per-trial seeds derive from the experiment base seed through the splitmix64
 sequence, so results are reproducible bit for bit and independent of
@@ -130,7 +136,10 @@ class ExperimentStats:
 
 @dataclass(frozen=True)
 class _CompiledCase:
-    """A registered case with its gate words compiled to real matrices."""
+    """A registered case with its gate words compiled to matrices.
+
+    The matrices are real but stored as complex128: a mat-vec with the
+    complex state then needs no cast, and gives the same bits."""
 
     case: ProtocolCase
     decoder: np.ndarray  # the case's bob_program
@@ -141,13 +150,15 @@ class _CompiledCase:
 def _compiled(n: int, aux_channel: int, value: AuxValue) -> _CompiledCase:
     case = relocated_case(n, aux_channel, value)
     return _CompiledCase(
-        case, gate_unitary(n, case.bob_program), gate_unitary(n, _reencode_gates(case))
+        case,
+        gate_unitary(n, case.bob_program).astype(complex),
+        gate_unitary(n, _reencode_gates(case)).astype(complex),
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _encoder(n: int) -> np.ndarray:
-    return gate_unitary(n, alice_encoder(n))
+    return gate_unitary(n, alice_encoder(n)).astype(complex)
 
 
 def _reencode_gates(case: ProtocolCase):

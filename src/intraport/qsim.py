@@ -345,6 +345,16 @@ def _dominant_eigvec_2x2(rho: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _pure_factor(m: np.ndarray) -> Optional[np.ndarray]:
+    """The factor of a channel given as its (2, 2^(n-1)) rows, or None when
+    the channel's reduced density has purity below 1 - PURITY_TOL."""
+    rho = m @ m.conj().T
+    purity = float(np.trace(rho @ rho).real)
+    if purity < 1.0 - PURITY_TOL:
+        return None
+    return _dominant_eigvec_2x2(rho)
+
+
 def factor_channel(
     state: PureState, channel: int
 ) -> Optional[tuple[SingleQubit, PureState]]:
@@ -359,14 +369,23 @@ def factor_channel(
     if n < 2:
         raise InvalidInput("factor_channel needs at least 2 channels")
     m = _channel_rows(state.amplitudes, n, channel)
-    rho = m @ m.conj().T
-    purity = float(np.trace(rho @ rho).real)
-    if purity < 1.0 - PURITY_TOL:
+    vec = _pure_factor(m)
+    if vec is None:
         return None
-    vec = _dominant_eigvec_2x2(rho)
     rem = vec.conj() @ m
     rem = rem / np.linalg.norm(rem)
     return SingleQubit.from_array(vec), PureState(n - 1, rem, _trust=True)
+
+
+def channel_factors(state: PureState) -> list[Optional[SingleQubit]]:
+    """Each channel's factor, or None where the channel is not pure (the
+    test of factor_channel).  A pure state is a product iff no entry is None."""
+    n = state.channel_count
+    factors: list[Optional[SingleQubit]] = []
+    for ch in range(1, n + 1):
+        vec = _pure_factor(_channel_rows(state.amplitudes, n, ch))
+        factors.append(None if vec is None else SingleQubit.from_array(vec))
+    return factors
 
 
 def factor_all(state: PureState) -> Optional[list[SingleQubit]]:

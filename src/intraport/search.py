@@ -1,48 +1,56 @@
-"""Bounded synthesis of receiver decoding programs.
+"""Exact synthesis of the shortest receiver decoding programs.
 
-solve_bob_program looks for a gate sequence that, appended after the
-universal receiver prefix, turns the encoded state back into a product in
-which every message reappears on some channel.  The search is iterative
-deepening over {H_k, CN(i,j)} words in a fixed canonical gate order, with
-two prunings: a gate never follows itself (self-inverse pairs cancel), and
-adjacent commuting gates must appear in canonical order (each commutation
-class is enumerated once, by its least word).
+solve_bob_program looks for a gate word that, appended after the universal
+receiver prefix, turns the encoded state back into a product in which every
+message reappears on some channel.  Words are over {H_k, CN(i,j)} in a
+fixed canonical gate order, with two prunings: a gate never follows itself
+(self-inverse pairs cancel), and adjacent commuting gates must appear in
+canonical order.  Among the shortest accepted words the least one in that
+order is returned.
 
-The depth-first walk runs on one fixed Haar-random reference input.  Above
-the last two levels it steps one gate at a time.  At a node two gates short
-of the depth it expands every allowed (first, second) gate pair at once: CN
-children are one gather through precomputed basis-index permutations, H
-children come from the batched kernel, and all (at most g^2, g the alphabet
-size) grandchildren are screened in one vectorized pass, each channel's
-purity tested only on the survivors of the channels before it.  Hits are
-verified in row-major (first, second) order, so the first accepted word is
-still the least canonical word of its length.
+Every circuit here is Clifford, so candidates are compared as stabilizer
+tableaux (Aaronson and Gottesman, quant-ph/0406196), not as states.  A
+candidate is the conjugation tableau of the whole map (encoder, prefix,
+word): the image of the auxiliary state's stabilizer S (+Z, -Z or +X on
+the auxiliary channel) and the images of X_c and Z_c for each message
+channel c.  Each row is a Pauli packed into one integer: x bits, z bits and
+a sign bit.  Rows evolve independently, so each gate is a lookup table over
+all 2^(2n+1) rows, built once from the Aaronson-Gottesman H and CNOT
+updates.
 
-Verification pushes every message tuple through the whole word as one
-batch: the spanning grid {|0>, |1>, |+>, |0>+i|1>} per message channel plus
-20 further random tuples, each required to reproduce the expected layout
-with fidelity >= 1 - 1e-9.  This is a check, not a proof: every grid point
-is compared only up to its own global phase, so grid correctness does not
-by linearity imply correctness on superpositions of grid points.  All
-randomness is internally seeded, so identical arguments always produce the
-identical program.
+Acceptance is exact.  A word decodes iff the image of S is a single-qubit
+Pauli on one channel r, which then holds the residue (that Pauli's +1
+eigenstate), and each message's X and Z images, reduced modulo the image
+of S, are +X_p and +Z_p on one channel p, where that message reappears.
+Target mode also requires each p, r and the residue's stabilizer to be the
+target's; a target residue that is not a stabilizer state never matches.
 
-Exhaustive enumeration is capped at a per-size depth horizon (blind word
-enumeration grows as (N^2)^depth); past the horizon the registered
-constructive decoder is returned when the auxiliary sits on the canonical
-channel and the program fits the bound.  A None result therefore means "no
-program found within the searched bound", not a nonexistence proof.
+The search is breadth-first over distinct tableaux.  A level's children
+are listed parent-major and gate-minor, and a child is kept only if no
+shorter word and no earlier word of the same length reached the same rows.
+Every prefix of the least accepted word is the first word to reach its
+rows, so the first accepted child is the least canonical word of minimal
+length, the word a depth-first walk in canonical order finds.  Levels are
+expanded in chunks of parents and deduplicated chunk by chunk against a
+sorted array of every tableau seen so far.
+
+The walk is capped at a per-size depth horizon; within it a None result
+proves that no word of the searched length decodes.  Past the horizon the
+registered constructive decoder is returned when the auxiliary sits on the
+canonical channel and the program fits the bound, so there a None result
+means "no program found", not a nonexistence proof.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from .protocol import (
+    DEFAULT_TOL,
     AuxValue,
     CANONICAL_AUX_CHANNEL,
     ExpectedOut,
@@ -51,30 +59,28 @@ from .protocol import (
     alice_encoder,
     bob_prefix,
     canonical_case,
-    input_layout,
-    layout_states,
 )
 from .qsim import (
     ControlledNot,
     Gate,
     Hadamard,
     SingleQubit,
-    _apply_gates,
-    _apply_h,
+    _apply_gates,  # noqa: F401  (perfbench/tracer.py traces this name here)
     gates_commute,
 )
-
-_REFERENCE_SEED = 0x1A7B0C5
-_VERIFY_SEED = 0x5EAF00D
-_HIT_TOL = 1e-7
-_VERIFY_TOL = 1e-9
 
 # Largest exhaustively enumerated extension length per channel count.
 _DEPTH_HORIZON = {3: 7, 4: 6, 5: 5, 6: 4}
 
-# |0>, |1>, |+>, |0>+i|1> (normalized)
-_SPAN_STATES = (np.array([[1, 0], [0, 1], [1, 1], [1, 1j]], dtype=complex)
-                / np.sqrt([[1], [1], [2], [2]]))
+# Children generated per chunk of parents; bounds the memory of one step.
+_CHUNK_CHILDREN = 1 << 13
+
+# Pauli matrices by (x, z) bits; (1, 1) is the Hermitian Y = iXZ.
+_PAULIS = {
+    (1, 0): np.array([[0, 1], [1, 0]]),
+    (1, 1): np.array([[0, -1j], [1j, 0]]),
+    (0, 1): np.array([[1, 0], [0, -1]]),
+}
 
 
 def gate_alphabet(channel_count: int) -> list[Gate]:
@@ -87,45 +93,61 @@ def gate_alphabet(channel_count: int) -> list[Gate]:
     return gates
 
 
-def _random_messages(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
-    """(count, m, 2) Haar-random message qubits, drawn tuple by tuple."""
-    out = np.empty((count, m, 2), dtype=complex)
-    for t in range(count):
-        for j in range(m):
-            v = rng.normal(size=2) + 1j * rng.normal(size=2)
-            out[t, j] = v / np.linalg.norm(v)
-    return out
+@lru_cache(maxsize=None)
+def _row_tables(n: int) -> np.ndarray:
+    """(g, 2^(2n+1)) uint16: every packed row's image under each alphabet
+    gate.  Channel k is x bit k-1 and z bit n+k-1; bit 2n is the sign."""
+    row = np.arange(1 << (2 * n + 1))
+    sign = 1 << (2 * n)
+    gates = gate_alphabet(n)
+    tables = np.empty((len(gates), len(row)), dtype=np.uint16)
+    for i, gate in enumerate(gates):
+        if isinstance(gate, Hadamard):
+            k = gate.channel - 1
+            x, z = (row >> k) & 1, (row >> (n + k)) & 1
+            # r ^= x z; swap x and z
+            tables[i] = row ^ ((x & z) * sign) ^ ((x ^ z) * ((1 << k) | (1 << (n + k))))
+        else:
+            c, t = gate.control - 1, gate.target - 1
+            xc, zc = (row >> c) & 1, (row >> (n + c)) & 1
+            xt, zt = (row >> t) & 1, (row >> (n + t)) & 1
+            # r ^= xc zt (xt ^ zc ^ 1); xt ^= xc; zc ^= zt
+            tables[i] = (row ^ ((xc & zt & (xt ^ zc ^ 1)) * sign)
+                         ^ (xc << t) ^ (zt << (n + c)))
+    return tables
+
+
+def _one_bit(v: np.ndarray) -> np.ndarray:
+    """Which entries have exactly one bit set."""
+    return (v != 0) & ((v & (v - 1)) == 0)
+
+
+def _stabilizer_row(q: SingleQubit, channel: int, n: int) -> Optional[int]:
+    """The packed single-qubit Pauli on `channel` whose +1 eigenstate is q,
+    or None when q is not a stabilizer state."""
+    v = q.as_array()
+    for (x, z), pauli in _PAULIS.items():
+        expectation = np.vdot(v, pauli @ v).real
+        for sign in (0, 1):
+            if abs(expectation - (-1) ** sign) <= DEFAULT_TOL:
+                return (x << (channel - 1)) | (z << (n + channel - 1)) | (sign << (2 * n))
+    return None
 
 
 class _Task:
-    """Shared data for one search invocation."""
+    """Shared data for one search invocation.
+
+    A tableau is a (2n-1,) uint16 row array: the image of S, then the X
+    images and the Z images of the messages in message order.
+    """
 
     def __init__(self, n: int, aux_channel: int, value: AuxValue,
                  target: Optional[Mapping[int, ExpectedOut]]):
         self.n = n
-        self.dim = 2**n
         self.message_channels = tuple(c for c in range(1, n + 1) if c != aux_channel)
-        m = len(self.message_channels)
-        self.pre_gates = alice_encoder(n) + bob_prefix(n)
-        self.input_layout = input_layout(self.message_channels, aux_channel, value)
-
-        self.ref_messages = _random_messages(np.random.default_rng(_REFERENCE_SEED), 1, m)
-        ref_input = layout_states(self.input_layout, self.ref_messages)
-        self.psi0 = _apply_gates(ref_input, n, self.pre_gates)[0]
-        grid = np.array(list(itertools.product(range(len(_SPAN_STATES)), repeat=m)))
-        self.verify_messages = np.concatenate([
-            _SPAN_STATES[grid].reshape(-1, m, 2),
-            _random_messages(np.random.default_rng(_VERIFY_SEED), 20, m),
-        ])
-
         self.gates = gate_alphabet(n)
+        self.tables = _row_tables(n)
         g = len(self.gates)
-        # CN(c,t) is an involution on basis indices: child[i] = state[perm[i]]
-        idx = np.arange(self.dim)
-        self.cn_perm = np.array([
-            np.where((idx >> (n - gt.control)) & 1, idx ^ (1 << (n - gt.target)), idx)
-            for gt in self.gates[n:]
-        ])
         # allowed[i+1][j]: gate j may follow gate i; row 0 is the word start
         allowed = np.ones((g + 1, g), dtype=bool)
         for i, gi in enumerate(self.gates):
@@ -134,10 +156,21 @@ class _Task:
                     allowed[i + 1, j] = False
         self.allowed = allowed
 
+        rows = ([_stabilizer_row(value.qubit, aux_channel, n)]
+                + [1 << (c - 1) for c in self.message_channels]
+                + [1 << (n + c - 1) for c in self.message_channels])
+        self.root = self._apply(np.array(rows, dtype=np.uint16), alice_encoder(n) + bob_prefix(n))
+
         self.target = target
         if target is not None:
             self._check_target(target)
-            self.goal = layout_states(target, self.ref_messages)[0]
+            res_ch = next(ch for ch, out in target.items() if isinstance(out, ResidueOut))
+            # 0 (the identity) is never the image of S: a residue that is
+            # not a stabilizer state never matches
+            self.want_s = _stabilizer_row(target[res_ch].state, res_ch, n) or 0
+            by_index = {out.index: ch for ch, out in target.items() if isinstance(out, MessageOut)}
+            self.want_x = np.array([1 << (by_index[j] - 1) for j in range(len(by_index))],
+                                   dtype=np.uint16)
 
     def _check_target(self, target: Mapping[int, ExpectedOut]):
         if set(target) != set(range(1, self.n + 1)):
@@ -148,128 +181,118 @@ class _Task:
         if indices != list(range(len(self.message_channels))):
             raise InvalidInput("target layout must place every message exactly once")
 
-    # -- candidate screening ------------------------------------------------
-
-    def screen(self, children: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The subset of `rows` (indices into the (K, 2^n) `children`) worth
-        verifying, judged on the reference input only; order is kept."""
-        if self.target is not None:
-            return rows[np.abs(children[rows] @ self.goal.conj()) > 1 - _HIT_TOL]
-        # free mode: all channels must be pure on the reference output; each
-        # channel is tested only on the survivors of the channels before it
-        for ch in range(1, self.n + 1):
-            if not rows.size:
-                break
-            t = children[rows].reshape(len(rows), 1 << (ch - 1), 2, -1)
-            m0, m1 = t[:, :, 0], t[:, :, 1]
-            # Tr(rho^2) = rho00^2 + rho11^2 + 2|rho01|^2 for the channel's rho
-            rho00 = np.einsum("kix,kix->k", m0, m0.conj()).real
-            rho11 = np.einsum("kix,kix->k", m1, m1.conj()).real
-            rho01 = np.einsum("kix,kix->k", m0, m1.conj())
-            purity = rho00**2 + rho11**2 + 2 * (rho01.real**2 + rho01.imag**2)
-            rows = rows[purity > 1 - _HIT_TOL]
+    def _apply(self, rows: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
+        index = {gt: i for i, gt in enumerate(self.gates)}
+        for gt in gates:
+            rows = self.tables[index[gt], rows]
         return rows
 
-    def accepts(self, ext: Sequence[Gate], out_ref: np.ndarray) -> bool:
-        """Screen and verify one extension whose reference output is known."""
-        if not self.screen(out_ref[None, :], np.arange(1)).size:
-            return False
-        return self.verify(ext, out_ref)
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        """One sortable key per (K, 2n-1) tableau: the rows packed into a
+        uint64 when they fit (n <= 4), else the raw bytes."""
+        bits = 2 * self.n + 1
+        if rows.shape[1] * bits > 64:
+            return np.ascontiguousarray(rows).view(np.dtype((np.void, 2 * rows.shape[1]))).ravel()
+        keys = np.zeros(len(rows), dtype=np.uint64)
+        for i in range(rows.shape[1]):
+            keys |= rows[:, i].astype(np.uint64) << np.uint64(bits * i)
+        return keys
 
-    def _discover_layout(
-        self, out_state: np.ndarray
-    ) -> Optional[tuple[Mapping[int, ExpectedOut], int]]:
-        """Match each reference message to the channel carrying it."""
-        t = out_state.reshape((2,) * self.n)
-        factors = []
-        for ch in range(self.n):
-            m = np.moveaxis(t, ch, 0).reshape(2, -1)
-            rho = m @ m.conj().T
-            _, vecs = np.linalg.eigh(rho)
-            factors.append(vecs[:, -1])
-        layout: dict[int, ExpectedOut] = {}
-        used = set()
-        for j, msg in enumerate(self.ref_messages[0]):
-            matches = [
-                ch for ch in range(1, self.n + 1)
-                if ch not in used and abs(np.vdot(factors[ch - 1], msg)) ** 2 > 1 - _HIT_TOL
-            ]
-            if len(matches) != 1:
-                return None
-            layout[matches[0]] = MessageOut(j)
-            used.add(matches[0])
-        leftover = [ch for ch in range(1, self.n + 1) if ch not in used]
-        if len(leftover) != 1:
-            return None
-        res_ch = leftover[0]
-        layout[res_ch] = ResidueOut(SingleQubit.from_array(factors[res_ch - 1]))
-        return layout, res_ch
+    def _rows(self, keys: np.ndarray) -> np.ndarray:
+        """The (K, 2n-1) tableaux of K keys (inverse of _keys)."""
+        if keys.dtype != np.uint64:
+            return keys.view(np.uint16).reshape(len(keys), -1)
+        bits = np.uint64(2 * self.n + 1)
+        shifts = np.arange(2 * self.n - 1, dtype=np.uint64) * bits
+        return ((keys[:, None] >> shifts) & ((np.uint64(1) << bits) - np.uint64(1))).astype(np.uint16)
 
-    def verify(self, ext: Sequence[Gate], out_ref: np.ndarray) -> bool:
-        """Check on the spanning grid plus 20 random message tuples, run
-        through the word as one batch; every tuple must reach its layout."""
+    def _support(self, rows: np.ndarray) -> np.ndarray:
+        """The channels each packed Pauli acts on, as bits 0..n-1."""
+        return (rows | (rows >> self.n)) & ((1 << self.n) - 1)
+
+    def accepts(self, rows: np.ndarray) -> np.ndarray:
+        """(K,) bool: which of the (K, 2n-1) tableaux decode (exact test)."""
+        n, full = self.n, (1 << self.n) - 1
+        s = rows[:, 0]
+        supp = self._support(s)
+        ok = _one_bit(supp)  # S' acts on one channel r
         if self.target is not None:
-            layout = self.target
+            ok &= s == self.want_s
+        hits = np.flatnonzero(ok)
+        s, msg, supp = s[hits, None], rows[hits, 1:], supp[hits, None]
+        on_res = supp | (supp << n)
+        # reduce modulo S': multiply by S' where the r-parts agree (the
+        # Paulis commute and square to I, so the signs just add)
+        red = np.where((msg & on_res) == (s & on_res), msg ^ s, msg)
+        m = msg.shape[1] // 2
+        x, z = red[:, :m], red[:, m:]
+        if self.target is not None:
+            good = (x == self.want_x) & (z == self.want_x << n)
         else:
-            found = self._discover_layout(out_ref)
-            if found is None:
-                return False
-            layout, _ = found
-        inputs = layout_states(self.input_layout, self.verify_messages)
-        out = _apply_gates(inputs, self.n, self.pre_gates + list(ext))
-        exp = layout_states(layout, self.verify_messages)
-        overlap = np.einsum("ti,ti->t", exp.conj(), out)
-        return bool(np.all(np.abs(overlap) ** 2 >= 1 - _VERIFY_TOL))
-
-    # -- depth-limited enumeration -------------------------------------------
-
-    def _expand(self, states: np.ndarray) -> np.ndarray:
-        """(B, 2^n) -> (B, g, 2^n): each state followed by each alphabet gate."""
-        out = np.empty((len(states), len(self.gates), self.dim), dtype=complex)
-        for k in range(1, self.n + 1):
-            out[:, k - 1] = _apply_h(states, self.n, k)
-        out[:, self.n:] = states[:, self.cn_perm]
+            # one +X_p off the residue channel, and +Z_p on the same p
+            good = _one_bit(x) & (x <= full) & ((x & supp) == 0) & (z == x << n)
+        out = np.zeros(len(rows), dtype=bool)
+        out[hits[good.all(axis=1)]] = True
         return out
 
-    def search_depth(self, depth: int) -> Optional[list[Gate]]:
-        if depth == 0:
-            return [] if self.accepts([], self.psi0) else None
+    def verify(self, ext: Sequence[Gate]) -> bool:
+        """Exact check of one extension word."""
+        return bool(self.accepts(self._apply(self.root, ext)[None])[0])
 
-        g = len(self.gates)
-        word: list[int] = []
+    # -- breadth-first walk over distinct tableaux ---------------------------
 
-        def last_gates(state, prev_row) -> Optional[list[Gate]]:
-            """Screen every allowed ending of the word below `state` (its last
-            gate, or last two when depth >= 2) in one pass; verify the hits in
-            row-major gate order, so the first accepted is the least word."""
-            one_gate = len(word) == depth - 1
-            children = self._expand(state[None])[0]
-            rows = np.flatnonzero(self.allowed[prev_row])
-            if not one_gate:
-                firsts = rows
-                children = self._expand(children[firsts]).reshape(-1, self.dim)
-                rows = np.flatnonzero(self.allowed[firsts + 1])
-            prefix = [self.gates[i] for i in word]
-            for r in self.screen(children, rows):
-                ending = (r,) if one_gate else (firsts[r // g], r % g)
-                ext = prefix + [self.gates[j] for j in ending]
-                if self.verify(ext, children[r]):
-                    return ext
-            return None
+    def search(self, max_depth: int) -> Optional[list[Gate]]:
+        """The least canonical word of at most max_depth gates that decodes,
+        or None."""
+        if self.verify([]):
+            return []
+        level = self._keys(self.root[None])  # one level's keys, in word order
+        follows = np.zeros(1, dtype=np.uint8)  # row of `allowed`: last gate + 1
+        seen = level.copy()  # sorted keys of every level so far
+        links: list[tuple[np.ndarray, np.ndarray]] = []  # per level: parent, gate
+        chunk = max(1, _CHUNK_CHILDREN // len(self.gates))
+        for depth in range(1, max_depth + 1):
+            final = depth == max_depth
+            kept_keys, kept_parent, kept_gate = [], [], []
+            for start in range(0, len(level), chunk):
+                parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
+                rows = self._rows(level[start:start + chunk])
+                if final:
+                    # the last level is not kept: build only the children
+                    # whose image of S is single-qubit, the rest cannot pass
+                    live = _one_bit(self._support(self.tables[gate, rows[parent, 0]]))
+                    parent, gate = parent[live], gate[live]
+                kids = self.tables[gate[:, None], rows[parent]]
+                if not final:
+                    # keep the first occurrence of each tableau not seen before
+                    keys = self._keys(kids)
+                    uniq, first = np.unique(keys, return_index=True)
+                    at = np.searchsorted(seen, uniq)
+                    fresh = seen[np.minimum(at, len(seen) - 1)] != uniq
+                    seen = np.insert(seen, at[fresh], uniq[fresh])
+                    keep = np.sort(first[fresh])
+                    kids, parent, gate = kids[keep], parent[keep], gate[keep]
+                    kept_keys.append(keys[keep])
+                    kept_parent.append((start + parent).astype(np.int32))
+                    kept_gate.append(gate.astype(np.uint8))
+                hit = np.flatnonzero(self.accepts(kids))
+                if hit.size:
+                    return self._word(links, start + parent[hit[0]], gate[hit[0]])
+            if not kept_keys:
+                break
+            level = np.concatenate(kept_keys)
+            links.append((np.concatenate(kept_parent), np.concatenate(kept_gate)))
+            follows = links[-1][1] + 1
+        return None
 
-        def dfs(state, prev_row) -> Optional[list[Gate]]:
-            if len(word) >= depth - 2:
-                return last_gates(state, prev_row)
-            children = self._expand(state[None])[0]
-            for j in np.flatnonzero(self.allowed[prev_row]):
-                word.append(j)
-                hit = dfs(children[j], j + 1)
-                if hit is not None:
-                    return hit
-                word.pop()
-            return None
-
-        return dfs(self.psi0, 0)
+    def _word(self, links, parent: int, gate: int) -> list[Gate]:
+        """The word of a child: its parent's word (walked back through the
+        per-level links), then its gate."""
+        word = [gate]
+        for parents, gates in reversed(links):
+            word.append(gates[parent])
+            parent = parents[parent]
+        return [self.gates[j] for j in reversed(word)]
 
 
 def solve_bob_program(
@@ -297,16 +320,13 @@ def solve_bob_program(
 
     task = _Task(n, aux_channel, aux_value, target)
     horizon = _DEPTH_HORIZON[n]
-    for depth in range(0, min(max_gates, horizon) + 1):
-        found = task.search_depth(depth)
-        if found is not None:
-            return found
+    found = task.search(min(max_gates, horizon))
+    if found is not None:
+        return found
 
     if max_gates > horizon and aux_channel == CANONICAL_AUX_CHANNEL.get(n):
         case = canonical_case(n, aux_value)
         ext = list(case.bob_program[len(bob_prefix(n)):])
-        if len(ext) <= max_gates:
-            out_ref = _apply_gates(task.psi0.copy(), n, ext)
-            if task.accepts(ext, out_ref):
-                return ext
+        if len(ext) <= max_gates and task.verify(ext):
+            return ext
     return None

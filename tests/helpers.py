@@ -5,9 +5,12 @@ package (explicit basis-index bookkeeping and dense matrices), so tests
 compare two independent derivations.
 """
 
+import itertools
+
 import numpy as np
 
-from intraport.qsim import ControlledNot, Hadamard
+from intraport.protocol import MessageOut, ResidueOut
+from intraport.qsim import ControlledNot, Hadamard, SingleQubit
 
 
 def basis_index(bits):
@@ -87,3 +90,37 @@ def random_state_vector(rng, n):
 def haar_qubit_array(rng):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return v / np.linalg.norm(v)
+
+
+def decoder_layout_oracle(n, aux_channel, aux_qubit, gates):
+    """The output layout of a circuit run on the protocol input, or None.
+
+    The input carries m = n-1 messages on the channels other than
+    aux_channel (in channel order) and the array `aux_qubit` on it.  The
+    circuit decodes iff its isometry from the messages is, up to one global
+    phase, a channel assignment of the messages times one fixed residue
+    qubit.  Every residue channel and assignment is tried against the dense
+    matrix; the result is a layout of MessageOut and ResidueOut entries.
+    """
+    m = n - 1
+    message_channels = [c for c in range(1, n + 1) if c != aux_channel]
+    basis = np.eye(2, dtype=complex)
+    columns = []
+    for i in range(2**m):
+        bits = [(i >> (m - 1 - j)) & 1 for j in range(m)]
+        qubits = [aux_qubit if c == aux_channel else basis[bits[message_channels.index(c)]]
+                  for c in range(1, n + 1)]
+        columns.append(product_oracle(qubits))
+    isometry = circuit_matrix_oracle(n, gates) @ np.array(columns).T
+    tensor = isometry.reshape((2,) * n + (2**m,))
+    for res in range(1, n + 1):
+        others = [c for c in range(1, n + 1) if c != res]
+        for perm in itertools.permutations(others):
+            w = np.moveaxis(tensor, [p - 1 for p in perm] + [res - 1], list(range(n)))
+            w = w.reshape(2**m, 2, 2**m)
+            residue = w[0, :, 0]
+            if np.allclose(w, np.einsum("ai,b->abi", np.eye(2**m), residue), atol=1e-9):
+                layout = {p: MessageOut(j) for j, p in enumerate(perm)}
+                layout[res] = ResidueOut(SingleQubit.from_array(residue))
+                return layout
+    return None

@@ -8,6 +8,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intraport import cli
 from intraport.eavesdrop import ExperimentStats
@@ -115,6 +116,14 @@ def test_run_figure_tolerance_env_override(monkeypatch):
     code, doc = run_cli(["run-figure", "2", "--seed", "3"])
     assert code == 0
     assert doc["tolerance"] == 0.5
+
+
+@pytest.mark.parametrize("raw", ["x", "nan", "-1e-3", "2"])
+def test_run_figure_refuses_a_bad_tolerance_env(monkeypatch, raw):
+    monkeypatch.setenv("INTRAPORT_TOL", raw)
+    code, doc = run_cli(["run-figure", "2", "--seed", "3"])
+    assert code == 2
+    assert doc["error"]["message"].startswith("INTRAPORT_TOL: tolerance ")
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +247,13 @@ def test_swap_rejects_bad_permutation():
     code, doc = run_cli(["swap", "--channels", "3", "--to", "1,x"])
     assert code == 2
     assert doc["error"]["message"] == "--to must be a permutation of 1..3"
+
+
+@pytest.mark.parametrize("channels", ["1", "17", "60"])
+def test_swap_refuses_sizes_outside_the_channel_cap(channels):
+    code, doc = run_cli(["swap", "--channels", channels])
+    assert code == 2
+    assert doc["error"]["message"] == "--channels must lie in 2..16"
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +394,93 @@ def test_unknown_subcommand_exits_2():
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run-figure", "abc"], "argument figure: invalid int value: 'abc'"),
+    (["fuzz", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    (["frobnicate"], "argument subcommand: invalid choice: 'frobnicate'"),
+    (["eavesdrop", "--mode", "bogus"], "argument --mode: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: subcommand"),
+    (["bell", "--seed", "-1"], "argument --seed: seed must be >= 0, got -1"),
+    (["swap", "--seed", "x"], "argument --seed: invalid seed: 'x'"),
+    (["run-figure", "1", "--seed", "1", "--tol", "nan"],
+     "argument --tol: tolerance must lie in [0, 1], got 'nan'"),
+    (["swap", "--tol", "-1"], "argument --tol: tolerance must lie in [0, 1], got '-1'"),
+])
+def test_usage_errors_are_json(argv, message):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2
+    assert err.getvalue() == ""
+    doc = json.loads(buf.getvalue())
+    assert doc["error"]["message"].startswith(message)
+    assert doc["error"]["usage"].startswith("usage: intraport")
+
+
+# Each subcommand's flags (--help left out); values stay small, so that no
+# drawn call runs long or asks for a large register.
+_CLI_FLAGS = {
+    "run-figure": ["--seed", "--tol", "--a", "--b", "--c", "--d", "--e", "--f"],
+    "fuzz": ["--figure", "--trials", "--seed", "--tol"],
+    "table": ["--channels", "--reduced"],
+    "exec": ["--in"],
+    "swap": ["--channels", "--to", "--seed", "--tol"],
+    "solve-bob": ["--channels", "--aux-channel", "--aux-value", "--max-gates"],
+    "eavesdrop": ["--channels", "--trials", "--seed", "--mode", "--strategy",
+                  "--strategy-seed", "--fixed-channel", "--fixed-value"],
+    "bell": ["--seed", "--a", "--b", "--e", "--f"],
+}
+_CLI_INTS = st.integers(-1, 7).map(str)
+_CLI_PATHS = st.sampled_from([FIG1_PATH, "missing.qc", str(GOLDEN_DIR / "bell_uniform.json")])
+_CLI_AMPS = st.sampled_from(["0", "1", "0.6", "0.8", "0,1", "0.6,0.8", "2"])
+_CLI_VALUES = {
+    "--tol": st.sampled_from(["1e-3", "0.5", "-1", "nan"]),
+    "--to": st.sampled_from(["2,3,1", "1,2", "3,1,2,4", "1,1,2"]),
+    "--in": _CLI_PATHS,
+    "--aux-value": st.sampled_from(["plus", "zero", "one", "minus"]),
+    "--fixed-value": st.sampled_from(["plus", "zero", "one", "minus"]),
+    "--mode": st.sampled_from(["omniscient", "sampled"]),
+    "--strategy": st.sampled_from(["uniform", "fixed", "absent"]),
+    **{f"--{name}": _CLI_AMPS for name in "abcdef"},
+}
+_CLI_BAD = st.sampled_from(["x", "", "nan", "inf", "1,x", "bogus"])
+_CLI_REQUIRED = {"fuzz": ["--figure"], "exec": ["--in"],
+                 "solve-bob": ["--channels", "--aux-channel", "--aux-value"]}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of a subcommand (or none, or an unknown one), its positional
+    argument and flags, mostly with values of the right kind."""
+    def value(strategy):
+        return draw(strategy if draw(st.integers(0, 3)) else _CLI_BAD)
+
+    name = draw(st.sampled_from(sorted(_CLI_FLAGS) + ["frobnicate", None]))
+    argv = [] if name is None else [name]
+    if name in ("run-figure", "exec") and draw(st.integers(0, 3)):
+        argv.append(value(_CLI_INTS if name == "run-figure" else _CLI_PATHS))
+    flags = _CLI_FLAGS.get(name, []) + ["--bogus"]
+    required = _CLI_REQUIRED.get(name, []) if draw(st.integers(0, 3)) else []
+    for flag in required + draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv.append(flag)
+        if flag != "--reduced" or draw(st.booleans()):
+            argv.append(value(_CLI_VALUES.get(flag, _CLI_INTS)))
+    return argv
+
+
+def _refuse_non_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(cli_argv())
+@settings(max_examples=150)
+def test_any_argv_prints_one_json_document(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    doc = json.loads(buf.getvalue(), parse_constant=_refuse_non_json)
+    assert isinstance(doc, dict)
+    assert code in (0, 1, 2)
+    assert ("error" in doc) == (code == 2)

@@ -114,6 +114,16 @@ def test_experiment_fixed_wrong_channel():
     assert stats.analytic_success_rate == 0.0
 
 
+def test_some_wrong_guesses_go_undetected():
+    """A wrong channel guess never succeeds, but only some disturb the state:
+    at three channels a guess of channel 1 re-encodes exactly what was sent,
+    while a guess of channel 3 with value zero is caught every time."""
+    unseen = run_experiment(3, 200, EveStrategy.fixed_guess(1, AuxValue.ZERO), base_seed=1)
+    assert (unseen.eve_success_rate, unseen.detection_rate) == (0.0, 0.0)
+    caught = run_experiment(3, 200, EveStrategy.fixed_guess(3, AuxValue.ZERO), base_seed=1)
+    assert (caught.eve_success_rate, caught.detection_rate) == (0.0, 1.0)
+
+
 def test_omniscient_detection_dominates_sampled():
     for n in (3, 4):
         omni = run_experiment(n, 1000, EveStrategy.uniform_guess(), base_seed=13,

@@ -25,6 +25,7 @@ from intraport.qsim import (
     SingleQubit,
     _apply_gates,
     apply_gate,
+    channel_factors,
     channel_fidelity,
     equal_up_to_global_phase,
     factor_all,
@@ -439,6 +440,22 @@ def test_factor_all_round_trip_random_products():
 def test_factor_all_entangled_returns_none():
     bell = state_of([SQ2, 0, 0, SQ2], 2)
     assert factor_all(bell) is None
+
+
+def test_channel_factors_match_factor_channel():
+    rng = np.random.default_rng(16)
+    product = make_state([random_qubit(rng) for _ in range(4)])
+    # channels 1 and 3 entangled, 2 and 4 pure
+    mixed = apply_gate(make_state([QUBIT_PLUS, random_qubit(rng), QUBIT_ZERO, QUBIT_ONE]),
+                       ControlledNot(1, 3))
+    for s in (product, mixed):
+        for ch, factor in enumerate(channel_factors(s), start=1):
+            split = factor_channel(s, ch)
+            assert (factor is None) == (split is None)
+            if factor is not None:
+                assert factor.as_array() == pytest.approx(split[0].as_array(), abs=1e-15)
+    assert channel_factors(mixed)[0] is None and channel_factors(mixed)[2] is None
+    assert None not in channel_factors(product)
 
 
 def test_channel_fidelity_matches_reduced_density():

@@ -5,27 +5,35 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from helpers import decoder_layout_oracle
 
 from intraport.circuit import Circuit, parse_circuit
 from intraport.errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from intraport.protocol import (
     AuxValue,
+    MessageOut,
+    ResidueOut,
     alice_encoder,
     bob_prefix,
     builtin_scenario,
+    relocated_case,
+    swap_circuit,
     verify_circuit_action_equal,
 )
 from intraport.qsim import (
     ControlledNot,
     Hadamard,
     PureState,
+    SingleQubit,
     _apply_gates,
     factor_all,
     fidelity,
     make_state,
     random_qubit,
 )
-from intraport.search import gate_alphabet, solve_bob_program
+from intraport.search import _Task, gate_alphabet, solve_bob_program
 
 
 def assert_decodes(n, aux_channel, value, extension, trials=20):
@@ -91,18 +99,36 @@ def test_free_search_four_channels_zero():
     assert_decodes(4, 4, AuxValue.ZERO, program)
 
 
-def test_search_returns_pinned_least_words():
-    """Exact words pinned in golden/search_programs.json: a traversal that
-    returns any other word of the same length fails here."""
-    path = Path(__file__).parent / "golden" / "search_programs.json"
+def _solve_pinned(name):
+    """(case, solved program as a tuple or None, pinned program or None)
+    for each call in a golden file."""
+    path = Path(__file__).parent / "golden" / name
     for case in json.loads(path.read_text(encoding="utf-8")):
         n = case["channels"]
         target = (None if case["target_figure"] is None
                   else builtin_scenario(case["target_figure"]).expected_layout)
         program = solve_bob_program(n, case["aux_channel"], AuxValue(case["aux_value"]),
                                     case["max_gates"], target=target)
-        pinned = parse_circuit("\n".join([f"channels {n}"] + case["program"])).gates
-        assert program is not None and tuple(program) == pinned, case
+        pinned = (None if case["program"] is None
+                  else parse_circuit("\n".join([f"channels {n}"] + case["program"])).gates)
+        yield case, None if program is None else tuple(program), pinned
+
+
+def test_search_returns_pinned_least_words():
+    """Exact words pinned in golden/search_programs.json: a traversal that
+    returns any other word of the same length fails here."""
+    for case, program, pinned in _solve_pinned("search_programs.json"):
+        assert program is not None and program == pinned, case
+
+
+def test_search_results_are_pinned_over_bounds_and_targets():
+    """golden/search_results.json pins 283 more calls (null for a miss):
+    every n=3 and n=4 case at max_gates 0..3 and 10, target mode for
+    figures 1-3 over every auxiliary channel and value at max_gates 6 and
+    10, n=5 and n=6 at max_gates 0..3, (5,5,zero,12), (6,1,plus,10) and
+    (6,6,plus,10)."""
+    for case, program, pinned in _solve_pinned("search_results.json"):
+        assert program == pinned, case
 
 
 def test_search_is_deterministic():
@@ -146,3 +172,47 @@ def test_gate_alphabet_order():
         ControlledNot(1, 2), ControlledNot(1, 3), ControlledNot(2, 1),
         ControlledNot(2, 3), ControlledNot(3, 1), ControlledNot(3, 2),
     ]
+
+
+@st.composite
+def protocol_words(draw):
+    """(n, aux channel, value, extension): a random word, or the registered
+    decoder followed by random gates and swap triples, which may or may not
+    still decode."""
+    n = draw(st.integers(3, 6))
+    aux = draw(st.integers(1, n))
+    value = draw(st.sampled_from(list(AuxValue)))
+    channel = st.integers(1, n)
+    pairs = st.tuples(channel, channel).filter(lambda p: p[0] != p[1])
+    pieces = st.one_of(
+        st.sampled_from(gate_alphabet(n)).map(lambda g: [g]),
+        pairs.map(lambda p: swap_circuit(*p)),
+    )
+    word = []
+    if draw(st.booleans()):
+        # relocated_case's program includes the prefix, which undoes itself
+        word = list(reversed(bob_prefix(n))) + list(relocated_case(n, aux, value).bob_program)
+    for piece in draw(st.lists(pieces, max_size=4)):
+        word += piece
+    return n, aux, value, word
+
+
+@given(protocol_words())
+def test_tableau_test_matches_the_dense_oracle(case):
+    """Exact acceptance: the word decodes by the dense matrix iff the
+    tableau test says so, and target mode accepts exactly its layout."""
+    n, aux, value, word = case
+    layout = decoder_layout_oracle(n, aux, value.qubit.as_array(),
+                                   alice_encoder(n) + bob_prefix(n) + word)
+    assert _Task(n, aux, value, None).verify(word) == (layout is not None)
+    if layout is None:
+        return
+    assert _Task(n, aux, value, layout).verify(word)
+    # two messages exchanged, the orthogonal residue or a residue that is
+    # not a stabilizer state is another layout
+    a, b = [ch for ch, out in layout.items() if isinstance(out, MessageOut)][:2]
+    assert not _Task(n, aux, value, {**layout, a: layout[b], b: layout[a]}).verify(word)
+    res = next(ch for ch, out in layout.items() if isinstance(out, ResidueOut))
+    q = layout[res].state
+    for other in (SingleQubit(-np.conj(q.coeff1), np.conj(q.coeff0)), SingleQubit(0.6, 0.8)):
+        assert not _Task(n, aux, value, {**layout, res: ResidueOut(other)}).verify(word)
