@@ -495,6 +495,15 @@ def _rng_seed(text: str) -> int:
     return value
 
 
+def _trial_seed(text: str) -> int:
+    """An eavesdrop seed.  Trial seeds are masked to 64 bits, so a seed of
+    2^64 or more would silently repeat a smaller seed's trials."""
+    value = _rng_seed(text)
+    if value >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must be < 2^64, got {value}")
+    return value
+
+
 class _UsageError(Exception):
     def __init__(self, message: str, usage: str):
         super().__init__(message)
@@ -566,12 +575,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eavesdrop", help=_EVE_HELP, description=_EVE_HELP)
     p.add_argument("--channels", type=int, default=3)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_trial_seed, default=0)
     p.add_argument("--mode", choices=[m.value for m in DetectionMode],
                    default="omniscient")
     p.add_argument("--strategy", choices=["uniform", "fixed", "absent"],
                    default="uniform")
-    p.add_argument("--strategy-seed", type=int, default=0)
+    p.add_argument("--strategy-seed", type=_trial_seed, default=0)
     p.add_argument("--fixed-channel", type=int, default=None)
     p.add_argument("--fixed-value", type=str, default=None)
     p.set_defaults(func=_cmd_eavesdrop)

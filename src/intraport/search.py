@@ -34,11 +34,35 @@ length, the word a depth-first walk in canonical order finds.  Levels are
 expanded in chunks of parents and deduplicated chunk by chunk against a
 sorted array of every tableau seen so far.
 
+The walk drops every tableau that cannot decode in the gates it has left.
+Let the weight of a Pauli be the number of channels it acts on.  One H or
+one CNOT changes a weight by at most one: H maps a channel's non-identity
+part to a non-identity part, and a CNOT touches two channels, whose part
+of weight 1 or 2 stays non-identity.  In an accepted tableau the image S'
+of S has weight 1, and each message row is +X_p or +Z_p, or that Pauli
+times S', so the smaller of the weights of `row` and of `row ^ S'` is 1.  The
+XOR of the x and z bits is the product up to a sign, and conjugation acts
+linearly on those bits, so `row ^ S'` evolves as a Pauli row too.  Hence
+
+    h(T) = max(w(S'), max over message rows of min(w(row), w(row ^ S'))) - 1
+
+is an exact lower bound on the gates a tableau T still needs.  A search to
+depth d returns None at once when h(root) > d, and a child at depth k is
+dropped when h > d - k; since h <= n - 1, that can only happen where
+d - k < n - 1, so shallower levels skip the test.  Dropping keeps the
+result: a dropped tableau would be dropped again at every later depth (the
+same h, fewer gates left), and every prefix of the least accepted word
+meets the bound, so it is still the first word to reach its rows and the
+first accepted child is unchanged.
+
 The walk is capped at a per-size depth horizon; within it a None result
-proves that no word of the searched length decodes.  Past the horizon the
-registered constructive decoder is returned when the auxiliary sits on the
-canonical channel and the program fits the bound, so there a None result
-means "no program found", not a nonexistence proof.
+proves that no word of the searched length decodes, whether the bound
+settled it at the root or the walk ran out of tableaux: a tableau is only
+ever dropped when no word of the remaining length can take it to an
+accepted one.  Past the horizon the registered constructive decoder is
+returned when the auxiliary sits on the canonical channel and the program
+fits the bound, so there a None result means "no program found", not a
+nonexistence proof.
 """
 
 from __future__ import annotations
@@ -94,6 +118,26 @@ def gate_alphabet(channel_count: int) -> list[Gate]:
 
 
 @lru_cache(maxsize=None)
+def _gate_index(n: int) -> dict[Gate, int]:
+    """Each alphabet gate's position in the canonical order."""
+    return {gate: i for i, gate in enumerate(gate_alphabet(n))}
+
+
+@lru_cache(maxsize=None)
+def _follows(n: int) -> np.ndarray:
+    """(g+1, g) bool: row i+1 marks the gates that may follow gate i, row 0
+    the gates that may start a word."""
+    gates = gate_alphabet(n)
+    allowed = np.ones((len(gates) + 1, len(gates)), dtype=bool)
+    for i, gi in enumerate(gates):
+        for j, gj in enumerate(gates):
+            if i == j or (gates_commute(gi, gj) and j < i):
+                allowed[i + 1, j] = False
+    allowed.flags.writeable = False
+    return allowed
+
+
+@lru_cache(maxsize=None)
 def _row_tables(n: int) -> np.ndarray:
     """(g, 2^(2n+1)) uint16: every packed row's image under each alphabet
     gate.  Channel k is x bit k-1 and z bit n+k-1; bit 2n is the sign."""
@@ -115,6 +159,17 @@ def _row_tables(n: int) -> np.ndarray:
             tables[i] = (row ^ ((xc & zt & (xt ^ zc ^ 1)) * sign)
                          ^ (xc << t) ^ (zt << (n + c)))
     return tables
+
+
+@lru_cache(maxsize=None)
+def _weights(n: int) -> np.ndarray:
+    """(2^(2n+1),) uint8: every packed row's weight, the number of channels
+    its Pauli acts on."""
+    row = np.arange(1 << (2 * n + 1))
+    support = ((row | (row >> n)) & ((1 << n) - 1)).astype(np.uint8)  # n <= 6 bits
+    weights = np.unpackbits(support[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+    weights.flags.writeable = False
+    return weights
 
 
 def _one_bit(v: np.ndarray) -> np.ndarray:
@@ -147,14 +202,8 @@ class _Task:
         self.message_channels = tuple(c for c in range(1, n + 1) if c != aux_channel)
         self.gates = gate_alphabet(n)
         self.tables = _row_tables(n)
-        g = len(self.gates)
-        # allowed[i+1][j]: gate j may follow gate i; row 0 is the word start
-        allowed = np.ones((g + 1, g), dtype=bool)
-        for i, gi in enumerate(self.gates):
-            for j, gj in enumerate(self.gates):
-                if i == j or (gates_commute(gi, gj) and j < i):
-                    allowed[i + 1, j] = False
-        self.allowed = allowed
+        self.weights = _weights(n)
+        self.allowed = _follows(n)
 
         rows = ([_stabilizer_row(value.qubit, aux_channel, n)]
                 + [1 << (c - 1) for c in self.message_channels]
@@ -182,7 +231,7 @@ class _Task:
             raise InvalidInput("target layout must place every message exactly once")
 
     def _apply(self, rows: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
-        index = {gt: i for i, gt in enumerate(self.gates)}
+        index = _gate_index(self.n)
         for gt in gates:
             rows = self.tables[index[gt], rows]
         return rows
@@ -235,6 +284,13 @@ class _Task:
         out[hits[good.all(axis=1)]] = True
         return out
 
+    def lower_bound(self, rows: np.ndarray) -> np.ndarray:
+        """(K,) int: the h of each of the (K, 2n-1) tableaux, a lower bound
+        on the gates it needs to decode (see the module docstring)."""
+        w, s, msg = self.weights, rows[:, :1], rows[:, 1:]
+        worst = np.minimum(w[msg], w[msg ^ s]).max(axis=1)
+        return np.maximum(w[rows[:, 0]], worst).astype(np.int16) - 1
+
     def verify(self, ext: Sequence[Gate]) -> bool:
         """Exact check of one extension word."""
         return bool(self.accepts(self._apply(self.root, ext)[None])[0])
@@ -246,6 +302,8 @@ class _Task:
         or None."""
         if self.verify([]):
             return []
+        if self.lower_bound(self.root[None])[0] > max_depth:
+            return None
         level = self._keys(self.root[None])  # one level's keys, in word order
         follows = np.zeros(1, dtype=np.uint8)  # row of `allowed`: last gate + 1
         seen = level.copy()  # sorted keys of every level so far
@@ -253,16 +311,21 @@ class _Task:
         chunk = max(1, _CHUNK_CHILDREN // len(self.gates))
         for depth in range(1, max_depth + 1):
             final = depth == max_depth
+            left = max_depth - depth  # gates a child may still add
+            prune = left < self.n - 1  # else h <= n - 1 <= left for every child
             kept_keys, kept_parent, kept_gate = [], [], []
             for start in range(0, len(level), chunk):
                 parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
                 rows = self._rows(level[start:start + chunk])
-                if final:
-                    # the last level is not kept: build only the children
-                    # whose image of S is single-qubit, the rest cannot pass
-                    live = _one_bit(self._support(self.tables[gate, rows[parent, 0]]))
+                if prune:
+                    # the image of S alone first, one lookup per child: on
+                    # the last level this keeps the single-qubit ones
+                    live = self.weights[self.tables[gate, rows[parent, 0]]] <= left + 1
                     parent, gate = parent[live], gate[live]
                 kids = self.tables[gate[:, None], rows[parent]]
+                if prune and not final:
+                    live = self.lower_bound(kids) <= left
+                    kids, parent, gate = kids[live], parent[live], gate[live]
                 if not final:
                     # keep the first occurrence of each tableau not seen before
                     keys = self._keys(kids)

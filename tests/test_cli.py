@@ -347,6 +347,14 @@ def test_binomial_region_handles_many_trials():
     assert not cli._binomial_consistent(35_000, 100_000, 1 / 3)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_eavesdrop_runs_at_both_ends_of_the_seed_range(seed):
+    code, doc = run_cli(["eavesdrop", "--trials", "16", "--seed", str(seed),
+                         "--strategy-seed", str(seed)])
+    assert code == 0
+    assert doc["base_seed"] == seed
+
+
 def test_eavesdrop_fixed_needs_flags():
     code, doc = run_cli(["eavesdrop", "--strategy", "fixed", "--trials", "10"])
     assert code == 2
@@ -407,6 +415,12 @@ def test_unknown_subcommand_exits_2():
     (["run-figure", "1", "--seed", "1", "--tol", "nan"],
      "argument --tol: tolerance must lie in [0, 1], got 'nan'"),
     (["swap", "--tol", "-1"], "argument --tol: tolerance must lie in [0, 1], got '-1'"),
+    (["eavesdrop", "--seed", "-1"], "argument --seed: seed must be >= 0, got -1"),
+    (["eavesdrop", "--seed", str(2**64)], f"argument --seed: seed must be < 2^64, got {2**64}"),
+    (["eavesdrop", "--strategy-seed", "-1"],
+     "argument --strategy-seed: seed must be >= 0, got -1"),
+    (["eavesdrop", "--strategy-seed", str(2**64)],
+     f"argument --strategy-seed: seed must be < 2^64, got {2**64}"),
 ])
 def test_usage_errors_are_json(argv, message):
     buf, err = io.StringIO(), io.StringIO()

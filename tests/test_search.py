@@ -1,6 +1,7 @@
 """Decoder-program search: correctness, determinism, canonical order."""
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +13,14 @@ from helpers import decoder_layout_oracle
 from intraport.circuit import Circuit, parse_circuit
 from intraport.errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from intraport.protocol import (
+    SCENARIO_FIGURES,
     AuxValue,
     MessageOut,
     ResidueOut,
     alice_encoder,
     bob_prefix,
     builtin_scenario,
+    canonical_case,
     relocated_case,
     swap_circuit,
     verify_circuit_action_equal,
@@ -33,7 +36,7 @@ from intraport.qsim import (
     make_state,
     random_qubit,
 )
-from intraport.search import _Task, gate_alphabet, solve_bob_program
+from intraport.search import _Task, _row_tables, _weights, gate_alphabet, solve_bob_program
 
 
 def assert_decodes(n, aux_channel, value, extension, trials=20):
@@ -216,3 +219,128 @@ def test_tableau_test_matches_the_dense_oracle(case):
     q = layout[res].state
     for other in (SingleQubit(-np.conj(q.coeff1), np.conj(q.coeff0)), SingleQubit(0.6, 0.8)):
         assert not _Task(n, aux, value, {**layout, res: ResidueOut(other)}).verify(word)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_one_gate_changes_a_weight_by_at_most_one(n):
+    """The lemma behind the search's lower bound, over every packed row
+    and every alphabet gate; the weight is recounted channel by channel."""
+    row = np.arange(1 << (2 * n + 1))
+    weight = sum(((row >> k) | (row >> (n + k))) & 1 for k in range(n))
+    assert np.array_equal(_weights(n), weight)
+    for image in _row_tables(n):
+        assert np.abs(weight[image] - weight).max() <= 1
+
+
+def _registered_decoders():
+    """Every registered decoder: the relocated cases at n=3..6 (the
+    canonical ones among them) and the figures whose outputs are a product."""
+    for n in range(3, 7):
+        for aux in range(1, n + 1):
+            for value in AuxValue:
+                yield relocated_case(n, aux, value)
+    for figure in SCENARIO_FIGURES:
+        case = builtin_scenario(figure)
+        if case.psi_block is None:
+            yield case
+
+
+def test_lower_bound_holds_along_every_registered_decoder():
+    """h never exceeds the gates left, on every prefix of every registered
+    decoder, and the whole decoder is accepted.  Relocated programs do not
+    start with bob_prefix, so each walk starts from the encoder's image."""
+    checks = 0
+    for case in _registered_decoders():
+        n = case.channel_count
+        task = _Task(n, case.aux_channel, case.aux_value, None)
+        rows = task._apply(task.root, list(reversed(bob_prefix(n))))
+        program = list(case.bob_program)
+        for k, gate in enumerate(program + [None]):
+            assert task.lower_bound(rows[None])[0] <= len(program) - k, (case.case_id, k)
+            checks += 1
+            if gate is not None:
+                rows = task._apply(rows, [gate])
+        assert task.accepts(rows[None])[0], case.case_id
+    assert checks == 1565
+
+
+def test_root_bound_settles_the_n6_horizon_walks():
+    for aux in (1, 6):
+        task = _Task(6, aux, AuxValue.PLUS, None)
+        assert task.lower_bound(task.root[None])[0] == 5
+        assert task.search(4) is None
+
+
+@lru_cache(maxsize=None)
+def _short_decoders(n, aux, value):
+    """Every word of at most 5 alphabet gates that the tableau test accepts
+    for the case, found by trying all g^L words of each length L."""
+    task = _Task(n, aux, value, None)
+    g = len(task.gates)
+    words = []
+    level = task.root[None]  # row i: the word spelled by the base-g digits of i, first gate lowest
+    for size in range(6):
+        if size:
+            level = task.tables[:, level].reshape(-1, level.shape[1])
+        for i in np.flatnonzero(task.accepts(level)):
+            digits = [(int(i) // g**k) % g for k in range(size)]
+            words.append(tuple(task.gates[d] for d in digits))
+    return words
+
+
+def _same_layout(a, b):
+    """Equal layouts: the same messages on the same channels, and residues
+    equal up to a global phase."""
+    if a.keys() != b.keys():
+        return False
+    for ch, out in a.items():
+        if isinstance(out, MessageOut) != isinstance(b[ch], MessageOut):
+            return False
+        if isinstance(out, MessageOut):
+            if out != b[ch]:
+                return False
+        elif abs(np.vdot(out.state.as_array(), b[ch].state.as_array())) < 1 - 1e-9:
+            return False
+    return True
+
+
+@st.composite
+def short_decoding_words(draw):
+    """(n, aux channel, value, word): a word of at most 5 gates that decodes
+    the case, at n=3..4."""
+    n = draw(st.integers(3, 4))
+    cases = [(aux, value) for aux in range(1, n + 1) for value in AuxValue
+             if _short_decoders(n, aux, value)]
+    aux, value = draw(st.sampled_from(cases))
+    return n, aux, value, list(draw(st.sampled_from(_short_decoders(n, aux, value))))
+
+
+@given(short_decoding_words())
+def test_pruned_search_never_loses_a_witness(case):
+    """A decoding word of L gates is a witness: the target-mode search
+    bounded by L finds a word of at most L gates with the same layout."""
+    n, aux, value, word = case
+    prefix = alice_encoder(n) + bob_prefix(n)
+    layout = decoder_layout_oracle(n, aux, value.qubit.as_array(), prefix + word)
+    assert layout is not None
+    found = solve_bob_program(n, aux, value, max_gates=len(word), target=layout)
+    assert found is not None and len(found) <= len(word)
+    found_layout = decoder_layout_oracle(n, aux, value.qubit.as_array(), prefix + found)
+    assert found_layout is not None and _same_layout(found_layout, layout)
+
+
+@pytest.mark.parametrize("value, registered", [
+    (AuxValue.ZERO, 8), (AuxValue.ONE, 8), (AuxValue.PLUS, 7),
+])
+def test_registered_n5_aux5_decoders_are_minimal(value, registered):
+    """Past the n=5 horizon, no word shorter than the registered extension
+    decodes.  For plus the 7-gate walk also finds a decoder; the 8-gate
+    walks for zero and one take about 40 s and are not run here."""
+    assert len(canonical_case(5, value).bob_program) - len(bob_prefix(5)) == registered
+    task = _Task(5, 5, value, None)
+    assert task.search(registered - 1) is None
+    if registered == 7:
+        word = task.search(7)
+        assert word is not None and len(word) == 7
+        assert decoder_layout_oracle(5, 5, value.qubit.as_array(),
+                                     alice_encoder(5) + bob_prefix(5) + word) is not None
