@@ -355,14 +355,8 @@ def _cmd_swap(args) -> int:
 
 def _cmd_solve_bob(args) -> int:
     t0 = time.perf_counter()
-    try:
-        value = AuxValue.parse(args.aux_value)
-    except IntraportError as exc:
-        return _error(str(exc))
-    try:
-        program = solve_bob_program(args.channels, args.aux_channel, value, args.max_gates)
-    except IntraportError as exc:
-        return _error(str(exc))
+    value = AuxValue.parse(args.aux_value)
+    program = solve_bob_program(args.channels, args.aux_channel, value, args.max_gates)
     _emit({
         "command": "solve-bob",
         "channels": args.channels,
@@ -419,18 +413,12 @@ def _cmd_eavesdrop(args) -> int:
     elif args.strategy == "fixed":
         if args.fixed_channel is None or args.fixed_value is None:
             return _error("fixed strategy needs --fixed-channel and --fixed-value")
-        try:
-            value = AuxValue.parse(args.fixed_value)
-        except IntraportError as exc:
-            return _error(str(exc))
+        value = AuxValue.parse(args.fixed_value)
         strategy = EveStrategy.fixed_guess(args.fixed_channel, value, args.strategy_seed)
     else:
         return _error(f"unknown strategy '{args.strategy}'")
     mode = DetectionMode(args.mode)
-    try:
-        stats = run_experiment(args.channels, args.trials, strategy, args.seed, mode)
-    except IntraportError as exc:
-        return _error(str(exc))
+    stats = run_experiment(args.channels, args.trials, strategy, args.seed, mode)
     _emit({
         "channel_count": stats.channel_count,
         "trials": stats.trials,
@@ -456,10 +444,7 @@ def _cmd_bell(args) -> int:
         if None in (args.a, args.b, args.e, args.f):
             return _error("provide --a --b --e --f or --seed")
         a, b, e, f = args.a, args.b, args.e, args.f
-    try:
-        SingleQubit(b, a), SingleQubit(f, e)
-    except IntraportError as exc:
-        return _error(str(exc))
+    SingleQubit(b, a), SingleQubit(f, e)  # raises NotNormalized for a bad pair
     branches = []
     total = 0.0
     for outcome in (0, 1):

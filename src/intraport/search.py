@@ -8,22 +8,11 @@ fixed canonical gate order, with two prunings: a gate never follows itself
 canonical order.  Among the shortest accepted words the least one in that
 order is returned.
 
-Every circuit here is Clifford, so candidates are compared as stabilizer
-tableaux (Aaronson and Gottesman, quant-ph/0406196), not as states.  A
-candidate is the conjugation tableau of the whole map (encoder, prefix,
-word): the image of the auxiliary state's stabilizer S (+Z, -Z or +X on
-the auxiliary channel) and the images of X_c and Z_c for each message
-channel c.  Each row is a Pauli packed into one integer: x bits, z bits and
-a sign bit.  Rows evolve independently, so each gate is a lookup table over
-all 2^(2n+1) rows, built once from the Aaronson-Gottesman H and CNOT
-updates.
-
-Acceptance is exact.  A word decodes iff the image of S is a single-qubit
-Pauli on one channel r, which then holds the residue (that Pauli's +1
-eigenstate), and each message's X and Z images, reduced modulo the image
-of S, are +X_p and +Z_p on one channel p, where that message reappears.
-Target mode also requires each p, r and the residue's stabilizer to be the
-target's; a target residue that is not a stabilizer state never matches.
+Candidates are compared as stabilizer tableaux, not as states: a candidate
+is the image of the input rows under the whole map (encoder, prefix,
+word), and tableau.accepts decides exactly whether it decodes.  Rows
+evolve independently, so each gate is a lookup table over all 2^(2n+1)
+packed rows, tableau.conjugate applied once per row and cached.
 
 The search is breadth-first over distinct tableaux.  A level's children
 are listed parent-major and gate-minor, and a child is kept only if no
@@ -32,7 +21,7 @@ Every prefix of the least accepted word is the first word to reach its
 rows, so the first accepted child is the least canonical word of minimal
 length, the word a depth-first walk in canonical order finds.  Levels are
 expanded in chunks of parents and deduplicated chunk by chunk against a
-sorted array of every tableau seen so far.
+sorted array of the keys of every tableau seen so far.
 
 The walk drops every tableau that cannot decode in the gates it has left.
 Let the weight of a Pauli be the number of channels it acts on.  One H or
@@ -40,9 +29,9 @@ one CNOT changes a weight by at most one: H maps a channel's non-identity
 part to a non-identity part, and a CNOT touches two channels, whose part
 of weight 1 or 2 stays non-identity.  In an accepted tableau the image S'
 of S has weight 1, and each message row is +X_p or +Z_p, or that Pauli
-times S', so the smaller of the weights of `row` and of `row ^ S'` is 1.  The
-XOR of the x and z bits is the product up to a sign, and conjugation acts
-linearly on those bits, so `row ^ S'` evolves as a Pauli row too.  Hence
+times S', so the smaller of the weights of `row` and of `row ^ S'` is 1.
+`row ^ S'` is the product up to a sign, so it evolves as a Pauli row too.
+Hence
 
     h(T) = max(w(S'), max over message rows of min(w(row), w(row ^ S'))) - 1
 
@@ -72,6 +61,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import tableau
 from .errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from .protocol import (
     DEFAULT_TOL,
@@ -140,41 +130,19 @@ def _follows(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _row_tables(n: int) -> np.ndarray:
     """(g, 2^(2n+1)) uint16: every packed row's image under each alphabet
-    gate.  Channel k is x bit k-1 and z bit n+k-1; bit 2n is the sign."""
+    gate, by tableau.conjugate."""
     row = np.arange(1 << (2 * n + 1))
-    sign = 1 << (2 * n)
-    gates = gate_alphabet(n)
-    tables = np.empty((len(gates), len(row)), dtype=np.uint16)
-    for i, gate in enumerate(gates):
-        if isinstance(gate, Hadamard):
-            k = gate.channel - 1
-            x, z = (row >> k) & 1, (row >> (n + k)) & 1
-            # r ^= x z; swap x and z
-            tables[i] = row ^ ((x & z) * sign) ^ ((x ^ z) * ((1 << k) | (1 << (n + k))))
-        else:
-            c, t = gate.control - 1, gate.target - 1
-            xc, zc = (row >> c) & 1, (row >> (n + c)) & 1
-            xt, zt = (row >> t) & 1, (row >> (n + t)) & 1
-            # r ^= xc zt (xt ^ zc ^ 1); xt ^= xc; zc ^= zt
-            tables[i] = (row ^ ((xc & zt & (xt ^ zc ^ 1)) * sign)
-                         ^ (xc << t) ^ (zt << (n + c)))
-    return tables
+    return np.stack([tableau.conjugate(row, n, g) for g in gate_alphabet(n)]).astype(np.uint16)
 
 
 @lru_cache(maxsize=None)
 def _weights(n: int) -> np.ndarray:
     """(2^(2n+1),) uint8: every packed row's weight, the number of channels
     its Pauli acts on."""
-    row = np.arange(1 << (2 * n + 1))
-    support = ((row | (row >> n)) & ((1 << n) - 1)).astype(np.uint8)  # n <= 6 bits
+    support = tableau.support(np.arange(1 << (2 * n + 1)), n).astype(np.uint8)  # n <= 6 bits
     weights = np.unpackbits(support[:, None], axis=1).sum(axis=1, dtype=np.uint8)
     weights.flags.writeable = False
     return weights
-
-
-def _one_bit(v: np.ndarray) -> np.ndarray:
-    """Which entries have exactly one bit set."""
-    return (v != 0) & ((v & (v - 1)) == 0)
 
 
 def _stabilizer_row(q: SingleQubit, channel: int, n: int) -> Optional[int]:
@@ -187,6 +155,16 @@ def _stabilizer_row(q: SingleQubit, channel: int, n: int) -> Optional[int]:
             if abs(expectation - (-1) ** sign) <= DEFAULT_TOL:
                 return (x << (channel - 1)) | (z << (n + channel - 1)) | (sign << (2 * n))
     return None
+
+
+def _layout_rows(n: int, layout: Mapping[int, ExpectedOut]) -> np.ndarray:
+    """The input rows of a layout: its residue's stabilizer row, then the
+    rows of each message's channel in message order.  A residue that is not
+    a stabilizer state gets 0 (the identity), which no image of S equals."""
+    res = next(ch for ch, out in layout.items() if isinstance(out, ResidueOut))
+    by_index = {out.index: ch for ch, out in layout.items() if isinstance(out, MessageOut)}
+    return tableau.input_rows(n, _stabilizer_row(layout[res].state, res, n) or 0,
+                              [by_index[j] for j in range(len(by_index))])
 
 
 class _Task:
@@ -205,21 +183,14 @@ class _Task:
         self.weights = _weights(n)
         self.allowed = _follows(n)
 
-        rows = ([_stabilizer_row(value.qubit, aux_channel, n)]
-                + [1 << (c - 1) for c in self.message_channels]
-                + [1 << (n + c - 1) for c in self.message_channels])
-        self.root = self._apply(np.array(rows, dtype=np.uint16), alice_encoder(n) + bob_prefix(n))
+        rows = tableau.input_rows(n, _stabilizer_row(value.qubit, aux_channel, n),
+                                  self.message_channels)
+        self.root = self._apply(rows.astype(np.uint16), alice_encoder(n) + bob_prefix(n))
 
-        self.target = target
+        self.target = None
         if target is not None:
             self._check_target(target)
-            res_ch = next(ch for ch, out in target.items() if isinstance(out, ResidueOut))
-            # 0 (the identity) is never the image of S: a residue that is
-            # not a stabilizer state never matches
-            self.want_s = _stabilizer_row(target[res_ch].state, res_ch, n) or 0
-            by_index = {out.index: ch for ch, out in target.items() if isinstance(out, MessageOut)}
-            self.want_x = np.array([1 << (by_index[j] - 1) for j in range(len(by_index))],
-                                   dtype=np.uint16)
+            self.target = _layout_rows(n, target)
 
     def _check_target(self, target: Mapping[int, ExpectedOut]):
         if set(target) != set(range(1, self.n + 1)):
@@ -247,42 +218,9 @@ class _Task:
             keys |= rows[:, i].astype(np.uint64) << np.uint64(bits * i)
         return keys
 
-    def _rows(self, keys: np.ndarray) -> np.ndarray:
-        """The (K, 2n-1) tableaux of K keys (inverse of _keys)."""
-        if keys.dtype != np.uint64:
-            return keys.view(np.uint16).reshape(len(keys), -1)
-        bits = np.uint64(2 * self.n + 1)
-        shifts = np.arange(2 * self.n - 1, dtype=np.uint64) * bits
-        return ((keys[:, None] >> shifts) & ((np.uint64(1) << bits) - np.uint64(1))).astype(np.uint16)
-
-    def _support(self, rows: np.ndarray) -> np.ndarray:
-        """The channels each packed Pauli acts on, as bits 0..n-1."""
-        return (rows | (rows >> self.n)) & ((1 << self.n) - 1)
-
     def accepts(self, rows: np.ndarray) -> np.ndarray:
         """(K,) bool: which of the (K, 2n-1) tableaux decode (exact test)."""
-        n, full = self.n, (1 << self.n) - 1
-        s = rows[:, 0]
-        supp = self._support(s)
-        ok = _one_bit(supp)  # S' acts on one channel r
-        if self.target is not None:
-            ok &= s == self.want_s
-        hits = np.flatnonzero(ok)
-        s, msg, supp = s[hits, None], rows[hits, 1:], supp[hits, None]
-        on_res = supp | (supp << n)
-        # reduce modulo S': multiply by S' where the r-parts agree (the
-        # Paulis commute and square to I, so the signs just add)
-        red = np.where((msg & on_res) == (s & on_res), msg ^ s, msg)
-        m = msg.shape[1] // 2
-        x, z = red[:, :m], red[:, m:]
-        if self.target is not None:
-            good = (x == self.want_x) & (z == self.want_x << n)
-        else:
-            # one +X_p off the residue channel, and +Z_p on the same p
-            good = _one_bit(x) & (x <= full) & ((x & supp) == 0) & (z == x << n)
-        out = np.zeros(len(rows), dtype=bool)
-        out[hits[good.all(axis=1)]] = True
-        return out
+        return tableau.accepts(rows, self.n, self.target)
 
     def lower_bound(self, rows: np.ndarray) -> np.ndarray:
         """(K,) int: the h of each of the (K, 2n-1) tableaux, a lower bound
@@ -304,19 +242,19 @@ class _Task:
             return []
         if self.lower_bound(self.root[None])[0] > max_depth:
             return None
-        level = self._keys(self.root[None])  # one level's keys, in word order
+        level = self.root[None]  # one level's tableaux, in word order
         follows = np.zeros(1, dtype=np.uint8)  # row of `allowed`: last gate + 1
-        seen = level.copy()  # sorted keys of every level so far
+        seen = self._keys(level)  # sorted keys of every level so far
         links: list[tuple[np.ndarray, np.ndarray]] = []  # per level: parent, gate
         chunk = max(1, _CHUNK_CHILDREN // len(self.gates))
         for depth in range(1, max_depth + 1):
             final = depth == max_depth
             left = max_depth - depth  # gates a child may still add
             prune = left < self.n - 1  # else h <= n - 1 <= left for every child
-            kept_keys, kept_parent, kept_gate = [], [], []
+            kept_rows, kept_parent, kept_gate = [], [], []
             for start in range(0, len(level), chunk):
                 parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
-                rows = self._rows(level[start:start + chunk])
+                rows = level[start:start + chunk]
                 if prune:
                     # the image of S alone first, one lookup per child: on
                     # the last level this keeps the single-qubit ones
@@ -335,15 +273,15 @@ class _Task:
                     seen = np.insert(seen, at[fresh], uniq[fresh])
                     keep = np.sort(first[fresh])
                     kids, parent, gate = kids[keep], parent[keep], gate[keep]
-                    kept_keys.append(keys[keep])
+                    kept_rows.append(kids)
                     kept_parent.append((start + parent).astype(np.int32))
                     kept_gate.append(gate.astype(np.uint8))
                 hit = np.flatnonzero(self.accepts(kids))
                 if hit.size:
                     return self._word(links, start + parent[hit[0]], gate[hit[0]])
-            if not kept_keys:
+            if not kept_rows:
                 break
-            level = np.concatenate(kept_keys)
+            level = np.concatenate(kept_rows)
             links.append((np.concatenate(kept_parent), np.concatenate(kept_gate)))
             follows = links[-1][1] + 1
         return None

@@ -433,6 +433,25 @@ def test_usage_errors_are_json(argv, message):
     assert doc["error"]["usage"].startswith("usage: intraport")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve-bob", "--channels", "3", "--aux-channel", "2", "--aux-value", "minus"],
+     "unknown auxiliary value 'minus'"),
+    (["solve-bob", "--channels", "7", "--aux-channel", "1", "--aux-value", "plus"],
+     "search supports 3..6 channels, got 7"),
+    (["eavesdrop", "--strategy", "fixed", "--fixed-channel", "1", "--fixed-value", "minus"],
+     "unknown auxiliary value 'minus'"),
+    (["eavesdrop", "--channels", "7"], "no canonical case registered for 7 channels"),
+    (["bell", "--a", "1", "--b", "1", "--e", "1", "--f", "0"],
+     "|coeff0|^2 + |coeff1|^2 = 2.0, expected 1"),
+])
+def test_invalid_values_print_the_exact_error_document(argv, message):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 2
+    assert buf.getvalue() == json.dumps({"error": {"message": message}}, indent=2) + "\n"
+
+
 # Each subcommand's flags (--help left out); values stay small, so that no
 # drawn call runs long or asks for a large register.
 _CLI_FLAGS = {

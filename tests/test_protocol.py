@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from intraport.circuit import Circuit
+from intraport.circuit import MAX_CHANNELS, Circuit
 from intraport.errors import (
     ImpossibleBranch,
     InvalidGate,
@@ -53,13 +53,21 @@ from intraport.qsim import (
     factor_all,
     factor_channel,
     fidelity,
+    gates_commute,
     make_state,
     random_qubit,
     reduced_density,
     run_circuit,
 )
 
-from helpers import apply_circuit_oracle, permute_channels_oracle, random_state_vector
+from intraport.search import gate_alphabet
+
+from helpers import (
+    apply_circuit_oracle,
+    circuit_matrix_oracle,
+    permute_channels_oracle,
+    random_state_vector,
+)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -550,3 +558,65 @@ def test_verify_circuit_action_equal_sees_per_column_signs():
 def test_verify_circuit_action_equal_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         verify_circuit_action_equal(figure_circuit(1), figure_circuit(7))
+
+
+def _rewrite(draw, n, word):
+    """The word with 1-3 identity rewrites: H k H k inserted, or two
+    commuting neighbours exchanged."""
+    word = list(word)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, max(len(word) - 2, 0)))
+        if len(word) >= 2 and gates_commute(word[i], word[i + 1]) and draw(st.booleans()):
+            word[i], word[i + 1] = word[i + 1], word[i]
+        else:
+            k = draw(st.integers(1, n))
+            word[i:i] = [Hadamard(k), Hadamard(k)]
+    return word
+
+
+@st.composite
+def circuit_pairs(draw, low, high):
+    """(n, word, other word, equal): about half of the pairs are equal by
+    construction (equal=True); the rest draw the second word afresh."""
+    n = draw(st.integers(low, high))
+    gates = st.sampled_from(gate_alphabet(n))
+    word = draw(st.lists(gates, max_size=12))
+    if draw(st.booleans()):
+        return n, word, _rewrite(draw, n, word), True
+    return n, word, draw(st.lists(gates, max_size=12)), None
+
+
+@given(circuit_pairs(1, 6))
+def test_verify_circuit_action_equal_matches_the_dense_oracle(pair):
+    n, w1, w2, equal = pair
+    u1, u2 = circuit_matrix_oracle(n, w1), circuit_matrix_oracle(n, w2)
+    dense = abs(abs(np.vdot(u2, u1)) - 2**n) <= 1e-9
+    assert verify_circuit_action_equal(Circuit(n, tuple(w1)), Circuit(n, tuple(w2))) == dense
+    assert equal is None or dense
+
+
+@given(circuit_pairs(7, MAX_CHANNELS).filter(lambda pair: pair[3]), st.data())
+def test_verify_circuit_action_equal_beyond_dense_sizes(pair, data):
+    """Rewritten words stay equal at 7..16 channels; one extra gate, which
+    is never a multiple of the identity, makes them differ."""
+    n, w1, w2, _ = pair
+    assert verify_circuit_action_equal(Circuit(n, tuple(w1)), Circuit(n, tuple(w2)))
+    i = data.draw(st.integers(0, len(w2)))
+    extra = w2[:i] + [data.draw(st.sampled_from(gate_alphabet(n)))] + w2[i:]
+    assert not verify_circuit_action_equal(Circuit(n, tuple(w1)), Circuit(n, tuple(extra)))
+
+
+@pytest.mark.parametrize("n", [2, MAX_CHANNELS])
+def test_verify_circuit_action_equal_sees_signs_alone(n):
+    # (h 1; cn 1 2) four times is a Pauli operator: its tableau differs
+    # from the identity's in the signs alone
+    word = (Hadamard(1), ControlledNot(1, 2)) * 4
+    if n == 2:
+        assert abs(abs(np.trace(circuit_matrix_oracle(2, word))) - 4) > 1
+    assert not verify_circuit_action_equal(Circuit(n, word), Circuit(n))
+    assert verify_circuit_action_equal(Circuit(n, word * 2), Circuit(n))
+
+
+def test_verify_circuit_action_equal_refuses_more_than_16_channels():
+    with pytest.raises(UnsupportedSize):
+        verify_circuit_action_equal(Circuit(17, ()), Circuit(17, ()))

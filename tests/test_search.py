@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from helpers import decoder_layout_oracle
 
+from intraport import tableau
 from intraport.circuit import Circuit, parse_circuit
 from intraport.errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from intraport.protocol import (
@@ -21,6 +22,7 @@ from intraport.protocol import (
     bob_prefix,
     builtin_scenario,
     canonical_case,
+    input_layout,
     relocated_case,
     swap_circuit,
     verify_circuit_action_equal,
@@ -36,7 +38,14 @@ from intraport.qsim import (
     make_state,
     random_qubit,
 )
-from intraport.search import _Task, _row_tables, _weights, gate_alphabet, solve_bob_program
+from intraport.search import (
+    _Task,
+    _layout_rows,
+    _row_tables,
+    _weights,
+    gate_alphabet,
+    solve_bob_program,
+)
 
 
 def assert_decodes(n, aux_channel, value, extension, trials=20):
@@ -203,22 +212,28 @@ def protocol_words(draw):
 @given(protocol_words())
 def test_tableau_test_matches_the_dense_oracle(case):
     """Exact acceptance: the word decodes by the dense matrix iff the
-    tableau test says so, and target mode accepts exactly its layout."""
+    tableau core says so, and target mode accepts exactly its layout."""
     n, aux, value, word = case
-    layout = decoder_layout_oracle(n, aux, value.qubit.as_array(),
-                                   alice_encoder(n) + bob_prefix(n) + word)
-    assert _Task(n, aux, value, None).verify(word) == (layout is not None)
+    gates = alice_encoder(n) + bob_prefix(n) + word
+    layout = decoder_layout_oracle(n, aux, value.qubit.as_array(), gates)
+    messages = [c for c in range(1, n + 1) if c != aux]
+    rows = tableau.apply_word(_layout_rows(n, input_layout(messages, aux, value)), n, gates)
+
+    def decodes(target=None):
+        return tableau.accepts(rows[None], n, None if target is None else _layout_rows(n, target))[0]
+
+    assert decodes() == (layout is not None)
     if layout is None:
         return
-    assert _Task(n, aux, value, layout).verify(word)
+    assert decodes(layout)
     # two messages exchanged, the orthogonal residue or a residue that is
     # not a stabilizer state is another layout
     a, b = [ch for ch, out in layout.items() if isinstance(out, MessageOut)][:2]
-    assert not _Task(n, aux, value, {**layout, a: layout[b], b: layout[a]}).verify(word)
+    assert not decodes({**layout, a: layout[b], b: layout[a]})
     res = next(ch for ch, out in layout.items() if isinstance(out, ResidueOut))
     q = layout[res].state
     for other in (SingleQubit(-np.conj(q.coeff1), np.conj(q.coeff0)), SingleQubit(0.6, 0.8)):
-        assert not _Task(n, aux, value, {**layout, res: ResidueOut(other)}).verify(word)
+        assert not decodes({**layout, res: ResidueOut(other)})
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
