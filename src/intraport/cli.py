@@ -150,10 +150,7 @@ def _cmd_run_figure(args) -> int:
     tol = args.tol if args.tol is not None else _tol_default()
 
     case = builtin_scenario(figure)
-    try:
-        messages = _messages_from_args(args, case)
-    except (IntraportError, ValueError) as exc:
-        return _error(str(exc))
+    messages = _messages_from_args(args, case)
     if messages is None:
         if args.seed is None:
             return _error("provide message amplitudes or --seed")

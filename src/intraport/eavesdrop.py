@@ -24,19 +24,24 @@ auxiliary-residue channel.
 
 Every gate word a trial runs depends only on the protocol cases involved,
 never on the trial, so each registered case's decoder and Eve's re-encode,
-and the encoder for each size, are compiled once into cached matrices
-(qsim.gate_unitary, stored as complex128).  A trial applies at most four
-of them: the encoder, Eve's decoder, Eve's re-encode and the true decoder.
+and the encoder for each size, are compiled once into cached real float64
+matrices (qsim.gate_unitary).  A trial applies at most four of them: the
+encoder, Eve's decoder, Eve's re-encode and the true decoder.
 
-Per-trial seeds derive from the experiment base seed through the splitmix64
-sequence, so results are reproducible bit for bit and independent of
-execution order.
+Each trial draws from its own generators, seeded from the experiment base
+seed through the splitmix64 sequence, so results are reproducible bit for
+bit and independent of execution order.  run_experiment works in chunks of
+CHUNK trials: it draws every trial of a chunk one by one, groups the trials
+by (true case, guessed case) pair, and runs each group as one batch: one
+matrix product per compiled matrix, one contraction per checked channel.
+run_trial is a batch of one.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,19 +56,12 @@ from .protocol import (
     ResidueOut,
     alice_encoder,
     layout_states,
-    message_batch,
     post_swap_plan,
     relocated_case,
 )
-from .qsim import (
-    Hadamard,
-    PureState,
-    _apply_gates,
-    channel_fidelity,
-    gate_unitary,
-    make_state,  # noqa: F401  (perfbench/tracer.py traces this name here)
-    random_qubit,
-)
+from .qsim import Hadamard, _apply_gates, gate_unitary
+# perfbench/tracer.py traces these names here, though no trial calls them.
+from .qsim import channel_fidelity, make_state, random_qubit  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -134,12 +132,17 @@ class ExperimentStats:
     base_seed: int
 
 
+# Trials are drawn, then batched, this many at a time, so that memory does
+# not grow with the number of trials.
+CHUNK = 256
+
+
 @dataclass(frozen=True)
 class _CompiledCase:
     """A registered case with its gate words compiled to matrices.
 
-    The matrices are real but stored as complex128: a mat-vec with the
-    complex state then needs no cast, and gives the same bits."""
+    H and CNOT are real, so the matrices stay real float64: a product with a
+    complex batch casts the matrix once per batch, not once per trial."""
 
     case: ProtocolCase
     decoder: np.ndarray  # the case's bob_program
@@ -151,14 +154,14 @@ def _compiled(n: int, aux_channel: int, value: AuxValue) -> _CompiledCase:
     case = relocated_case(n, aux_channel, value)
     return _CompiledCase(
         case,
-        gate_unitary(n, case.bob_program).astype(complex),
-        gate_unitary(n, _reencode_gates(case)).astype(complex),
+        gate_unitary(n, case.bob_program),
+        gate_unitary(n, _reencode_gates(case)),
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _encoder(n: int) -> np.ndarray:
-    return gate_unitary(n, alice_encoder(n)).astype(complex)
+    return gate_unitary(n, alice_encoder(n))
 
 
 def _reencode_gates(case: ProtocolCase):
@@ -178,6 +181,95 @@ def _reencode_gates(case: ProtocolCase):
     return gates + alice_encoder(case.channel_count)
 
 
+def _draw(seed: int, message_count: int, mode: DetectionMode) -> tuple[np.ndarray, float]:
+    """One trial's draws from its own generator: 4 normals per message (re0,
+    re1, im0, im1: the stream of one random_qubit call each), then, in
+    sampled mode, the uniform of the receiver's projective check."""
+    rng = np.random.default_rng(seed & _MASK64)
+    normals = rng.normal(size=4 * message_count)
+    return normals, rng.random() if mode is DetectionMode.SAMPLED else 0.0
+
+
+def _guess(strategy: Optional[EveStrategy], n: int, seed: int,
+           true_value: AuxValue) -> Optional[tuple[int, AuxValue]]:
+    """Eve's (auxiliary channel, value) guess for one trial; None when she
+    is absent.  A uniform guess draws from its own generator."""
+    if strategy is None:
+        return None
+    if strategy.mode == "uniform":
+        guess_rng = np.random.default_rng(splitmix64((seed ^ strategy.seed) & _MASK64))
+        return int(guess_rng.integers(1, n + 1)), true_value
+    if strategy.mode == "fixed":
+        return strategy.fixed_channel, strategy.fixed_value
+    raise InvalidInput(f"unknown strategy mode '{strategy.mode}'")
+
+
+def _messages(normals: np.ndarray) -> np.ndarray:
+    """(T, m, 2) normalised message coefficients from the (T, 4m) normals
+    of `_draw`: random_qubit's, within 1e-15 (its norm is a BLAS dot)."""
+    parts = normals.reshape(len(normals), -1, 2, 2)
+    raw = parts[:, :, 0] + 1j * parts[:, :, 1]
+    norms = np.sqrt((raw.real**2 + raw.imag**2).sum(axis=2))
+    return raw / norms[:, :, None]
+
+
+def _channel_fidelities(states: np.ndarray, expected: dict[int, np.ndarray]) -> np.ndarray:
+    """(T, len(expected)) fidelities <q| rho_channel |q> of each state in the
+    (T, 2^n) batch, one column per channel of `expected`, which maps the
+    channel to its qubit q: one (T, 2) row per state, or one (2,) for all.
+
+    Each channel is one contraction over the whole batch, through a view of
+    the states, so no copy of the batch is made per channel."""
+    count = len(states)
+    out = np.empty((count, len(expected)))
+    for col, (ch, qubit) in enumerate(expected.items()):
+        bra0, bra1 = np.conj(qubit).T[..., None, None]
+        rows = states.reshape(count, 1 << (ch - 1), 2, -1)
+        contracted = rows[:, :, 0] * bra0
+        contracted += rows[:, :, 1] * bra1
+        flat = contracted.reshape(count, -1).view(float)
+        out[:, col] = np.einsum("tr,tr->t", flat, flat)
+    return out
+
+
+def _run_batch(
+    true: _CompiledCase,
+    eve: Optional[_CompiledCase],
+    normals: np.ndarray,
+    uniforms: np.ndarray,
+    detection_mode: DetectionMode,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's success and the receiver's detection, as boolean arrays, for a
+    batch of trials that share one true case and one guess (eve=None: Eve
+    absent), from each trial's normals and sampled-check uniform."""
+    n = true.case.channel_count
+    messages = _messages(normals)
+    wire = layout_states(true.case.input_layout, messages) @ _encoder(n).T
+    eve_success = np.zeros(len(normals), dtype=bool)
+    if eve is not None:
+        decoded = wire @ eve.decoder.T
+        # Full recovery requires her believed message channels to be the true
+        # ones; a wrong auxiliary guess silently discards one true message.
+        if set(eve.case.message_channels) == set(true.case.message_channels):
+            sources = [true.case.message_channels.index(ch) for ch in eve.case.message_channels]
+            believed = {ch: messages[:, sources[out.index]]
+                        for ch, out in eve.case.expected_layout.items()
+                        if isinstance(out, MessageOut)}
+            eve_success = (_channel_fidelities(decoded, believed) >= _FIDELITY_BAR).all(axis=1)
+        wire = decoded @ eve.reencode.T
+
+    received = wire @ true.decoder.T
+    if detection_mode is DetectionMode.OMNISCIENT:
+        expected = {ch: messages[:, out.index] if isinstance(out, MessageOut)
+                    else out.state.as_array()
+                    for ch, out in true.case.expected_layout.items()}
+        detects = (_channel_fidelities(received, expected) < _FIDELITY_BAR).any(axis=1)
+    else:
+        residue = {true.case.residue_channel: true.case.residue.as_array()}
+        detects = uniforms < 1.0 - _channel_fidelities(received, residue)[:, 0]
+    return eve_success, detects
+
+
 def run_trial(
     channel_count: int,
     true_case: ProtocolCase,
@@ -189,6 +281,7 @@ def run_trial(
 
     `true_case` must be the registered case for its auxiliary channel and
     value (relocated_case's), whose compiled matrices the trial applies.
+    The trial is a batch of one through run_experiment's core.
     """
     n = channel_count
     if true_case.channel_count != n:
@@ -196,63 +289,16 @@ def run_trial(
     true = _compiled(n, true_case.aux_channel, true_case.aux_value)
     if true.case is not true_case and true.case != true_case:
         raise InvalidInput("true_case is not the registered case for its auxiliary channel")
-    rng = np.random.default_rng(trial_seed & _MASK64)
-    messages = [random_qubit(rng) for _ in true_case.message_channels]
-    sent = layout_states(true_case.input_layout, message_batch(messages))[0]
-    wire = _encoder(n) @ sent
-
-    guessed_id = None
-    eve_success = False
-    if strategy is None:
-        forwarded = wire
-    else:
-        if strategy.mode == "uniform":
-            guess_rng = np.random.default_rng(
-                splitmix64((trial_seed ^ strategy.seed) & _MASK64)
-            )
-            g = int(guess_rng.integers(1, n + 1))
-            v = true_case.aux_value
-        elif strategy.mode == "fixed":
-            g, v = strategy.fixed_channel, strategy.fixed_value
-        else:
-            raise InvalidInput(f"unknown strategy mode '{strategy.mode}'")
-        eve = _compiled(n, g, v)
-        eve_case = eve.case
-        guessed_id = eve_case.case_id
-        decoded = eve.decoder @ wire
-        decoded_state = PureState(n, decoded, _trust=True)
-
-        # Full recovery requires her believed message channels to be the true
-        # ones; a wrong auxiliary guess silently discards one true message.
-        if set(eve_case.message_channels) == set(true_case.message_channels):
-            ok = True
-            for ch, out in eve_case.expected_layout.items():
-                if not isinstance(out, MessageOut):
-                    continue
-                source = eve_case.message_channels[out.index]
-                true_msg = messages[true_case.message_channels.index(source)]
-                if channel_fidelity(decoded_state, ch, true_msg) < _FIDELITY_BAR:
-                    ok = False
-                    break
-            eve_success = ok
-        forwarded = eve.reencode @ decoded
-
-    out = PureState(n, true.decoder @ forwarded, _trust=True)
-
-    fids = {}
-    for ch, expected in true_case.expected_layout.items():
-        fids[ch] = channel_fidelity(out, ch, expected.qubit(messages))
-    if detection_mode is DetectionMode.OMNISCIENT:
-        detects = any(f < _FIDELITY_BAR for f in fids.values())
-    else:
-        p_orthogonal = 1.0 - fids[true_case.residue_channel]
-        detects = bool(rng.random() < p_orthogonal)
-
+    normals, uniform = _draw(trial_seed, n - 1, detection_mode)
+    guess = _guess(strategy, n, trial_seed, true_case.aux_value)
+    eve = None if guess is None else _compiled(n, *guess)
+    eve_success, detects = _run_batch(true, eve, normals[None], np.array([uniform]),
+                                      detection_mode)
     return TrialOutcome(
-        eve_success=bool(eve_success),
-        bob_detects=detects,
+        eve_success=bool(eve_success[0]),
+        bob_detects=bool(detects[0]),
         true_case_id=true_case.case_id,
-        guessed_case_id=guessed_id,
+        guessed_case_id=None if eve is None else eve.case.case_id,
     )
 
 
@@ -272,7 +318,8 @@ def run_experiment(
     The auxiliary channel is the canonical one for the size; the classical
     value is drawn per trial unless pinned by `aux_value` (fixed-guess
     strategies pin it to their own value so "guessed the true case" is
-    well defined).
+    well defined).  Each chunk of CHUNK trials is drawn trial by trial,
+    then run as one batch per (true value, guess) group.
     """
     n = channel_count
     if trials < 1:
@@ -284,16 +331,22 @@ def run_experiment(
 
     successes = 0
     detections = 0
-    for i in range(trials):
-        seed_i = trial_seed(base_seed, i)
-        if aux_value is None:
-            value = _AUX_CYCLE[splitmix64(seed_i) % 3]
-        else:
-            value = aux_value
-        true_case = _compiled(n, CANONICAL_AUX_CHANNEL[n], value).case
-        outcome = run_trial(n, true_case, strategy, seed_i, detection_mode)
-        successes += outcome.eve_success
-        detections += outcome.bob_detects
+    for start in range(0, trials, CHUNK):
+        seeds = [trial_seed(base_seed, i) for i in range(start, min(start + CHUNK, trials))]
+        normals = np.empty((len(seeds), 4 * (n - 1)))
+        uniforms = np.empty(len(seeds))
+        groups: dict[tuple, list[int]] = defaultdict(list)
+        for j, seed in enumerate(seeds):
+            value = _AUX_CYCLE[splitmix64(seed) % 3] if aux_value is None else aux_value
+            normals[j], uniforms[j] = _draw(seed, n - 1, detection_mode)
+            groups[value, _guess(strategy, n, seed, value)].append(j)
+        for (value, guess), rows in groups.items():
+            true = _compiled(n, CANONICAL_AUX_CHANNEL[n], value)
+            eve = None if guess is None else _compiled(n, *guess)
+            eve_success, detects = _run_batch(true, eve, normals[rows], uniforms[rows],
+                                              detection_mode)
+            successes += int(eve_success.sum())
+            detections += int(detects.sum())
 
     if strategy is None:
         analytic = 0.0

@@ -443,6 +443,8 @@ def test_usage_errors_are_json(argv, message):
     (["eavesdrop", "--channels", "7"], "no canonical case registered for 7 channels"),
     (["bell", "--a", "1", "--b", "1", "--e", "1", "--f", "0"],
      "|coeff0|^2 + |coeff1|^2 = 2.0, expected 1"),
+    (["run-figure", "1", "--a", "1", "--b", "1", "--e", "1", "--f", "0"],
+     "|coeff0|^2 + |coeff1|^2 = 2.0, expected 1"),
 ])
 def test_invalid_values_print_the_exact_error_document(argv, message):
     buf = io.StringIO()

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intraport import eavesdrop
 from intraport.eavesdrop import (
@@ -23,6 +25,7 @@ from intraport.protocol import (
     builtin_scenario,
     relocated_case,
 )
+from intraport.qsim import random_qubit
 
 
 def test_splitmix64_reference_stream():
@@ -167,6 +170,75 @@ def test_trials_reuse_compiled_cases():
         assert run_experiment(4, 60, strategy, base_seed=15) == first
 
 
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_one_normal_draw_is_the_stream_of_m_random_qubits(m):
+    """One rng.normal(size=4m) call, read as (re0, re1, im0, im1) per message,
+    is the stream of m successive random_qubit calls, and leaves the
+    generator where they leave it."""
+    for seed in range(50):
+        single = np.random.default_rng(seed)
+        unnormalised = [single.normal(size=2) + 1j * single.normal(size=2) for _ in range(m)]
+        single = np.random.default_rng(seed)
+        qubits = [random_qubit(single) for _ in range(m)]
+
+        batched = np.random.default_rng(seed)
+        normals = batched.normal(size=4 * m)
+        parts = normals.reshape(m, 2, 2)
+        assert np.array_equal(parts[:, 0] + 1j * parts[:, 1], np.array(unnormalised))
+        messages = eavesdrop._messages(normals[None])[0]
+        expected = np.array([q.as_array() for q in qubits])
+        assert np.abs(messages - expected).max() <= 1e-15
+        assert batched.random() == single.random()
+
+
+@st.composite
+def _experiments(draw):
+    n = draw(st.sampled_from(sorted(CANONICAL_AUX_CHANNEL)))
+    strategy = draw(st.one_of(
+        st.none(),
+        st.integers(0, 2**32).map(EveStrategy.uniform_guess),
+        st.builds(EveStrategy.fixed_guess, st.integers(1, n), st.sampled_from(AuxValue)),
+    ))
+    return n, strategy, draw(st.sampled_from(DetectionMode)), draw(st.integers(0, 2**64 - 1))
+
+
+@pytest.mark.parametrize("trials", [1, eavesdrop.CHUNK - 1, eavesdrop.CHUNK,
+                                    eavesdrop.CHUNK + 1, 2 * eavesdrop.CHUNK + 1])
+@settings(max_examples=10)
+@given(experiment=_experiments())
+def test_experiment_counts_are_the_sum_of_its_single_trials(trials, experiment):
+    n, strategy, mode, base = experiment
+    stats = run_experiment(n, trials, strategy, base, mode)
+    successes = detections = 0
+    for i in range(trials):
+        seed = trial_seed(base, i)
+        if strategy is not None and strategy.mode == "fixed":
+            value = strategy.fixed_value
+        else:
+            value = eavesdrop._AUX_CYCLE[splitmix64(seed) % 3]
+        case = relocated_case(n, CANONICAL_AUX_CHANNEL[n], value)
+        outcome = run_trial(n, case, strategy, seed, mode)
+        successes += outcome.eve_success
+        detections += outcome.bob_detects
+    assert (stats.eve_success_rate, stats.detection_rate) == (successes / trials,
+                                                              detections / trials)
+
+
+def test_experiment_memory_does_not_grow_with_trials():
+    strategy = EveStrategy.uniform_guess(seed=2)
+
+    def peak(trials):
+        run_experiment(6, trials, strategy, base_seed=3)  # warm every cache first
+        tracemalloc.start()
+        try:
+            run_experiment(6, trials, strategy, base_seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * eavesdrop.CHUNK) <= 1.5 * peak(eavesdrop.CHUNK)
+
+
 GRID_SEEDS = (11, 12)
 GRID_TRIALS = 100
 
@@ -192,3 +264,27 @@ def test_experiment_grid_matches_golden():
     """Every statistic of a size x strategy x seed grid, pinned exactly."""
     path = Path(__file__).parent / "golden" / "eavesdrop_grid.json"
     assert dict(_grid()) == json.loads(path.read_text(encoding="utf-8"))
+
+
+WIDE_SEEDS = (11, 12, 13)
+WIDE_TRIALS = 200
+
+
+def _all_guesses_grid():
+    for n in (3, 4, 5, 6):
+        strategies = [EveStrategy.uniform_guess(seed=3), None]
+        strategies += [EveStrategy.fixed_guess(ch, value)
+                       for ch in range(1, n + 1) for value in AuxValue]
+        for strategy in strategies:
+            for mode in DetectionMode:
+                for seed in WIDE_SEEDS:
+                    stats = run_experiment(n, WIDE_TRIALS, strategy, seed, mode)
+                    yield (f"n{n}/{stats.strategy}/{mode.value}/seed{seed}",
+                           dataclasses.asdict(stats))
+
+
+def test_experiment_all_guesses_match_golden():
+    """Every strategy Eve has (uniform, absent and each fixed guess), both
+    detection modes and three seeds at every size, pinned exactly."""
+    path = Path(__file__).parent / "golden" / "eavesdrop_all_guesses.json"
+    assert dict(_all_guesses_grid()) == json.loads(path.read_text(encoding="utf-8"))
