@@ -28,13 +28,26 @@ and the encoder for each size, are compiled once into cached real float64
 matrices (qsim.gate_unitary).  A trial applies at most four of them: the
 encoder, Eve's decoder, Eve's re-encode and the true decoder.
 
-Each trial draws from its own generators, seeded from the experiment base
-seed through the splitmix64 sequence, so results are reproducible bit for
-bit and independent of execution order.  run_experiment works in chunks of
-CHUNK trials: it draws every trial of a chunk one by one, groups the trials
-by (true case, guessed case) pair, and runs each group as one batch: one
-matrix product per compiled matrix, one contraction per checked channel.
-run_trial is a batch of one.
+Each trial draws as if from its own generators, seeded from the
+experiment base seed through the splitmix64 sequence: default_rng(seed)
+for its messages and sampled check and, for a uniform guess,
+default_rng(splitmix64(seed ^ strategy.seed)).  So results are
+reproducible bit for bit and independent of execution order.  Building
+those generators would cost about 12 us each, more than the rest of a
+batched trial, and none is built: numpy's SeedSequence hash and PCG64
+seeding (O'Neill, HMC-CS-2014-0905) are fixed algorithms that numpy keeps
+stable, because seeded streams must not change between releases.  So
+_pcg64_states derives a whole chunk's generator states in one pass (the
+hash as uint32 array ops, the two 128-bit LCG steps of the seeding in
+Python ints), and one Generator, made per call, is set to each trial's
+state in turn before it draws.  The draws equal default_rng's bit for bit;
+the tests compare them directly.
+
+run_experiment works in chunks of CHUNK trials: it derives the chunk's
+seeds, true values and guess seeds as uint64 array ops, draws every trial,
+groups the trials by (true case, guessed case) pair, and runs each group
+as one batch: one matrix product per compiled matrix, one contraction per
+checked channel.  run_trial is a batch of one through the same code.
 """
 
 from __future__ import annotations
@@ -69,7 +82,8 @@ _FIDELITY_BAR = 1 - 1e-9
 
 
 def splitmix64(x: int) -> int:
-    """The splitmix64 finalizer (Steele, Lea, Flood 2014)."""
+    """The splitmix64 finalizer (Steele, Lea, Flood 2014).  Also elementwise
+    on a uint64 array, where numpy's wrap-around does the masking."""
     z = (x + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -77,7 +91,8 @@ def splitmix64(x: int) -> int:
 
 
 def trial_seed(base_seed: int, index: int) -> int:
-    """Seed for one trial: splitmix64 stream member `index` of `base_seed`."""
+    """Seed for one trial: splitmix64 stream member `index` of `base_seed`.
+    `index` may be a uint64 array when `base_seed` is in [0, 2^64)."""
     return splitmix64((base_seed + index * _GAMMA) & _MASK64)
 
 
@@ -181,27 +196,106 @@ def _reencode_gates(case: ProtocolCase):
     return gates + alice_encoder(case.channel_count)
 
 
-def _draw(seed: int, message_count: int, mode: DetectionMode) -> tuple[np.ndarray, float]:
-    """One trial's draws from its own generator: 4 normals per message (re0,
-    re1, im0, im1: the stream of one random_qubit call each), then, in
-    sampled mode, the uniform of the receiver's projective check."""
-    rng = np.random.default_rng(seed & _MASK64)
-    normals = rng.normal(size=4 * message_count)
-    return normals, rng.random() if mode is DetectionMode.SAMPLED else 0.0
+# numpy's SeedSequence(seed).generate_state(4, uint64) (bit_generator.pyx)
+# and PCG64 seeding.  Each hash step k xors a uint32 with a constant c_k,
+# multiplies it by c_{k+1} = c_k * mult and xors its high 16 bits into the
+# low ones; mix combines two pool words.  The hash works mod 2^32, the
+# seeding mod 2^128.
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MIX_L = np.array([0xCA01F9DD], dtype=np.uint32)
+_MIX_R = np.array([0x4973F715], dtype=np.uint32)
 
 
-def _guess(strategy: Optional[EveStrategy], n: int, seed: int,
-           true_value: AuxValue) -> Optional[tuple[int, AuxValue]]:
-    """Eve's (auxiliary channel, value) guess for one trial; None when she
-    is absent.  A uniform guess draws from its own generator."""
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) columns of `calls` successive hash steps: step
+    k xors with init * mult^k and multiplies by init * mult^(k+1), mod 2^32."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    hashed = (values ^ xor) * mult
+    return hashed ^ (hashed >> 16)
+
+
+# The pool takes 4 + 4 * 3 hash steps, generate_state 8 (4 uint64 words).
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# SeedSequence splits a seed into little-endian uint32 words (one below
+# 2^32) and fills the rest of the 4-word pool by hashing 0.  So pool word 1
+# is always the hash of seed >> 32, and words 2 and 3 are the same for
+# every 64-bit seed.
+_POOL_PAD = _hashmix(np.zeros((2, 1), dtype=np.uint32), _POOL_XOR[2:4], _POOL_MULT[2:4])
+# Mixing step src hashes pool word src once into each other word.
+_MIX_STEPS = [(src, np.array([dst for dst in range(4) if dst != src]),
+               slice(4 + 3 * src, 7 + 3 * src)) for src in range(4)]
+_OUT_WORDS = np.arange(8) % 4
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """`default_rng(seed).bit_generator.state` for each uint64 seed, without
+    building a generator: SeedSequence(seed).generate_state(4, uint64) for
+    the whole array at once, then PCG64's seeding in Python ints."""
+    pool = np.empty((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds.astype(np.uint32)
+    pool[1] = (seeds >> 32).astype(np.uint32)
+    pool[:2] = _hashmix(pool[:2], _POOL_XOR[:2], _POOL_MULT[:2])
+    pool[2:] = _POOL_PAD
+    for src, dst, step in _MIX_STEPS:
+        # the three hashes of pool[src] are independent: one op on 3 rows
+        hashed = _hashmix(pool[src], _POOL_XOR[step], _POOL_MULT[step])
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    halves = _hashmix(pool[_OUT_WORDS], _OUT_XOR, _OUT_MULT).astype(np.uint64)
+    words = halves[0::2] | halves[1::2] << 32
+
+    states = []
+    for hi, lo, inc_hi, inc_lo in zip(*words.tolist()):
+        # state = 0, inc = seq << 1 | 1, step, add the initial state, step
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _draw(rng: np.random.Generator, seeds: np.ndarray, message_count: int,
+          mode: DetectionMode) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's draws from `rng` set to default_rng(seed)'s state: 4
+    normals per message (re0, re1, im0, im1: the stream of one random_qubit
+    call each), then, in sampled mode, the uniform of the receiver's
+    projective check.  (T, 4m) normals and (T,) uniforms."""
+    normals = np.empty((len(seeds), 4 * message_count))
+    uniforms = np.zeros(len(seeds))
+    for j, state in enumerate(_pcg64_states(seeds)):
+        rng.bit_generator.state = state
+        normals[j] = rng.normal(size=4 * message_count)
+        if mode is DetectionMode.SAMPLED:
+            uniforms[j] = rng.random()
+    return normals, uniforms
+
+
+def _guesses(rng: np.random.Generator, strategy: Optional[EveStrategy], n: int,
+             seeds: np.ndarray, values: list[AuxValue]) -> list:
+    """Eve's (auxiliary channel, value) guess for each trial; None when she
+    is absent.  A uniform guess draws from `rng` set to the state of
+    default_rng(splitmix64(seed ^ strategy.seed))."""
     if strategy is None:
-        return None
-    if strategy.mode == "uniform":
-        guess_rng = np.random.default_rng(splitmix64((seed ^ strategy.seed) & _MASK64))
-        return int(guess_rng.integers(1, n + 1)), true_value
+        return [None] * len(seeds)
     if strategy.mode == "fixed":
-        return strategy.fixed_channel, strategy.fixed_value
-    raise InvalidInput(f"unknown strategy mode '{strategy.mode}'")
+        return [(strategy.fixed_channel, strategy.fixed_value)] * len(seeds)
+    if strategy.mode != "uniform":
+        raise InvalidInput(f"unknown strategy mode '{strategy.mode}'")
+    guesses = []
+    for state, value in zip(_pcg64_states(splitmix64(seeds ^ (strategy.seed & _MASK64))),
+                            values):
+        rng.bit_generator.state = state
+        guesses.append((int(rng.integers(1, n + 1)), value))
+    return guesses
 
 
 def _messages(normals: np.ndarray) -> np.ndarray:
@@ -270,6 +364,34 @@ def _run_batch(
     return eve_success, detects
 
 
+def _run_trials(
+    rng: np.random.Generator,
+    n: int,
+    aux_channel: int,
+    values: list[AuxValue],
+    seeds: np.ndarray,
+    strategy: Optional[EveStrategy],
+    detection_mode: DetectionMode,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Eve's success and the receiver's detection (boolean arrays in trial
+    order) and Eve's guesses, for trials of the registered cases on
+    `aux_channel` with the given true values and uint64 seeds.  The trials
+    run as one batch per (true value, guess) group."""
+    normals, uniforms = _draw(rng, seeds, n - 1, detection_mode)
+    guesses = _guesses(rng, strategy, n, seeds, values)
+    groups: dict[tuple, list[int]] = defaultdict(list)
+    for j, key in enumerate(zip(values, guesses)):
+        groups[key].append(j)
+    eve_success = np.empty(len(seeds), dtype=bool)
+    detects = np.empty(len(seeds), dtype=bool)
+    for (value, guess), rows in groups.items():
+        true = _compiled(n, aux_channel, value)
+        eve = None if guess is None else _compiled(n, *guess)
+        eve_success[rows], detects[rows] = _run_batch(true, eve, normals[rows], uniforms[rows],
+                                                      detection_mode)
+    return eve_success, detects, guesses
+
+
 def run_trial(
     channel_count: int,
     true_case: ProtocolCase,
@@ -289,16 +411,15 @@ def run_trial(
     true = _compiled(n, true_case.aux_channel, true_case.aux_value)
     if true.case is not true_case and true.case != true_case:
         raise InvalidInput("true_case is not the registered case for its auxiliary channel")
-    normals, uniform = _draw(trial_seed, n - 1, detection_mode)
-    guess = _guess(strategy, n, trial_seed, true_case.aux_value)
-    eve = None if guess is None else _compiled(n, *guess)
-    eve_success, detects = _run_batch(true, eve, normals[None], np.array([uniform]),
-                                      detection_mode)
+    eve_success, detects, (guess,) = _run_trials(
+        np.random.Generator(np.random.PCG64(0)), n, true_case.aux_channel,
+        [true_case.aux_value], np.array([trial_seed & _MASK64], dtype=np.uint64),
+        strategy, detection_mode)
     return TrialOutcome(
         eve_success=bool(eve_success[0]),
         bob_detects=bool(detects[0]),
         true_case_id=true_case.case_id,
-        guessed_case_id=None if eve is None else eve.case.case_id,
+        guessed_case_id=None if guess is None else _compiled(n, *guess).case.case_id,
     )
 
 
@@ -318,8 +439,9 @@ def run_experiment(
     The auxiliary channel is the canonical one for the size; the classical
     value is drawn per trial unless pinned by `aux_value` (fixed-guess
     strategies pin it to their own value so "guessed the true case" is
-    well defined).  Each chunk of CHUNK trials is drawn trial by trial,
-    then run as one batch per (true value, guess) group.
+    well defined).  Each chunk of CHUNK trials derives its seeds, values
+    and generator states as arrays, then runs as one batch per (true
+    value, guess) group.
     """
     n = channel_count
     if trials < 1:
@@ -329,24 +451,22 @@ def run_experiment(
     if aux_value is None and strategy is not None and strategy.mode == "fixed":
         aux_value = strategy.fixed_value
 
+    # Every trial sets this generator to its own state; it is never shared
+    # with another call.
+    rng = np.random.Generator(np.random.PCG64(0))
     successes = 0
     detections = 0
     for start in range(0, trials, CHUNK):
-        seeds = [trial_seed(base_seed, i) for i in range(start, min(start + CHUNK, trials))]
-        normals = np.empty((len(seeds), 4 * (n - 1)))
-        uniforms = np.empty(len(seeds))
-        groups: dict[tuple, list[int]] = defaultdict(list)
-        for j, seed in enumerate(seeds):
-            value = _AUX_CYCLE[splitmix64(seed) % 3] if aux_value is None else aux_value
-            normals[j], uniforms[j] = _draw(seed, n - 1, detection_mode)
-            groups[value, _guess(strategy, n, seed, value)].append(j)
-        for (value, guess), rows in groups.items():
-            true = _compiled(n, CANONICAL_AUX_CHANNEL[n], value)
-            eve = None if guess is None else _compiled(n, *guess)
-            eve_success, detects = _run_batch(true, eve, normals[rows], uniforms[rows],
-                                              detection_mode)
-            successes += int(eve_success.sum())
-            detections += int(detects.sum())
+        indices = np.arange(start, min(start + CHUNK, trials), dtype=np.uint64)
+        seeds = trial_seed(base_seed & _MASK64, indices)
+        if aux_value is None:
+            values = [_AUX_CYCLE[v] for v in (splitmix64(seeds) % 3).tolist()]
+        else:
+            values = [aux_value] * len(seeds)
+        eve_success, detects, _ = _run_trials(rng, n, CANONICAL_AUX_CHANNEL[n], values, seeds,
+                                              strategy, detection_mode)
+        successes += int(eve_success.sum())
+        detections += int(detects.sum())
 
     if strategy is None:
         analytic = 0.0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intraport import eavesdrop
 from intraport.eavesdrop import (
@@ -168,6 +168,61 @@ def test_trials_reuse_compiled_cases():
         for name in ("_apply_gates", "post_swap_plan", "relocated_case", "gate_unitary"):
             mp.setattr(eavesdrop, name, refuse)
         assert run_experiment(4, 60, strategy, base_seed=15) == first
+
+
+def test_trials_build_no_generator():
+    strategy = EveStrategy.uniform_guess(seed=4)
+    first = run_experiment(4, eavesdrop.CHUNK + 1, strategy, base_seed=15)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial built a generator")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", refuse)
+        assert run_experiment(4, eavesdrop.CHUNK + 1, strategy, base_seed=15) == first
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+       strategy_seed=st.integers(0, 2**64 - 1),
+       n=st.sampled_from(sorted(CANONICAL_AUX_CHANNEL)))
+@example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1], strategy_seed=0, n=3)
+@example(seeds=[2**64 - 1, 0], strategy_seed=2**64 - 1, n=6)
+def test_chunk_draws_are_those_of_default_rng(seeds, strategy_seed, n):
+    """The derived generator states, and every draw made from them with one
+    reused generator, equal those of a fresh default_rng per seed."""
+    chunk = np.array(seeds, dtype=np.uint64)
+    assert eavesdrop._pcg64_states(chunk) == [np.random.default_rng(seed).bit_generator.state
+                                              for seed in seeds]
+    rng = np.random.Generator(np.random.PCG64(0))
+    normals, uniforms = eavesdrop._draw(rng, chunk, n - 1, DetectionMode.SAMPLED)
+    values = [AuxValue.ZERO] * len(seeds)
+    guesses = eavesdrop._guesses(rng, EveStrategy.uniform_guess(strategy_seed), n, chunk, values)
+    for j, seed in enumerate(seeds):
+        own = np.random.default_rng(seed)
+        assert normals[j].tobytes() == own.normal(size=4 * (n - 1)).tobytes()
+        assert uniforms[j] == own.random()
+        guess_rng = np.random.default_rng(splitmix64(seed ^ strategy_seed))
+        assert guesses[j] == (int(guess_rng.integers(1, n + 1)), AuxValue.ZERO)
+
+
+def test_seeds_are_masked_to_64_bits():
+    low = run_experiment(4, 300, EveStrategy.uniform_guess(5), -1)
+    high = run_experiment(4, 300, EveStrategy.uniform_guess(2**64 + 5), 2**64 - 1)
+    assert (low.eve_success_rate, low.detection_rate) == (high.eve_success_rate,
+                                                          high.detection_rate)
+    case = relocated_case(4, CANONICAL_AUX_CHANNEL[4], AuxValue.ZERO)
+    assert (run_trial(4, case, EveStrategy.uniform_guess(5), -1)
+            == run_trial(4, case, EveStrategy.uniform_guess(2**64 + 5), 2**64 - 1))
+
+
+def test_unknown_strategy_mode_is_refused():
+    bogus = EveStrategy(mode="bogus")
+    with pytest.raises(InvalidInput):
+        run_experiment(3, 10, bogus, base_seed=1)
+    case = relocated_case(3, CANONICAL_AUX_CHANNEL[3], AuxValue.PLUS)
+    with pytest.raises(InvalidInput):
+        run_trial(3, case, bogus, trial_seed(1, 0))
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
