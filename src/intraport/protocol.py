@@ -47,6 +47,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .qsim import (
+    DEFAULT_TOL,
     ControlledNot,
     Gate,
     Hadamard,
@@ -63,8 +64,6 @@ from .qsim import (
     make_state,
     project,
 )
-
-DEFAULT_TOL = 1e-10
 
 
 class AuxValue(enum.Enum):
@@ -347,7 +346,9 @@ def verify_case(
     the channel's reduced density, so they stay meaningful even when the
     output fails to factor.  For the entangled-pair figure (block on
     channels 1-2, residue on channel 3) the joint block is compared against
-    construct_psi and both block channels report the block fidelity.
+    construct_psi and both block channels report the block fidelity.  One
+    tolerance sets both tests: a channel factors when its purity is at least
+    1 - tol, and the case passes when every fidelity is too.
     """
     m = len(case.message_channels)
     if len(messages) != m:
@@ -358,7 +359,7 @@ def verify_case(
         layout_states(case.input_layout, batch)[0], n, alice_encoder(n) + list(case.bob_program)
     )
     out = PureState(n, amps, _trust=True)
-    factors = channel_factors(out)
+    factors = channel_factors(out, tol)
 
     block_fid: Optional[float] = None
     if case.psi_block is None:
@@ -371,7 +372,7 @@ def verify_case(
     else:
         m0, m1 = messages
         psi = construct_psi(m0.coeff1, m0.coeff0, m1.coeff1, m1.coeff0)
-        split = factor_channel(out, case.residue_channel)
+        split = factor_channel(out, case.residue_channel, tol)
         product_ok = split is not None
         block_fid = (
             float(abs(np.vdot(psi.amplitudes, split[1].amplitudes)) ** 2) if product_ok else 0.0

@@ -37,7 +37,8 @@ from .errors import (
 )
 
 NORM_TOL = 1e-9
-PURITY_TOL = 1e-10
+# The default tolerance of every purity and fidelity check.
+DEFAULT_TOL = 1e-10
 # gate_unitary's limit: a 2^6 x 2^6 real matrix is 32 KiB.
 MAX_UNITARY_CHANNELS = 6
 
@@ -312,7 +313,7 @@ def fidelity(s1: PureState, s2: PureState) -> float:
     return float(abs(np.vdot(s1.amplitudes, s2.amplitudes)) ** 2)
 
 
-def equal_up_to_global_phase(s1: PureState, s2: PureState, tol: float = 1e-10) -> bool:
+def equal_up_to_global_phase(s1: PureState, s2: PureState, tol: float = DEFAULT_TOL) -> bool:
     return fidelity(s1, s2) >= 1.0 - tol
 
 
@@ -345,23 +346,23 @@ def _dominant_eigvec_2x2(rho: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _pure_factor(m: np.ndarray) -> Optional[np.ndarray]:
+def _pure_factor(m: np.ndarray, tol: float) -> Optional[np.ndarray]:
     """The factor of a channel given as its (2, 2^(n-1)) rows, or None when
-    the channel's reduced density has purity below 1 - PURITY_TOL."""
+    the channel's reduced density has purity below 1 - tol."""
     rho = m @ m.conj().T
     purity = float(np.trace(rho @ rho).real)
-    if purity < 1.0 - PURITY_TOL:
+    if purity < 1.0 - tol:
         return None
     return _dominant_eigvec_2x2(rho)
 
 
 def factor_channel(
-    state: PureState, channel: int
+    state: PureState, channel: int, tol: float = DEFAULT_TOL
 ) -> Optional[tuple[SingleQubit, PureState]]:
     """Split one channel off a product state.
 
     Returns (factor, remainder-on-the-other-channels) when the channel's
-    reduced density has purity >= 1 - 1e-10, None otherwise.  The tensor of
+    reduced density has purity >= 1 - tol, None otherwise.  The tensor of
     factor and remainder equals the input up to global phase.
     """
     n = state.channel_count
@@ -369,7 +370,7 @@ def factor_channel(
     if n < 2:
         raise InvalidInput("factor_channel needs at least 2 channels")
     m = _channel_rows(state.amplitudes, n, channel)
-    vec = _pure_factor(m)
+    vec = _pure_factor(m, tol)
     if vec is None:
         return None
     rem = vec.conj() @ m
@@ -377,13 +378,13 @@ def factor_channel(
     return SingleQubit.from_array(vec), PureState(n - 1, rem, _trust=True)
 
 
-def channel_factors(state: PureState) -> list[Optional[SingleQubit]]:
+def channel_factors(state: PureState, tol: float = DEFAULT_TOL) -> list[Optional[SingleQubit]]:
     """Each channel's factor, or None where the channel is not pure (the
     test of factor_channel).  A pure state is a product iff no entry is None."""
     n = state.channel_count
     factors: list[Optional[SingleQubit]] = []
     for ch in range(1, n + 1):
-        vec = _pure_factor(_channel_rows(state.amplitudes, n, ch))
+        vec = _pure_factor(_channel_rows(state.amplitudes, n, ch), tol)
         factors.append(None if vec is None else SingleQubit.from_array(vec))
     return factors
 

@@ -24,25 +24,28 @@ expanded in chunks of parents and deduplicated chunk by chunk against a
 sorted array of the keys of every tableau seen so far.
 
 The walk drops every tableau that cannot decode in the gates it has left.
-Let the weight of a Pauli be the number of channels it acts on.  One H or
-one CNOT changes a weight by at most one: H maps a channel's non-identity
-part to a non-identity part, and a CNOT touches two channels, whose part
-of weight 1 or 2 stays non-identity.  In an accepted tableau the image S'
-of S has weight 1, and each message row is +X_p or +Z_p, or that Pauli
-times S', so the smaller of the weights of `row` and of `row ^ S'` is 1.
-`row ^ S'` is the product up to a sign, so it evolves as a Pauli row too.
-Hence
+Let the weight of a Pauli be the number of channels it acts on, and its
+distance d the fewest alphabet gates that take it to weight at most 1
+(tabulated over every packed row by a breadth-first walk from those rows).
+Each gate is an involution on rows, so the rows and gates form an
+undirected graph, and one gate changes d by at most one.  Conjugation is
+linear on the x and z bits, so `row ^ S'`, the product up to a sign, evolves
+as a Pauli row too, and d ignores the sign.  In an accepted tableau the image
+S' of S has weight 1, and each message row is +X_p or +Z_p, or that Pauli
+times S', so S' and the smaller of d(row) and d(row ^ S') are 0.  Hence
 
-    h(T) = max(w(S'), max over message rows of min(w(row), w(row ^ S'))) - 1
+    h(T) = max(d(S'), max over message rows of min(d(row), d(row ^ S')))
 
-is an exact lower bound on the gates a tableau T still needs.  A search to
-depth d returns None at once when h(root) > d, and a child at depth k is
-dropped when h > d - k; since h <= n - 1, that can only happen where
-d - k < n - 1, so shallower levels skip the test.  Dropping keeps the
-result: a dropped tableau would be dropped again at every later depth (the
-same h, fewer gates left), and every prefix of the least accepted word
-meets the bound, so it is still the first word to reach its rows and the
-first accepted child is unchanged.
+is an exact lower bound on the gates a tableau T still needs; d is at least
+the weight minus one, so h prunes everything the weight bound w - 1 did,
+and more.  A search to depth D returns None at once when h(root) > D, and a
+child at depth k is dropped when h > D - k; since h never exceeds `reach`,
+the largest distance of the size (4, 6, 7 and 9 at n=3..6), that can only
+happen where D - k < reach, so shallower levels skip the test.  Dropping
+keeps the result: a dropped tableau would be dropped again at every later
+depth (the same h, fewer gates left), and every prefix of the least accepted
+word meets the bound, so it is still the first word to reach its rows and
+the first accepted child is unchanged.
 
 The walk is capped at a per-size depth horizon; within it a None result
 proves that no word of the searched length decodes, whether the bound
@@ -145,6 +148,26 @@ def _weights(n: int) -> np.ndarray:
     return weights
 
 
+@lru_cache(maxsize=None)
+def _distances(n: int) -> np.ndarray:
+    """(2^(2n+1),) uint8: every packed row's distance, the fewest alphabet
+    gates that take it to weight at most 1.  Every gate is an involution, so
+    the rows one gate away from a level are its images."""
+    tables = _row_tables(n)
+    dist = np.where(_weights(n) <= 1, 0, 255).astype(np.uint8)
+    level = 0
+    while True:
+        reached = np.zeros(len(dist), dtype=bool)
+        reached[tables[:, dist == level]] = True
+        new = reached & (dist == 255)
+        if not new.any():
+            break
+        level += 1
+        dist[new] = level
+    dist.flags.writeable = False
+    return dist
+
+
 def _stabilizer_row(q: SingleQubit, channel: int, n: int) -> Optional[int]:
     """The packed single-qubit Pauli on `channel` whose +1 eigenstate is q,
     or None when q is not a stabilizer state."""
@@ -180,7 +203,8 @@ class _Task:
         self.message_channels = tuple(c for c in range(1, n + 1) if c != aux_channel)
         self.gates = gate_alphabet(n)
         self.tables = _row_tables(n)
-        self.weights = _weights(n)
+        self.dist = _distances(n)
+        self.reach = int(self.dist.max())  # the largest h of any tableau
         self.allowed = _follows(n)
 
         rows = tableau.input_rows(n, _stabilizer_row(value.qubit, aux_channel, n),
@@ -225,9 +249,9 @@ class _Task:
     def lower_bound(self, rows: np.ndarray) -> np.ndarray:
         """(K,) int: the h of each of the (K, 2n-1) tableaux, a lower bound
         on the gates it needs to decode (see the module docstring)."""
-        w, s, msg = self.weights, rows[:, :1], rows[:, 1:]
-        worst = np.minimum(w[msg], w[msg ^ s]).max(axis=1)
-        return np.maximum(w[rows[:, 0]], worst).astype(np.int16) - 1
+        d, s, msg = self.dist, rows[:, :1], rows[:, 1:]
+        worst = np.minimum(d[msg], d[msg ^ s]).max(axis=1)
+        return np.maximum(d[rows[:, 0]], worst).astype(np.int16)
 
     def verify(self, ext: Sequence[Gate]) -> bool:
         """Exact check of one extension word."""
@@ -250,7 +274,7 @@ class _Task:
         for depth in range(1, max_depth + 1):
             final = depth == max_depth
             left = max_depth - depth  # gates a child may still add
-            prune = left < self.n - 1  # else h <= n - 1 <= left for every child
+            prune = left < self.reach  # else h <= reach <= left for every child
             kept_rows, kept_parent, kept_gate = [], [], []
             for start in range(0, len(level), chunk):
                 parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
@@ -258,7 +282,7 @@ class _Task:
                 if prune:
                     # the image of S alone first, one lookup per child: on
                     # the last level this keeps the single-qubit ones
-                    live = self.weights[self.tables[gate, rows[parent, 0]]] <= left + 1
+                    live = self.dist[self.tables[gate, rows[parent, 0]]] <= left
                     parent, gate = parent[live], gate[live]
                 kids = self.tables[gate[:, None], rows[parent]]
                 if prune and not final:

@@ -6,10 +6,11 @@ compare two independent derivations.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from intraport.protocol import MessageOut, ResidueOut
+from intraport.protocol import MessageOut, ResidueOut, builtin_scenario
 from intraport.qsim import ControlledNot, Hadamard, SingleQubit
 
 
@@ -124,3 +125,16 @@ def decoder_layout_oracle(n, aux_channel, aux_qubit, gates):
                 layout[res] = ResidueOut(SingleQubit.from_array(residue))
                 return layout
     return None
+
+
+def nearly_product_case(theta=1e-4):
+    """(case, messages): figure 2 with one more CN from message 0's output
+    channel to message 1's, and message 0 at angle theta from |0>.  The
+    output is entangled, but each purity falls short of 1 by only
+    2 sin^2 cos^2 (1 - <m1|X|m1>^2), about 1.6e-9 here: not a product at
+    the default tolerance of 1e-10, a product at 1e-6."""
+    case = builtin_scenario(2)
+    out = {entry.index: ch for ch, entry in case.expected_layout.items()
+           if isinstance(entry, MessageOut)}
+    case = replace(case, bob_program=case.bob_program + (ControlledNot(out[0], out[1]),))
+    return case, [SingleQubit(np.cos(theta), np.sin(theta)), SingleQubit(0.6, 0.8)]

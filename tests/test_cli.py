@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intraport import cli
+from intraport import cli, protocol
 from intraport.eavesdrop import ExperimentStats
+
+from helpers import nearly_product_case
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIG1_PATH = str(
@@ -116,6 +118,22 @@ def test_run_figure_tolerance_env_override(monkeypatch):
     code, doc = run_cli(["run-figure", "2", "--seed", "3"])
     assert code == 0
     assert doc["tolerance"] == 0.5
+
+
+def test_run_figure_tolerance_reaches_product_ok(monkeypatch):
+    """--tol and INTRAPORT_TOL also set the purity test behind product_ok:
+    figure 2, run with one extra CN, leaves a nearly product output."""
+    case, msgs = nearly_product_case()
+    monkeypatch.setattr(protocol, "builtin_scenario", lambda figure: case)
+    m0, m1 = ([repr(float(c.real)) for c in (q.coeff1, q.coeff0)] for q in msgs)
+    argv = ["run-figure", "2", "--a", m0[0], "--b", m0[1], "--e", m1[0], "--f", m1[1]]
+    code, doc = run_cli(argv)
+    assert (code, doc["product_ok"], doc["passed"]) == (1, False, False)
+    code, doc = run_cli(argv + ["--tol", "1e-6"])
+    assert (code, doc["product_ok"], doc["passed"]) == (0, True, True)
+    monkeypatch.setenv("INTRAPORT_TOL", "1e-6")
+    code, doc = run_cli(argv)
+    assert (code, doc["product_ok"], doc["passed"]) == (0, True, True)
 
 
 @pytest.mark.parametrize("raw", ["x", "nan", "-1e-3", "2"])

@@ -65,6 +65,7 @@ from intraport.search import gate_alphabet
 from helpers import (
     apply_circuit_oracle,
     circuit_matrix_oracle,
+    nearly_product_case,
     permute_channels_oracle,
     random_state_vector,
 )
@@ -163,6 +164,19 @@ def test_run_scenario_fig4_classical_inputs():
     report = run_scenario(4, [SingleQubit(1, 0), SingleQubit(1, 0)])
     assert report.passed
     assert report.product_ok
+
+
+def test_one_tolerance_sets_the_purity_and_the_fidelity_tests():
+    """A nearly product output factors only under a loose tolerance, and
+    then passes: verify_case's tol reaches the purity test too."""
+    case, msgs = nearly_product_case()
+    strict = verify_case(case, msgs)
+    assert not strict.product_ok and not strict.passed
+    assert strict.factors.count(None) == 2  # the two channels the CN joined
+    loose = verify_case(case, msgs, tol=1e-6)
+    assert loose.product_ok and loose.passed
+    assert None not in loose.factors
+    assert loose.per_channel_fidelity == strict.per_channel_fidelity
 
 
 def test_run_scenario_message_count_mismatch():

@@ -40,6 +40,7 @@ from intraport.qsim import (
 )
 from intraport.search import (
     _Task,
+    _distances,
     _layout_rows,
     _row_tables,
     _weights,
@@ -247,6 +248,27 @@ def test_one_gate_changes_a_weight_by_at_most_one(n):
         assert np.abs(weight[image] - weight).max() <= 1
 
 
+@pytest.mark.parametrize("n, reach, above", [(3, 4, 44), (4, 6, 234), (5, 7, 1112), (6, 9, 5022)])
+def test_distances_are_exact(n, reach, above):
+    """d is 0 exactly on the rows of weight at most 1, one gate changes it
+    by at most one (the lemma behind the search's bound), and every row at
+    d = k > 0 has a gate image at k - 1.  The lemma gives d <= the true
+    distance along any path, the descent d >= it, so d is exact.  It is
+    at least the weight minus one, strictly more on `above` rows (the
+    identity, of weight 0, aside), and never depends on the sign bit."""
+    d = _distances(n).astype(int)
+    weight = _weights(n).astype(int)
+    images = d[_row_tables(n)]  # (g, rows): d of each row's image by each gate
+    assert np.array_equal(d == 0, weight <= 1)
+    assert np.abs(images - d).max() <= 1
+    assert np.all((d == 0) | (images.min(axis=0) == d - 1))
+    assert np.all(d >= weight - 1)
+    assert np.count_nonzero(d > np.maximum(weight - 1, 0)) == above
+    assert d.max() == reach
+    half = len(d) // 2
+    assert np.array_equal(d[:half], d[half:])
+
+
 def _registered_decoders():
     """Every registered decoder: the relocated cases at n=3..6 (the
     canonical ones among them) and the figures whose outputs are a product."""
@@ -284,6 +306,14 @@ def test_root_bound_settles_the_n6_horizon_walks():
         task = _Task(6, aux, AuxValue.PLUS, None)
         assert task.lower_bound(task.root[None])[0] == 5
         assert task.search(4) is None
+
+
+@pytest.mark.parametrize("aux", [1, 6])
+def test_no_n6_plus_decoder_has_seven_gates_or_fewer(aux):
+    """Past the n=6 horizon of 4 gates, the walk to 7 proves that no
+    extension of 7 gates or fewer decodes (6, aux, plus); it takes about a
+    second.  The registered n=6 decoders have 9-10 gates."""
+    assert _Task(6, aux, AuxValue.PLUS, None).search(7) is None
 
 
 @lru_cache(maxsize=None)
@@ -350,7 +380,7 @@ def test_pruned_search_never_loses_a_witness(case):
 def test_registered_n5_aux5_decoders_are_minimal(value, registered):
     """Past the n=5 horizon, no word shorter than the registered extension
     decodes.  For plus the 7-gate walk also finds a decoder; the 8-gate
-    walks for zero and one take about 40 s and are not run here."""
+    walks for zero and one take 5-9 s each and are marked slow (below)."""
     assert len(canonical_case(5, value).bob_program) - len(bob_prefix(5)) == registered
     task = _Task(5, 5, value, None)
     assert task.search(registered - 1) is None
@@ -359,3 +389,15 @@ def test_registered_n5_aux5_decoders_are_minimal(value, registered):
         assert word is not None and len(word) == 7
         assert decoder_layout_oracle(5, 5, value.qubit.as_array(),
                                      alice_encoder(5) + bob_prefix(5) + word) is not None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("value", [AuxValue.ZERO, AuxValue.ONE])
+def test_n5_aux5_eight_gate_walks_find_a_decoder(value):
+    """The 8-gate walks for (5, aux 5, zero) and (5, aux 5, one) find a
+    decoder of the registered length, and the dense oracle agrees; so the
+    registered 8-gate decoders are minimal and not unique."""
+    word = _Task(5, 5, value, None).search(8)
+    assert word is not None and len(word) == 8
+    assert decoder_layout_oracle(5, 5, value.qubit.as_array(),
+                                 alice_encoder(5) + bob_prefix(5) + word) is not None
