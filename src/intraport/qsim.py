@@ -37,6 +37,9 @@ from .errors import (
 )
 
 NORM_TOL = 1e-9
+# A norm^2 within this of 1 is float rounding of a normalised pair (a few
+# ulp); such coefficients are kept bit for bit, others are rescaled.
+ROUNDING_TOL = 16 * np.finfo(float).eps
 # The default tolerance of every purity and fidelity check.
 DEFAULT_TOL = 1e-10
 # gate_unitary's limit: a 2^6 x 2^6 real matrix is 32 KiB.
@@ -95,7 +98,9 @@ def gates_commute(a: Gate, b: Gate) -> bool:
 
 @dataclass(frozen=True)
 class SingleQubit:
-    """coeff0 * |0> + coeff1 * |1>, normalized within 1e-9."""
+    """coeff0 * |0> + coeff1 * |1>.  Any norm^2 within NORM_TOL of 1 is
+    accepted, and one off by more than float rounding is divided out, so a
+    slightly short message does not fail a purity test of DEFAULT_TOL."""
 
     coeff0: complex
     coeff1: complex
@@ -107,6 +112,10 @@ class SingleQubit:
         norm2 = abs(self.coeff0) ** 2 + abs(self.coeff1) ** 2
         if abs(norm2 - 1.0) > NORM_TOL:
             raise NotNormalized(f"|coeff0|^2 + |coeff1|^2 = {norm2}, expected 1")
+        if abs(norm2 - 1.0) > ROUNDING_TOL:
+            norm = norm2 ** 0.5
+            object.__setattr__(self, "coeff0", self.coeff0 / norm)
+            object.__setattr__(self, "coeff1", self.coeff1 / norm)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.coeff0, self.coeff1], dtype=complex)

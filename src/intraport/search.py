@@ -47,6 +47,34 @@ depth (the same h, fewer gates left), and every prefix of the least accepted
 word meets the bound, so it is still the first word to reach its rows and
 the first accepted child is unchanged.
 
+On the last levels of an untargeted walk at n <= 4, the ones with 0 < D - k
+<= R = 3, the exact distance to acceptance replaces h.  An accepted tableau
+is fixed only modulo S': a message row may be multiplied by S' (they
+commute; tableau.multiply gives the sign).  Each gate maps a row and its
+product with S' to the images and their product, and acceptance reduces
+modulo S', so the tableaux whose message rows agree modulo S' form a class
+that gates map to classes and that is accepted as a whole.  A class is
+keyed by S' and then, per message row, the smaller of row and row S' (63
+bits at n=4).  _ball(n) holds every class within R gates of acceptance with
+its distance, the backward half of the meet-in-the-middle search of Amy,
+Maslov, Mosca and Roetteler (arXiv:1206.0758): a breadth-first walk from
+the 6 canonical accepted classes (message j on channel j, a signed X, Y or
+Z residue on channel n; the gates are involutions, so walking back is
+walking forward), then every channel permutation of what it found, keeping
+the least distance per key.  The permutations map the alphabet onto itself
+and the canonical classes onto all 6 n! accepted ones, so this is the ball
+of a walk from all of them: at n=4, 139,704 keys at distances 0..3 (144,
+1,944, 17,496 and 120,120), 1.3 MiB with a table of product signs, built
+once when a walk first reaches such a level.  There a child is kept only if
+its class is in the ball at a distance of at most D - k.  The ball measures
+distance over unrestricted words, and the words the walk spells (no
+repeats, commuting pairs in order) are among them, so they cannot be
+shorter: every prefix of the least accepted word is within its remaining
+gates, and the first accepted child is unchanged, as for h.  A child
+dropped by either test would be dropped again at every later depth, where
+fewer gates are left.  With an explicit target, at n >= 5 and on shallower
+levels the walk keeps h.
+
 The walk is capped at a per-size depth horizon; within it a None result
 proves that no word of the searched length decodes, whether the bound
 settled it at the root or the walk ran out of tableaux: a tableau is only
@@ -60,7 +88,8 @@ nonexistence proof.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from itertools import permutations
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -91,6 +120,14 @@ _DEPTH_HORIZON = {3: 7, 4: 6, 5: 5, 6: 4}
 
 # Children generated per chunk of parents; bounds the memory of one step.
 _CHUNK_CHILDREN = 1 << 13
+
+# The ball of tableaux near acceptance: its radius in gates, and the largest
+# channel count it is built for (its keys fit a uint64 up to n = 4).
+_BALL_RADIUS = 3
+_BALL_CHANNELS = 4
+
+# The auxiliary input's stabilizer as (x, z, sign): +Z, -Z and +X.
+_AUX_PAULIS = {AuxValue.ZERO: (0, 1, 0), AuxValue.ONE: (0, 1, 1), AuxValue.PLUS: (1, 0, 0)}
 
 # Pauli matrices by (x, z) bits; (1, 1) is the Hermitian Y = iXZ.
 _PAULIS = {
@@ -134,8 +171,8 @@ def _follows(n: int) -> np.ndarray:
 def _row_tables(n: int) -> np.ndarray:
     """(g, 2^(2n+1)) uint16: every packed row's image under each alphabet
     gate, by tableau.conjugate."""
-    row = np.arange(1 << (2 * n + 1))
-    return np.stack([tableau.conjugate(row, n, g) for g in gate_alphabet(n)]).astype(np.uint16)
+    row = np.arange(1 << (2 * n + 1), dtype=np.uint16)
+    return np.stack([tableau.conjugate(row, n, g) for g in gate_alphabet(n)])
 
 
 @lru_cache(maxsize=None)
@@ -170,14 +207,122 @@ def _distances(n: int) -> np.ndarray:
 
 def _stabilizer_row(q: SingleQubit, channel: int, n: int) -> Optional[int]:
     """The packed single-qubit Pauli on `channel` whose +1 eigenstate is q,
-    or None when q is not a stabilizer state."""
+    or None when q is not a stabilizer state (for target residues)."""
     v = q.as_array()
     for (x, z), pauli in _PAULIS.items():
         expectation = np.vdot(v, pauli @ v).real
         for sign in (0, 1):
             if abs(expectation - (-1) ** sign) <= DEFAULT_TOL:
-                return (x << (channel - 1)) | (z << (n + channel - 1)) | (sign << (2 * n))
+                return tableau.pauli(n, channel, x, z, sign)
     return None
+
+
+@lru_cache(maxsize=None)
+def _root(n: int, aux_channel: int, value: AuxValue) -> np.ndarray:
+    """(2n-1,) uint16, read-only: a case's input rows mapped through the
+    encoder and the receiver prefix."""
+    messages = [c for c in range(1, n + 1) if c != aux_channel]
+    rows = tableau.input_rows(n, tableau.pauli(n, aux_channel, *_AUX_PAULIS[value]), messages)
+    rows = tableau.apply_word(rows, n, alice_encoder(n) + bob_prefix(n)).astype(np.uint16)
+    rows.flags.writeable = False
+    return rows
+
+
+def _pack(rows: np.ndarray, n: int) -> np.ndarray:
+    """One uint64 per row of a (K, r) array of packed rows, side by side,
+    first row lowest; r(2n+1) <= 64."""
+    bits = 2 * n + 1
+    keys = np.zeros(len(rows), dtype=np.uint64)
+    for i in range(rows.shape[1]):
+        keys |= rows[:, i].astype(np.uint64) << np.uint64(bits * i)
+    return keys
+
+
+def _class_keys(rows: np.ndarray, n: int, signs: np.ndarray) -> np.ndarray:
+    """(K,) uint64: the class key of each (K, 2n-1) tableau, S' and then
+    the smaller of row and row S' for each message row; `signs` is
+    _Ball.signs."""
+    s, msg = rows[:, :1], rows[:, 1:]
+    bits = (1 << (2 * n)) - 1
+    product = msg ^ s ^ signs[msg & bits, s & bits]
+    keys = _pack(np.minimum(msg, product), n) << np.uint64(2 * n + 1)
+    return keys | s[:, 0].astype(np.uint64)
+
+
+class _Ball(NamedTuple):
+    """Every tableau class within _BALL_RADIUS gates of acceptance."""
+
+    n: int
+    keys: np.ndarray  # sorted uint64 class keys
+    dist: np.ndarray  # uint8: each key's distance to acceptance
+    signs: np.ndarray  # uint16 [a, b] over unsigned rows: the sign bit of a b
+
+    def distance(self, rows: np.ndarray) -> np.ndarray:
+        """(K,) uint8: the fewest gates that take each of the (K, 2n-1)
+        tableaux to acceptance, or _BALL_RADIUS + 1 outside the ball."""
+        keys = _class_keys(rows, self.n, self.signs)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[at] == keys, self.dist[at], _BALL_RADIUS + 1)
+
+
+def _canonical_levels(n: int, signs: np.ndarray) -> list[np.ndarray]:
+    """Per distance 0.._BALL_RADIUS, the tableaux first reached at that
+    distance from the canonical accepted classes: message j on channel j
+    and a signed X, Y or Z residue on channel n."""
+    tables = _row_tables(n)
+    level = np.array([tableau.input_rows(n, tableau.pauli(n, n, x, z, sign), range(1, n))
+                      for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
+    levels = [level]
+    seen = np.sort(_class_keys(level, n, signs))
+    for _ in range(_BALL_RADIUS):
+        kids = tables[:, level].reshape(-1, level.shape[1])
+        uniq, first = np.unique(_class_keys(kids, n, signs), return_index=True)
+        fresh = ~np.isin(uniq, seen, assume_unique=True)
+        level = kids[first[fresh]]
+        levels.append(level)
+        seen = np.sort(np.concatenate([seen, uniq[fresh]]))  # np.union1d loads numpy.ma
+    return levels
+
+
+@lru_cache(maxsize=None)
+def _ball(n: int) -> _Ball:
+    """The ball of radius _BALL_RADIUS around acceptance (target None), for
+    n <= _BALL_CHANNELS: the canonical levels under every permutation of
+    the channels, each key at its least distance (see the module
+    docstring)."""
+    row = np.arange(1 << (2 * n), dtype=np.uint16)  # the rows without a sign
+    signs = tableau.multiply(row[:, None], row[None, :], n) & np.uint16(1 << (2 * n))
+    levels = _canonical_levels(n, signs)
+    perms = list(permutations(range(1, n + 1)))
+
+    def relabelled(level):
+        for perm in perms:
+            yield _class_keys(tableau.relabel(level, n, perm), n, signs)
+
+    # every key once, then each key's least distance (written last); the
+    # keys are computed twice so that no second ball-sized array is needed
+    keys = np.empty(len(perms) * sum(map(len, levels)), dtype=np.uint64)
+    at = 0
+    for level in levels:
+        for k in relabelled(level):
+            keys[at:at + len(k)] = k
+            at += len(k)
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    size, block = 0, 1 << 14
+    for start in range(0, len(keys), block):  # drop repeats in place, block by block
+        kept = keys[start:start + block][fresh[start:start + block]]
+        keys[size:size + len(kept)] = kept
+        size += len(kept)
+    keys.resize(size, refcheck=False)
+    dist = np.empty(len(keys), dtype=np.uint8)
+    for d in reversed(range(len(levels))):
+        for k in relabelled(levels[d]):
+            dist[np.searchsorted(keys, k)] = d
+    for table in (keys, dist, signs):
+        table.flags.writeable = False
+    return _Ball(n, keys, dist, signs)
 
 
 def _layout_rows(n: int, layout: Mapping[int, ExpectedOut]) -> np.ndarray:
@@ -201,15 +346,12 @@ class _Task:
                  target: Optional[Mapping[int, ExpectedOut]]):
         self.n = n
         self.message_channels = tuple(c for c in range(1, n + 1) if c != aux_channel)
-        self.gates = gate_alphabet(n)
+        self.gates = tuple(_gate_index(n))  # the alphabet, in canonical order
         self.tables = _row_tables(n)
         self.dist = _distances(n)
         self.reach = int(self.dist.max())  # the largest h of any tableau
         self.allowed = _follows(n)
-
-        rows = tableau.input_rows(n, _stabilizer_row(value.qubit, aux_channel, n),
-                                  self.message_channels)
-        self.root = self._apply(rows.astype(np.uint16), alice_encoder(n) + bob_prefix(n))
+        self.root = _root(n, aux_channel, value)
 
         self.target = None
         if target is not None:
@@ -234,13 +376,9 @@ class _Task:
     def _keys(self, rows: np.ndarray) -> np.ndarray:
         """One sortable key per (K, 2n-1) tableau: the rows packed into a
         uint64 when they fit (n <= 4), else the raw bytes."""
-        bits = 2 * self.n + 1
-        if rows.shape[1] * bits > 64:
+        if rows.shape[1] * (2 * self.n + 1) > 64:
             return np.ascontiguousarray(rows).view(np.dtype((np.void, 2 * rows.shape[1]))).ravel()
-        keys = np.zeros(len(rows), dtype=np.uint64)
-        for i in range(rows.shape[1]):
-            keys |= rows[:, i].astype(np.uint64) << np.uint64(bits * i)
-        return keys
+        return _pack(rows, self.n)
 
     def accepts(self, rows: np.ndarray) -> np.ndarray:
         """(K,) bool: which of the (K, 2n-1) tableaux decode (exact test)."""
@@ -275,19 +413,25 @@ class _Task:
             final = depth == max_depth
             left = max_depth - depth  # gates a child may still add
             prune = left < self.reach  # else h <= reach <= left for every child
+            ball = (_ball(self.n) if self.target is None and self.n <= _BALL_CHANNELS
+                    and 0 < left <= _BALL_RADIUS else None)
             kept_rows, kept_parent, kept_gate = [], [], []
             for start in range(0, len(level), chunk):
                 parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
                 rows = level[start:start + chunk]
-                if prune:
+                if prune and ball is None:
                     # the image of S alone first, one lookup per child: on
                     # the last level this keeps the single-qubit ones
                     live = self.dist[self.tables[gate, rows[parent, 0]]] <= left
                     parent, gate = parent[live], gate[live]
                 kids = self.tables[gate[:, None], rows[parent]]
-                if prune and not final:
+                if ball is not None:
+                    live = ball.distance(kids) <= left
+                elif prune and not final:
                     live = self.lower_bound(kids) <= left
-                    kids, parent, gate = kids[live], parent[live], gate[live]
+                else:
+                    live = slice(None)
+                kids, parent, gate = kids[live], parent[live], gate[live]
                 if not final:
                     # keep the first occurrence of each tableau not seen before
                     keys = self._keys(kids)

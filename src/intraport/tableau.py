@@ -9,6 +9,12 @@ the product over channels of X^x Z^z, with x = z = 1 read as the Hermitian
 Y = iXZ.  Rows are numpy int arrays of any shape; uint16 holds n <= 7
 channels and int64 n <= 31.  The XOR of two rows' x and z bits is their
 product up to a sign, and conjugation acts linearly on those bits.
+multiply gives the sign too, by the Aaronson-Gottesman phase rule: the
+product of the channel factors (x1, z1)(x2, z2) carries i^g, with g = +1
+for XY, YZ and ZX, g = -1 for YX, ZY and XZ and g = 0 otherwise, and two
+commuting rows multiply to (-1)^(sign1 + sign2 + (sum of g) / 2) times the
+XOR row.  Permuting the channels (relabel) moves the x and z bits and keeps
+the sign.
 
 conjugate applies the Aaronson-Gottesman update of one gate to every row:
 
@@ -51,6 +57,36 @@ def conjugate(rows: np.ndarray, n: int, gate: Gate) -> np.ndarray:
     xc, zc = (rows >> c) & 1, (rows >> (n + c)) & 1
     xt, zt = (rows >> t) & 1, (rows >> (n + t)) & 1
     return rows ^ ((xc & zt & (xt ^ zc ^ 1)) * sign) ^ (xc << t) ^ (zt << (n + c))
+
+
+def pauli(n: int, channel: int, x: int, z: int, sign: int = 0) -> int:
+    """The packed single-channel Pauli (-1)^sign X^x Z^z on `channel`."""
+    return (x << (channel - 1)) | (z << (n + channel - 1)) | (sign << (2 * n))
+
+
+def multiply(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The packed product a b of commuting rows, elementwise with numpy
+    broadcasting (the phase rule above).  For anticommuting rows the
+    product is i times a Pauli, which no row holds; its sign bit is then
+    meaningless."""
+    mask = (1 << n) - 1
+    x1, z1, x2, z2 = a & mask, (a >> n) & mask, b & mask, (b >> n) & mask
+    y1, y2 = x1 & z1, x2 & z2
+    xo1, zo1, xo2, zo2 = x1 ^ y1, z1 ^ y1, x2 ^ y2, z2 ^ y2
+    plus = (xo1 & y2) | (y1 & zo2) | (zo1 & xo2)
+    minus = (y1 & xo2) | (zo1 & y2) | (xo1 & zo2)
+    # the sum of g mod 4, counting each -1 as 3 so nothing goes negative
+    g = sum(((plus >> k) & 1) + 3 * ((minus >> k) & 1) for k in range(n))
+    return a ^ b ^ (((g >> 1) & 1) << (2 * n))
+
+
+def relabel(rows: np.ndarray, n: int, perm: Sequence[int]) -> np.ndarray:
+    """The rows with channel k renamed perm[k-1], perm a permutation of
+    1..n."""
+    out = rows & (1 << (2 * n))
+    for k, p in enumerate(perm):
+        out = out | (((rows >> k) & 1) << (p - 1)) | (((rows >> (n + k)) & 1) << (n + p - 1))
+    return out
 
 
 def apply_word(rows: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:

@@ -136,6 +136,16 @@ def test_run_figure_tolerance_reaches_product_ok(monkeypatch):
     assert (code, doc["product_ok"], doc["passed"]) == (0, True, True)
 
 
+def test_run_figure_accepts_a_slightly_short_message():
+    """|coeff1|^2 = 1 - 4e-10 is within the input tolerance of 1e-9; the
+    message is rescaled where it enters, so figure 2 still passes at the
+    default tolerance of 1e-10 (it printed product_ok false and exited 1)."""
+    code, doc = run_cli(["run-figure", "2", "--a", "0.9999999998", "--b", "0",
+                         "--e", "0.6", "--f", "0.8"])
+    assert (code, doc["product_ok"], doc["passed"]) == (0, True, True)
+    assert all(abs(ch["fidelity"] - 1) < 1e-12 for ch in doc["channels"])
+
+
 @pytest.mark.parametrize("raw", ["x", "nan", "-1e-3", "2"])
 def test_run_figure_refuses_a_bad_tolerance_env(monkeypatch, raw):
     monkeypatch.setenv("INTRAPORT_TOL", raw)

@@ -67,6 +67,21 @@ def test_single_qubit_requires_normalization():
         SingleQubit(float("nan"), 0.0)
 
 
+def test_single_qubit_rescales_only_what_rounding_cannot_explain():
+    """A norm^2 off by more than float rounding is divided out; the
+    coefficients of an already normalised pair keep every bit."""
+    short = SingleQubit(0.0, 0.9999999998)
+    assert abs(abs(short.coeff1) ** 2 - 1) <= 4e-16
+    rng = np.random.default_rng(5)
+    for c0, c1 in [(0.6, 0.8), (1 / np.sqrt(2), 1j / np.sqrt(2)), (1.0, 0.0)] + [
+            tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(200)]:
+        if not isinstance(c0, float):
+            norm = np.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+            c0, c1 = c0 / norm, c1 / norm
+        q = SingleQubit(c0, c1)
+        assert (q.coeff0, q.coeff1) == (c0, c1)
+
+
 def test_pure_state_validation():
     with pytest.raises(ShapeMismatch):
         PureState(2, np.array([1.0, 0.0]))

@@ -1,7 +1,11 @@
 """Decoder-program search: correctness, determinism, canonical order."""
 
+import contextlib
+import io
 import json
+import tracemalloc
 from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from helpers import decoder_layout_oracle
 
-from intraport import tableau
+from intraport import cli, tableau
 from intraport.circuit import Circuit, parse_circuit
 from intraport.errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from intraport.protocol import (
@@ -39,7 +43,10 @@ from intraport.qsim import (
     random_qubit,
 )
 from intraport.search import (
+    _BALL_RADIUS,
     _Task,
+    _ball,
+    _class_keys,
     _distances,
     _layout_rows,
     _row_tables,
@@ -135,8 +142,8 @@ def test_search_returns_pinned_least_words():
 
 
 def test_search_results_are_pinned_over_bounds_and_targets():
-    """golden/search_results.json pins 283 more calls (null for a miss):
-    every n=3 and n=4 case at max_gates 0..3 and 10, target mode for
+    """golden/search_results.json pins 418 more calls (null for a miss):
+    every n=3 and n=4 case at max_gates 0..10, target mode for
     figures 1-3 over every auxiliary channel and value at max_gates 6 and
     10, n=5 and n=6 at max_gates 0..3, (5,5,zero,12), (6,1,plus,10) and
     (6,6,plus,10)."""
@@ -401,3 +408,113 @@ def test_n5_aux5_eight_gate_walks_find_a_decoder(value):
     assert word is not None and len(word) == 8
     assert decoder_layout_oracle(5, 5, value.qubit.as_array(),
                                  alice_encoder(5) + bob_prefix(5) + word) is not None
+
+
+def _unpack(keys, n):
+    """The (K, 2n-1) tableaux of class keys: S' in the lowest bits, then
+    each message row in its canonical form."""
+    bits = 2 * n + 1
+    return np.stack([(keys >> np.uint64(bits * i)) & np.uint64((1 << bits) - 1)
+                     for i in range(2 * n - 1)], axis=1).astype(np.uint16)
+
+
+def _accepted_tableaux(n):
+    """(6 n!, 2n-1): every accepted tableau whose message rows are +X_p and
+    +Z_p, message j on channel perm[j-1] and a signed X, Y or Z residue on
+    perm[n-1]."""
+    return np.array([tableau.input_rows(n, tableau.pauli(n, perm[-1], x, z, sign), perm[:-1])
+                     for perm in permutations(range(1, n + 1))
+                     for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
+
+
+@pytest.mark.parametrize("n, sizes", [(3, [36, 252, 1224, 4248]),
+                                      (4, [144, 1944, 17496, 120120])])
+def test_ball_distance_zero_is_exactly_acceptance(n, sizes):
+    """A key is at distance 0 iff tableau.accepts accepts its tableau, and
+    the accepted classes are the 6 n! of every channel arrangement."""
+    ball = _ball(n)
+    assert np.array_equal(np.bincount(ball.dist), sizes)
+    assert np.all(ball.keys[1:] > ball.keys[:-1])
+    assert np.array_equal(ball.dist == 0, tableau.accepts(_unpack(ball.keys, n), n))
+    accepted = _class_keys(_accepted_tableaux(n), n, ball.signs)
+    assert np.array_equal(np.sort(accepted), ball.keys[ball.dist == 0])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ball_distances_are_exact(n):
+    """One gate changes a key's distance by at most one (an image outside
+    the ball comes only from its rim), and every key at k > 0 has a gate
+    image at k - 1.  With distance 0 exactly on acceptance, the first
+    gives at most the true distance and completeness, the second at least
+    it, as for the per-row distances."""
+    ball = _ball(n)
+    rows, d = _unpack(ball.keys, n), ball.dist.astype(int)
+    best = np.full(len(d), _BALL_RADIUS + 1)
+    for table in _row_tables(n):
+        image = ball.distance(table[rows]).astype(int)
+        assert np.abs(image - d).max() <= 1
+        best = np.minimum(best, image)
+    assert np.all((d == 0) | (best == d - 1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_class_key_ignores_message_rows_times_s(n):
+    """Multiplying any message row by S' (in either order; they commute)
+    leaves the key of every tableau in the ball unchanged."""
+    ball = _ball(n)
+    rows = _unpack(ball.keys, n)
+    for j in range(1, 2 * n - 1):
+        other = rows.copy()
+        other[:, j] = tableau.multiply(rows[:, 0], rows[:, j], n)
+        assert np.array_equal(_class_keys(other, n, ball.signs), ball.keys)
+
+
+def test_relabelled_ball_equals_the_direct_walk():
+    """At n=3, a breadth-first walk from all 36 accepted classes gives the
+    same keys at the same distances as the ball built from the 6 canonical
+    ones and relabelled."""
+    n, ball = 3, _ball(3)
+    level = _accepted_tableaux(n)
+    seen = np.unique(_class_keys(level, n, ball.signs))
+    keys, dist = [seen], [np.zeros(len(seen), dtype=int)]
+    for d in range(1, _BALL_RADIUS + 1):
+        kids = _row_tables(n)[:, level].reshape(-1, level.shape[1])
+        uniq, first = np.unique(_class_keys(kids, n, ball.signs), return_index=True)
+        fresh = ~np.isin(uniq, seen)
+        level = kids[first[fresh]]
+        keys.append(uniq[fresh])
+        dist.append(np.full(fresh.sum(), d))
+        seen = np.union1d(seen, uniq[fresh])
+    keys, dist = np.concatenate(keys), np.concatenate(dist)
+    order = np.argsort(keys)
+    assert np.array_equal(keys[order], ball.keys)
+    assert np.array_equal(dist[order], ball.dist)
+
+
+def test_shallow_solves_never_build_the_ball():
+    """The benchmark's warm-ups, one n=3 solve and an in-process n=3
+    solve-bob, end before any level the ball covers, so neither builds it."""
+    _ball.cache_clear()
+    assert solve_bob_program(3, 2, AuxValue.PLUS, 10) == [ControlledNot(1, 3), ControlledNot(2, 3)]
+    for aux in range(1, 4):
+        for value in AuxValue:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["solve-bob", "--channels", "3", "--aux-channel", str(aux),
+                                 "--aux-value", value.value]) == 0
+    assert _ball.cache_info().currsize == 0
+
+
+def test_ball_build_memory_is_bounded():
+    """Building the n=4 ball allocates at most 4 MiB at its peak, and it
+    keeps at most 2 MiB (keys, distances and the table of product signs)."""
+    _ball(3)  # numpy's first-call allocations, outside the measurement
+    _row_tables(4)
+    _ball.cache_clear()
+    tracemalloc.start()
+    try:
+        ball = _ball(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    assert ball.keys.nbytes + ball.dist.nbytes + ball.signs.nbytes <= 2 << 20

@@ -3,6 +3,7 @@ registered decoder checked exactly against its own layout."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from helpers import gate_matrix_oracle
 
@@ -48,6 +49,42 @@ def test_conjugate_matches_dense_conjugation(n):
             p = _pauli_matrix(int(row), n)
             np.testing.assert_allclose(u @ p @ u.conj().T, _pauli_matrix(int(image), n),
                                        atol=1e-12)
+
+
+@st.composite
+def row_pairs(draw):
+    """(n, a, b): two packed rows on 1..3 channels."""
+    n = draw(st.integers(1, 3))
+    row = st.integers(0, (1 << (2 * n + 1)) - 1)
+    return n, draw(row), draw(row)
+
+
+@given(row_pairs())
+def test_multiply_matches_dense_products_of_commuting_rows(pair):
+    """The phase rule: for commuting Paulis A and B, multiply gives the row
+    of the dense product A B, sign included."""
+    n, a, b = pair
+    pa, pb = _pauli_matrix(a, n), _pauli_matrix(b, n)
+    assume(np.allclose(pa @ pb, pb @ pa))
+    np.testing.assert_allclose(_pauli_matrix(int(tableau.multiply(a, b, n)), n), pa @ pb,
+                               atol=1e-12)
+    rows = np.array([a, b], dtype=np.uint16)
+    assert tableau.multiply(rows[:1], rows[1:], n)[0] == tableau.multiply(a, b, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_relabel_permutes_the_dense_factors(n):
+    """Renaming channel k to perm[k-1] moves its factor and keeps the sign."""
+    rows = np.arange(1 << (2 * n + 1))
+    perm = list(range(2, n + 1)) + [1]
+    for row, image in zip(rows, tableau.relabel(rows, n, perm)):
+        p = _pauli_matrix(int(row), n).reshape((2,) * (2 * n))
+        # output axis perm[k-1]-1 holds input axis k-1, for rows and columns
+        order = [0] * n
+        for k, target in enumerate(perm):
+            order[target - 1] = k
+        moved = p.transpose(order + [n + k for k in order]).reshape(1 << n, 1 << n)
+        np.testing.assert_allclose(_pauli_matrix(int(image), n), moved, atol=1e-12)
 
 
 def _registered_cases():
