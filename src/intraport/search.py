@@ -47,33 +47,56 @@ depth (the same h, fewer gates left), and every prefix of the least accepted
 word meets the bound, so it is still the first word to reach its rows and
 the first accepted child is unchanged.
 
-On the last levels of an untargeted walk at n <= 4, the ones with 0 < D - k
-<= R = 3, the exact distance to acceptance replaces h.  An accepted tableau
-is fixed only modulo S': a message row may be multiplied by S' (they
-commute; tableau.multiply gives the sign).  Each gate maps a row and its
-product with S' to the images and their product, and acceptance reduces
-modulo S', so the tableaux whose message rows agree modulo S' form a class
-that gates map to classes and that is accepted as a whole.  A class is
-keyed by S' and then, per message row, the smaller of row and row S' (63
-bits at n=4).  _ball(n) holds every class within R gates of acceptance with
-its distance, the backward half of the meet-in-the-middle search of Amy,
-Maslov, Mosca and Roetteler (arXiv:1206.0758): a breadth-first walk from
-the 6 canonical accepted classes (message j on channel j, a signed X, Y or
-Z residue on channel n; the gates are involutions, so walking back is
-walking forward), then every channel permutation of what it found, keeping
-the least distance per key.  The permutations map the alphabet onto itself
-and the canonical classes onto all 6 n! accepted ones, so this is the ball
-of a walk from all of them: at n=4, 139,704 keys at distances 0..3 (144,
-1,944, 17,496 and 120,120), 1.3 MiB with a table of product signs, built
-once when a walk first reaches such a level.  There a child is kept only if
-its class is in the ball at a distance of at most D - k.  The ball measures
-distance over unrestricted words, and the words the walk spells (no
-repeats, commuting pairs in order) are among them, so they cannot be
-shorter: every prefix of the least accepted word is within its remaining
-gates, and the first accepted child is unchanged, as for h.  A child
-dropped by either test would be dropped again at every later depth, where
-fewer gates are left.  With an explicit target, at n >= 5 and on shallower
-levels the walk keeps h.
+An untargeted walk at n <= 4 first fixes the minimal length L, from the
+exact distance to acceptance.  An accepted tableau is fixed only modulo S':
+a message row may be multiplied by S' (they commute; tableau.multiply gives
+the sign).  Each gate maps a row and its product with S' to the images and
+their product, and acceptance reduces modulo S', so the tableaux whose
+message rows agree modulo S' form a class that gates map to classes and
+that is accepted as a whole.  A class is keyed by S' and then, per message
+row, the smaller of row and row S' (63 bits at n=4).  _ball(n) holds every
+class within R = 3 gates of acceptance with its distance, the backward half
+of the meet-in-the-middle search of Amy, Maslov, Mosca and Roetteler
+(arXiv:1206.0758): a breadth-first walk from the 6 canonical accepted
+classes (message j on channel j, a signed X, Y or Z residue on channel n;
+the gates are involutions, so walking back is walking forward), then every
+channel permutation of what it found, keeping the least distance per key.
+The permutations map the alphabet onto itself and the canonical classes
+onto all 6 n! accepted ones, so this is the ball of a walk from all of
+them: at n=4, 139,704 keys at distances 0..3 (144, 1,944, 17,496 and
+120,120), 1.3 MiB with a table of product signs; at n=3, 5,760 keys in 57
+KiB.  Each is built once, when a walk first needs it.  The ball measures
+distance over unrestricted words, but any word reduces to a canonical one
+that is no longer (drop repeated pairs, sort commuting neighbours), so it
+is also the fewest gates a canonical word needs; distance 0 is exactly
+acceptance.
+
+The walk looks up the root's class first: distance 0 returns the empty
+word, and a root within the ball has L equal to its distance.  Otherwise
+the levels are walked as above, pruned by h and deduplicated, and each
+level's tableaux are looked up until the first level k that meets the
+ball; no acceptance test is needed on the way, since nothing accepted lies
+outside the ball.  Then L = k + d for the least distance d met, and d = R:
+every tableau of level k - 1 lies outside the ball, and one gate changes the
+distance by at most one.  L is the minimal length.  The words to level k
+give a decoder of k + d gates, and the prefix of the least accepted word
+that stops R gates short of its end is kept (as for h) and lies in the
+ball, so the walk meets the ball no later than that.  A walk to depth D
+never expands a level past D - R without meeting the ball, and returns
+None at once when L > D.
+
+Every level from there on is exact: a child at depth j is kept only if
+its distance is at most L - j.  Its word has j gates and L is minimal, so
+its distance is exactly L - j and no shorter word reaches it: exact levels
+hold only tableaux on shortest paths, none of which appeared on an earlier
+level, so the sorted array of seen keys goes.  Nor is a level deduplicated
+within itself.  It then holds one tableau per canonical word whose
+prefixes were all kept, in word order; every prefix of the least accepted
+word lies on a shortest path and is kept, so it is still the first
+accepted child, and a repeated tableau only adds words later in that
+order.  On level L the test is distance 0, which is acceptance.  With an
+explicit target and at n >= 5 the walk keeps h, the seen keys and an
+acceptance test on every level.
 
 The walk is capped at a per-size depth horizon; within it a None result
 proves that no word of the searched length decodes, whether the bound
@@ -231,11 +254,14 @@ def _root(n: int, aux_channel: int, value: AuxValue) -> np.ndarray:
 def _pack(rows: np.ndarray, n: int) -> np.ndarray:
     """One uint64 per row of a (K, r) array of packed rows, side by side,
     first row lowest; r(2n+1) <= 64."""
-    bits = 2 * n + 1
-    keys = np.zeros(len(rows), dtype=np.uint64)
-    for i in range(rows.shape[1]):
-        keys |= rows[:, i].astype(np.uint64) << np.uint64(bits * i)
-    return keys
+    return rows.astype(np.uint64) @ _row_places(n, rows.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _row_places(n: int, r: int) -> np.ndarray:
+    """(r,) uint64: 2^(i(2n+1)), the place of row i in a key; the rows'
+    bits do not overlap, so a product with it is their shift-and-OR."""
+    return np.uint64(1) << np.arange(0, r * (2 * n + 1), 2 * n + 1, dtype=np.uint64)
 
 
 def _class_keys(rows: np.ndarray, n: int, signs: np.ndarray) -> np.ndarray:
@@ -395,12 +421,21 @@ class _Task:
         """Exact check of one extension word."""
         return bool(self.accepts(self._apply(self.root, ext)[None])[0])
 
-    # -- breadth-first walk over distinct tableaux ---------------------------
+    # -- breadth-first walks -------------------------------------------------
 
     def search(self, max_depth: int) -> Optional[list[Gate]]:
         """The least canonical word of at most max_depth gates that decodes,
-        or None."""
-        if self.verify([]):
+        or None.  Untargeted at n <= _BALL_CHANNELS, the first level that
+        meets the ball fixes the minimal length, and only the tableaux on
+        shortest paths are walked on from there (see the module docstring)."""
+        ball = _ball(self.n) if self.target is None and self.n <= _BALL_CHANNELS else None
+        if ball is not None:
+            length = int(ball.distance(self.root[None])[0])
+            if length == 0:  # distance 0 is acceptance
+                return []
+            if length <= _BALL_RADIUS:
+                return self._exact_walk(ball, length, max_depth, self.root[None], [])
+        elif self.verify([]):
             return []
         if self.lower_bound(self.root[None])[0] > max_depth:
             return None
@@ -408,30 +443,18 @@ class _Task:
         follows = np.zeros(1, dtype=np.uint8)  # row of `allowed`: last gate + 1
         seen = self._keys(level)  # sorted keys of every level so far
         links: list[tuple[np.ndarray, np.ndarray]] = []  # per level: parent, gate
-        chunk = max(1, _CHUNK_CHILDREN // len(self.gates))
-        for depth in range(1, max_depth + 1):
+        # a level outside the ball is at least R + 1 gates from acceptance
+        last = max_depth if ball is None else max_depth - _BALL_RADIUS
+        for depth in range(1, last + 1):
             final = depth == max_depth
             left = max_depth - depth  # gates a child may still add
             prune = left < self.reach  # else h <= reach <= left for every child
-            ball = (_ball(self.n) if self.target is None and self.n <= _BALL_CHANNELS
-                    and 0 < left <= _BALL_RADIUS else None)
             kept_rows, kept_parent, kept_gate = [], [], []
-            for start in range(0, len(level), chunk):
-                parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
-                rows = level[start:start + chunk]
-                if prune and ball is None:
-                    # the image of S alone first, one lookup per child: on
-                    # the last level this keeps the single-qubit ones
-                    live = self.dist[self.tables[gate, rows[parent, 0]]] <= left
-                    parent, gate = parent[live], gate[live]
-                kids = self.tables[gate[:, None], rows[parent]]
-                if ball is not None:
-                    live = ball.distance(kids) <= left
-                elif prune and not final:
+            for start, parent, gate, kids in self._children(level, follows,
+                                                            left if prune else None):
+                if prune and not final:
                     live = self.lower_bound(kids) <= left
-                else:
-                    live = slice(None)
-                kids, parent, gate = kids[live], parent[live], gate[live]
+                    kids, parent, gate = kids[live], parent[live], gate[live]
                 if not final:
                     # keep the first occurrence of each tableau not seen before
                     keys = self._keys(kids)
@@ -444,15 +467,63 @@ class _Task:
                     kept_rows.append(kids)
                     kept_parent.append((start + parent).astype(np.int32))
                     kept_gate.append(gate.astype(np.uint8))
-                hit = np.flatnonzero(self.accepts(kids))
-                if hit.size:
-                    return self._word(links, start + parent[hit[0]], gate[hit[0]])
+                if ball is None:
+                    hit = np.flatnonzero(self.accepts(kids))
+                    if hit.size:
+                        return self._word(links, start + parent[hit[0]], gate[hit[0]])
             if not kept_rows:
                 break
             level = np.concatenate(kept_rows)
             links.append((np.concatenate(kept_parent), np.concatenate(kept_gate)))
             follows = links[-1][1] + 1
+            if ball is not None:
+                dist = ball.distance(level)
+                least = int(dist.min())
+                if least <= _BALL_RADIUS:  # the first level to meet the ball
+                    near = dist == least
+                    links[-1] = (links[-1][0][near], links[-1][1][near])
+                    return self._exact_walk(ball, depth + least, max_depth, level[near], links)
         return None
+
+    def _exact_walk(self, ball: _Ball, length: int, max_depth: int, level: np.ndarray,
+                    links: list[tuple[np.ndarray, np.ndarray]]) -> Optional[list[Gate]]:
+        """The least word of `length` gates that decodes, walked on from
+        `level`, whose tableaux are the ends of the words `links` spells and
+        are all length - len(links) gates from acceptance; None when length
+        exceeds max_depth.  No level is deduplicated."""
+        if length > max_depth:
+            return None
+        follows = links[-1][1] + 1 if links else np.zeros(1, dtype=np.uint8)
+        for depth in range(len(links) + 1, length + 1):
+            left = length - depth
+            kept_rows, kept_parent, kept_gate = [], [], []
+            for start, parent, gate, kids in self._children(level, follows, left):
+                live = np.flatnonzero(ball.distance(kids) <= left)
+                if left == 0 and live.size:  # distance 0 is acceptance
+                    return self._word(links, start + parent[live[0]], gate[live[0]])
+                kept_rows.append(kids[live])
+                kept_parent.append((start + parent[live]).astype(np.int32))
+                kept_gate.append(gate[live].astype(np.uint8))
+            if left == 0 or not kept_rows:
+                break
+            level = np.concatenate(kept_rows)
+            links.append((np.concatenate(kept_parent), np.concatenate(kept_gate)))
+            follows = links[-1][1] + 1
+        return None
+
+    def _children(self, level: np.ndarray, follows: np.ndarray, left: Optional[int]):
+        """(start, parent, gate, kids) per chunk of the level's tableaux:
+        their children in word order, each parent index relative to start.
+        With `left`, a child whose image of S alone is more than left gates
+        from weight 1 is dropped before its other rows are looked up."""
+        chunk = max(1, _CHUNK_CHILDREN // len(self.gates))
+        for start in range(0, len(level), chunk):
+            parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
+            rows = level[start:start + chunk]
+            if left is not None:
+                live = self.dist[self.tables[gate, rows[parent, 0]]] <= left
+                parent, gate = parent[live], gate[live]
+            yield start, parent, gate, self.tables[gate[:, None], rows[parent]]
 
     def _word(self, links, parent: int, gate: int) -> list[Gate]:
         """The word of a child: its parent's word (walked back through the

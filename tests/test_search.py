@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import decoder_layout_oracle
 
 from intraport import cli, tableau
+from intraport import search as search_module
 from intraport.circuit import Circuit, parse_circuit
 from intraport.errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from intraport.protocol import (
@@ -44,11 +45,13 @@ from intraport.qsim import (
 )
 from intraport.search import (
     _BALL_RADIUS,
+    _DEPTH_HORIZON,
     _Task,
     _ball,
     _class_keys,
     _distances,
     _layout_rows,
+    _pack,
     _row_tables,
     _weights,
     gate_alphabet,
@@ -410,6 +413,21 @@ def test_n5_aux5_eight_gate_walks_find_a_decoder(value):
                                  alice_encoder(5) + bob_prefix(5) + word) is not None
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_pack_equals_the_shift_and_or_of_its_rows(n):
+    """_pack's matrix product equals shifting each row to its place and
+    OR-ing, for random rows and for rows with every bit set (63 bits at
+    n=4), with one row fewer (the message rows of a class key) or all."""
+    bits = 2 * n + 1
+    rows = np.random.default_rng(n).integers(0, 1 << bits, size=(500, 2 * n - 1))
+    rows = np.vstack([rows, np.full((1, 2 * n - 1), (1 << bits) - 1)]).astype(np.uint16)
+    for r in (2 * n - 2, 2 * n - 1):
+        expected = np.zeros(len(rows), dtype=np.uint64)
+        for i in range(r):
+            expected |= rows[:, i].astype(np.uint64) << np.uint64(bits * i)
+        assert np.array_equal(_pack(rows[:, :r], n), expected)
+
+
 def _unpack(keys, n):
     """The (K, 2n-1) tableaux of class keys: S' in the lowest bits, then
     each message row in its canonical form."""
@@ -491,9 +509,51 @@ def test_relabelled_ball_equals_the_direct_walk():
     assert np.array_equal(dist[order], ball.dist)
 
 
-def test_shallow_solves_never_build_the_ball():
+@st.composite
+def scrambled_roots(draw):
+    """(n, rows): an accepted tableau at n=3 or n=4 with up to 7 or 6
+    random alphabet gates applied."""
+    n = draw(st.integers(3, 4))
+    rows = draw(st.sampled_from(list(_accepted_tableaux(n))))
+    for gate in draw(st.lists(st.sampled_from(gate_alphabet(n)), max_size=10 - n)):
+        rows = tableau.conjugate(rows, n, gate)
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_roots())
+def test_exact_length_walk_equals_the_walk_without_the_ball(case):
+    """From any root, at every depth up to the horizon, the walk that takes
+    its length from the ball returns the same word as the walk pruned by h
+    alone, never longer than the depth, and that word decodes."""
+    n, rows = case
+    task = _Task(n, n, AuxValue.ZERO, None)
+    task.root = rows
+    for depth in range(_DEPTH_HORIZON[n] + 1):
+        found = task.search(depth)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_BALL_CHANNELS", 0)
+            assert task.search(depth) == found, depth
+        if found is not None:
+            assert len(found) <= depth
+            assert task.accepts(task._apply(rows, found)[None])[0]
+
+
+def test_shallow_solves_build_only_the_n3_ball():
     """The benchmark's warm-ups, one n=3 solve and an in-process n=3
-    solve-bob, end before any level the ball covers, so neither builds it."""
+    solve-bob, build the n=3 ball that fixes their decoders' lengths (5,760
+    keys, under 64 KiB kept and 512 KiB at the peak of its build), never
+    the n=4 one."""
+    _row_tables(3)  # numpy's first-call allocations, outside the measurement
+    _ball.cache_clear()
+    tracemalloc.start()
+    try:
+        ball = _ball(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ball.keys) == 5760 and peak <= 512 << 10
+    assert ball.keys.nbytes + ball.dist.nbytes + ball.signs.nbytes <= 64 << 10
     _ball.cache_clear()
     assert solve_bob_program(3, 2, AuxValue.PLUS, 10) == [ControlledNot(1, 3), ControlledNot(2, 3)]
     for aux in range(1, 4):
@@ -501,7 +561,9 @@ def test_shallow_solves_never_build_the_ball():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["solve-bob", "--channels", "3", "--aux-channel", str(aux),
                                  "--aux-value", value.value]) == 0
-    assert _ball.cache_info().currsize == 0
+    assert _ball.cache_info().currsize == 1
+    _ball(3)  # a hit: the one ball built is the n=3 one
+    assert _ball.cache_info().currsize == 1
 
 
 def test_ball_build_memory_is_bounded():
