@@ -277,7 +277,7 @@ def _cmd_exec(args) -> int:
     try:
         with open(args.circuit, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _error(f"cannot read circuit file: {exc}")
     try:
         circuit = parse_circuit(source)

@@ -51,6 +51,7 @@ from .qsim import (
     ControlledNot,
     Gate,
     Hadamard,
+    NORM_TOL,
     PureState,
     QUBIT_ONE,
     QUBIT_PLUS,
@@ -325,9 +326,9 @@ def construct_psi(c: complex, d: complex, e: complex, f: complex) -> PureState:
     Amplitudes: |00>: (c+d)f/sqrt2, |01>: (c+d)e/sqrt2,
                 |10>: (d-c)e/sqrt2, |11>: (d-c)f/sqrt2.
     """
-    if abs(abs(c) ** 2 + abs(d) ** 2 - 1) > 1e-9:
+    if abs(abs(c) ** 2 + abs(d) ** 2 - 1) > NORM_TOL:
         raise NotNormalized("(c, d) is not a normalized qubit")
-    if abs(abs(e) ** 2 + abs(f) ** 2 - 1) > 1e-9:
+    if abs(abs(e) ** 2 + abs(f) ** 2 - 1) > NORM_TOL:
         raise NotNormalized("(e, f) is not a normalized qubit")
     s = 1 / np.sqrt(2)
     amps = np.array(

@@ -265,11 +265,7 @@ def apply_gate(state: PureState, gate: Gate) -> PureState:
     n = state.channel_count
     for k in gate.channels():
         _check_channel(n, k)
-    if isinstance(gate, Hadamard):
-        out = _apply_h(state.amplitudes, n, gate.channel)
-    else:
-        out = _apply_cn(state.amplitudes, n, gate.control, gate.target)
-    return PureState(n, out, _trust=True)
+    return PureState(n, _apply_gates(state.amplitudes, n, [gate]), _trust=True)
 
 
 def run_circuit(state: PureState, circuit, segment: Segment = Segment.ALL) -> PureState:

@@ -14,16 +14,14 @@ word), and tableau.accepts decides exactly whether it decodes.  Rows
 evolve independently, so each gate is a lookup table over all 2^(2n+1)
 packed rows, tableau.conjugate applied once per row and cached.
 
-The search is breadth-first over distinct tableaux.  A level's children
-are listed parent-major and gate-minor, and a child is kept only if no
-shorter word and no earlier word of the same length reached the same rows.
-Every prefix of the least accepted word is the first word to reach its
-rows, so the first accepted child is the least canonical word of minimal
-length, the word a depth-first walk in canonical order finds.  Levels are
-expanded in chunks of parents and deduplicated chunk by chunk against a
-sorted array of the keys of every tableau seen so far.
+The search is breadth-first.  One step, _Task._step, expands a level: it
+lists the children of the level's tableaux parent-major and gate-minor,
+which is word order, keeps those that a keep rule accepts and links each to
+its parent and gate, so that a word is read back along the links.  On the
+last level it stops at the first kept child.  Levels are expanded in chunks
+of parents.  Two walks share the step and differ only in their keep rules.
 
-The walk drops every tableau that cannot decode in the gates it has left.
+Both walks drop every tableau that cannot decode in the gates it has left.
 Let the weight of a Pauli be the number of channels it acts on, and its
 distance d the fewest alphabet gates that take it to weight at most 1
 (tabulated over every packed row by a breadth-first walk from those rows).
@@ -38,14 +36,24 @@ times S', so S' and the smaller of d(row) and d(row ^ S') are 0.  Hence
 
 is an exact lower bound on the gates a tableau T still needs; d is at least
 the weight minus one, so h prunes everything the weight bound w - 1 did,
-and more.  A search to depth D returns None at once when h(root) > D, and a
-child at depth k is dropped when h > D - k; since h never exceeds `reach`,
-the largest distance of the size (4, 6, 7 and 9 at n=3..6), that can only
-happen where D - k < reach, so shallower levels skip the test.  Dropping
-keeps the result: a dropped tableau would be dropped again at every later
-depth (the same h, fewer gates left), and every prefix of the least accepted
-word meets the bound, so it is still the first word to reach its rows and
-the first accepted child is unchanged.
+and more.  A walk to depth D keeps nothing past the root when h(root) > D,
+and a child at depth k is dropped when h > D - k, or before its message
+rows are looked up when d(S') alone exceeds D - k.  Dropping keeps the
+result: a dropped tableau would be dropped again at every later depth (the
+same h, fewer gates left), and every prefix of the least accepted word
+meets the bound, so the first accepted child is unchanged.
+
+The general walk (with an explicit target, and at n >= 5) keeps a child
+only if h allows it and no shorter word and no earlier word of the same
+length reached the same rows, checked against a sorted array of the keys of
+every tableau kept so far.  Every prefix of the least accepted word is the
+first word to reach its rows, so the first accepted tableau of the first
+level that has one is the least canonical word of minimal length, the word
+a depth-first walk in canonical order finds.  Acceptance is tested once per
+level, after the step: an accepted tableau has h = 0, so no keep rule drops
+it, and the first accepted tableau of the kept level is the one a test of
+each chunk's kept children would find first.  On the last level the keep
+rule is acceptance itself.
 
 An untargeted walk at n <= 4 first fixes the minimal length L, from the
 exact distance to acceptance.  An accepted tableau is fixed only modulo S':
@@ -71,32 +79,33 @@ that is no longer (drop repeated pairs, sort commuting neighbours), so it
 is also the fewest gates a canonical word needs; distance 0 is exactly
 acceptance.
 
-The walk looks up the root's class first: distance 0 returns the empty
-word, and a root within the ball has L equal to its distance.  Otherwise
-the levels are walked as above, pruned by h and deduplicated, and each
-level's tableaux are looked up until the first level k that meets the
-ball; no acceptance test is needed on the way, since nothing accepted lies
-outside the ball.  Then L = k + d for the least distance d met, and d = R:
-every tableau of level k - 1 lies outside the ball, and one gate changes the
-distance by at most one.  L is the minimal length.  The words to level k
-give a decoder of k + d gates, and the prefix of the least accepted word
-that stops R gates short of its end is kept (as for h) and lies in the
-ball, so the walk meets the ball no later than that.  A walk to depth D
-never expands a level past D - R without meeting the ball, and returns
-None at once when L > D.
+The ball walk (no target, n <= 4) has no acceptance test and no
+deduplication.  It looks up the root's class, then each level, kept by h,
+until the first level k that meets the ball (k = 0 for a root in the ball);
+nothing accepted lies outside the ball.  Then L = k + d for the least
+distance d met, and d = R when k > 0: every tableau of level k - 1 lies
+outside the ball, and one gate changes the distance by at most one.  L is
+the minimal length: the words to level k give a decoder of k + d gates, and
+the prefix of the least accepted word that stops R gates short of its end
+passes h and lies in the ball, so the walk meets the ball no later than
+that.  A walk to depth D never expands a level past D - R without meeting
+the ball, and returns None at once when L > D.  Level k is trimmed to the
+tableaux at distance d, and from there a child at depth j is kept only if
+its distance is at most L - j; on level L that is distance 0, acceptance.
+Its word has j gates and L is minimal, so its distance is exactly L - j:
+these levels hold only tableaux on shortest paths.
 
-Every level from there on is exact: a child at depth j is kept only if
-its distance is at most L - j.  Its word has j gates and L is minimal, so
-its distance is exactly L - j and no shorter word reaches it: exact levels
-hold only tableaux on shortest paths, none of which appeared on an earlier
-level, so the sorted array of seen keys goes.  Nor is a level deduplicated
-within itself.  It then holds one tableau per canonical word whose
-prefixes were all kept, in word order; every prefix of the least accepted
-word lies on a shortest path and is kept, so it is still the first
-accepted child, and a repeated tableau only adds words later in that
-order.  On level L the test is distance 0, which is acceptance.  With an
-explicit target and at n >= 5 the walk keeps h, the seen keys and an
-acceptance test on every level.
+Without deduplication a ball walk level holds one tableau per canonical
+word whose prefixes were all kept, in word order, and a tableau may repeat.
+That changes neither L nor the word returned.  A tableau repeated from an
+earlier level lies outside the ball, or the walk would have stopped there,
+and within a level a repeat has the distance of its first entry, so repeats
+change neither the meeting level k nor the least distance d.  Every prefix
+of the least accepted word of length L is kept (it passes h, and from level
+k on it lies on a shortest path), so that word is still the first accepted
+child on level L; a repeat only adds words later in canonical order.  Before
+the ball is met the walk expands at most D - R levels, 4 at n=3 and 3 at
+n=4 within the horizons, so the repeats cost little there.
 
 The walk is capped at a per-size depth horizon; within it a None result
 proves that no word of the searched length decodes, whether the bound
@@ -112,7 +121,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -171,9 +180,9 @@ def gate_alphabet(channel_count: int) -> list[Gate]:
 
 
 @lru_cache(maxsize=None)
-def _gate_index(n: int) -> dict[Gate, int]:
-    """Each alphabet gate's position in the canonical order."""
-    return {gate: i for i, gate in enumerate(gate_alphabet(n))}
+def _alphabet(n: int) -> tuple[Gate, ...]:
+    """gate_alphabet(n), cached."""
+    return tuple(gate_alphabet(n))
 
 
 @lru_cache(maxsize=None)
@@ -199,22 +208,13 @@ def _row_tables(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _weights(n: int) -> np.ndarray:
-    """(2^(2n+1),) uint8: every packed row's weight, the number of channels
-    its Pauli acts on."""
-    support = tableau.support(np.arange(1 << (2 * n + 1)), n).astype(np.uint8)  # n <= 6 bits
-    weights = np.unpackbits(support[:, None], axis=1).sum(axis=1, dtype=np.uint8)
-    weights.flags.writeable = False
-    return weights
-
-
-@lru_cache(maxsize=None)
 def _distances(n: int) -> np.ndarray:
     """(2^(2n+1),) uint8: every packed row's distance, the fewest alphabet
     gates that take it to weight at most 1.  Every gate is an involution, so
     the rows one gate away from a level are its images."""
     tables = _row_tables(n)
-    dist = np.where(_weights(n) <= 1, 0, 255).astype(np.uint8)
+    support = tableau.support(np.arange(1 << (2 * n + 1)), n)
+    dist = np.where((support & (support - 1)) == 0, 0, 255).astype(np.uint8)
     level = 0
     while True:
         reached = np.zeros(len(dist), dtype=bool)
@@ -371,11 +371,9 @@ class _Task:
     def __init__(self, n: int, aux_channel: int, value: AuxValue,
                  target: Optional[Mapping[int, ExpectedOut]]):
         self.n = n
-        self.message_channels = tuple(c for c in range(1, n + 1) if c != aux_channel)
-        self.gates = tuple(_gate_index(n))  # the alphabet, in canonical order
+        self.gates = _alphabet(n)
         self.tables = _row_tables(n)
         self.dist = _distances(n)
-        self.reach = int(self.dist.max())  # the largest h of any tableau
         self.allowed = _follows(n)
         self.root = _root(n, aux_channel, value)
 
@@ -390,14 +388,8 @@ class _Task:
         indices = sorted(
             out.index for out in target.values() if isinstance(out, MessageOut)
         )
-        if indices != list(range(len(self.message_channels))):
+        if indices != list(range(self.n - 1)):
             raise InvalidInput("target layout must place every message exactly once")
-
-    def _apply(self, rows: np.ndarray, gates: Sequence[Gate]) -> np.ndarray:
-        index = _gate_index(self.n)
-        for gt in gates:
-            rows = self.tables[index[gt], rows]
-        return rows
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
         """One sortable key per (K, 2n-1) tableau: the rows packed into a
@@ -419,120 +411,104 @@ class _Task:
 
     def verify(self, ext: Sequence[Gate]) -> bool:
         """Exact check of one extension word."""
-        return bool(self.accepts(self._apply(self.root, ext)[None])[0])
+        return bool(self.accepts(tableau.apply_word(self.root, self.n, ext)[None])[0])
 
     # -- breadth-first walks -------------------------------------------------
 
     def search(self, max_depth: int) -> Optional[list[Gate]]:
         """The least canonical word of at most max_depth gates that decodes,
-        or None.  Untargeted at n <= _BALL_CHANNELS, the first level that
-        meets the ball fixes the minimal length, and only the tableaux on
-        shortest paths are walked on from there (see the module docstring)."""
-        ball = _ball(self.n) if self.target is None and self.n <= _BALL_CHANNELS else None
-        if ball is not None:
-            length = int(ball.distance(self.root[None])[0])
-            if length == 0:  # distance 0 is acceptance
-                return []
-            if length <= _BALL_RADIUS:
-                return self._exact_walk(ball, length, max_depth, self.root[None], [])
-        elif self.verify([]):
-            return []
-        if self.lower_bound(self.root[None])[0] > max_depth:
+        or None (see the module docstring)."""
+        if self.target is None and self.n <= _BALL_CHANNELS:
+            return self._ball_walk(_ball(self.n), max_depth)
+        return self._general_walk(max_depth)
+
+    def _ball_walk(self, ball: _Ball, max_depth: int) -> Optional[list[Gate]]:
+        """Levels kept by h until one meets the ball, which fixes the
+        minimal length; then only the children on shortest paths."""
+        level, links = self.root[None], []
+        dist = ball.distance(level)
+        while (least := int(dist.min())) > _BALL_RADIUS:
+            left = max_depth - len(links) - 1  # gates a child may still add
+            if left < _BALL_RADIUS:  # its children are at least R gates from acceptance
+                return None
+            level = self._step(level, links, left, lambda kids: self.lower_bound(kids) <= left)
+            if not len(level):
+                return None
+            dist = ball.distance(level)
+        if len(links) + least > max_depth:
             return None
-        level = self.root[None]  # one level's tableaux, in word order
-        follows = np.zeros(1, dtype=np.uint8)  # row of `allowed`: last gate + 1
-        seen = self._keys(level)  # sorted keys of every level so far
-        links: list[tuple[np.ndarray, np.ndarray]] = []  # per level: parent, gate
-        # a level outside the ball is at least R + 1 gates from acceptance
-        last = max_depth if ball is None else max_depth - _BALL_RADIUS
-        for depth in range(1, last + 1):
-            final = depth == max_depth
-            left = max_depth - depth  # gates a child may still add
-            prune = left < self.reach  # else h <= reach <= left for every child
-            kept_rows, kept_parent, kept_gate = [], [], []
-            for start, parent, gate, kids in self._children(level, follows,
-                                                            left if prune else None):
-                if prune and not final:
-                    live = self.lower_bound(kids) <= left
-                    kids, parent, gate = kids[live], parent[live], gate[live]
-                if not final:
-                    # keep the first occurrence of each tableau not seen before
-                    keys = self._keys(kids)
-                    uniq, first = np.unique(keys, return_index=True)
-                    at = np.searchsorted(seen, uniq)
-                    fresh = seen[np.minimum(at, len(seen) - 1)] != uniq
-                    seen = np.insert(seen, at[fresh], uniq[fresh])
-                    keep = np.sort(first[fresh])
-                    kids, parent, gate = kids[keep], parent[keep], gate[keep]
-                    kept_rows.append(kids)
-                    kept_parent.append((start + parent).astype(np.int32))
-                    kept_gate.append(gate.astype(np.uint8))
-                if ball is None:
-                    hit = np.flatnonzero(self.accepts(kids))
-                    if hit.size:
-                        return self._word(links, start + parent[hit[0]], gate[hit[0]])
-            if not kept_rows:
-                break
-            level = np.concatenate(kept_rows)
-            links.append((np.concatenate(kept_parent), np.concatenate(kept_gate)))
-            follows = links[-1][1] + 1
-            if ball is not None:
-                dist = ball.distance(level)
-                least = int(dist.min())
-                if least <= _BALL_RADIUS:  # the first level to meet the ball
-                    near = dist == least
-                    links[-1] = (links[-1][0][near], links[-1][1][near])
-                    return self._exact_walk(ball, depth + least, max_depth, level[near], links)
+        if links:  # walk on from the tableaux at the least distance
+            near = dist == least
+            level, links[-1] = level[near], (links[-1][0][near], links[-1][1][near])
+        for left in reversed(range(least)):
+            level = self._step(level, links, left, lambda kids: ball.distance(kids) <= left)
+        return self._word(links, 0)
+
+    def _general_walk(self, max_depth: int) -> Optional[list[Gate]]:
+        """Levels kept by h and deduplicated against every earlier one, the
+        first accepted tableau of the first level that has one."""
+        level, links = self.root[None], []
+        if self.lower_bound(level)[0] > max_depth:
+            return None
+        seen = self._keys(level)  # sorted keys of every tableau kept so far
+
+        def fresh(kids):
+            """The children within h of the gates left whose rows no
+            earlier child reached, each at its first occurrence."""
+            nonlocal seen
+            live = np.flatnonzero(self.lower_bound(kids) <= left)
+            uniq, first = np.unique(self._keys(kids[live]), return_index=True)
+            at = np.searchsorted(seen, uniq)
+            new = seen[np.minimum(at, len(seen) - 1)] != uniq
+            seen = np.insert(seen, at[new], uniq[new])
+            keep = np.zeros(len(kids), dtype=bool)
+            keep[live[first[new]]] = True
+            return keep
+
+        for left in reversed(range(-1, max_depth)):  # gates a child may still add
+            hit = np.flatnonzero(self.accepts(level))
+            if hit.size:
+                return self._word(links, hit[0])
+            if left < 0 or not len(level):
+                return None
+            level = self._step(level, links, left, fresh if left else self.accepts)
         return None
 
-    def _exact_walk(self, ball: _Ball, length: int, max_depth: int, level: np.ndarray,
-                    links: list[tuple[np.ndarray, np.ndarray]]) -> Optional[list[Gate]]:
-        """The least word of `length` gates that decodes, walked on from
-        `level`, whose tableaux are the ends of the words `links` spells and
-        are all length - len(links) gates from acceptance; None when length
-        exceeds max_depth.  No level is deduplicated."""
-        if length > max_depth:
-            return None
+    def _step(self, level: np.ndarray, links: list, left: int,
+              keep: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The children of the level's tableaux, in word order, that keep(kids)
+        marks, and links gains their parents and gates.  A child whose image
+        of S alone is more than `left` gates from weight 1 is dropped before
+        its other rows are looked up; with no gates left, only the first
+        kept child is."""
         follows = links[-1][1] + 1 if links else np.zeros(1, dtype=np.uint8)
-        for depth in range(len(links) + 1, length + 1):
-            left = length - depth
-            kept_rows, kept_parent, kept_gate = [], [], []
-            for start, parent, gate, kids in self._children(level, follows, left):
-                live = np.flatnonzero(ball.distance(kids) <= left)
-                if left == 0 and live.size:  # distance 0 is acceptance
-                    return self._word(links, start + parent[live[0]], gate[live[0]])
-                kept_rows.append(kids[live])
-                kept_parent.append((start + parent[live]).astype(np.int32))
-                kept_gate.append(gate[live].astype(np.uint8))
-            if left == 0 or not kept_rows:
-                break
-            level = np.concatenate(kept_rows)
-            links.append((np.concatenate(kept_parent), np.concatenate(kept_gate)))
-            follows = links[-1][1] + 1
-        return None
-
-    def _children(self, level: np.ndarray, follows: np.ndarray, left: Optional[int]):
-        """(start, parent, gate, kids) per chunk of the level's tableaux:
-        their children in word order, each parent index relative to start.
-        With `left`, a child whose image of S alone is more than left gates
-        from weight 1 is dropped before its other rows are looked up."""
         chunk = max(1, _CHUNK_CHILDREN // len(self.gates))
+        kept_rows, kept_parent, kept_gate = [], [], []
         for start in range(0, len(level), chunk):
             parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
             rows = level[start:start + chunk]
-            if left is not None:
-                live = self.dist[self.tables[gate, rows[parent, 0]]] <= left
-                parent, gate = parent[live], gate[live]
-            yield start, parent, gate, self.tables[gate[:, None], rows[parent]]
+            live = self.dist[self.tables[gate, rows[parent, 0]]] <= left
+            parent, gate = parent[live], gate[live]
+            kids = self.tables[gate[:, None], rows[parent]]
+            live = np.flatnonzero(keep(kids))
+            if left == 0 and live.size:  # the first kept child ends the walk
+                live = live[:1]
+                links.append((start + parent[live], gate[live]))
+                return kids[live]
+            kept_rows.append(kids[live])
+            kept_parent.append((start + parent[live]).astype(np.int32))
+            kept_gate.append(gate[live].astype(np.uint8))
+        links.append((np.concatenate(kept_parent), np.concatenate(kept_gate)))
+        return np.concatenate(kept_rows)
 
-    def _word(self, links, parent: int, gate: int) -> list[Gate]:
-        """The word of a child: its parent's word (walked back through the
-        per-level links), then its gate."""
-        word = [gate]
+    def _word(self, links: list, child: int) -> list[Gate]:
+        """The word that the per-level links spell for a child of the last
+        level, walked back to the root."""
+        word = []
         for parents, gates in reversed(links):
-            word.append(gates[parent])
-            parent = parents[parent]
-        return [self.gates[j] for j in reversed(word)]
+            word.append(self.gates[gates[child]])
+            child = parents[child]
+        return word[::-1]
 
 
 def solve_bob_program(

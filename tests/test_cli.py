@@ -246,6 +246,16 @@ def test_exec_parse_error_reports_line(tmp_path):
     assert doc["error"]["kind"] == "ChannelOutOfRange"
 
 
+def test_exec_reports_a_circuit_file_that_is_not_utf8(tmp_path):
+    qc = tmp_path / "bad.qc"
+    qc.write_bytes(b"channels 3\nh 1 \xff\n")
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps({"basis": "000"}), encoding="utf-8")
+    code, doc = run_cli(["exec", str(qc), "--in", str(infile)])
+    assert code == 2
+    assert doc["error"]["message"].startswith("cannot read circuit file:")
+
+
 def test_exec_refuses_oversized_circuit(tmp_path):
     qc = tmp_path / "big.qc"
     qc.write_text("channels 64\nh 1\n", encoding="utf-8")

@@ -5,7 +5,7 @@ import io
 import json
 import tracemalloc
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from intraport.qsim import (
     _apply_gates,
     factor_all,
     fidelity,
+    gates_commute,
     make_state,
     random_qubit,
 )
@@ -53,7 +54,6 @@ from intraport.search import (
     _layout_rows,
     _pack,
     _row_tables,
-    _weights,
     gate_alphabet,
     solve_bob_program,
 )
@@ -247,13 +247,18 @@ def test_tableau_test_matches_the_dense_oracle(case):
         assert not decodes({**layout, res: ResidueOut(other)})
 
 
+def _weights(n):
+    """Every packed row's weight, the number of channels its Pauli acts
+    on, counted channel by channel."""
+    row = np.arange(1 << (2 * n + 1))
+    return sum(((row >> k) | (row >> (n + k))) & 1 for k in range(n))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_one_gate_changes_a_weight_by_at_most_one(n):
     """The lemma behind the search's lower bound, over every packed row
-    and every alphabet gate; the weight is recounted channel by channel."""
-    row = np.arange(1 << (2 * n + 1))
-    weight = sum(((row >> k) | (row >> (n + k))) & 1 for k in range(n))
-    assert np.array_equal(_weights(n), weight)
+    and every alphabet gate."""
+    weight = _weights(n)
     for image in _row_tables(n):
         assert np.abs(weight[image] - weight).max() <= 1
 
@@ -267,7 +272,7 @@ def test_distances_are_exact(n, reach, above):
     at least the weight minus one, strictly more on `above` rows (the
     identity, of weight 0, aside), and never depends on the sign bit."""
     d = _distances(n).astype(int)
-    weight = _weights(n).astype(int)
+    weight = _weights(n)
     images = d[_row_tables(n)]  # (g, rows): d of each row's image by each gate
     assert np.array_equal(d == 0, weight <= 1)
     assert np.abs(images - d).max() <= 1
@@ -300,13 +305,13 @@ def test_lower_bound_holds_along_every_registered_decoder():
     for case in _registered_decoders():
         n = case.channel_count
         task = _Task(n, case.aux_channel, case.aux_value, None)
-        rows = task._apply(task.root, list(reversed(bob_prefix(n))))
+        rows = tableau.apply_word(task.root, n, list(reversed(bob_prefix(n))))
         program = list(case.bob_program)
         for k, gate in enumerate(program + [None]):
             assert task.lower_bound(rows[None])[0] <= len(program) - k, (case.case_id, k)
             checks += 1
             if gate is not None:
-                rows = task._apply(rows, [gate])
+                rows = tableau.conjugate(rows, n, gate)
         assert task.accepts(rows[None])[0], case.case_id
     assert checks == 1565
 
@@ -510,12 +515,12 @@ def test_relabelled_ball_equals_the_direct_walk():
 
 
 @st.composite
-def scrambled_roots(draw):
-    """(n, rows): an accepted tableau at n=3 or n=4 with up to 7 or 6
-    random alphabet gates applied."""
+def scrambled_roots(draw, most=None):
+    """(n, rows): an accepted tableau at n=3 or n=4 with up to `most` (by
+    default 7 or 6) random alphabet gates applied."""
     n = draw(st.integers(3, 4))
     rows = draw(st.sampled_from(list(_accepted_tableaux(n))))
-    for gate in draw(st.lists(st.sampled_from(gate_alphabet(n)), max_size=10 - n)):
+    for gate in draw(st.lists(st.sampled_from(gate_alphabet(n)), max_size=most or 10 - n)):
         rows = tableau.conjugate(rows, n, gate)
     return n, rows
 
@@ -536,7 +541,53 @@ def test_exact_length_walk_equals_the_walk_without_the_ball(case):
             assert task.search(depth) == found, depth
         if found is not None:
             assert len(found) <= depth
-            assert task.accepts(task._apply(rows, found)[None])[0]
+            assert task.verify(found)
+
+
+@lru_cache(maxsize=None)
+def _canonical_words(n, length):
+    """(W, length): the alphabet indices of every canonical word of `length`
+    gates, in lexicographic order.  A word is canonical when no gate follows
+    itself and each pair of adjacent commuting gates is in alphabet order."""
+    gates = gate_alphabet(n)
+    may_follow = {(a, b): a != b and not (b < a and gates_commute(gates[a], gates[b]))
+                  for a in range(len(gates)) for b in range(len(gates))}
+    words = [w for w in product(range(len(gates)), repeat=length)
+             if all(may_follow[pair] for pair in zip(w, w[1:]))]
+    return np.array(words, dtype=np.intp).reshape(len(words), length)
+
+
+def _least_decoders(n, rows, most):
+    """Per length 0..most, the least canonical word of that length that the
+    tableau test accepts from `rows`, or None: every word is applied."""
+    tables, gates = _row_tables(n), gate_alphabet(n)
+    least = []
+    for length in range(most + 1):
+        words = _canonical_words(n, length)
+        images = np.broadcast_to(rows, (len(words), len(rows)))
+        for column in words.T:
+            images = tables[column[:, None], images]
+        hit = np.flatnonzero(tableau.accepts(images, n))
+        least.append([gates[j] for j in words[hit[0]]] if hit.size else None)
+    return least
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_roots(most=5))
+def test_search_returns_the_least_word_of_every_canonical_word(case):
+    """At every depth up to 4, with the ball and without it, the search
+    returns the least accepted word of the shortest accepted length, as
+    found by applying every canonical word in lexicographic order."""
+    n, rows = case
+    task = _Task(n, n, AuxValue.ZERO, None)
+    task.root = rows
+    least = _least_decoders(n, rows, 4)
+    for depth in range(5):
+        expected = next((word for word in least[:depth + 1] if word is not None), None)
+        assert task.search(depth) == expected, depth
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_BALL_CHANNELS", 0)
+            assert task.search(depth) == expected, depth
 
 
 def test_shallow_solves_build_only_the_n3_ball():
