@@ -108,7 +108,8 @@ def _messages_from_args(args, case: ProtocolCase) -> Optional[list[SingleQubit]]
     """Build message qubits from --a..--f, or None if none were given.
 
     Each message takes the flag pair of its input channel: --a/--b for
-    channel 1, --c/--d for channel 2, --e/--f for channel 3.
+    channel 1, --c/--d for channel 2, --e/--f for channel 3.  A flag of a
+    channel that carries no message is refused, not ignored.
     """
     flags = tuple(("ab", "cd", "ef")[ch - 1] for ch in case.message_channels)
     given = {name: getattr(args, name) for name in "abcdef" if getattr(args, name) is not None}
@@ -122,6 +123,10 @@ def _messages_from_args(args, case: ProtocolCase) -> Optional[list[SingleQubit]]
                 f"figure {case.figure_id} needs --{hi}/--{lo} (messages use flags {flags})"
             )
         messages.append(SingleQubit(coeff0=given[lo], coeff1=given[hi]))
+    unused = [f"--{name}" for name in given if name not in "".join(flags)]
+    if unused:
+        raise IntraportError(f"figure {case.figure_id} does not use {', '.join(unused)} "
+                             f"(messages use flags {flags})")
     return messages
 
 
@@ -156,6 +161,8 @@ def _cmd_run_figure(args) -> int:
             return _error("provide message amplitudes or --seed")
         rng = np.random.default_rng(args.seed)
         messages = [random_qubit(rng) for _ in case.message_channels]
+    elif args.seed is not None:
+        return _error("provide message amplitudes or --seed, not both")
 
     report = run_scenario(figure, messages, tol)
     channels = []
@@ -403,6 +410,8 @@ def _binomial_consistent(successes: int, trials: int, p: float) -> bool:
 def _cmd_eavesdrop(args) -> int:
     if args.trials < 1:
         return _error("--trials must be >= 1")
+    if args.strategy != "fixed" and (args.fixed_channel, args.fixed_value) != (None, None):
+        return _error("--fixed-channel and --fixed-value need --strategy fixed")
     if args.strategy == "uniform":
         strategy = EveStrategy.uniform_guess(args.strategy_seed)
     elif args.strategy == "absent":
@@ -433,6 +442,8 @@ def _cmd_eavesdrop(args) -> int:
 
 def _cmd_bell(args) -> int:
     if args.seed is not None:
+        if (args.a, args.b, args.e, args.f) != (None,) * 4:
+            return _error("provide --a --b --e --f or --seed, not both")
         rng = np.random.default_rng(args.seed)
         m1, m3 = random_qubit(rng), random_qubit(rng)
         a, b = m1.coeff1, m1.coeff0
@@ -510,8 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_amp_flags(p):
-        for name in "abcdef":
+    def add_amp_flags(p, names):
+        for name in names:
             p.add_argument(f"--{name}", type=_parse_complex, default=None,
                            help=f"amplitude {name} as 're' or 're,im'")
 
@@ -519,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure", type=int)
     p.add_argument("--seed", type=_rng_seed, default=None)
     p.add_argument("--tol", type=_tolerance, default=None)
-    add_amp_flags(p)
+    add_amp_flags(p, "abcdef")
     p.set_defaults(func=_cmd_run_figure)
 
     p = sub.add_parser("fuzz", help="random-input conformance fuzzing of a figure")
@@ -569,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell", help="entangled byproduct of measuring channel 3 early")
     p.add_argument("--seed", type=_rng_seed, default=None)
-    add_amp_flags(p)
+    add_amp_flags(p, "abef")
     p.set_defaults(func=_cmd_bell)
 
     return parser

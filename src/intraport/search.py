@@ -19,7 +19,8 @@ lists the children of the level's tableaux parent-major and gate-minor,
 which is word order, keeps those that a keep rule accepts and links each to
 its parent and gate, so that a word is read back along the links.  On the
 last level it stops at the first kept child.  Levels are expanded in chunks
-of parents.  Two walks share the step and differ only in their keep rules.
+of parents.  Two walks share the step with different keep rules; the ball
+walk steps only until it meets the ball, then descends one tableau.
 
 Both walks drop every tableau that cannot decode in the gates it has left.
 Let the weight of a Pauli be the number of channels it acts on, and its
@@ -89,23 +90,52 @@ the minimal length: the words to level k give a decoder of k + d gates, and
 the prefix of the least accepted word that stops R gates short of its end
 passes h and lies in the ball, so the walk meets the ball no later than
 that.  A walk to depth D never expands a level past D - R without meeting
-the ball, and returns None at once when L > D.  Level k is trimmed to the
-tableaux at distance d, and from there a child at depth j is kept only if
-its distance is at most L - j; on level L that is distance 0, acceptance.
-Its word has j gates and L is minimal, so its distance is exactly L - j:
-these levels hold only tableaux on shortest paths.
+the ball, and returns None at once when L > D.
+
+Then the walk descends from the first tableau of level k at distance d: at
+each step it takes the first gate, in alphabet order, whose image is one
+gate closer to acceptance (a downhill gate), dropping a gate before the
+other rows are looked up when it leaves S' more than the remaining gates
+from weight 1.  Each lookup is of one tableau, so the class key is computed
+from Python ints and bisected in the ball's keys, as for the root; the
+levels before the meeting are looked up whole.  This returns the least
+accepted word W of length L.  Call any word of L gates that takes the root
+to acceptance a shortest word.  A word becomes canonical by deleting a gate
+that follows itself and by swapping adjacent commuting gates that are out
+of order; a shortest word loses no gate that way, L being minimal, and each
+swap makes it lexicographically smaller, so W is the least of all shortest
+words, canonical or not.  Hence:
+
+- The first tableau at distance d on level k is W's prefix of k gates.  The
+  level lists the canonical words of k gates kept by h in lexicographic
+  order, W's prefix among them.  A tableau at distance d listed earlier has
+  a shortest completion of d gates, and its word with that completion
+  would be a shortest word less than W.
+- At each step W's next gate is the first downhill gate.  It is downhill,
+  the rest of W being a shortest completion, and an earlier downhill gate g
+  would give a shortest word less than W: the gates so far, g, and a
+  shortest completion of g's image.
+
+So the descent never backtracks and always ends at acceptance after d
+steps, with at most one lookup per gate tried, where a level sweep would
+look up every shortest-path child of every level.  It needs no trimming of
+level k to distance d, since it starts at the first such tableau, and no
+canonical-order test, since no downhill gate comes before W's next one.
+Only that test could make a descent backtrack: without it a tableau at
+distance j > 0 always has a downhill gate.  A later tableau at distance d
+on level k may have none allowed, or a first one after which every
+shortest completion breaks the canonical order; a depth-first descent from
+it would backtrack and fail, but this descent never starts there.
 
 Without deduplication a ball walk level holds one tableau per canonical
 word whose prefixes were all kept, in word order, and a tableau may repeat.
 That changes neither L nor the word returned.  A tableau repeated from an
 earlier level lies outside the ball, or the walk would have stopped there,
 and within a level a repeat has the distance of its first entry, so repeats
-change neither the meeting level k nor the least distance d.  Every prefix
-of the least accepted word of length L is kept (it passes h, and from level
-k on it lies on a shortest path), so that word is still the first accepted
-child on level L; a repeat only adds words later in canonical order.  Before
-the ball is met the walk expands at most D - R levels, 4 at n=3 and 3 at
-n=4 within the horizons, so the repeats cost little there.
+change neither the meeting level k nor the least distance d, and the
+argument above holds for each listed word.  Before the ball is met the walk
+expands at most D - R levels, 4 at n=3 and 3 at n=4 within the horizons, so
+the repeats cost little there.
 
 The walk is capped at a per-size depth horizon; within it a None result
 proves that no word of the searched length decodes, whether the bound
@@ -119,6 +149,7 @@ nonexistence proof.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -270,9 +301,19 @@ def _class_keys(rows: np.ndarray, n: int, signs: np.ndarray) -> np.ndarray:
     _Ball.signs."""
     s, msg = rows[:, :1], rows[:, 1:]
     bits = (1 << (2 * n)) - 1
-    product = msg ^ s ^ signs[msg & bits, s & bits]
+    product = msg ^ s ^ signs[((msg & bits) << (2 * n)) | (s & bits)]
     keys = _pack(np.minimum(msg, product), n) << np.uint64(2 * n + 1)
     return keys | s[:, 0].astype(np.uint64)
+
+
+def _class_key(rows: Sequence[int], n: int, signs: memoryview) -> int:
+    """The class key of one tableau given as ints, as _class_keys computes
+    it; `signs` is a memoryview of _Ball.signs."""
+    s, bits, width = rows[0], (1 << (2 * n)) - 1, 2 * n + 1
+    key, low = s, s & bits
+    for i, row in enumerate(rows[1:], 1):
+        key |= min(row, row ^ s ^ signs[((row & bits) << (2 * n)) | low]) << (i * width)
+    return key
 
 
 class _Ball(NamedTuple):
@@ -281,7 +322,7 @@ class _Ball(NamedTuple):
     n: int
     keys: np.ndarray  # sorted uint64 class keys
     dist: np.ndarray  # uint8: each key's distance to acceptance
-    signs: np.ndarray  # uint16 [a, b] over unsigned rows: the sign bit of a b
+    signs: np.ndarray  # uint16 [(a << 2n) | b] over unsigned rows: the sign bit of a b
 
     def distance(self, rows: np.ndarray) -> np.ndarray:
         """(K,) uint8: the fewest gates that take each of the (K, 2n-1)
@@ -289,6 +330,18 @@ class _Ball(NamedTuple):
         keys = _class_keys(rows, self.n, self.signs)
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return np.where(self.keys[at] == keys, self.dist[at], _BALL_RADIUS + 1)
+
+    def scalar_distance(self) -> Callable[[Sequence[int]], int]:
+        """distance for one tableau given as ints: its key by _class_key,
+        found by bisection, with the tables read through memoryviews."""
+        keys, dist, signs = memoryview(self.keys), memoryview(self.dist), memoryview(self.signs)
+        n, size = self.n, len(self.keys)
+
+        def distance(rows: Sequence[int]) -> int:
+            key = _class_key(rows, n, signs)
+            at = bisect_left(keys, key)
+            return dist[at] if at < size and keys[at] == key else _BALL_RADIUS + 1
+        return distance
 
 
 def _canonical_levels(n: int, signs: np.ndarray) -> list[np.ndarray]:
@@ -317,7 +370,7 @@ def _ball(n: int) -> _Ball:
     the channels, each key at its least distance (see the module
     docstring)."""
     row = np.arange(1 << (2 * n), dtype=np.uint16)  # the rows without a sign
-    signs = tableau.multiply(row[:, None], row[None, :], n) & np.uint16(1 << (2 * n))
+    signs = (tableau.multiply(row[:, None], row[None, :], n) & np.uint16(1 << (2 * n))).ravel()
     levels = _canonical_levels(n, signs)
     perms = list(permutations(range(1, n + 1)))
 
@@ -424,10 +477,11 @@ class _Task:
 
     def _ball_walk(self, ball: _Ball, max_depth: int) -> Optional[list[Gate]]:
         """Levels kept by h until one meets the ball, which fixes the
-        minimal length; then only the children on shortest paths."""
-        level, links = self.root[None], []
-        dist = ball.distance(level)
-        while (least := int(dist.min())) > _BALL_RADIUS:
+        minimal length; then, from the level's first tableau at the least
+        distance, the first downhill gate at every step."""
+        near = ball.scalar_distance()
+        level, links, first, least = self.root[None], [], 0, near(self.root.tolist())
+        while least > _BALL_RADIUS:
             left = max_depth - len(links) - 1  # gates a child may still add
             if left < _BALL_RADIUS:  # its children are at least R gates from acceptance
                 return None
@@ -435,14 +489,23 @@ class _Task:
             if not len(level):
                 return None
             dist = ball.distance(level)
+            first = int(dist.argmin())
+            least = int(dist[first])
         if len(links) + least > max_depth:
             return None
-        if links:  # walk on from the tableaux at the least distance
-            near = dist == least
-            level, links[-1] = level[near], (links[-1][0][near], links[-1][1][near])
-        for left in reversed(range(least)):
-            level = self._step(level, links, left, lambda kids: ball.distance(kids) <= left)
-        return self._word(links, 0)
+        tables, row_dist = memoryview(self.tables), memoryview(self.dist)
+        word, rows = self._word(links, first), level[first].tolist()
+        for left in reversed(range(least)):  # gates left after the next one
+            for gate in range(len(self.gates)):
+                if row_dist[tables[gate, rows[0]]] <= left:
+                    kid = [tables[gate, row] for row in rows]
+                    if near(kid) <= left:
+                        break
+            else:
+                raise AssertionError("W's next gate is downhill (see the module docstring)")
+            word.append(self.gates[gate])
+            rows = kid
+        return word
 
     def _general_walk(self, max_depth: int) -> Optional[list[Gate]]:
         """Levels kept by h and deduplicated against every earlier one, the

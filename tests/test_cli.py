@@ -398,6 +398,17 @@ def test_eavesdrop_fixed_needs_flags():
     assert code == 2
 
 
+@pytest.mark.parametrize("strategy", [[], ["--strategy", "uniform"], ["--strategy", "absent"]])
+@pytest.mark.parametrize("fixed", [["--fixed-channel", "2"], ["--fixed-value", "plus"],
+                                   ["--fixed-channel", "2", "--fixed-value", "plus"]])
+def test_eavesdrop_fixed_flags_need_the_fixed_strategy(strategy, fixed):
+    """A fixed guess given with another strategy is refused; it silently
+    ran that strategy and exited 0."""
+    code, doc = run_cli(["eavesdrop", "--trials", "10", *strategy, *fixed])
+    assert code == 2
+    assert doc == {"error": {"message": "--fixed-channel and --fixed-value need --strategy fixed"}}
+
+
 def test_eavesdrop_absent_strategy():
     code, doc = run_cli(["eavesdrop", "--strategy", "absent", "--trials", "50",
                          "--seed", "3"])
@@ -429,6 +440,29 @@ def test_bell_impossible_branch_reported_as_zero():
 def test_bell_requires_inputs_or_seed():
     code, doc = run_cli(["bell"])
     assert code == 2
+
+
+_FIG1_AMPS = ["--a", "1", "--b", "0", "--e", "1", "--f", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bell", *_FIG1_AMPS, "--c", "5", "--d", "7"], "unrecognized arguments: --c 5 --d 7"),
+    (["bell", "--seed", "2", "--a", "1", "--b", "0"],
+     "provide --a --b --e --f or --seed, not both"),
+    (["run-figure", "1", *_FIG1_AMPS, "--seed", "3"],
+     "provide message amplitudes or --seed, not both"),
+    (["run-figure", "1", *_FIG1_AMPS, "--c", "1", "--d", "0"],
+     "figure 1 does not use --c, --d (messages use flags ('ab', 'ef'))"),
+    (["run-figure", "6", "--a", "1", "--c", "1", "--d", "0", "--e", "1", "--f", "0"],
+     "figure 6 does not use --a (messages use flags ('cd', 'ef'))"),
+])
+def test_amplitude_flags_are_never_dropped(argv, message):
+    """Amplitudes that a call would not read are refused: bell has no
+    --c/--d, a seed and amplitudes exclude each other, and run-figure takes
+    only its figure's message flags.  Each of these exited 0."""
+    code, doc = run_cli(argv)
+    assert code == 2
+    assert doc["error"]["message"] == message
 
 
 # ---------------------------------------------------------------------------

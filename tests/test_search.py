@@ -49,8 +49,10 @@ from intraport.search import (
     _DEPTH_HORIZON,
     _Task,
     _ball,
+    _class_key,
     _class_keys,
     _distances,
+    _follows,
     _layout_rows,
     _pack,
     _row_tables,
@@ -588,6 +590,84 @@ def test_search_returns_the_least_word_of_every_canonical_word(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(search_module, "_BALL_CHANNELS", 0)
             assert task.search(depth) == expected, depth
+
+
+@st.composite
+def ball_lookups(draw):
+    """(n, rows) at n=3 or n=4: an accepted tableau scrambled by up to 5
+    gates, so inside the ball or outside it, or arbitrary rows with any
+    sign bits."""
+    n = draw(st.integers(3, 4))
+    if draw(st.booleans()):
+        rows = draw(st.sampled_from(list(_accepted_tableaux(n))))
+        return n, tableau.apply_word(rows, n, draw(st.lists(st.sampled_from(gate_alphabet(n)),
+                                                            max_size=5)))
+    rows = st.integers(0, (1 << (2 * n + 1)) - 1)
+    return n, np.array(draw(st.lists(rows, min_size=2 * n - 1, max_size=2 * n - 1)),
+                       dtype=np.uint16)
+
+
+@given(ball_lookups())
+def test_scalar_class_key_and_distance_equal_the_vectorised_ones(case):
+    """The walk's one-tableau lookup, a key built from Python ints and found
+    by bisection, agrees with _class_keys and _Ball.distance."""
+    n, rows = case
+    ball = _ball(n)
+    key = _class_key(rows.tolist(), n, memoryview(ball.signs))
+    assert key == int(_class_keys(rows[None], n, ball.signs)[0])
+    assert ball.scalar_distance()(rows.tolist()) == int(ball.distance(rows[None])[0])
+
+
+def _dead_ends(level, links, n):
+    """The tableaux at the least distance of a level that meets the ball,
+    after its first, whose first downhill child in canonical order has no
+    canonical completion: every shortest word from it breaks the order."""
+    ball, tables, follows = _ball(n), _row_tables(n), _follows(n)
+    dist = ball.distance(level)
+    least = int(dist.min())
+    dead = []
+    for i in np.flatnonzero(dist == least)[1:]:
+        kids = tables[:, level[i]]
+        downhill = follows[links[-1][1][i] + 1] & (ball.distance(kids) == least - 1)
+        gate = int(np.argmax(downhill))
+        words = _canonical_words(n, least - 1)
+        if least > 1:
+            words = words[follows[gate + 1][words[:, 0]]]
+        images = np.broadcast_to(kids[gate], (len(words), 2 * n - 1))
+        for column in words.T:
+            images = tables[column[:, None], images]
+        if downhill.any() and not tableau.accepts(images, n).any():
+            dead.append(int(i))
+    return dead
+
+
+@pytest.mark.parametrize("accepted, scramble, word", [
+    (7, [Hadamard(1), Hadamard(4), ControlledNot(4, 1), Hadamard(2)],
+     [Hadamard(1), Hadamard(2), Hadamard(4), ControlledNot(1, 4)]),
+    (63, [ControlledNot(4, 3), ControlledNot(1, 2), ControlledNot(4, 1), Hadamard(3)],
+     [Hadamard(3), ControlledNot(4, 1), ControlledNot(1, 2), ControlledNot(4, 3)]),
+])
+def test_the_walk_passes_over_meeting_tableaux_that_dead_end(accepted, scramble, word):
+    """From these scrambled n=4 roots the level that meets the ball holds a
+    later tableau at the least distance whose first downhill child has no
+    canonical completion, where a depth-first descent would backtrack.  The
+    walk descends from the first one only and returns the word of the walk
+    without the ball."""
+    n = 4
+    task = _Task(n, n, AuxValue.ZERO, None)
+    task.root = tableau.apply_word(_accepted_tableaux(n)[accepted], n, scramble)
+    steps, step = [], task._step
+
+    def recorded(level, links, left, keep):
+        steps.append((step(level, links, left, keep), links))
+        return steps[-1][0]
+
+    task._step = recorded
+    assert task.search(_DEPTH_HORIZON[n]) == word
+    assert _dead_ends(*steps[-1], n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_module, "_BALL_CHANNELS", 0)
+        assert task.search(_DEPTH_HORIZON[n]) == word
 
 
 def test_shallow_solves_build_only_the_n3_ball():
