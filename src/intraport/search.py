@@ -80,6 +80,18 @@ that is no longer (drop repeated pairs, sort commuting neighbours), so it
 is also the fewest gates a canonical word needs; distance 0 is exactly
 acceptance.
 
+Each key at distance d > 0 also holds its first downhill gate: the least
+alphabet gate whose image is one gate closer to acceptance.  One byte per
+key holds both, the distance in the high nibble and the gate in the low one
+(n <= 4 has at most 16 gates).  The gate belongs to the class: a gate maps
+a class to one class, so every tableau of a class has the same downhill
+gates.  The gates are found after the distances.  A gate is an involution
+on classes, so the classes at d that g takes one gate closer are g's images
+of the classes at d - 1.  Each key at d - 1 stands for its class by its own
+rows (S', and each message row as the key holds it, the row or the row
+times S'), its images under every gate are looked up in chunks of keys,
+and each image at d keeps the least gate that reached it.
+
 The ball walk (no target, n <= 4) has no acceptance test and no
 deduplication.  It looks up the root's class, then each level, kept by h,
 until the first level k that meets the ball (k = 0 for a root in the ball);
@@ -92,40 +104,40 @@ passes h and lies in the ball, so the walk meets the ball no later than
 that.  A walk to depth D never expands a level past D - R without meeting
 the ball, and returns None at once when L > D.
 
-Then the walk descends from the first tableau of level k at distance d: at
-each step it takes the first gate, in alphabet order, whose image is one
-gate closer to acceptance (a downhill gate), dropping a gate before the
-other rows are looked up when it leaves S' more than the remaining gates
-from weight 1.  Each lookup is of one tableau, so the class key is computed
-from Python ints and bisected in the ball's keys, as for the root; the
-levels before the meeting are looked up whole.  This returns the least
-accepted word W of length L.  Call any word of L gates that takes the root
-to acceptance a shortest word.  A word becomes canonical by deleting a gate
-that follows itself and by swapping adjacent commuting gates that are out
-of order; a shortest word loses no gate that way, L being minimal, and each
-swap makes it lexicographically smaller, so W is the least of all shortest
-words, canonical or not.  Hence:
+Then the walk descends from the first tableau of level k at distance d,
+picked by the distance nibble alone (the whole byte would also order by the
+gate): at each step it appends the tableau's stored first downhill gate
+and maps the rows through it, then looks up the image, except after the
+last step, whose image is accepted.  Each lookup is of one tableau, so the
+class key is computed from Python ints and bisected in the ball's keys, as
+for the root; the levels before the meeting are looked up whole.  This
+returns the least accepted word W of length L.  Call any word of L gates
+that takes the root to acceptance a shortest word.  A word becomes
+canonical by deleting a gate that follows itself and by swapping adjacent
+commuting gates that are out of order; a shortest word loses no gate that
+way, L being minimal, and each swap makes it lexicographically smaller, so
+W is the least of all shortest words, canonical or not.  Hence:
 
 - The first tableau at distance d on level k is W's prefix of k gates.  The
   level lists the canonical words of k gates kept by h in lexicographic
   order, W's prefix among them.  A tableau at distance d listed earlier has
   a shortest completion of d gates, and its word with that completion
   would be a shortest word less than W.
-- At each step W's next gate is the first downhill gate.  It is downhill,
-  the rest of W being a shortest completion, and an earlier downhill gate g
-  would give a shortest word less than W: the gates so far, g, and a
-  shortest completion of g's image.
+- At each step W's next gate is the stored first downhill gate.  It is
+  downhill, the rest of W being a shortest completion, and an earlier
+  downhill gate g would give a shortest word less than W: the gates so
+  far, g, and a shortest completion of g's image.
 
 So the descent never backtracks and always ends at acceptance after d
-steps, with at most one lookup per gate tried, where a level sweep would
-look up every shortest-path child of every level.  It needs no trimming of
-level k to distance d, since it starts at the first such tableau, and no
+steps, with d - 1 lookups, where a level sweep would look up every
+shortest-path child of every level.  It needs no trimming of level k to
+distance d, since it starts at the first such tableau, and no
 canonical-order test, since no downhill gate comes before W's next one.
 Only that test could make a descent backtrack: without it a tableau at
-distance j > 0 always has a downhill gate.  A later tableau at distance d
-on level k may have none allowed, or a first one after which every
-shortest completion breaks the canonical order; a depth-first descent from
-it would backtrack and fail, but this descent never starts there.
+distance j > 0 always has a downhill gate, its stored one.  A later tableau
+at distance d on level k may have none allowed, or a first one after which
+every shortest completion breaks the canonical order; a depth-first descent
+from it would backtrack and fail, but this descent never starts there.
 
 Without deduplication a ball walk level holds one tableau per canonical
 word whose prefixes were all kept, in word order, and a tableau may repeat.
@@ -306,6 +318,14 @@ def _class_keys(rows: np.ndarray, n: int, signs: np.ndarray) -> np.ndarray:
     return keys | s[:, 0].astype(np.uint64)
 
 
+def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
+    """(K, 2n-1) uint16: a tableau of each class key, S' and then each
+    message row as the key holds it, which lies in the key's class."""
+    bits = 2 * n + 1
+    rows = keys[:, None] >> np.arange(0, (2 * n - 1) * bits, bits, dtype=np.uint64)
+    return (rows & np.uint64((1 << bits) - 1)).astype(np.uint16)
+
+
 def _class_key(rows: Sequence[int], n: int, signs: memoryview) -> int:
     """The class key of one tableau given as ints, as _class_keys computes
     it; `signs` is a memoryview of _Ball.signs."""
@@ -321,27 +341,32 @@ class _Ball(NamedTuple):
 
     n: int
     keys: np.ndarray  # sorted uint64 class keys
-    dist: np.ndarray  # uint8: each key's distance to acceptance
+    steps: np.ndarray  # uint8 per key: its distance << 4 | its first downhill gate
     signs: np.ndarray  # uint16 [(a << 2n) | b] over unsigned rows: the sign bit of a b
 
-    def distance(self, rows: np.ndarray) -> np.ndarray:
-        """(K,) uint8: the fewest gates that take each of the (K, 2n-1)
-        tableaux to acceptance, or _BALL_RADIUS + 1 outside the ball."""
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """(K,) uint8: for each of the (K, 2n-1) tableaux, the fewest gates
+        that take it to acceptance << 4 | its first downhill gate, or
+        (_BALL_RADIUS + 1) << 4 outside the ball."""
         keys = _class_keys(rows, self.n, self.signs)
         at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[at] == keys, self.dist[at], _BALL_RADIUS + 1)
+        return np.where(self.keys[at] == keys, self.steps[at], (_BALL_RADIUS + 1) << 4)
 
-    def scalar_distance(self) -> Callable[[Sequence[int]], int]:
-        """distance for one tableau given as ints: its key by _class_key,
+    def distance(self, rows: np.ndarray) -> np.ndarray:
+        """(K,) uint8: the distance nibble of lookup."""
+        return self.lookup(rows) >> 4
+
+    def scalar_lookup(self) -> Callable[[Sequence[int]], int]:
+        """lookup for one tableau given as ints: its key by _class_key,
         found by bisection, with the tables read through memoryviews."""
-        keys, dist, signs = memoryview(self.keys), memoryview(self.dist), memoryview(self.signs)
+        keys, steps, signs = memoryview(self.keys), memoryview(self.steps), memoryview(self.signs)
         n, size = self.n, len(self.keys)
 
-        def distance(rows: Sequence[int]) -> int:
+        def lookup(rows: Sequence[int]) -> int:
             key = _class_key(rows, n, signs)
             at = bisect_left(keys, key)
-            return dist[at] if at < size and keys[at] == key else _BALL_RADIUS + 1
-        return distance
+            return steps[at] if at < size and keys[at] == key else (_BALL_RADIUS + 1) << 4
+        return lookup
 
 
 def _canonical_levels(n: int, signs: np.ndarray) -> list[np.ndarray]:
@@ -395,13 +420,26 @@ def _ball(n: int) -> _Ball:
         keys[size:size + len(kept)] = kept
         size += len(kept)
     keys.resize(size, refcheck=False)
-    dist = np.empty(len(keys), dtype=np.uint8)
+    steps = np.empty(len(keys), dtype=np.uint8)
     for d in reversed(range(len(levels))):
         for k in relabelled(levels[d]):
-            dist[np.searchsorted(keys, k)] = d
-    for table in (keys, dist, signs):
+            steps[np.searchsorted(keys, k)] = (d << 4 | 0xF) if d else 0  # 0xF: no gate yet
+    # Each key's first downhill gate.  A gate is an involution on classes,
+    # so the keys at d that g takes one gate closer are g's images of the
+    # keys at d - 1, all in the ball; each keeps the least such g, and an
+    # image nearer than d keeps its byte, which is below d << 4.  Chunks of
+    # 128 keys keep this pass's peak below that of the keys' build above.
+    tables, chunk = _row_tables(n), 1 << 7
+    for d in range(1, len(levels)):
+        below = keys[steps >> 4 == d - 1]
+        for start in range(0, len(below), chunk):
+            images = tables[:, _unpack(below[start:start + chunk], n)]  # gate-major
+            at = np.searchsorted(keys, _class_keys(images.reshape(-1, 2 * n - 1), n, signs))
+            gates = np.arange(len(tables), dtype=np.uint8).repeat(images.shape[1])
+            np.minimum.at(steps, at, d << 4 | gates)
+    for table in (keys, steps, signs):
         table.flags.writeable = False
-    return _Ball(n, keys, dist, signs)
+    return _Ball(n, keys, steps, signs)
 
 
 def _layout_rows(n: int, layout: Mapping[int, ExpectedOut]) -> np.ndarray:
@@ -478,33 +516,29 @@ class _Task:
     def _ball_walk(self, ball: _Ball, max_depth: int) -> Optional[list[Gate]]:
         """Levels kept by h until one meets the ball, which fixes the
         minimal length; then, from the level's first tableau at the least
-        distance, the first downhill gate at every step."""
-        near = ball.scalar_distance()
-        level, links, first, least = self.root[None], [], 0, near(self.root.tolist())
-        while least > _BALL_RADIUS:
+        distance, the stored first downhill gate at every step."""
+        near = ball.scalar_lookup()
+        level, links, first, step = self.root[None], [], 0, near(self.root.tolist())
+        while step >> 4 > _BALL_RADIUS:
             left = max_depth - len(links) - 1  # gates a child may still add
             if left < _BALL_RADIUS:  # its children are at least R gates from acceptance
                 return None
             level = self._step(level, links, left, lambda kids: self.lower_bound(kids) <= left)
             if not len(level):
                 return None
-            dist = ball.distance(level)
-            first = int(dist.argmin())
-            least = int(dist[first])
-        if len(links) + least > max_depth:
+            steps = ball.lookup(level)
+            first = int((steps >> 4).argmin())  # by distance alone, not by the gate
+            step = int(steps[first])
+        if len(links) + (step >> 4) > max_depth:
             return None
-        tables, row_dist = memoryview(self.tables), memoryview(self.dist)
+        tables = memoryview(self.tables)
         word, rows = self._word(links, first), level[first].tolist()
-        for left in reversed(range(least)):  # gates left after the next one
-            for gate in range(len(self.gates)):
-                if row_dist[tables[gate, rows[0]]] <= left:
-                    kid = [tables[gate, row] for row in rows]
-                    if near(kid) <= left:
-                        break
-            else:
-                raise AssertionError("W's next gate is downhill (see the module docstring)")
+        for left in reversed(range(step >> 4)):  # gates left after this one
+            gate = step & 0xF
             word.append(self.gates[gate])
-            rows = kid
+            rows = [tables[gate, row] for row in rows]
+            if left:
+                step = near(rows)
         return word
 
     def _general_walk(self, max_depth: int) -> Optional[list[Gate]]:

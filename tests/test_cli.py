@@ -5,6 +5,9 @@ import io
 import json
 import contextlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -591,3 +594,14 @@ def test_any_argv_prints_one_json_document(argv):
     assert isinstance(doc, dict)
     assert code in (0, 1, 2)
     assert ("error" in doc) == (code == 2)
+
+
+def test_python_dash_m_intraport_runs_the_cli():
+    """python -m intraport runs cli.main, with its exit code."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "intraport", "table", "--reduced"],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert len(json.loads(run.stdout)["cases"]) == 3

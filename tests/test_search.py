@@ -56,6 +56,7 @@ from intraport.search import (
     _layout_rows,
     _pack,
     _row_tables,
+    _unpack,
     gate_alphabet,
     solve_bob_program,
 )
@@ -435,14 +436,6 @@ def test_pack_equals_the_shift_and_or_of_its_rows(n):
         assert np.array_equal(_pack(rows[:, :r], n), expected)
 
 
-def _unpack(keys, n):
-    """The (K, 2n-1) tableaux of class keys: S' in the lowest bits, then
-    each message row in its canonical form."""
-    bits = 2 * n + 1
-    return np.stack([(keys >> np.uint64(bits * i)) & np.uint64((1 << bits) - 1)
-                     for i in range(2 * n - 1)], axis=1).astype(np.uint16)
-
-
 def _accepted_tableaux(n):
     """(6 n!, 2n-1): every accepted tableau whose message rows are +X_p and
     +Z_p, message j on channel perm[j-1] and a signed X, Y or Z residue on
@@ -458,11 +451,12 @@ def test_ball_distance_zero_is_exactly_acceptance(n, sizes):
     """A key is at distance 0 iff tableau.accepts accepts its tableau, and
     the accepted classes are the 6 n! of every channel arrangement."""
     ball = _ball(n)
-    assert np.array_equal(np.bincount(ball.dist), sizes)
+    dist = ball.steps >> 4
+    assert np.array_equal(np.bincount(dist), sizes)
     assert np.all(ball.keys[1:] > ball.keys[:-1])
-    assert np.array_equal(ball.dist == 0, tableau.accepts(_unpack(ball.keys, n), n))
+    assert np.array_equal(dist == 0, tableau.accepts(_unpack(ball.keys, n), n))
     accepted = _class_keys(_accepted_tableaux(n), n, ball.signs)
-    assert np.array_equal(np.sort(accepted), ball.keys[ball.dist == 0])
+    assert np.array_equal(np.sort(accepted), ball.keys[dist == 0])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -473,13 +467,31 @@ def test_ball_distances_are_exact(n):
     gives at most the true distance and completeness, the second at least
     it, as for the per-row distances."""
     ball = _ball(n)
-    rows, d = _unpack(ball.keys, n), ball.dist.astype(int)
+    rows, d = _unpack(ball.keys, n), (ball.steps >> 4).astype(int)
     best = np.full(len(d), _BALL_RADIUS + 1)
     for table in _row_tables(n):
         image = ball.distance(table[rows]).astype(int)
         assert np.abs(image - d).max() <= 1
         best = np.minimum(best, image)
     assert np.all((d == 0) | (best == d - 1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_ball_stores_each_keys_first_downhill_gate(n):
+    """At distance d > 0 a key's gate is the least alphabet gate whose image
+    _Ball.distance puts at d - 1, and following the stored gates from the
+    key's tableau reaches one that tableau.accepts accepts in exactly d
+    steps."""
+    ball, tables = _ball(n), _row_tables(n)
+    rows, d = _unpack(ball.keys, n), (ball.steps >> 4).astype(int)
+    first = np.full(len(d), -1)
+    for gate in reversed(range(len(tables))):
+        first[ball.distance(tables[gate][rows]) == d - 1] = gate
+    assert np.array_equal(first[d > 0], (ball.steps & 0xF)[d > 0])
+    for step in range(_BALL_RADIUS + 1):
+        assert np.array_equal(tableau.accepts(rows, n), d <= step)
+        live = d > step
+        rows[live] = tables[(ball.lookup(rows[live]) & 0xF)[:, None], rows[live]]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -513,7 +525,7 @@ def test_relabelled_ball_equals_the_direct_walk():
     keys, dist = np.concatenate(keys), np.concatenate(dist)
     order = np.argsort(keys)
     assert np.array_equal(keys[order], ball.keys)
-    assert np.array_equal(dist[order], ball.dist)
+    assert np.array_equal(dist[order], ball.steps >> 4)
 
 
 @st.composite
@@ -610,12 +622,15 @@ def ball_lookups(draw):
 @given(ball_lookups())
 def test_scalar_class_key_and_distance_equal_the_vectorised_ones(case):
     """The walk's one-tableau lookup, a key built from Python ints and found
-    by bisection, agrees with _class_keys and _Ball.distance."""
+    by bisection, agrees with _class_keys, and with _Ball.lookup in both
+    the distance and the gate; its distance is _Ball.distance."""
     n, rows = case
     ball = _ball(n)
     key = _class_key(rows.tolist(), n, memoryview(ball.signs))
     assert key == int(_class_keys(rows[None], n, ball.signs)[0])
-    assert ball.scalar_distance()(rows.tolist()) == int(ball.distance(rows[None])[0])
+    step = int(ball.lookup(rows[None])[0])
+    assert divmod(ball.scalar_lookup()(rows.tolist()), 16) == divmod(step, 16)
+    assert step >> 4 == int(ball.distance(rows[None])[0])
 
 
 def _dead_ends(level, links, n):
@@ -684,7 +699,7 @@ def test_shallow_solves_build_only_the_n3_ball():
     finally:
         tracemalloc.stop()
     assert len(ball.keys) == 5760 and peak <= 512 << 10
-    assert ball.keys.nbytes + ball.dist.nbytes + ball.signs.nbytes <= 64 << 10
+    assert ball.keys.nbytes + ball.steps.nbytes + ball.signs.nbytes <= 64 << 10
     _ball.cache_clear()
     assert solve_bob_program(3, 2, AuxValue.PLUS, 10) == [ControlledNot(1, 3), ControlledNot(2, 3)]
     for aux in range(1, 4):
@@ -710,4 +725,4 @@ def test_ball_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20
-    assert ball.keys.nbytes + ball.dist.nbytes + ball.signs.nbytes <= 2 << 20
+    assert ball.keys.nbytes + ball.steps.nbytes + ball.signs.nbytes <= 2 << 20
