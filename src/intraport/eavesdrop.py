@@ -25,8 +25,13 @@ auxiliary-residue channel.
 Every gate word a trial runs depends only on the protocol cases involved,
 never on the trial, so each registered case's decoder and Eve's re-encode,
 and the encoder for each size, are compiled once into cached real float64
-matrices (qsim.gate_unitary).  A trial applies at most four of them: the
-encoder, Eve's decoder, Eve's re-encode and the true decoder.
+matrices (qsim.gate_unitary).  Each (true case, guess) group then folds them
+once, also cached: the receiver's view of the sender's input is the true
+decoder times the encoder when Eve is absent, and the true decoder times her
+re-encode times `first` otherwise, where `first` (her decoder times the
+encoder) is her own view.  A trial applies at most these two products, and
+`first` only when Eve's believed message channels are the true ones, since
+otherwise she cannot succeed.
 
 Each trial draws as if from its own generators, seeded from the
 experiment base seed through the splitmix64 sequence: default_rng(seed)
@@ -37,16 +42,20 @@ those generators would cost about 12 us each, more than the rest of a
 batched trial, and none is built: numpy's SeedSequence hash and PCG64
 seeding (O'Neill, HMC-CS-2014-0905) are fixed algorithms that numpy keeps
 stable, because seeded streams must not change between releases.  So
-_pcg64_states derives a whole chunk's generator states in one pass (the
-hash as uint32 array ops, the two 128-bit LCG steps of the seeding in
-Python ints), and one Generator, made per call, is set to each trial's
-state in turn before it draws.  The draws equal default_rng's bit for bit;
-the tests compare them directly.
+_pcg64_states derives a whole chunk's PCG64 (state, inc) pairs in one pass
+(the hash as uint32 array ops, the two 128-bit LCG steps of the seeding in
+Python ints).  One Generator, made per call, is set to each trial's state
+in turn before it draws the normals and the sampled uniform.  A uniform
+guess needs no generator: integers(1, n + 1) is one PCG64 step, its XSL-RR
+output and Lemire's multiply-shift reduction of the output's low 32 bits
+(arXiv:1805.10941), computed in Python ints; only the draw that Lemire's
+rule may reject, about n in 2^32, sets the generator and asks it.  The
+draws equal default_rng's bit for bit; the tests compare them directly.
 
 run_experiment works in chunks of CHUNK trials: it derives the chunk's
 seeds, true values and guess seeds as uint64 array ops, draws every trial,
 groups the trials by (true case, guessed case) pair, and runs each group
-as one batch: one matrix product per compiled matrix, one contraction per
+as one batch: one matrix product per folded matrix, one contraction per
 checked channel.  run_trial is a batch of one through the same code.
 """
 
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
@@ -179,6 +189,44 @@ def _encoder(n: int) -> np.ndarray:
     return gate_unitary(n, alice_encoder(n))
 
 
+@dataclass(frozen=True)
+class _Group:
+    """One (true case, guess) group's folded matrices, applied to the
+    sender's input states.  `through` gives the receiver's input.  `first`
+    gives Eve's decoded state, and `believed` maps each channel where she
+    expects a message to the index of the true message there; both are None
+    when she is absent or her message channels are not the true ones."""
+
+    true: ProtocolCase
+    through: np.ndarray
+    first: Optional[np.ndarray] = None
+    believed: Optional[dict[int, int]] = None
+
+
+@functools.lru_cache(maxsize=None)
+def _group(n: int, aux_channel: int, value: AuxValue, guess: Optional[tuple]) -> _Group:
+    # keyed by the cases' parameters: a _CompiledCase holds arrays and
+    # cannot be hashed
+    true = _compiled(n, aux_channel, value)
+    return _fold(true, None if guess is None else _compiled(n, *guess))
+
+
+def _fold(true: _CompiledCase, eve: Optional[_CompiledCase]) -> _Group:
+    encoder = _encoder(true.case.channel_count)
+    if eve is None:
+        return _Group(true.case, true.decoder @ encoder)
+    first = eve.decoder @ encoder
+    through = true.decoder @ eve.reencode @ first
+    # Full recovery requires her believed message channels to be the true
+    # ones; a wrong auxiliary guess silently discards one true message.
+    if set(eve.case.message_channels) != set(true.case.message_channels):
+        return _Group(true.case, through)
+    sources = [true.case.message_channels.index(ch) for ch in eve.case.message_channels]
+    believed = {ch: sources[out.index] for ch, out in eve.case.expected_layout.items()
+                if isinstance(out, MessageOut)}
+    return _Group(true.case, through, first, believed)
+
+
 def _reencode_gates(case: ProtocolCase):
     """Eve's rebuild: believed outputs back to input placement, residue
     channel refreshed to the auxiliary value, then the encoder."""
@@ -236,10 +284,11 @@ _MIX_STEPS = [(src, np.array([dst for dst in range(4) if dst != src]),
 _OUT_WORDS = np.arange(8) % 4
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[dict]:
-    """`default_rng(seed).bit_generator.state` for each uint64 seed, without
-    building a generator: SeedSequence(seed).generate_state(4, uint64) for
-    the whole array at once, then PCG64's seeding in Python ints."""
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of `default_rng(seed)` for each uint64 seed,
+    without building a generator: SeedSequence(seed).generate_state(4,
+    uint64) for the whole array at once, then PCG64's seeding in Python
+    ints.  The generator's state also says that no uint32 is buffered."""
     pool = np.empty((4, len(seeds)), dtype=np.uint32)
     pool[0] = seeds.astype(np.uint32)
     pool[1] = (seeds >> 32).astype(np.uint32)
@@ -257,10 +306,14 @@ def _pcg64_states(seeds: np.ndarray) -> list[dict]:
     for hi, lo, inc_hi, inc_lo in zip(*words.tolist()):
         # state = 0, inc = seq << 1 | 1, step, add the initial state, step
         inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-        state = ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
+        states.append((((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128, inc))
     return states
+
+
+def _generator_state(state: int = 0, inc: int = 0) -> dict:
+    """The PCG64 generator state at (state, inc), with no uint32 buffered."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 def _draw(rng: np.random.Generator, seeds: np.ndarray, message_count: int,
@@ -271,31 +324,46 @@ def _draw(rng: np.random.Generator, seeds: np.ndarray, message_count: int,
     projective check.  (T, 4m) normals and (T,) uniforms."""
     normals = np.empty((len(seeds), 4 * message_count))
     uniforms = np.zeros(len(seeds))
-    for j, state in enumerate(_pcg64_states(seeds)):
+    state = _generator_state()  # one dict, refilled for each trial
+    pcg = state["state"]
+    for j, (pcg["state"], pcg["inc"]) in enumerate(_pcg64_states(seeds)):
         rng.bit_generator.state = state
-        normals[j] = rng.normal(size=4 * message_count)
+        rng.standard_normal(out=normals[j])
         if mode is DetectionMode.SAMPLED:
             uniforms[j] = rng.random()
+    # normal() returns 0.0 + 1.0 * x: the same bits, except -0.0 -> +0.0
+    normals += 0.0
     return normals, uniforms
+
+
+def _uniform_guess(rng: np.random.Generator, state: int, inc: int, n: int) -> int:
+    """`integers(1, n + 1)` of a generator at the PCG64 (state, inc), with no
+    uint32 buffered: one LCG step, the XSL-RR output and Lemire's
+    multiply-shift on its low 32 bits.  Lemire's rule may reject only a
+    product whose low word is below n; that draw, about n in 2^32, is asked
+    of `rng` set to the state."""
+    stepped = (state * _PCG_MULT + inc) & _MASK128
+    folded = (stepped >> 64) ^ (stepped & _MASK64)
+    rot = stepped >> 122
+    product = ((folded >> rot | folded << (64 - rot)) & 0xFFFFFFFF) * n
+    if product & 0xFFFFFFFF >= n:
+        return 1 + (product >> 32)
+    rng.bit_generator.state = _generator_state(state, inc)
+    return int(rng.integers(1, n + 1))
 
 
 def _guesses(rng: np.random.Generator, strategy: Optional[EveStrategy], n: int,
              seeds: np.ndarray, values: list[AuxValue]) -> list:
     """Eve's (auxiliary channel, value) guess for each trial; None when she
-    is absent.  A uniform guess draws from `rng` set to the state of
+    is absent.  A uniform guess is the integers(1, n + 1) of
     default_rng(splitmix64(seed ^ strategy.seed))."""
     if strategy is None:
         return [None] * len(seeds)
     if strategy.mode == "fixed":
         return [(strategy.fixed_channel, strategy.fixed_value)] * len(seeds)
-    if strategy.mode != "uniform":
-        raise InvalidInput(f"unknown strategy mode '{strategy.mode}'")
-    guesses = []
-    for state, value in zip(_pcg64_states(splitmix64(seeds ^ (strategy.seed & _MASK64))),
-                            values):
-        rng.bit_generator.state = state
-        guesses.append((int(rng.integers(1, n + 1)), value))
-    return guesses
+    states = _pcg64_states(splitmix64(seeds ^ (strategy.seed & _MASK64)))
+    return [(_uniform_guess(rng, state, inc, n), value)
+            for (state, inc), value in zip(states, values)]
 
 
 def _messages(normals: np.ndarray) -> np.ndarray:
@@ -316,10 +384,12 @@ def _channel_fidelities(states: np.ndarray, expected: dict[int, np.ndarray]) -> 
     the states, so no copy of the batch is made per channel.  It is not
     bitwise equal to qsim.channel_fidelity (it sums in another order and
     differs in the last bits on about half the cases tried: 1,739 of 3,600).
-    That is kept on purpose: its results only become counts, each from a
-    comparison with the 1e-9 bar below 1 or with a uniform draw, and a
-    difference of a few ulp moves a count only when a fidelity lands that
-    close to the bar or to the draw."""
+    The states it gets differ in the same way: a group's folded product
+    rounds otherwise than the chain of matrices it stands for, by a few ulp
+    per amplitude.  Both are kept on purpose: the fidelities only become
+    counts, each from a comparison with the 1e-9 bar below 1 or with a
+    uniform draw, and a difference of a few ulp moves a count only when a
+    fidelity lands that close to the bar or to the draw."""
     count = len(states)
     out = np.empty((count, len(expected)))
     for col, (ch, qubit) in enumerate(expected.items()):
@@ -333,39 +403,31 @@ def _channel_fidelities(states: np.ndarray, expected: dict[int, np.ndarray]) -> 
 
 
 def _run_batch(
-    true: _CompiledCase,
-    eve: Optional[_CompiledCase],
+    group: _Group,
     normals: np.ndarray,
     uniforms: np.ndarray,
     detection_mode: DetectionMode,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eve's success and the receiver's detection, as boolean arrays, for a
-    batch of trials that share one true case and one guess (eve=None: Eve
-    absent), from each trial's normals and sampled-check uniform."""
-    n = true.case.channel_count
+    batch of trials of one (true case, guess) group, from each trial's
+    normals and sampled-check uniform."""
+    true = group.true
     messages = _messages(normals)
-    wire = layout_states(true.case.input_layout, messages) @ _encoder(n).T
+    inputs = layout_states(true.input_layout, messages)
     eve_success = np.zeros(len(normals), dtype=bool)
-    if eve is not None:
-        decoded = wire @ eve.decoder.T
-        # Full recovery requires her believed message channels to be the true
-        # ones; a wrong auxiliary guess silently discards one true message.
-        if set(eve.case.message_channels) == set(true.case.message_channels):
-            sources = [true.case.message_channels.index(ch) for ch in eve.case.message_channels]
-            believed = {ch: messages[:, sources[out.index]]
-                        for ch, out in eve.case.expected_layout.items()
-                        if isinstance(out, MessageOut)}
-            eve_success = (_channel_fidelities(decoded, believed) >= _FIDELITY_BAR).all(axis=1)
-        wire = decoded @ eve.reencode.T
+    if group.believed is not None:
+        believed = {ch: messages[:, src] for ch, src in group.believed.items()}
+        decoded = inputs @ group.first.T
+        eve_success = (_channel_fidelities(decoded, believed) >= _FIDELITY_BAR).all(axis=1)
 
-    received = wire @ true.decoder.T
+    received = inputs @ group.through.T
     if detection_mode is DetectionMode.OMNISCIENT:
         expected = {ch: messages[:, out.index] if isinstance(out, MessageOut)
                     else out.state.as_array()
-                    for ch, out in true.case.expected_layout.items()}
+                    for ch, out in true.expected_layout.items()}
         detects = (_channel_fidelities(received, expected) < _FIDELITY_BAR).any(axis=1)
     else:
-        residue = {true.case.residue_channel: true.case.residue.as_array()}
+        residue = {true.residue_channel: true.residue.as_array()}
         detects = uniforms < 1.0 - _channel_fidelities(received, residue)[:, 0]
     return eve_success, detects
 
@@ -391,11 +453,32 @@ def _run_trials(
     eve_success = np.empty(len(seeds), dtype=bool)
     detects = np.empty(len(seeds), dtype=bool)
     for (value, guess), rows in groups.items():
-        true = _compiled(n, aux_channel, value)
-        eve = None if guess is None else _compiled(n, *guess)
-        eve_success[rows], detects[rows] = _run_batch(true, eve, normals[rows], uniforms[rows],
+        eve_success[rows], detects[rows] = _run_batch(_group(n, aux_channel, value, guess),
+                                                      normals[rows], uniforms[rows],
                                                       detection_mode)
     return eve_success, detects, guesses
+
+
+def _check_inputs(n: int, strategy: Optional[EveStrategy],
+                  detection_mode: DetectionMode) -> None:
+    """Refuse a malformed strategy or detection mode before any trial runs."""
+    if not isinstance(detection_mode, DetectionMode):
+        raise InvalidInput(f"detection mode must be a DetectionMode, got {detection_mode!r}")
+    if strategy is None:
+        return
+    if not isinstance(strategy, EveStrategy):
+        raise InvalidInput(f"strategy must be an EveStrategy or None, got {strategy!r}")
+    if not isinstance(strategy.seed, numbers.Integral):
+        raise InvalidInput(f"strategy seed must be an integer, got {strategy.seed!r}")
+    if strategy.mode == "fixed":
+        channel, value = strategy.fixed_channel, strategy.fixed_value
+        if not (isinstance(channel, numbers.Integral) and 1 <= channel <= n):
+            raise InvalidInput(f"fixed guess channel must be an integer in 1..{n}, "
+                               f"got {channel!r}")
+        if not isinstance(value, AuxValue):
+            raise InvalidInput(f"fixed guess value must be an AuxValue, got {value!r}")
+    elif strategy.mode != "uniform":
+        raise InvalidInput(f"unknown strategy mode '{strategy.mode}'")
 
 
 def run_trial(
@@ -414,6 +497,7 @@ def run_trial(
     n = channel_count
     if true_case.channel_count != n:
         raise InvalidInput("true_case does not match channel_count")
+    _check_inputs(n, strategy, detection_mode)
     true = _compiled(n, true_case.aux_channel, true_case.aux_value)
     if true.case is not true_case and true.case != true_case:
         raise InvalidInput("true_case is not the registered case for its auxiliary channel")
@@ -454,6 +538,9 @@ def run_experiment(
         raise InvalidInput("trials must be >= 1")
     if n not in CANONICAL_AUX_CHANNEL:
         raise InvalidInput(f"no canonical case registered for {n} channels")
+    _check_inputs(n, strategy, detection_mode)
+    if aux_value is not None and not isinstance(aux_value, AuxValue):
+        raise InvalidInput(f"aux_value must be an AuxValue or None, got {aux_value!r}")
     if aux_value is None and strategy is not None and strategy.mode == "fixed":
         aux_value = strategy.fixed_value
 

@@ -191,7 +191,7 @@ from .qsim import (
 )
 
 # Largest exhaustively enumerated extension length per channel count.
-_DEPTH_HORIZON = {3: 7, 4: 6, 5: 5, 6: 4}
+_DEPTH_HORIZON = {3: 7, 4: 6, 5: 7, 6: 4}
 
 # Children generated per chunk of parents; bounds the memory of one step.
 _CHUNK_CHILDREN = 1 << 13

@@ -162,10 +162,11 @@ def test_trials_reuse_compiled_cases():
     first = run_experiment(4, 60, strategy, base_seed=15)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a trial compiled a gate word")
+        raise AssertionError("a trial compiled a gate word or folded a group's matrices")
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_apply_gates", "post_swap_plan", "relocated_case", "gate_unitary"):
+        for name in ("_apply_gates", "post_swap_plan", "relocated_case", "gate_unitary",
+                     "_fold"):
             mp.setattr(eavesdrop, name, refuse)
         assert run_experiment(4, 60, strategy, base_seed=15) == first
 
@@ -192,8 +193,10 @@ def test_chunk_draws_are_those_of_default_rng(seeds, strategy_seed, n):
     """The derived generator states, and every draw made from them with one
     reused generator, equal those of a fresh default_rng per seed."""
     chunk = np.array(seeds, dtype=np.uint64)
-    assert eavesdrop._pcg64_states(chunk) == [np.random.default_rng(seed).bit_generator.state
-                                              for seed in seeds]
+    states = [{"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+              for state, inc in eavesdrop._pcg64_states(chunk)]
+    assert states == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
     rng = np.random.Generator(np.random.PCG64(0))
     normals, uniforms = eavesdrop._draw(rng, chunk, n - 1, DetectionMode.SAMPLED)
     values = [AuxValue.ZERO] * len(seeds)
@@ -204,6 +207,92 @@ def test_chunk_draws_are_those_of_default_rng(seeds, strategy_seed, n):
         assert uniforms[j] == own.random()
         guess_rng = np.random.default_rng(splitmix64(seed ^ strategy_seed))
         assert guesses[j] == (int(guess_rng.integers(1, n + 1)), AuxValue.ZERO)
+
+
+def _generator_at(state, inc):
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_uniform_guess_asks_the_generator_when_lemire_may_reject(n):
+    """States whose next PCG64 output is 0 (its step lands on equal 64-bit
+    halves), so Lemire's product has low word 0 < n: where 2^32 mod n is not
+    0 (n = 3, 5, 6) numpy rejects that draw and draws again, and the guess
+    must still be the generator's."""
+    inverse = pow(eavesdrop._PCG_MULT, -1, 1 << 128)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for half, inc in [(0, 1), (1, 3), (0x0123456789ABCDEF, 2**127 + 1),
+                      (2**64 - 1, 2**128 - 1), (2**63, 0xDA3E39CB94B95BDB)]:
+        state = ((half << 64 | half) - inc) * inverse % (1 << 128)
+        assert _generator_at(state, inc).bit_generator.random_raw() == 0
+        expected = int(_generator_at(state, inc).integers(1, n + 1))
+        assert eavesdrop._uniform_guess(rng, state, inc, n) == expected
+
+
+def test_draw_returns_normal_s_plus_zero():
+    """A state whose next output (0x101: table 1, sign bit set, magnitude 0)
+    makes the ziggurat return -0.0.  normal() returns 0.0 + 1.0 * x, so
+    +0.0, and _draw, which fills with standard_normal, must too."""
+    inverse = pow(eavesdrop._PCG_MULT, -1, 1 << 128)
+    mask64 = (1 << 64) - 1
+    high, inc, rot = 0x9E3779B97F4A7C15, 0xDA3E39CB94B95BDB, 0x9E3779B97F4A7C15 >> 58
+    low = high ^ ((0x101 << rot | 0x101 >> (64 - rot)) & mask64)
+    state = ((high << 64 | low) - inc) * inverse % (1 << 128)
+    assert np.signbit(_generator_at(state, inc).standard_normal())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eavesdrop, "_pcg64_states", lambda seeds: [(state, inc)])
+        normals, _ = eavesdrop._draw(np.random.Generator(np.random.PCG64(0)),
+                                     np.zeros(1, dtype=np.uint64), 2, DetectionMode.OMNISCIENT)
+    assert normals[0].tobytes() == _generator_at(state, inc).normal(size=8).tobytes()
+    assert not np.signbit(normals[0, 0])
+
+
+def test_uniform_guesses_ask_no_generator_for_integers():
+    class NoIntegers(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            raise AssertionError("a uniform guess drew from a generator")
+
+    strategy = EveStrategy.uniform_guess(seed=6)
+    first = run_experiment(5, eavesdrop.CHUNK + 1, strategy, base_seed=16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "Generator", NoIntegers)
+        assert run_experiment(5, eavesdrop.CHUNK + 1, strategy, base_seed=16) == first
+
+
+@pytest.mark.parametrize("strategy, mode", [
+    (EveStrategy(mode="fixed"), DetectionMode.OMNISCIENT),
+    (EveStrategy(mode="fixed", fixed_channel=2), DetectionMode.OMNISCIENT),
+    (EveStrategy(mode="fixed", fixed_value=AuxValue.ZERO), DetectionMode.OMNISCIENT),
+    (EveStrategy.fixed_guess(2, "zero"), DetectionMode.OMNISCIENT),
+    (EveStrategy.fixed_guess(0, AuxValue.ZERO), DetectionMode.SAMPLED),
+    (EveStrategy.fixed_guess(4, AuxValue.ZERO), DetectionMode.SAMPLED),
+    (EveStrategy.fixed_guess(2.0, AuxValue.ZERO), DetectionMode.OMNISCIENT),
+    (EveStrategy.uniform_guess(seed=1.5), DetectionMode.OMNISCIENT),
+    (EveStrategy(mode="bogus"), DetectionMode.OMNISCIENT),
+    ("uniform", DetectionMode.OMNISCIENT),
+    (None, "sampled"),
+    (EveStrategy.uniform_guess(), "omniscient"),
+    (EveStrategy.fixed_guess(2, AuxValue.ZERO), None),
+])
+def test_malformed_strategy_or_mode_is_refused_before_any_trial(strategy, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    case = relocated_case(3, CANONICAL_AUX_CHANNEL[3], AuxValue.ZERO)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eavesdrop, "_draw", refuse)
+        with pytest.raises(InvalidInput):
+            run_experiment(3, 10, strategy, 1, mode)
+        with pytest.raises(InvalidInput):
+            run_trial(3, case, strategy, trial_seed(1, 0), mode)
+
+
+def test_malformed_aux_value_is_refused():
+    with pytest.raises(InvalidInput):
+        run_experiment(3, 10, None, 1, aux_value="zero")
 
 
 def test_seeds_are_masked_to_64_bits():

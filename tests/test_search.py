@@ -148,13 +148,38 @@ def test_search_returns_pinned_least_words():
 
 
 def test_search_results_are_pinned_over_bounds_and_targets():
-    """golden/search_results.json pins 418 more calls (null for a miss):
+    """golden/search_results.json pins 431 more calls (null for a miss):
     every n=3 and n=4 case at max_gates 0..10, target mode for
     figures 1-3 over every auxiliary channel and value at max_gates 6 and
-    10, n=5 and n=6 at max_gates 0..3, (5,5,zero,12), (6,1,plus,10) and
-    (6,6,plus,10)."""
+    10, n=5 and n=6 at max_gates 0..3, (5,5,zero,12), (6,1,plus,10),
+    (6,6,plus,10), and at max_gates 10 the 12 n=5 cases off the canonical
+    channel and (5,5,plus), which the n=5 horizon of 7 answers."""
     for case, program, pinned in _solve_pinned("search_results.json"):
         assert program == pinned, case
+
+
+def test_pinned_n5_decoders_decode():
+    """Each pinned n=5 word at max_gates 10 decodes, by the tableau core and
+    by the dense oracle; only (5, aux 1, one) and (5, aux 1, plus), whose
+    least decoders have 8 gates, stay misses."""
+    path = Path(__file__).parent / "golden" / "search_results.json"
+    pins = [case for case in json.loads(path.read_text(encoding="utf-8"))
+            if case["channels"] == 5 and case["max_gates"] == 10]
+    assert len(pins) == 13
+    misses = set()
+    for case in pins:
+        aux, value = case["aux_channel"], AuxValue(case["aux_value"])
+        if case["program"] is None:
+            misses.add((aux, value))
+            continue
+        word = list(parse_circuit("\n".join(["channels 5"] + case["program"])).gates)
+        assert len(word) <= _DEPTH_HORIZON[5]
+        gates = alice_encoder(5) + bob_prefix(5) + word
+        messages = [c for c in range(1, 6) if c != aux]
+        rows = tableau.apply_word(_layout_rows(5, input_layout(messages, aux, value)), 5, gates)
+        assert tableau.accepts(rows[None], 5, None)[0], case
+        assert decoder_layout_oracle(5, aux, value.qubit.as_array(), gates) is not None, case
+    assert misses == {(1, AuxValue.ONE), (1, AuxValue.PLUS)}
 
 
 def test_search_is_deterministic():
