@@ -53,10 +53,16 @@ rule may reject, about n in 2^32, sets the generator and asks it.  The
 draws equal default_rng's bit for bit; the tests compare them directly.
 
 run_experiment works in chunks of CHUNK trials: it derives the chunk's
-seeds, true values and guess seeds as uint64 array ops, draws every trial,
-groups the trials by (true case, guessed case) pair, and runs each group
-as one batch: one matrix product per folded matrix, one contraction per
-checked channel.  run_trial is a batch of one through the same code.
+seeds, true value codes and guess seeds as uint64 array ops and draws
+every trial.  Each trial gets an integer group code, its true value code
+times 3n + 1 plus its guess code (0 when Eve is absent), and a stable sort
+by code makes each (true case, guess) group a run of rows.  The rest is
+one pipeline over the chunk: the messages and input states of every
+trial, then, a block of rows at a time, each group's folded products on
+its own rows and one contraction per checked channel over the block, for
+Eve's recovery (on the rows of the groups where she can succeed) and for
+the receiver's check.  Only the matrix products are per group.  run_trial
+is a batch of one through the same code.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from __future__ import annotations
 import enum
 import functools
 import numbers
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -189,42 +194,91 @@ def _encoder(n: int) -> np.ndarray:
     return gate_unitary(n, alice_encoder(n))
 
 
+# The classical values in the order of their codes: run_experiment draws a
+# trial's value code as splitmix64(seed) % 3.
+_AUX_CYCLE = (AuxValue.PLUS, AuxValue.ZERO, AuxValue.ONE)
+
+
+def _guess_code(channel, value_code):
+    """Eve's guess of (channel, value) as a code in 1..3n, elementwise on
+    arrays; code 0 stands for her absence."""
+    return 1 + 3 * (channel - 1) + value_code
+
+
+def _guessed(guess_code: int) -> tuple[int, AuxValue]:
+    channel, value_code = divmod(guess_code - 1, 3)
+    return channel + 1, _AUX_CYCLE[value_code]
+
+
 @dataclass(frozen=True)
 class _Group:
     """One (true case, guess) group's folded matrices, applied to the
     sender's input states.  `through` gives the receiver's input.  `first`
-    gives Eve's decoded state, and `believed` maps each channel where she
-    expects a message to the index of the true message there; both are None
-    when she is absent or her message channels are not the true ones."""
+    gives Eve's decoded state, and `believed` holds, for each channel, the
+    index of the true message where she expects one and -1 elsewhere; both
+    are None when she is absent or her message channels are not the true
+    ones."""
 
-    true: ProtocolCase
     through: np.ndarray
     first: Optional[np.ndarray] = None
-    believed: Optional[dict[int, int]] = None
+    believed: Optional[np.ndarray] = None
 
 
 @functools.lru_cache(maxsize=None)
-def _group(n: int, aux_channel: int, value: AuxValue, guess: Optional[tuple]) -> _Group:
-    # keyed by the cases' parameters: a _CompiledCase holds arrays and
-    # cannot be hashed
-    true = _compiled(n, aux_channel, value)
-    return _fold(true, None if guess is None else _compiled(n, *guess))
+def _group(n: int, aux_channel: int, code: int) -> _Group:
+    """The group of trials with this code: true value code x (3n + 1) + guess
+    code.  Keyed by codes, not cases: a _CompiledCase holds arrays and
+    cannot be hashed."""
+    value_code, guess_code = divmod(code, 3 * n + 1)
+    true = _compiled(n, aux_channel, _AUX_CYCLE[value_code])
+    return _fold(true, _compiled(n, *_guessed(guess_code)) if guess_code else None)
 
 
 def _fold(true: _CompiledCase, eve: Optional[_CompiledCase]) -> _Group:
     encoder = _encoder(true.case.channel_count)
     if eve is None:
-        return _Group(true.case, true.decoder @ encoder)
+        return _Group(true.decoder @ encoder)
     first = eve.decoder @ encoder
     through = true.decoder @ eve.reencode @ first
     # Full recovery requires her believed message channels to be the true
     # ones; a wrong auxiliary guess silently discards one true message.
     if set(eve.case.message_channels) != set(true.case.message_channels):
-        return _Group(true.case, through)
+        return _Group(through)
     sources = [true.case.message_channels.index(ch) for ch in eve.case.message_channels]
-    believed = {ch: sources[out.index] for ch, out in eve.case.expected_layout.items()
-                if isinstance(out, MessageOut)}
-    return _Group(true.case, through, first, believed)
+    believed = np.full(true.case.channel_count, -1)
+    for ch, out in eve.case.expected_layout.items():
+        if isinstance(out, MessageOut):
+            believed[ch - 1] = sources[out.index]
+    return _Group(through, first, believed)
+
+
+@dataclass(frozen=True)
+class _Layouts:
+    """The registered cases on one auxiliary channel as columns of a trial's
+    qubits: its m messages, then the auxiliary value's qubit (column m) and
+    the residue's (column m + 1)."""
+
+    inputs: dict  # the input layout; where the messages go does not depend on the value
+    known: np.ndarray  # (3, 2, 2): each value code's auxiliary and residue qubits
+    outputs: np.ndarray  # (3, n): each value code's column on each output channel
+    residue_channels: tuple[int, ...]  # every value's residue channel, sorted
+    residue_column: np.ndarray  # (3,): where each value code's is in residue_channels
+
+
+@functools.lru_cache(maxsize=None)
+def _layouts(n: int, aux_channel: int) -> _Layouts:
+    m = n - 1
+    cases = [_compiled(n, aux_channel, value).case for value in _AUX_CYCLE]
+    known = np.array([(case.aux_value.qubit.as_array(), case.residue.as_array())
+                      for case in cases])
+    outputs = np.array([[out.index if isinstance(out, MessageOut) else m + 1
+                         for _, out in sorted(case.expected_layout.items())]
+                        for case in cases])
+    residue_channels = tuple(sorted({case.residue_channel for case in cases}))
+    residue_column = np.array([residue_channels.index(case.residue_channel)
+                               for case in cases])
+    inputs = {**cases[0].input_layout, aux_channel: MessageOut(m)}
+    return _Layouts(inputs, known, outputs, residue_channels, residue_column)
 
 
 def _reencode_gates(case: ProtocolCase):
@@ -353,17 +407,18 @@ def _uniform_guess(rng: np.random.Generator, state: int, inc: int, n: int) -> in
 
 
 def _guesses(rng: np.random.Generator, strategy: Optional[EveStrategy], n: int,
-             seeds: np.ndarray, values: list[AuxValue]) -> list:
-    """Eve's (auxiliary channel, value) guess for each trial; None when she
-    is absent.  A uniform guess is the integers(1, n + 1) of
-    default_rng(splitmix64(seed ^ strategy.seed))."""
+             seeds: np.ndarray, value_codes: np.ndarray) -> np.ndarray:
+    """Eve's guess code for each trial (_guess_code; 0 when she is absent).
+    A uniform guess reads the value from the token and takes the channel
+    integers(1, n + 1) of default_rng(splitmix64(seed ^ strategy.seed))."""
     if strategy is None:
-        return [None] * len(seeds)
+        return np.zeros(len(seeds), dtype=np.intp)
     if strategy.mode == "fixed":
-        return [(strategy.fixed_channel, strategy.fixed_value)] * len(seeds)
+        code = _guess_code(strategy.fixed_channel, _AUX_CYCLE.index(strategy.fixed_value))
+        return np.full(len(seeds), code, dtype=np.intp)
     states = _pcg64_states(splitmix64(seeds ^ (strategy.seed & _MASK64)))
-    return [(_uniform_guess(rng, state, inc, n), value)
-            for (state, inc), value in zip(states, values)]
+    channels = np.array([_uniform_guess(rng, state, inc, n) for state, inc in states])
+    return _guess_code(channels, value_codes)
 
 
 def _messages(normals: np.ndarray) -> np.ndarray:
@@ -378,7 +433,7 @@ def _messages(normals: np.ndarray) -> np.ndarray:
 def _channel_fidelities(states: np.ndarray, expected: dict[int, np.ndarray]) -> np.ndarray:
     """(T, len(expected)) fidelities <q| rho_channel |q> of each state in the
     (T, 2^n) batch, one column per channel of `expected`, which maps the
-    channel to its qubit q: one (T, 2) row per state, or one (2,) for all.
+    channel to its qubit q, a (T, 2) array with one row per state.
 
     Each channel is one contraction over the whole batch, through a view of
     the states, so no copy of the batch is made per channel.  It is not
@@ -386,10 +441,16 @@ def _channel_fidelities(states: np.ndarray, expected: dict[int, np.ndarray]) -> 
     differs in the last bits on about half the cases tried: 1,739 of 3,600).
     The states it gets differ in the same way: a group's folded product
     rounds otherwise than the chain of matrices it stands for, by a few ulp
-    per amplitude.  Both are kept on purpose: the fidelities only become
-    counts, each from a comparison with the 1e-9 bar below 1 or with a
-    uniform draw, and a difference of a few ulp moves a count only when a
-    fidelity lands that close to the bar or to the draw."""
+    per amplitude.  A row's contraction does not depend on the other rows,
+    so a trial's fidelity is the same whichever trials share its batch.  A
+    row's product does not either, except that numpy multiplies a single
+    row as a vector-matrix product (gemv), which rounds otherwise: a trial
+    alone in its group, or cut from it alone by a block boundary, can
+    differ in the last bits.  All of this is kept on purpose: the
+    fidelities only become counts, each from a comparison with the 1e-9
+    bar below 1 or with a uniform draw, and a difference of a few ulp moves
+    a count only when a fidelity lands that close to the bar or to the
+    draw."""
     count = len(states)
     out = np.empty((count, len(expected)))
     for col, (ch, qubit) in enumerate(expected.items()):
@@ -402,61 +463,106 @@ def _channel_fidelities(states: np.ndarray, expected: dict[int, np.ndarray]) -> 
     return out
 
 
-def _run_batch(
-    group: _Group,
-    normals: np.ndarray,
-    uniforms: np.ndarray,
-    detection_mode: DetectionMode,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's success and the receiver's detection, as boolean arrays, for a
-    batch of trials of one (true case, guess) group, from each trial's
-    normals and sampled-check uniform."""
-    true = group.true
-    messages = _messages(normals)
-    inputs = layout_states(true.input_layout, messages)
-    eve_success = np.zeros(len(normals), dtype=bool)
-    if group.believed is not None:
-        believed = {ch: messages[:, src] for ch, src in group.believed.items()}
-        decoded = inputs @ group.first.T
-        eve_success = (_channel_fidelities(decoded, believed) >= _FIDELITY_BAR).all(axis=1)
-
-    received = inputs @ group.through.T
-    if detection_mode is DetectionMode.OMNISCIENT:
-        expected = {ch: messages[:, out.index] if isinstance(out, MessageOut)
-                    else out.state.as_array()
-                    for ch, out in true.expected_layout.items()}
-        detects = (_channel_fidelities(received, expected) < _FIDELITY_BAR).any(axis=1)
-    else:
-        residue = {true.residue_channel: true.residue.as_array()}
-        detects = uniforms < 1.0 - _channel_fidelities(received, residue)[:, 0]
-    return eve_success, detects
-
-
 def _run_trials(
     rng: np.random.Generator,
     n: int,
     aux_channel: int,
-    values: list[AuxValue],
+    value_codes: np.ndarray,
     seeds: np.ndarray,
     strategy: Optional[EveStrategy],
     detection_mode: DetectionMode,
-) -> tuple[np.ndarray, np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eve's success and the receiver's detection (boolean arrays in trial
-    order) and Eve's guesses, for trials of the registered cases on
-    `aux_channel` with the given true values and uint64 seeds.  The trials
-    run as one batch per (true value, guess) group."""
-    normals, uniforms = _draw(rng, seeds, n - 1, detection_mode)
-    guesses = _guesses(rng, strategy, n, seeds, values)
-    groups: dict[tuple, list[int]] = defaultdict(list)
-    for j, key in enumerate(zip(values, guesses)):
-        groups[key].append(j)
-    eve_success = np.empty(len(seeds), dtype=bool)
-    detects = np.empty(len(seeds), dtype=bool)
-    for (value, guess), rows in groups.items():
-        eve_success[rows], detects[rows] = _run_batch(_group(n, aux_channel, value, guess),
-                                                      normals[rows], uniforms[rows],
-                                                      detection_mode)
-    return eve_success, detects, guesses
+    order) and Eve's guess codes, for trials of the registered cases on
+    `aux_channel` with the given true value codes and uint64 seeds.
+
+    The trials are sorted by group code (true value code x (3n + 1) + guess
+    code), stably, so that each group is a run of rows; the qubits are built
+    for all of them at once, and _run_block checks them a block of rows at
+    a time."""
+    count, m = len(seeds), n - 1
+    normals, uniforms = _draw(rng, seeds, m, detection_mode)
+    guesses = _guesses(rng, strategy, n, seeds, value_codes)
+    codes = value_codes * (3 * n + 1) + guesses
+    order = np.argsort(codes, kind="stable")
+    codes, uniforms = codes[order], uniforms[order]
+    qubits = np.empty((count, m + 2, 2), dtype=complex)
+    qubits[:, :m] = _messages(normals[order])
+    qubits[:, m:] = _layouts(n, aux_channel).known[value_codes[order]]
+
+    checked = np.empty((2, count), dtype=bool)
+    rows = max(1, _BLOCK_AMPLITUDES >> n)
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        checked[:, block] = _run_block(n, aux_channel, codes[block], qubits[block],
+                                       uniforms[block], detection_mode)
+    in_trial_order = np.empty_like(checked)
+    in_trial_order[:, order] = checked
+    return in_trial_order[0], in_trial_order[1], guesses
+
+
+# A block's state arrays hold at most this many amplitudes (64 KiB).  Larger
+# ones cost page faults: with glibc's malloc on Linux, freeing a 200-trial
+# chunk's arrays at n=6 (200 KiB each) handed their pages back to the
+# system, and the next chunk faulted them in again, 150-650 faults (0.4-1.6
+# ms on a 2-core x86 VM) per experiment.
+_BLOCK_AMPLITUDES = 1 << 12
+
+
+def _run_block(n: int, aux_channel: int, codes: np.ndarray, qubits: np.ndarray,
+               uniforms: np.ndarray, detection_mode: DetectionMode) -> np.ndarray:
+    """Eve's success and the receiver's detection, a (2, T) boolean array,
+    for a block of trials sorted by group code, from their (T, m + 2, 2)
+    qubits (see _Layouts) and sampled-check uniforms.  Each group's run of
+    rows takes its folded products; each check is one contraction over the
+    rows it concerns."""
+    count = len(codes)
+    layouts = _layouts(n, aux_channel)
+    value_codes = codes // (3 * n + 1)
+    inputs = layout_states(layouts.inputs, qubits)
+    edges = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+    groups = [(s, e, _group(n, aux_channel, int(codes[s])))
+              for s, e in zip([0, *edges], [*edges, count])]
+    received = np.empty_like(inputs)
+    for s, e, group in groups:
+        np.matmul(inputs[s:e], group.through.T, out=received[s:e])
+
+    checked = np.zeros((2, count), dtype=bool)
+    believed = [(s, e, group) for s, e, group in groups if group.believed is not None]
+    if believed:
+        rows = np.concatenate([np.arange(s, e) for s, e, _ in believed])
+        decoded = np.empty((len(rows), 1 << n), dtype=complex)
+        sources = np.empty((len(rows), n), dtype=np.intp)
+        at = 0
+        for s, e, group in believed:
+            np.matmul(inputs[s:e], group.first.T, out=decoded[at:at + e - s])
+            sources[at:at + e - s] = group.believed
+            at += e - s
+        # The channels where some row expects a message; a row's source of
+        # -1 there takes some qubit, and its fidelity is not counted.
+        channels = np.flatnonzero((sources >= 0).any(axis=0))
+        expected = qubits[rows[:, None], sources[:, channels]]
+        fidelities = _channel_fidelities(
+            decoded, {ch + 1: expected[:, j] for j, ch in enumerate(channels.tolist())})
+        recovered = (fidelities >= _FIDELITY_BAR) | (sources[:, channels] < 0)
+        checked[0, rows] = recovered.all(axis=1)
+
+    if detection_mode is DetectionMode.OMNISCIENT:
+        expected = qubits[np.arange(count)[:, None], layouts.outputs[value_codes]]
+        fidelities = _channel_fidelities(
+            received, {ch: expected[:, ch - 1] for ch in range(1, n + 1)})
+        checked[1] = (fidelities < _FIDELITY_BAR).any(axis=1)
+    else:
+        fidelities = _channel_fidelities(
+            received, {ch: qubits[:, n] for ch in layouts.residue_channels})
+        residue = fidelities[np.arange(count), layouts.residue_column[value_codes]]
+        checked[1] = uniforms < 1.0 - residue
+    return checked
+
+
+def _require_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
 def _check_inputs(n: int, strategy: Optional[EveStrategy],
@@ -468,8 +574,7 @@ def _check_inputs(n: int, strategy: Optional[EveStrategy],
         return
     if not isinstance(strategy, EveStrategy):
         raise InvalidInput(f"strategy must be an EveStrategy or None, got {strategy!r}")
-    if not isinstance(strategy.seed, numbers.Integral):
-        raise InvalidInput(f"strategy seed must be an integer, got {strategy.seed!r}")
+    _require_integer("strategy seed", strategy.seed)
     if strategy.mode == "fixed":
         channel, value = strategy.fixed_channel, strategy.fixed_value
         if not (isinstance(channel, numbers.Integral) and 1 <= channel <= n):
@@ -497,23 +602,21 @@ def run_trial(
     n = channel_count
     if true_case.channel_count != n:
         raise InvalidInput("true_case does not match channel_count")
+    _require_integer("trial seed", trial_seed)
     _check_inputs(n, strategy, detection_mode)
     true = _compiled(n, true_case.aux_channel, true_case.aux_value)
     if true.case is not true_case and true.case != true_case:
         raise InvalidInput("true_case is not the registered case for its auxiliary channel")
     eve_success, detects, (guess,) = _run_trials(
         np.random.Generator(np.random.PCG64(0)), n, true_case.aux_channel,
-        [true_case.aux_value], np.array([trial_seed & _MASK64], dtype=np.uint64),
-        strategy, detection_mode)
+        np.array([_AUX_CYCLE.index(true_case.aux_value)]),
+        np.array([int(trial_seed) & _MASK64], dtype=np.uint64), strategy, detection_mode)
     return TrialOutcome(
         eve_success=bool(eve_success[0]),
         bob_detects=bool(detects[0]),
         true_case_id=true_case.case_id,
-        guessed_case_id=None if guess is None else _compiled(n, *guess).case.case_id,
+        guessed_case_id=_compiled(n, *_guessed(int(guess))).case.case_id if guess else None,
     )
-
-
-_AUX_CYCLE = (AuxValue.PLUS, AuxValue.ZERO, AuxValue.ONE)
 
 
 def run_experiment(
@@ -529,11 +632,14 @@ def run_experiment(
     The auxiliary channel is the canonical one for the size; the classical
     value is drawn per trial unless pinned by `aux_value` (fixed-guess
     strategies pin it to their own value so "guessed the true case" is
-    well defined).  Each chunk of CHUNK trials derives its seeds, values
-    and generator states as arrays, then runs as one batch per (true
-    value, guess) group.
+    well defined).  Each chunk of CHUNK trials derives its seeds, value
+    codes and generator states as arrays and runs as one pipeline
+    (_run_trials), in which only the folded matrix products are applied
+    group by group.
     """
     n = channel_count
+    _require_integer("trials", trials)
+    _require_integer("base seed", base_seed)
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     if n not in CANONICAL_AUX_CHANNEL:
@@ -551,13 +657,13 @@ def run_experiment(
     detections = 0
     for start in range(0, trials, CHUNK):
         indices = np.arange(start, min(start + CHUNK, trials), dtype=np.uint64)
-        seeds = trial_seed(base_seed & _MASK64, indices)
+        seeds = trial_seed(int(base_seed) & _MASK64, indices)
         if aux_value is None:
-            values = [_AUX_CYCLE[v] for v in (splitmix64(seeds) % 3).tolist()]
+            value_codes = (splitmix64(seeds) % 3).astype(np.intp)
         else:
-            values = [aux_value] * len(seeds)
-        eve_success, detects, _ = _run_trials(rng, n, CANONICAL_AUX_CHANNEL[n], values, seeds,
-                                              strategy, detection_mode)
+            value_codes = np.full(len(seeds), _AUX_CYCLE.index(aux_value))
+        eve_success, detects, _ = _run_trials(rng, n, CANONICAL_AUX_CHANNEL[n], value_codes,
+                                              seeds, strategy, detection_mode)
         successes += int(eve_success.sum())
         detections += int(detects.sum())
 

@@ -22,10 +22,12 @@ from intraport.errors import InvalidInput
 from intraport.protocol import (
     AuxValue,
     CANONICAL_AUX_CHANNEL,
+    MessageOut,
+    alice_encoder,
     builtin_scenario,
     relocated_case,
 )
-from intraport.qsim import random_qubit
+from intraport.qsim import PureState, _apply_gates, channel_fidelity, make_state, random_qubit
 
 
 def test_splitmix64_reference_stream():
@@ -199,14 +201,15 @@ def test_chunk_draws_are_those_of_default_rng(seeds, strategy_seed, n):
     assert states == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
     rng = np.random.Generator(np.random.PCG64(0))
     normals, uniforms = eavesdrop._draw(rng, chunk, n - 1, DetectionMode.SAMPLED)
-    values = [AuxValue.ZERO] * len(seeds)
+    values = np.full(len(seeds), eavesdrop._AUX_CYCLE.index(AuxValue.ZERO))
     guesses = eavesdrop._guesses(rng, EveStrategy.uniform_guess(strategy_seed), n, chunk, values)
     for j, seed in enumerate(seeds):
         own = np.random.default_rng(seed)
         assert normals[j].tobytes() == own.normal(size=4 * (n - 1)).tobytes()
         assert uniforms[j] == own.random()
         guess_rng = np.random.default_rng(splitmix64(seed ^ strategy_seed))
-        assert guesses[j] == (int(guess_rng.integers(1, n + 1)), AuxValue.ZERO)
+        assert (eavesdrop._guessed(int(guesses[j]))
+                == (int(guess_rng.integers(1, n + 1)), AuxValue.ZERO))
 
 
 def _generator_at(state, inc):
@@ -290,6 +293,35 @@ def test_malformed_strategy_or_mode_is_refused_before_any_trial(strategy, mode):
             run_trial(3, case, strategy, trial_seed(1, 0), mode)
 
 
+@pytest.mark.parametrize("call", [
+    lambda case: run_experiment(3, 2.5, None, 1),
+    lambda case: run_experiment(3, "5", None, 1),
+    lambda case: run_experiment(3, 5, None, 1.5),
+    lambda case: run_experiment(3, 5, None, None),
+    lambda case: run_trial(3, case, None, 1.5),
+    lambda case: run_trial(3, case, None, "1"),
+])
+def test_non_integer_trials_or_seed_is_refused_before_any_trial(call):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    case = relocated_case(3, CANONICAL_AUX_CHANNEL[3], AuxValue.ZERO)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eavesdrop, "_draw", refuse)
+        with pytest.raises(InvalidInput):
+            call(case)
+
+
+def test_numpy_integer_trials_and_seeds_are_accepted():
+    strategy = EveStrategy.uniform_guess(2)
+    assert (run_experiment(4, np.int64(50), strategy, np.int64(7))
+            == run_experiment(4, 50, strategy, 7))
+    assert (run_experiment(4, np.uint8(50), strategy, np.uint64(2**64 - 1))
+            == run_experiment(4, 50, strategy, 2**64 - 1))
+    case = relocated_case(4, CANONICAL_AUX_CHANNEL[4], AuxValue.ONE)
+    assert run_trial(4, case, strategy, np.uint64(5)) == run_trial(4, case, strategy, 5)
+
+
 def test_malformed_aux_value_is_refused():
     with pytest.raises(InvalidInput):
         run_experiment(3, 10, None, 1, aux_value="zero")
@@ -366,6 +398,138 @@ def test_experiment_counts_are_the_sum_of_its_single_trials(trials, experiment):
         detections += outcome.bob_detects
     assert (stats.eve_success_rate, stats.detection_rate) == (successes / trials,
                                                               detections / trials)
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+def test_pinned_value_other_than_the_guessed_one_is_the_sum_of_its_trials(mode):
+    """aux_value pins the true value; a fixed guess of the true channel with
+    another value forms groups whose guessed case is not the true one."""
+    trials = 20
+    for n in sorted(CANONICAL_AUX_CHANNEL):
+        aux = CANONICAL_AUX_CHANNEL[n]
+        for true_value in AuxValue:
+            case = relocated_case(n, aux, true_value)
+            for guessed in AuxValue:
+                if guessed is true_value:
+                    continue
+                strategy = EveStrategy.fixed_guess(aux, guessed)
+                stats = run_experiment(n, trials, strategy, 31, mode, aux_value=true_value)
+                outcomes = [run_trial(n, case, strategy, trial_seed(31, i), mode)
+                            for i in range(trials)]
+                assert stats.eve_success_rate == sum(o.eve_success for o in outcomes) / trials
+                assert stats.detection_rate == sum(o.bob_detects for o in outcomes) / trials
+                assert stats.analytic_success_rate == 0.0
+
+
+def test_fidelity_contractions_do_not_grow_with_the_group_count():
+    """Only the matrix products are applied per group: a uniform chunk at
+    n=6 (18 groups) makes no more fidelity calls than a chunk of one group
+    of the correct fixed guess, which also checks Eve's recovery."""
+    n = 6
+    group, fidelities = eavesdrop._group, eavesdrop._channel_fidelities
+
+    def chunk(strategy):
+        codes, calls = set(), []
+
+        def recording_group(n, aux_channel, code):
+            codes.add(code)
+            return group(n, aux_channel, code)
+
+        def counted_fidelities(*args):
+            calls.append(1)
+            return fidelities(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eavesdrop, "_group", recording_group)
+            mp.setattr(eavesdrop, "_channel_fidelities", counted_fidelities)
+            run_experiment(n, eavesdrop.CHUNK, strategy, base_seed=17)
+        return len(codes), len(calls)
+
+    uniform_groups, uniform_calls = chunk(EveStrategy.uniform_guess(seed=1))
+    fixed_groups, fixed_calls = chunk(EveStrategy.fixed_guess(CANONICAL_AUX_CHANNEL[n],
+                                                              AuxValue.ZERO))
+    assert (uniform_groups, fixed_groups) == (3 * n, 1)
+    assert uniform_calls <= fixed_calls
+
+
+def _oracle_trial(n, aux_channel, value, strategy, seed, mode):
+    """(Eve succeeds, the receiver detects) for one trial, rebuilt from the
+    public pieces: the trial's default_rng draws, the registered cases' gate
+    words run gate by gate on a dense state, and qsim.channel_fidelity."""
+    rng = np.random.default_rng(seed)
+    messages = [random_qubit(rng) for _ in range(n - 1)]
+    uniform = rng.random() if mode is DetectionMode.SAMPLED else None
+    true = relocated_case(n, aux_channel, value)
+    sent = {ch: out.qubit(messages) for ch, out in true.input_layout.items()}
+    state = make_state([sent[ch] for ch in range(1, n + 1)]).amplitudes
+    state = _apply_gates(state, n, alice_encoder(n))
+
+    def fidelity(ch, qubit):
+        return channel_fidelity(PureState(n, state), ch, qubit)
+
+    success = False
+    if strategy is not None:
+        if strategy.mode == "fixed":
+            guess = relocated_case(n, strategy.fixed_channel, strategy.fixed_value)
+        else:
+            own = np.random.default_rng(splitmix64(seed ^ strategy.seed))
+            guess = relocated_case(n, int(own.integers(1, n + 1)), value)
+        state = _apply_gates(state, n, guess.bob_program)
+        # She recovers the messages when each channel where her case puts
+        # her k-th message holds what the sender put on her k-th message
+        # channel, and that is a message.
+        success = all(
+            isinstance(true.input_layout[guess.message_channels[out.index]], MessageOut)
+            and fidelity(ch, sent[guess.message_channels[out.index]]) >= 1 - 1e-9
+            for ch, out in guess.expected_layout.items() if isinstance(out, MessageOut))
+        state = _apply_gates(state, n, eavesdrop._reencode_gates(guess))
+    state = _apply_gates(state, n, true.bob_program)
+    if mode is DetectionMode.OMNISCIENT:
+        detects = any(fidelity(ch, out.qubit(messages)) < 1 - 1e-9
+                      for ch, out in true.expected_layout.items())
+    else:
+        detects = uniform < 1.0 - fidelity(true.residue_channel, true.residue)
+    return success, detects
+
+
+def _check_against_oracle(n, strategy, mode, seeds):
+    aux = CANONICAL_AUX_CHANNEL[n]
+    seeds = np.array(seeds, dtype=np.uint64)
+    value_codes = (splitmix64(seeds) % 3).astype(np.intp)
+    success, detects, _ = eavesdrop._run_trials(
+        np.random.Generator(np.random.PCG64(0)), n, aux, value_codes, seeds, strategy, mode)
+    oracle = [_oracle_trial(n, aux, eavesdrop._AUX_CYCLE[code], strategy, seed, mode)
+              for code, seed in zip(value_codes.tolist(), seeds.tolist())]
+    assert list(zip(success.tolist(), detects.tolist())) == oracle
+
+
+def _oracle_strategies(n):
+    yield None
+    yield EveStrategy.uniform_guess(seed=9)
+    for ch in range(1, n + 1):
+        for value in AuxValue:
+            yield EveStrategy.fixed_guess(ch, value)
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+@pytest.mark.parametrize("n", sorted(CANONICAL_AUX_CHANNEL))
+def test_chunk_pipeline_matches_a_dense_oracle(n, mode):
+    """Every trial of a chunk, against a rebuild that uses neither the folded
+    matrices nor the grouping.  The uniform chunk (150 trials) splits into
+    up to 3n groups and, at n = 5 and 6, into several blocks."""
+    for strategy in _oracle_strategies(n):
+        count = 150 if strategy is not None and strategy.mode == "uniform" else 4
+        _check_against_oracle(n, strategy, mode, [trial_seed(41 + n, i) for i in range(count)])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", list(DetectionMode))
+@pytest.mark.parametrize("n", sorted(CANONICAL_AUX_CHANNEL))
+def test_chunk_pipeline_matches_a_dense_oracle_over_many_seeds(n, mode):
+    for base in range(3):
+        for strategy in _oracle_strategies(n):
+            _check_against_oracle(n, strategy, mode,
+                                  [trial_seed(1000 + base, i) for i in range(eavesdrop.CHUNK)])
 
 
 def test_experiment_memory_does_not_grow_with_trials():
