@@ -69,13 +69,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidLayout
+from .errors import InvalidInput, InvalidLayout, require_integer
 from .protocol import (
     AuxValue,
     CANONICAL_AUX_CHANNEL,
@@ -560,11 +559,6 @@ def _run_block(n: int, aux_channel: int, codes: np.ndarray, qubits: np.ndarray,
     return checked
 
 
-def _require_integer(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-
-
 def _check_inputs(n: int, strategy: Optional[EveStrategy],
                   detection_mode: DetectionMode) -> None:
     """Refuse a malformed strategy or detection mode before any trial runs."""
@@ -574,12 +568,12 @@ def _check_inputs(n: int, strategy: Optional[EveStrategy],
         return
     if not isinstance(strategy, EveStrategy):
         raise InvalidInput(f"strategy must be an EveStrategy or None, got {strategy!r}")
-    _require_integer("strategy seed", strategy.seed)
+    require_integer("strategy seed", strategy.seed)
     if strategy.mode == "fixed":
         channel, value = strategy.fixed_channel, strategy.fixed_value
-        if not (isinstance(channel, numbers.Integral) and 1 <= channel <= n):
-            raise InvalidInput(f"fixed guess channel must be an integer in 1..{n}, "
-                               f"got {channel!r}")
+        require_integer("fixed guess channel", channel)
+        if not 1 <= channel <= n:
+            raise InvalidInput(f"fixed guess channel must lie in 1..{n}, got {channel!r}")
         if not isinstance(value, AuxValue):
             raise InvalidInput(f"fixed guess value must be an AuxValue, got {value!r}")
     elif strategy.mode != "uniform":
@@ -602,7 +596,7 @@ def run_trial(
     n = channel_count
     if true_case.channel_count != n:
         raise InvalidInput("true_case does not match channel_count")
-    _require_integer("trial seed", trial_seed)
+    require_integer("trial seed", trial_seed)
     _check_inputs(n, strategy, detection_mode)
     true = _compiled(n, true_case.aux_channel, true_case.aux_value)
     if true.case is not true_case and true.case != true_case:
@@ -638,8 +632,8 @@ def run_experiment(
     group by group.
     """
     n = channel_count
-    _require_integer("trials", trials)
-    _require_integer("base seed", base_seed)
+    require_integer("trials", trials)
+    require_integer("base seed", base_seed)
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     if n not in CANONICAL_AUX_CHANNEL:

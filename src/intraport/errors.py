@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class IntraportError(Exception):
     """Base class for all package errors."""
@@ -43,3 +45,12 @@ class InvalidLayout(IntraportError):
 
 class UnknownScenario(IntraportError):
     pass
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse anything but an integer with InvalidInput, a bool included
+    (Python counts True and False as the integers 1 and 0)."""
+    if type(value) is int:  # skips the abstract-class check, many times slower
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")

@@ -529,11 +529,6 @@ def general_extension(channel_count: int, value: AuxValue) -> list[Gate]:
     return gates
 
 
-def general_residue(value: AuxValue) -> SingleQubit:
-    """Residue the general extension leaves on the auxiliary channel."""
-    return value.qubit
-
-
 CANONICAL_AUX_CHANNEL = {3: 2, 4: 4, 5: 5, 6: 6}
 
 # Figures whose decoders are the registered ones for three and four channels.
@@ -551,7 +546,7 @@ def canonical_case(channel_count: int, value: AuxValue) -> ProtocolCase:
         return replace(figure, case_id=f"n{n}-aux{figure.aux_channel}-{value.value}")
     if n in (5, 6):
         # The general extension returns the input layout: every message on
-        # its own channel, general_residue(value) on channel N.
+        # its own channel, the auxiliary value's state on channel N.
         return ProtocolCase(
             case_id=f"n{n}-aux{n}-{value.value}",
             channel_count=n,

@@ -66,31 +66,29 @@ that is accepted as a whole.  A class is keyed by S' and then, per message
 row, the smaller of row and row S' (63 bits at n=4).  _ball(n) holds every
 class within R = 3 gates of acceptance with its distance, the backward half
 of the meet-in-the-middle search of Amy, Maslov, Mosca and Roetteler
-(arXiv:1206.0758): a breadth-first walk from the 6 canonical accepted
-classes (message j on channel j, a signed X, Y or Z residue on channel n;
-the gates are involutions, so walking back is walking forward), then every
-channel permutation of what it found, keeping the least distance per key.
-The permutations map the alphabet onto itself and the canonical classes
-onto all 6 n! accepted ones, so this is the ball of a walk from all of
-them: at n=4, 139,704 keys at distances 0..3 (144, 1,944, 17,496 and
-120,120), 1.3 MiB with a table of product signs; at n=3, 5,760 keys in 57
-KiB.  Each is built once, when a walk first needs it.  The ball measures
-distance over unrestricted words, but any word reduces to a canonical one
-that is no longer (drop repeated pairs, sort commuting neighbours), so it
-is also the fewest gates a canonical word needs; distance 0 is exactly
-acceptance.
+(arXiv:1206.0758): a breadth-first walk over classes from all 6 n! accepted
+ones (message j on channel perm[j], a signed X, Y or Z residue on the last
+channel of perm, for every channel permutation perm; the gates are
+involutions, so walking back is walking forward).  At n=4 it holds 139,704
+keys at distances 0..3 (144, 1,944, 17,496 and 120,120), 1.3 MiB with a
+table of product signs; at n=3, 5,760 keys in 57 KiB.  Each is built once,
+when a walk first needs it.  The ball measures distance over unrestricted
+words, but any word reduces to a canonical one that is no longer (drop
+repeated pairs, sort commuting neighbours), so it is also the fewest gates a
+canonical word needs; distance 0 is exactly acceptance.
 
 Each key at distance d > 0 also holds its first downhill gate: the least
 alphabet gate whose image is one gate closer to acceptance.  One byte per
 key holds both, the distance in the high nibble and the gate in the low one
 (n <= 4 has at most 16 gates).  The gate belongs to the class: a gate maps
 a class to one class, so every tableau of a class has the same downhill
-gates.  The gates are found after the distances.  A gate is an involution
-on classes, so the classes at d that g takes one gate closer are g's images
-of the classes at d - 1.  Each key at d - 1 stands for its class by its own
-rows (S', and each message row as the key holds it, the row or the row
-times S'), its images under every gate are looked up in chunks of keys,
-and each image at d keeps the least gate that reached it.
+gates.  The walk expands level d - 1, the classes first reached at d - 1,
+one gate at a time in alphabet order, and each key it reaches first keeps
+that gate.  This is the key's least downhill gate: a gate is an involution
+on classes, so g takes a class at d to d - 1 exactly when g takes some
+class at d - 1 to it, and the gates are tried in order.  A key is inserted
+beside its byte, so the walk ends with both sorted, and the rows of the
+last level, never expanded, are not kept.
 
 The ball walk (no target, n <= 4) has no acceptance test and no
 deduplication.  It looks up the root's class, then each level, kept by h,
@@ -169,7 +167,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import tableau
-from .errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
+from .errors import ChannelOutOfRange, InvalidInput, UnsupportedSize, require_integer
 from .protocol import (
     DEFAULT_TOL,
     AuxValue,
@@ -369,74 +367,38 @@ class _Ball(NamedTuple):
         return lookup
 
 
-def _canonical_levels(n: int, signs: np.ndarray) -> list[np.ndarray]:
-    """Per distance 0.._BALL_RADIUS, the tableaux first reached at that
-    distance from the canonical accepted classes: message j on channel j
-    and a signed X, Y or Z residue on channel n."""
-    tables = _row_tables(n)
-    level = np.array([tableau.input_rows(n, tableau.pauli(n, n, x, z, sign), range(1, n))
-                      for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
-    levels = [level]
-    seen = np.sort(_class_keys(level, n, signs))
-    for _ in range(_BALL_RADIUS):
-        kids = tables[:, level].reshape(-1, level.shape[1])
-        uniq, first = np.unique(_class_keys(kids, n, signs), return_index=True)
-        fresh = ~np.isin(uniq, seen, assume_unique=True)
-        level = kids[first[fresh]]
-        levels.append(level)
-        seen = np.sort(np.concatenate([seen, uniq[fresh]]))  # np.union1d loads numpy.ma
-    return levels
+def _unseen(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted, distinct `keys`: where each goes in the sorted, nonempty
+    `seen`, and which of them it does not hold."""
+    at = np.searchsorted(seen, keys)
+    return at, seen[np.minimum(at, len(seen) - 1)] != keys
 
 
 @lru_cache(maxsize=None)
 def _ball(n: int) -> _Ball:
     """The ball of radius _BALL_RADIUS around acceptance (target None), for
-    n <= _BALL_CHANNELS: the canonical levels under every permutation of
-    the channels, each key at its least distance (see the module
-    docstring)."""
+    n <= _BALL_CHANNELS: a breadth-first walk over classes from every
+    accepted one, each key with the gate that first reached it (see the
+    module docstring)."""
     row = np.arange(1 << (2 * n), dtype=np.uint16)  # the rows without a sign
     signs = (tableau.multiply(row[:, None], row[None, :], n) & np.uint16(1 << (2 * n))).ravel()
-    levels = _canonical_levels(n, signs)
-    perms = list(permutations(range(1, n + 1)))
-
-    def relabelled(level):
-        for perm in perms:
-            yield _class_keys(tableau.relabel(level, n, perm), n, signs)
-
-    # every key once, then each key's least distance (written last); the
-    # keys are computed twice so that no second ball-sized array is needed
-    keys = np.empty(len(perms) * sum(map(len, levels)), dtype=np.uint64)
-    at = 0
-    for level in levels:
-        for k in relabelled(level):
-            keys[at:at + len(k)] = k
-            at += len(k)
-    keys.sort()
-    fresh = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    size, block = 0, 1 << 14
-    for start in range(0, len(keys), block):  # drop repeats in place, block by block
-        kept = keys[start:start + block][fresh[start:start + block]]
-        keys[size:size + len(kept)] = kept
-        size += len(kept)
-    keys.resize(size, refcheck=False)
-    steps = np.empty(len(keys), dtype=np.uint8)
-    for d in reversed(range(len(levels))):
-        for k in relabelled(levels[d]):
-            steps[np.searchsorted(keys, k)] = (d << 4 | 0xF) if d else 0  # 0xF: no gate yet
-    # Each key's first downhill gate.  A gate is an involution on classes,
-    # so the keys at d that g takes one gate closer are g's images of the
-    # keys at d - 1, all in the ball; each keeps the least such g, and an
-    # image nearer than d keeps its byte, which is below d << 4.  Chunks of
-    # 128 keys keep this pass's peak below that of the keys' build above.
-    tables, chunk = _row_tables(n), 1 << 7
-    for d in range(1, len(levels)):
-        below = keys[steps >> 4 == d - 1]
-        for start in range(0, len(below), chunk):
-            images = tables[:, _unpack(below[start:start + chunk], n)]  # gate-major
-            at = np.searchsorted(keys, _class_keys(images.reshape(-1, 2 * n - 1), n, signs))
-            gates = np.arange(len(tables), dtype=np.uint8).repeat(images.shape[1])
-            np.minimum.at(steps, at, d << 4 | gates)
+    level = np.array([tableau.input_rows(n, tableau.pauli(n, perm[-1], x, z, sign), perm[:-1])
+                      for perm in permutations(range(1, n + 1))
+                      for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
+    keys = np.sort(_class_keys(level, n, signs))
+    steps = np.zeros(len(keys), dtype=np.uint8)
+    for d in range(1, _BALL_RADIUS + 1):
+        found = []
+        for gate, table in enumerate(_row_tables(n)):  # in alphabet order
+            for start in range(0, len(level), _CHUNK_CHILDREN):
+                kids = table[level[start:start + _CHUNK_CHILDREN]]
+                uniq, first = np.unique(_class_keys(kids, n, signs), return_index=True)
+                at, new = _unseen(keys, uniq)
+                keys = np.insert(keys, at[new], uniq[new])
+                steps = np.insert(steps, at[new], d << 4 | gate)
+                if d < _BALL_RADIUS:  # the last level is never expanded
+                    found.append(kids[first[new]])
+        level = np.concatenate(found) if found else level[:0]
     for table in (keys, steps, signs):
         table.flags.writeable = False
     return _Ball(n, keys, steps, signs)
@@ -555,8 +517,7 @@ class _Task:
             nonlocal seen
             live = np.flatnonzero(self.lower_bound(kids) <= left)
             uniq, first = np.unique(self._keys(kids[live]), return_index=True)
-            at = np.searchsorted(seen, uniq)
-            new = seen[np.minimum(at, len(seen) - 1)] != uniq
+            at, new = _unseen(seen, uniq)
             seen = np.insert(seen, at[new], uniq[new])
             keep = np.zeros(len(kids), dtype=bool)
             keep[live[first[new]]] = True
@@ -624,10 +585,15 @@ def solve_bob_program(
     that arrangement and residue.
     """
     n = channel_count
+    require_integer("channel count", n)
     if not 3 <= n <= 6:
         raise UnsupportedSize(f"search supports 3..6 channels, got {n}")
+    require_integer("auxiliary channel", aux_channel)
     if not 1 <= aux_channel <= n:
         raise ChannelOutOfRange(f"auxiliary channel {aux_channel} outside 1..{n}")
+    if not isinstance(aux_value, AuxValue):
+        raise InvalidInput(f"aux_value must be an AuxValue, got {aux_value!r}")
+    require_integer("max_gates", max_gates)
     if not 0 <= max_gates <= 14:
         raise InvalidInput("max_gates must lie in 0..14")
 

@@ -13,8 +13,7 @@ multiply gives the sign too, by the Aaronson-Gottesman phase rule: the
 product of the channel factors (x1, z1)(x2, z2) carries i^g, with g = +1
 for XY, YZ and ZX, g = -1 for YX, ZY and XZ and g = 0 otherwise, and two
 commuting rows multiply to (-1)^(sign1 + sign2 + (sum of g) / 2) times the
-XOR row.  Permuting the channels (relabel) moves the x and z bits and keeps
-the sign.
+XOR row.
 
 conjugate applies the Aaronson-Gottesman update of one gate to every row:
 
@@ -78,15 +77,6 @@ def multiply(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     # the sum of g mod 4, counting each -1 as 3 so nothing goes negative
     g = sum(((plus >> k) & 1) + 3 * ((minus >> k) & 1) for k in range(n))
     return a ^ b ^ (((g >> 1) & 1) << (2 * n))
-
-
-def relabel(rows: np.ndarray, n: int, perm: Sequence[int]) -> np.ndarray:
-    """The rows with channel k renamed perm[k-1], perm a permutation of
-    1..n."""
-    out = rows & (1 << (2 * n))
-    for k, p in enumerate(perm):
-        out = out | (((rows >> k) & 1) << (p - 1)) | (((rows >> (n + k)) & 1) << (n + p - 1))
-    return out
 
 
 def apply_word(rows: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:

@@ -279,6 +279,8 @@ def test_uniform_guesses_ask_no_generator_for_integers():
     (None, "sampled"),
     (EveStrategy.uniform_guess(), "omniscient"),
     (EveStrategy.fixed_guess(2, AuxValue.ZERO), None),
+    (EveStrategy.fixed_guess(True, AuxValue.ZERO), DetectionMode.OMNISCIENT),
+    (EveStrategy.uniform_guess(seed=True), DetectionMode.OMNISCIENT),
 ])
 def test_malformed_strategy_or_mode_is_refused_before_any_trial(strategy, mode):
     def refuse(*args, **kwargs):
@@ -300,8 +302,13 @@ def test_malformed_strategy_or_mode_is_refused_before_any_trial(strategy, mode):
     lambda case: run_experiment(3, 5, None, None),
     lambda case: run_trial(3, case, None, 1.5),
     lambda case: run_trial(3, case, None, "1"),
+    lambda case: run_experiment(3, True, None, 1),
+    lambda case: run_experiment(3, 5, None, False),
+    lambda case: run_experiment(3, True, EveStrategy.uniform_guess(seed=True), False),
+    lambda case: run_trial(3, case, None, True),
 ])
 def test_non_integer_trials_or_seed_is_refused_before_any_trial(call):
+    """Floats, strings, None and bools (which Python counts as integers)."""
     def refuse(*args, **kwargs):
         raise AssertionError("a trial ran")
 

@@ -28,7 +28,6 @@ from intraport.protocol import (
     construct_psi,
     figure_circuit,
     general_extension,
-    general_residue,
     layout_states,
     message_batch,
     post_swap_plan,
@@ -525,7 +524,6 @@ def test_cases_are_hashable_and_equal_cases_hash_equal():
 
 
 def test_general_extension_residues():
-    assert general_residue(AuxValue.PLUS) == QUBIT_PLUS
     for n in (4, 5, 6):
         plus_len = len(general_extension(n, AuxValue.PLUS))
         zero_len = len(general_extension(n, AuxValue.ZERO))

@@ -5,7 +5,7 @@ import io
 import json
 import tracemalloc
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +214,18 @@ def test_search_argument_validation():
         solve_bob_program(3, 2, AuxValue.ZERO, 15)
     with pytest.raises(InvalidInput):
         solve_bob_program(3, 2, AuxValue.ZERO, 6, target={1: None})
+
+
+@pytest.mark.parametrize("wrong", [{"aux_value": "zero"}, {"max_gates": 3.5},
+                                   {"max_gates": True}, {"aux_channel": 2.0},
+                                   {"aux_channel": True}, {"channel_count": 4.0},
+                                   {"channel_count": True}])
+def test_search_refuses_arguments_of_the_wrong_type(wrong):
+    """A non-AuxValue value, a float or a bool is refused before any walk,
+    as InvalidInput; out-of-range integers keep their own errors above."""
+    args = {"channel_count": 3, "aux_channel": 2, "aux_value": AuxValue.ZERO, "max_gates": 6}
+    with pytest.raises(InvalidInput):
+        solve_bob_program(**{**args, **wrong})
 
 
 def test_gate_alphabet_order():
@@ -531,26 +543,16 @@ def test_class_key_ignores_message_rows_times_s(n):
         assert np.array_equal(_class_keys(other, n, ball.signs), ball.keys)
 
 
-def test_relabelled_ball_equals_the_direct_walk():
-    """At n=3, a breadth-first walk from all 36 accepted classes gives the
-    same keys at the same distances as the ball built from the 6 canonical
-    ones and relabelled."""
-    n, ball = 3, _ball(3)
-    level = _accepted_tableaux(n)
-    seen = np.unique(_class_keys(level, n, ball.signs))
-    keys, dist = [seen], [np.zeros(len(seen), dtype=int)]
-    for d in range(1, _BALL_RADIUS + 1):
-        kids = _row_tables(n)[:, level].reshape(-1, level.shape[1])
-        uniq, first = np.unique(_class_keys(kids, n, ball.signs), return_index=True)
-        fresh = ~np.isin(uniq, seen)
-        level = kids[first[fresh]]
-        keys.append(uniq[fresh])
-        dist.append(np.full(fresh.sum(), d))
-        seen = np.union1d(seen, uniq[fresh])
-    keys, dist = np.concatenate(keys), np.concatenate(dist)
-    order = np.argsort(keys)
-    assert np.array_equal(keys[order], ball.keys)
-    assert np.array_equal(dist[order], ball.steps >> 4)
+@pytest.mark.parametrize("n", [3, 4])
+def test_ball_distances_are_kept_by_every_channel_swap(n):
+    """Swapping two channels by three CNOTs relabels every row, maps the
+    alphabet onto itself and accepted classes onto accepted ones, so the
+    swapped tableau of every key looks up at that key's distance."""
+    ball = _ball(n)
+    rows = _unpack(ball.keys, n)
+    for a, b in combinations(range(1, n + 1), 2):
+        swapped = tableau.apply_word(rows, n, swap_circuit(a, b))
+        assert np.array_equal(ball.lookup(swapped) >> 4, ball.steps >> 4)
 
 
 @st.composite

@@ -72,21 +72,6 @@ def test_multiply_matches_dense_products_of_commuting_rows(pair):
     assert tableau.multiply(rows[:1], rows[1:], n)[0] == tableau.multiply(a, b, n)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_relabel_permutes_the_dense_factors(n):
-    """Renaming channel k to perm[k-1] moves its factor and keeps the sign."""
-    rows = np.arange(1 << (2 * n + 1))
-    perm = list(range(2, n + 1)) + [1]
-    for row, image in zip(rows, tableau.relabel(rows, n, perm)):
-        p = _pauli_matrix(int(row), n).reshape((2,) * (2 * n))
-        # output axis perm[k-1]-1 holds input axis k-1, for rows and columns
-        order = [0] * n
-        for k, target in enumerate(perm):
-            order[target - 1] = k
-        moved = p.transpose(order + [n + k for k in order]).reshape(1 << n, 1 << n)
-        np.testing.assert_allclose(_pauli_matrix(int(image), n), moved, atol=1e-12)
-
-
 def _registered_cases():
     """The figures with a product output, the 9 protocol_table(3) cases,
     canonical_case for n=3..6 and the 54 relocated cases."""
