@@ -17,7 +17,7 @@ exactly and serialize(parse(t)) is idempotent on canonical text.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IntraportError
 from .qsim import ControlledNot, Gate, Hadamard

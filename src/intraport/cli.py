@@ -60,7 +60,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _tol_default() -> float:
+def _tol(args) -> float:
+    """--tol, else INTRAPORT_TOL, else DEFAULT_TOL."""
+    if args.tol is not None:
+        return args.tol
     raw = os.environ.get("INTRAPORT_TOL")
     if raw is None:
         return DEFAULT_TOL
@@ -152,7 +155,7 @@ def _cmd_run_figure(args) -> int:
         return _error("figure 5 is the swap demonstration; use 'swap'")
     if figure not in SCENARIO_FIGURES:
         return _error(f"no scenario for figure {figure} (valid: 1-4, 6-9)")
-    tol = args.tol if args.tol is not None else _tol_default()
+    tol = _tol(args)
 
     case = builtin_scenario(figure)
     messages = _messages_from_args(args, case)
@@ -207,7 +210,7 @@ def _cmd_fuzz(args) -> int:
         return _error(f"no scenario for figure {args.figure} (valid: 1-4, 6-9)")
     if args.trials < 1:
         return _error("--trials must be >= 1")
-    tol = args.tol if args.tol is not None else _tol_default()
+    tol = _tol(args)
     case = builtin_scenario(args.figure)
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -343,7 +346,7 @@ def _cmd_swap(args) -> int:
     fids = []
     for ch in range(1, n + 1):
         fids.append(channel_fidelity(out, ch, expected[ch - 1]))
-    passed = min(fids) >= 1 - (args.tol if args.tol is not None else _tol_default())
+    passed = min(fids) >= 1 - _tol(args)
     _emit({
         "command": "swap",
         "channels": n,
@@ -416,13 +419,11 @@ def _cmd_eavesdrop(args) -> int:
         strategy = EveStrategy.uniform_guess(args.strategy_seed)
     elif args.strategy == "absent":
         strategy = None
-    elif args.strategy == "fixed":
+    else:
         if args.fixed_channel is None or args.fixed_value is None:
             return _error("fixed strategy needs --fixed-channel and --fixed-value")
         value = AuxValue.parse(args.fixed_value)
         strategy = EveStrategy.fixed_guess(args.fixed_channel, value, args.strategy_seed)
-    else:
-        return _error(f"unknown strategy '{args.strategy}'")
     mode = DetectionMode(args.mode)
     stats = run_experiment(args.channels, args.trials, strategy, args.seed, mode)
     _emit({

@@ -74,6 +74,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import tableau
 from .errors import InvalidInput, InvalidLayout, require_integer
 from .protocol import (
     AuxValue,
@@ -85,10 +86,11 @@ from .protocol import (
     layout_states,
     post_swap_plan,
     relocated_case,
+    stabilizer_row,
 )
-from .qsim import Hadamard, _apply_gates, gate_unitary
+from .qsim import Hadamard, gate_unitary
 # perfbench/tracer.py traces these names here, though no trial calls them.
-from .qsim import channel_fidelity, make_state, random_qubit  # noqa: F401
+from .qsim import _apply_gates, channel_fidelity, make_state, random_qubit  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -282,16 +284,14 @@ def _layouts(n: int, aux_channel: int) -> _Layouts:
 
 def _reencode_gates(case: ProtocolCase):
     """Eve's rebuild: believed outputs back to input placement, residue
-    channel refreshed to the auxiliary value, then the encoder."""
+    channel refreshed to the auxiliary value, then the encoder.  The residue
+    and the value are compared by their stabilizer rows on one channel."""
     desired = {**case.input_layout, case.aux_channel: ResidueOut(case.residue)}
     gates = post_swap_plan(case.expected_layout, desired)
 
-    res = case.residue
-    value_q = case.aux_value.qubit
-    overlap = abs(np.vdot(value_q.as_array(), res.as_array())) ** 2
-    if overlap < _FIDELITY_BAR:
-        rotated = _apply_gates(res.as_array(), 1, [Hadamard(1)])
-        if abs(np.vdot(value_q.as_array(), rotated)) ** 2 < _FIDELITY_BAR:
+    res, value = (stabilizer_row(q, 1, 1) for q in (case.residue, case.aux_value.qubit))
+    if res != value:
+        if tableau.conjugate(res, 1, Hadamard(1)) != value:
             raise InvalidLayout("registered residue is not one H away from the value")
         gates.append(Hadamard(case.aux_channel))
     return gates + alice_encoder(case.channel_count)

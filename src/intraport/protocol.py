@@ -19,8 +19,10 @@ channel carries the auxiliary state and its value, where each message
 reappears, the residue left behind, and the entangled block of figure 6.
 builtin_scenario loads each figure from it as a ProtocolCase, the same case
 type the protocol table and the registered decoders use.  One builder
-(layout_states) turns a layout into product states, and one routine
-(verify_case) checks a case's output.
+(layout_states) turns a layout into product states, one (layout_rows) into
+its stabilizer-tableau input rows, with stabilizer_row the one rule for a
+known qubit's Pauli row, and one routine (verify_case) checks a case's
+output.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .errors import (
     ShapeMismatch,
     UnknownScenario,
     UnsupportedSize,
+    require_integer,
 )
 from .qsim import (
     DEFAULT_TOL,
@@ -146,6 +149,43 @@ def layout_states(layout: Mapping[int, ExpectedOut], messages: np.ndarray) -> np
             q = entry.state.as_array()[None]  # broadcast over the batch
         out = (out[:, :, None] * q[:, None, :]).reshape(count, -1)
     return out
+
+
+# Pauli matrices by (x, z) bits; (1, 1) is the Hermitian Y = iXZ.
+_PAULIS = {
+    (1, 0): np.array([[0, 1], [1, 0]]),
+    (1, 1): np.array([[0, -1j], [1j, 0]]),
+    (0, 1): np.array([[1, 0], [0, -1]]),
+}
+
+
+def stabilizer_row(q: SingleQubit, channel: int, n: int) -> int:
+    """The packed single-channel Pauli on `channel` whose +1 eigenstate is q
+    within DEFAULT_TOL, whatever q's global phase, or 0, the identity, when
+    q is not a stabilizer state."""
+    v = q.as_array()
+    for (x, z), pauli in _PAULIS.items():
+        expectation = np.vdot(v, pauli @ v).real
+        if abs(abs(expectation) - 1) <= DEFAULT_TOL:
+            return tableau.pauli(n, channel, x, z, int(expectation < 0))
+    return 0
+
+
+def layout_rows(n: int, layout: Mapping[int, ExpectedOut]) -> np.ndarray:
+    """The input rows of a layout over channels 1..n (tableau.input_rows):
+    its residue's stabilizer row, then the rows of each message's channel
+    in message order.  A residue that is not a stabilizer state gets 0,
+    which no image of a stabilizer equals.  Raises InvalidInput unless the
+    layout holds one residue and places each message 0..n-2 once."""
+    if set(layout) != set(range(1, n + 1)):
+        raise InvalidInput("target layout must cover every output channel")
+    residues = [ch for ch, out in layout.items() if isinstance(out, ResidueOut)]
+    by_index = {out.index: ch for ch, out in layout.items() if isinstance(out, MessageOut)}
+    if len(residues) != 1 or set(by_index) != set(range(n - 1)):
+        raise InvalidInput("target layout must hold one residue and each message once")
+    (res,) = residues
+    return tableau.input_rows(n, stabilizer_row(layout[res].state, res, n),
+                              [by_index[j] for j in range(n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +581,9 @@ _BASE_FIGURE = {
 def canonical_case(channel_count: int, value: AuxValue) -> ProtocolCase:
     """The registered decoder for the canonical auxiliary placement."""
     n = channel_count
+    require_integer("channel count", n)
+    if not isinstance(value, AuxValue):
+        raise InvalidInput(f"aux_value must be an AuxValue, got {value!r}")
     if n in _BASE_FIGURE:
         figure = builtin_scenario(_BASE_FIGURE[n][value])
         return replace(figure, case_id=f"n{n}-aux{figure.aux_channel}-{value.value}")
@@ -568,6 +611,7 @@ def relocated_case(channel_count: int, aux_channel: int, value: AuxValue) -> Pro
     depend on the auxiliary placement.
     """
     n = channel_count
+    require_integer("auxiliary channel", aux_channel)
     base = canonical_case(n, value)
     m = base.aux_channel
     if aux_channel == m:

@@ -269,21 +269,17 @@ def apply_gate(state: PureState, gate: Gate) -> PureState:
 
 
 def run_circuit(state: PureState, circuit, segment: Segment = Segment.ALL) -> PureState:
-    """Apply a circuit's gates in list order, restricted to one segment.
+    """Apply a Circuit's gates in list order, restricted to one segment.
 
-    `circuit` needs channel_count, gates and border_index attributes.  A
-    missing border means the whole gate list belongs to the sender segment.
+    The segments are the circuit's alice_gates and bob_gates: a missing
+    border means the whole gate list belongs to the sender segment.
     """
     if circuit.channel_count != state.channel_count:
         raise ShapeMismatch(
             f"circuit has {circuit.channel_count} channels, state has {state.channel_count}"
         )
-    gates = list(circuit.gates)
-    border = circuit.border_index
-    if segment is Segment.ALICE_ONLY:
-        gates = gates if border is None else gates[:border]
-    elif segment is Segment.BOB_ONLY:
-        gates = [] if border is None else gates[border:]
+    gates = (circuit.alice_gates if segment is Segment.ALICE_ONLY
+             else circuit.bob_gates if segment is Segment.BOB_ONLY else circuit.gates)
     out = _apply_gates(state.amplitudes, state.channel_count, gates)
     return PureState(state.channel_count, out, _trust=True)
 

@@ -9,10 +9,11 @@ canonical order.  Among the shortest accepted words the least one in that
 order is returned.
 
 Candidates are compared as stabilizer tableaux, not as states: a candidate
-is the image of the input rows under the whole map (encoder, prefix,
-word), and tableau.accepts decides exactly whether it decodes.  Rows
-evolve independently, so each gate is a lookup table over all 2^(2n+1)
-packed rows, tableau.conjugate applied once per row and cached.
+is the image of the input rows (protocol.layout_rows) under the whole map
+(encoder, prefix, word), and tableau.accepts decides exactly whether it
+decodes.  Rows evolve independently, so each gate is a lookup table over
+all 2^(2n+1) packed rows, tableau.conjugate applied once per row and
+cached.
 
 The search is breadth-first.  One step, _Task._step, expands a level: it
 lists the children of the level's tableaux parent-major and gate-minor,
@@ -169,21 +170,19 @@ import numpy as np
 from . import tableau
 from .errors import ChannelOutOfRange, InvalidInput, UnsupportedSize, require_integer
 from .protocol import (
-    DEFAULT_TOL,
     AuxValue,
     CANONICAL_AUX_CHANNEL,
     ExpectedOut,
-    MessageOut,
-    ResidueOut,
     alice_encoder,
     bob_prefix,
     canonical_case,
+    input_layout,
+    layout_rows,
 )
 from .qsim import (
     ControlledNot,
     Gate,
     Hadamard,
-    SingleQubit,
     _apply_gates,  # noqa: F401  (perfbench/tracer.py traces this name here)
     gates_commute,
 )
@@ -198,16 +197,6 @@ _CHUNK_CHILDREN = 1 << 13
 # channel count it is built for (its keys fit a uint64 up to n = 4).
 _BALL_RADIUS = 3
 _BALL_CHANNELS = 4
-
-# The auxiliary input's stabilizer as (x, z, sign): +Z, -Z and +X.
-_AUX_PAULIS = {AuxValue.ZERO: (0, 1, 0), AuxValue.ONE: (0, 1, 1), AuxValue.PLUS: (1, 0, 0)}
-
-# Pauli matrices by (x, z) bits; (1, 1) is the Hermitian Y = iXZ.
-_PAULIS = {
-    (1, 0): np.array([[0, 1], [1, 0]]),
-    (1, 1): np.array([[0, -1j], [1j, 0]]),
-    (0, 1): np.array([[1, 0], [0, -1]]),
-}
 
 
 def gate_alphabet(channel_count: int) -> list[Gate]:
@@ -269,25 +258,13 @@ def _distances(n: int) -> np.ndarray:
     return dist
 
 
-def _stabilizer_row(q: SingleQubit, channel: int, n: int) -> Optional[int]:
-    """The packed single-qubit Pauli on `channel` whose +1 eigenstate is q,
-    or None when q is not a stabilizer state (for target residues)."""
-    v = q.as_array()
-    for (x, z), pauli in _PAULIS.items():
-        expectation = np.vdot(v, pauli @ v).real
-        for sign in (0, 1):
-            if abs(expectation - (-1) ** sign) <= DEFAULT_TOL:
-                return tableau.pauli(n, channel, x, z, sign)
-    return None
-
-
 @lru_cache(maxsize=None)
 def _root(n: int, aux_channel: int, value: AuxValue) -> np.ndarray:
     """(2n-1,) uint16, read-only: a case's input rows mapped through the
     encoder and the receiver prefix."""
-    messages = [c for c in range(1, n + 1) if c != aux_channel]
-    rows = tableau.input_rows(n, tableau.pauli(n, aux_channel, *_AUX_PAULIS[value]), messages)
-    rows = tableau.apply_word(rows, n, alice_encoder(n) + bob_prefix(n)).astype(np.uint16)
+    layout = input_layout([c for c in range(1, n + 1) if c != aux_channel], aux_channel, value)
+    rows = tableau.apply_word(layout_rows(n, layout), n, alice_encoder(n) + bob_prefix(n))
+    rows = rows.astype(np.uint16)
     rows.flags.writeable = False
     return rows
 
@@ -404,16 +381,6 @@ def _ball(n: int) -> _Ball:
     return _Ball(n, keys, steps, signs)
 
 
-def _layout_rows(n: int, layout: Mapping[int, ExpectedOut]) -> np.ndarray:
-    """The input rows of a layout: its residue's stabilizer row, then the
-    rows of each message's channel in message order.  A residue that is not
-    a stabilizer state gets 0 (the identity), which no image of S equals."""
-    res = next(ch for ch, out in layout.items() if isinstance(out, ResidueOut))
-    by_index = {out.index: ch for ch, out in layout.items() if isinstance(out, MessageOut)}
-    return tableau.input_rows(n, _stabilizer_row(layout[res].state, res, n) or 0,
-                              [by_index[j] for j in range(len(by_index))])
-
-
 class _Task:
     """Shared data for one search invocation.
 
@@ -429,20 +396,7 @@ class _Task:
         self.dist = _distances(n)
         self.allowed = _follows(n)
         self.root = _root(n, aux_channel, value)
-
-        self.target = None
-        if target is not None:
-            self._check_target(target)
-            self.target = _layout_rows(n, target)
-
-    def _check_target(self, target: Mapping[int, ExpectedOut]):
-        if set(target) != set(range(1, self.n + 1)):
-            raise InvalidInput("target layout must cover every output channel")
-        indices = sorted(
-            out.index for out in target.values() if isinstance(out, MessageOut)
-        )
-        if indices != list(range(self.n - 1)):
-            raise InvalidInput("target layout must place every message exactly once")
+        self.target = None if target is None else layout_rows(n, target)
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
         """One sortable key per (K, 2n-1) tableau: the rows packed into a

@@ -22,13 +22,14 @@ conjugate applies the Aaronson-Gottesman update of one gate to every row:
 
 A protocol input is described by its input rows: the stabilizer S of the
 auxiliary state (+Z, -Z or +X on its channel), then X_c for each message
-channel c and then Z_c, in message order.  A circuit maps them to its
-tableau, and accepts tells exactly whether the circuit decodes: it does iff
-the image S' of S is a single-qubit Pauli on one channel r, which then holds
-the residue (the +1 eigenstate of S'), and each message's X and Z images,
-reduced modulo S', are +X_p and +Z_p on one channel p, where that message
-reappears.  Given target rows (the input rows of the wanted layout), S' and
-every reduced message row must equal the target's.
+channel c and then Z_c, in message order; protocol.layout_rows builds the
+rows of any layout.  A circuit maps them to its tableau, and accepts tells
+exactly whether the circuit decodes: it does iff the image S' of S is a
+single-qubit Pauli on one channel r, which then holds the residue (the +1
+eigenstate of S'), and each message's X and Z images, reduced modulo S',
+are +X_p and +Z_p on one channel p, where that message reappears.  Given
+target rows (the input rows of the wanted layout), S' and every reduced
+message row must equal the target's.
 
 Two H/CNOT circuits U and V on n channels are equal up to a global phase
 iff they map X_1..X_n and Z_1..Z_n to the same signed rows.  Then V^dagger U

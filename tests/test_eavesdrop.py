@@ -25,9 +25,10 @@ from intraport.protocol import (
     MessageOut,
     alice_encoder,
     builtin_scenario,
+    canonical_case,
     relocated_case,
 )
-from intraport.qsim import PureState, _apply_gates, channel_fidelity, make_state, random_qubit
+from intraport.qsim import Hadamard, PureState, _apply_gates, channel_fidelity, make_state, random_qubit
 
 
 def test_splitmix64_reference_stream():
@@ -157,6 +158,28 @@ def test_trial_rejects_an_unregistered_true_case():
     figure = builtin_scenario(1)
     with pytest.raises(InvalidInput):
         run_trial(3, figure, None, trial_seed(14, 0))
+
+
+def test_reencode_refreshes_the_residue_with_h_exactly_where_it_differs():
+    """Eve's re-encode holds one H, on the auxiliary channel before the
+    encoder, exactly for the registered cases whose residue is not the
+    auxiliary value: those of figures 2, 3 and 7 and their relocations."""
+    with_h = set()
+    for n in range(3, 7):
+        encoder = alice_encoder(n)
+        for aux in range(1, n + 1):
+            for value in AuxValue:
+                case = relocated_case(n, aux, value)
+                word = eavesdrop._reencode_gates(case)
+                assert word[len(word) - len(encoder):] == encoder
+                refresh = [g for g in word[:-len(encoder)] if isinstance(g, Hadamard)]
+                if refresh:
+                    assert refresh == [Hadamard(aux)]
+                    assert word[-len(encoder) - 1] == Hadamard(aux)
+                    with_h.add(canonical_case(n, value).figure_id)
+                differs = abs(np.vdot(value.qubit.as_array(), case.residue.as_array())) ** 2 < 0.99
+                assert bool(refresh) == differs, case.case_id
+    assert with_h == {2, 3, 7}
 
 
 def test_trials_reuse_compiled_cases():

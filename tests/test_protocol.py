@@ -10,6 +10,7 @@ from intraport.circuit import MAX_CHANNELS, Circuit
 from intraport.errors import (
     ImpossibleBranch,
     InvalidGate,
+    InvalidInput,
     InvalidLayout,
     NotNormalized,
     ShapeMismatch,
@@ -34,6 +35,7 @@ from intraport.protocol import (
     protocol_table,
     relocated_case,
     run_scenario,
+    stabilizer_row,
     swap_circuit,
     verify_case,
     verify_circuit_action_equal,
@@ -42,6 +44,7 @@ from intraport.qsim import (
     ControlledNot,
     Hadamard,
     PureState,
+    QUBIT_MINUS10,
     QUBIT_ONE,
     QUBIT_PLUS,
     QUBIT_ZERO,
@@ -502,6 +505,42 @@ def test_relocated_cases_decode(n):
             assert case.aux_channel == g
             msgs = [random_qubit(rng) for _ in range(n - 1)]
             assert verify_case(case, msgs).passed, case.case_id
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: relocated_case(3, True, AuxValue.ZERO), InvalidInput),
+    (lambda: relocated_case(3, 1.0, AuxValue.ZERO), InvalidInput),
+    (lambda: relocated_case(3, 1, "zero"), InvalidInput),
+    (lambda: canonical_case(4, "zero"), InvalidInput),
+    (lambda: canonical_case(5, "zero"), InvalidInput),
+    (lambda: canonical_case(3.0, AuxValue.ZERO), InvalidInput),
+    (lambda: canonical_case(True, AuxValue.ZERO), InvalidInput),
+    (lambda: canonical_case(2, AuxValue.ZERO), UnsupportedSize),
+    (lambda: canonical_case(np.int64(7), AuxValue.ZERO), UnsupportedSize),
+], ids=["bool-channel", "float-channel", "str-value-relocated", "str-value-n4",
+        "str-value-n5", "float-size", "bool-size", "size-2", "numpy-size-7"])
+def test_registry_refuses_arguments_of_the_wrong_type(build, error):
+    """A bool or non-integer channel or size and a value that is not an
+    AuxValue are refused as InvalidInput, not built or failed on later; an
+    integer size out of range keeps UnsupportedSize."""
+    with pytest.raises(error):
+        build()
+
+
+def test_stabilizer_row_of_the_known_qubits():
+    """+Z, -Z, +X and -X for |0>, |1>, |+> and (|1>-|0>)/sqrt(2), on any
+    channel and whatever the global phase; 0 for a state that is no
+    stabilizer state."""
+    n = 3
+    for channel in (1, 2, 3):
+        expected = [(QUBIT_ZERO, 0, 1, 0), (QUBIT_ONE, 0, 1, 1),
+                    (QUBIT_PLUS, 1, 0, 0), (QUBIT_MINUS10, 1, 0, 1)]
+        for q, x, z, sign in expected:
+            row = (x << (channel - 1)) | (z << (n + channel - 1)) | (sign << (2 * n))
+            assert stabilizer_row(q, channel, n) == row
+            turned = SingleQubit(-1j * q.coeff0, -1j * q.coeff1)
+            assert stabilizer_row(turned, channel, n) == row
+        assert stabilizer_row(SingleQubit(0.6, 0.8), channel, n) == 0
 
 
 def test_cases_are_hashable_and_equal_cases_hash_equal():

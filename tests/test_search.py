@@ -28,6 +28,7 @@ from intraport.protocol import (
     builtin_scenario,
     canonical_case,
     input_layout,
+    layout_rows,
     relocated_case,
     swap_circuit,
     verify_circuit_action_equal,
@@ -36,6 +37,7 @@ from intraport.qsim import (
     ControlledNot,
     Hadamard,
     PureState,
+    QUBIT_ZERO,
     SingleQubit,
     _apply_gates,
     factor_all,
@@ -53,8 +55,8 @@ from intraport.search import (
     _class_keys,
     _distances,
     _follows,
-    _layout_rows,
     _pack,
+    _root,
     _row_tables,
     _unpack,
     gate_alphabet,
@@ -176,7 +178,7 @@ def test_pinned_n5_decoders_decode():
         assert len(word) <= _DEPTH_HORIZON[5]
         gates = alice_encoder(5) + bob_prefix(5) + word
         messages = [c for c in range(1, 6) if c != aux]
-        rows = tableau.apply_word(_layout_rows(5, input_layout(messages, aux, value)), 5, gates)
+        rows = tableau.apply_word(layout_rows(5, input_layout(messages, aux, value)), 5, gates)
         assert tableau.accepts(rows[None], 5, None)[0], case
         assert decoder_layout_oracle(5, aux, value.qubit.as_array(), gates) is not None, case
     assert misses == {(1, AuxValue.ONE), (1, AuxValue.PLUS)}
@@ -214,6 +216,35 @@ def test_search_argument_validation():
         solve_bob_program(3, 2, AuxValue.ZERO, 15)
     with pytest.raises(InvalidInput):
         solve_bob_program(3, 2, AuxValue.ZERO, 6, target={1: None})
+
+
+def test_root_holds_the_auxiliary_stabilizer_and_the_message_rows():
+    """The root is +Z, -Z or +X on the auxiliary channel for |0>, |1> and
+    |+>, then X_c and Z_c of each message channel c, mapped through the
+    encoder and the prefix."""
+    for n in range(3, 7):
+        for aux in range(1, n + 1):
+            messages = [c for c in range(1, n + 1) if c != aux]
+            rows = [1 << (c - 1) for c in messages] + [1 << (n + c - 1) for c in messages]
+            for value, x, z, sign in ((AuxValue.ZERO, 0, 1, 0), (AuxValue.ONE, 0, 1, 1),
+                                      (AuxValue.PLUS, 1, 0, 0)):
+                s = (x << (aux - 1)) | (z << (n + aux - 1)) | (sign << (2 * n))
+                expected = tableau.apply_word(np.array([s] + rows), n,
+                                              alice_encoder(n) + bob_prefix(n))
+                assert _root(n, aux, value).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("target", [
+    {1: MessageOut(1), 2: None, 3: MessageOut(0)},
+    {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: ResidueOut(QUBIT_ZERO)},
+    {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: MessageOut("0")},
+    {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: MessageOut(1)},
+], ids=["none-entry", "two-residues", "string-index", "missing-message"])
+def test_search_refuses_a_malformed_target(target):
+    """A target that does not hold one residue and each message once is
+    refused as InvalidInput before any walk."""
+    with pytest.raises(InvalidInput):
+        solve_bob_program(3, 2, AuxValue.ZERO, 6, target=target)
 
 
 @pytest.mark.parametrize("wrong", [{"aux_value": "zero"}, {"max_gates": 3.5},
@@ -268,10 +299,10 @@ def test_tableau_test_matches_the_dense_oracle(case):
     gates = alice_encoder(n) + bob_prefix(n) + word
     layout = decoder_layout_oracle(n, aux, value.qubit.as_array(), gates)
     messages = [c for c in range(1, n + 1) if c != aux]
-    rows = tableau.apply_word(_layout_rows(n, input_layout(messages, aux, value)), n, gates)
+    rows = tableau.apply_word(layout_rows(n, input_layout(messages, aux, value)), n, gates)
 
     def decodes(target=None):
-        return tableau.accepts(rows[None], n, None if target is None else _layout_rows(n, target))[0]
+        return tableau.accepts(rows[None], n, None if target is None else layout_rows(n, target))[0]
 
     assert decodes() == (layout is not None)
     if layout is None:

@@ -18,10 +18,11 @@ from intraport.protocol import (
     canonical_case,
     general_extension,
     input_layout,
+    layout_rows,
     protocol_table,
     relocated_case,
 )
-from intraport.search import _layout_rows, gate_alphabet
+from intraport.search import gate_alphabet
 
 _X = np.array([[0, 1], [1, 0]])
 _Z = np.array([[1, 0], [0, -1]])
@@ -88,11 +89,11 @@ def test_registered_decoder_reaches_exactly_its_layout(case):
     """Target mode accepts the decoder for its own layout, and not for the
     layout with two messages exchanged."""
     n, layout = case.channel_count, case.expected_layout
-    rows = tableau.apply_word(_layout_rows(n, case.input_layout), n,
+    rows = tableau.apply_word(layout_rows(n, case.input_layout), n,
                               alice_encoder(n) + list(case.bob_program))[None]
-    assert tableau.accepts(rows, n, _layout_rows(n, layout))[0]
+    assert tableau.accepts(rows, n, layout_rows(n, layout))[0]
     a, b = [ch for ch, out in layout.items() if isinstance(out, MessageOut)][:2]
-    assert not tableau.accepts(rows, n, _layout_rows(n, {**layout, a: layout[b], b: layout[a]}))[0]
+    assert not tableau.accepts(rows, n, layout_rows(n, {**layout, a: layout[b], b: layout[a]}))[0]
 
 
 def test_registered_decoder_count():
@@ -105,7 +106,7 @@ def test_general_extension_decodes_exactly_up_to_16_channels(n):
     auxiliary value on channel n, with no 2^n state; without its last gate
     the map decodes to no layout at all."""
     for value in AuxValue:
-        rows = _layout_rows(n, input_layout(range(1, n), n, value))
+        rows = layout_rows(n, input_layout(range(1, n), n, value))
         word = alice_encoder(n) + bob_prefix(n) + general_extension(n, value)
         assert tableau.accepts(tableau.apply_word(rows, n, word)[None], n, rows)[0]
         assert not tableau.accepts(tableau.apply_word(rows, n, word[:-1])[None], n)[0]
