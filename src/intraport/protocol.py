@@ -40,6 +40,7 @@ import numpy as np
 from . import tableau
 from .circuit import MAX_CHANNELS, Circuit, parse_circuit
 from .errors import (
+    ChannelOutOfRange,
     InvalidGate,
     InvalidInput,
     InvalidLayout,
@@ -103,6 +104,12 @@ _AUX_QUBITS = {
 @dataclass(frozen=True)
 class MessageOut:
     index: int
+
+    def __post_init__(self):
+        # Kept as a Python int: a bool would index a batch as a mask, and a
+        # numpy integer is not JSON.
+        require_integer("message index", self.index)
+        object.__setattr__(self, "index", int(self.index))
 
     def qubit(self, messages: Sequence[SingleQubit]) -> SingleQubit:
         return messages[self.index]
@@ -263,6 +270,11 @@ class ProtocolCase:
     def input_layout(self) -> dict[int, ExpectedOut]:
         return input_layout(self.message_channels, self.aux_channel, self.aux_value)
 
+    @cached_property
+    def gate_word(self) -> tuple[Gate, ...]:
+        """The sender's encoder, then the case's program: what verify_case runs."""
+        return (*alice_encoder(self.channel_count), *self.bob_program)
+
     @property
     def residue_channel(self) -> int:
         for ch, out in self.expected_layout.items():
@@ -396,9 +408,7 @@ def verify_case(
         raise ShapeMismatch(f"case {case.case_id} takes {m} messages, got {len(messages)}")
     n = case.channel_count
     batch = message_batch(messages)
-    amps = _apply_gates(
-        layout_states(case.input_layout, batch)[0], n, alice_encoder(n) + list(case.bob_program)
-    )
+    amps = _apply_gates(layout_states(case.input_layout, batch)[0], n, case.gate_word)
     out = PureState(n, amps, _trust=True)
     factors = channel_factors(out, tol)
 
@@ -617,7 +627,7 @@ def relocated_case(channel_count: int, aux_channel: int, value: AuxValue) -> Pro
     if aux_channel == m:
         return base
     if not 1 <= aux_channel <= n:
-        raise InvalidInput(f"auxiliary channel {aux_channel} outside 1..{n}")
+        raise ChannelOutOfRange(f"auxiliary channel {aux_channel} outside 1..{n}")
     enc = alice_encoder(n)
     program = (
         tuple(reversed(enc))

@@ -21,6 +21,7 @@ mutates its arguments.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -107,7 +108,8 @@ class SingleQubit:
 
     def __post_init__(self):
         for c in (self.coeff0, self.coeff1):
-            if not np.isfinite(complex(c).real) or not np.isfinite(complex(c).imag):
+            c = complex(c)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise InvalidInput("non-finite amplitude")
         norm2 = abs(self.coeff0) ** 2 + abs(self.coeff1) ** 2
         if abs(norm2 - 1.0) > NORM_TOL:

@@ -10,8 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intraport import cli, protocol
 from intraport.eavesdrop import ExperimentStats
@@ -24,12 +25,20 @@ FIG1_PATH = str(
 )
 
 
+def assert_indented_json(out):
+    """out is json.dumps(doc, indent=2) and one newline, byte for byte."""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def run_cli(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     out = buf.getvalue()
-    return code, json.loads(out) if out.strip() else None
+    if not out.strip():
+        return code, None
+    assert_indented_json(out)
+    return code, json.loads(out)
 
 
 def normalize(doc):
@@ -591,6 +600,7 @@ def test_any_argv_prints_one_json_document(argv):
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     doc = json.loads(buf.getvalue(), parse_constant=_refuse_non_json)
+    assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
     assert isinstance(doc, dict)
     assert code in (0, 1, 2)
     assert ("error" in doc) == (code == 2)
@@ -604,4 +614,110 @@ def test_python_dash_m_intraport_runs_the_cli():
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    assert_indented_json(run.stdout)
     assert len(json.loads(run.stdout)["cases"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer behind every document
+
+
+_INF = float("inf")
+_AWKWARD_STRINGS = ["", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", '"\\/', "\ud800"]
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, 2**64 + 1, -2**70, 10**30]),
+    st.floats(),
+    st.sampled_from([math.nan, _INF, -_INF, -0.0, 5e-324, 1e16, 1e-7]),
+    st.text(),
+    st.sampled_from(_AWKWARD_STRINGS),
+)
+_json_keys = st.one_of(st.text(), st.sampled_from(_AWKWARD_STRINGS), st.integers(),
+                       st.floats(), st.booleans(), st.none())
+json_trees = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(json_trees)
+@example([])
+@example({})
+@example(())
+@example({"a": [], "b": {}, "c": [[{}]]})
+@example([math.nan, _INF, -_INF, -0.0, 5e-324, 2**64 + 1])
+@example({1: 0, 2.5: 1, True: 2, None: 3, math.nan: 4, -_INF: 5, 2**70: 6})
+@example({"\u00e9\x00": ("\U0001f600", "\x1f")})
+@settings(max_examples=300)
+def test_json_text_writes_what_json_dumps_writes(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {1, 2},
+    np.bool_(True),
+    {(1, 2): 0},
+    np.int64(3),
+    b"bytes",
+    {"a": [1, {"b": 2j}]},
+    [frozenset()],
+], ids=["set", "numpy-bool", "tuple-key", "numpy-int", "bytes", "nested-complex",
+        "frozenset"])
+def test_json_text_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(doc)
+    assert str(got.value) == str(expected.value)
+
+
+def test_json_text_writes_subclasses_as_json_does():
+    """A numpy float64 is a float, a namedtuple a tuple and an IntEnum
+    member an int, as values and as keys: each is written by its base
+    type's rule."""
+    import collections
+    import enum
+
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    Pair = collections.namedtuple("Pair", "re im")
+    doc = {"x": np.float64(0.1), "p": Pair(1.5, -0.0), "level": Level.LOW,
+           Level.LOW: np.float64("nan")}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_every_subcommand_avoids_the_pure_python_json_encoder(monkeypatch, tmp_path):
+    """json.dumps(indent=...) builds its encoder with _make_iterencode, the
+    slow pure-Python path.  Every document must be written without it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    infile = tmp_path / "basis.json"
+    infile.write_text(json.dumps({"basis": "110"}), encoding="utf-8")
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": 1}, indent=2)  # the patch is in force
+    calls = [
+        (["run-figure", "1", "--seed", "7"], 0),
+        (["fuzz", "--figure", "2", "--trials", "2"], 0),
+        (["table", "--reduced"], 0),
+        (["exec", FIG1_PATH, "--in", str(infile)], 0),
+        (["swap", "--channels", "3"], 0),
+        (["solve-bob", "--channels", "3", "--aux-channel", "2", "--aux-value", "plus"], 0),
+        (["eavesdrop", "--channels", "3", "--trials", "20"], 0),
+        (["bell", "--seed", "3"], 0),
+        (["run-figure", "5"], 2),
+        (["frobnicate"], 2),
+    ]
+    for argv, want in calls:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        assert code == want, argv
+        assert json.loads(buf.getvalue())

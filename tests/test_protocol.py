@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intraport.circuit import MAX_CHANNELS, Circuit
+from intraport import protocol
 from intraport.errors import (
+    ChannelOutOfRange,
     ImpossibleBranch,
     InvalidGate,
     InvalidInput,
@@ -29,6 +31,7 @@ from intraport.protocol import (
     construct_psi,
     figure_circuit,
     general_extension,
+    layout_rows,
     layout_states,
     message_batch,
     post_swap_plan,
@@ -62,7 +65,7 @@ from intraport.qsim import (
     run_circuit,
 )
 
-from intraport.search import gate_alphabet
+from intraport.search import gate_alphabet, solve_bob_program
 
 from helpers import (
     apply_circuit_oracle,
@@ -525,6 +528,67 @@ def test_registry_refuses_arguments_of_the_wrong_type(build, error):
     integer size out of range keeps UnsupportedSize."""
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_an_aux_channel_out_of_range_is_channel_out_of_range(n):
+    """relocated_case refuses channels 0 and n+1 as solve_bob_program does."""
+    for channel in (0, n + 1):
+        with pytest.raises(ChannelOutOfRange):
+            relocated_case(n, channel, AuxValue.ZERO)
+        with pytest.raises(ChannelOutOfRange):
+            solve_bob_program(n, channel, AuxValue.ZERO, 6)
+
+
+def _with_index(layout, index):
+    """The layout with its first message's index replaced by `index`."""
+    first = min(ch for ch, out in layout.items() if isinstance(out, MessageOut))
+    return {**layout, first: MessageOut(index)}
+
+
+_MESSAGE_INDEX_ENTRIES = {
+    "layout_states": lambda case, layout: layout_states(
+        layout, message_batch([QUBIT_PLUS, QUBIT_ONE])),
+    "layout_rows": lambda case, layout: layout_rows(3, layout),
+    "ProtocolCase": lambda case, layout: replace(case, expected_layout=layout),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MESSAGE_INDEX_ENTRIES))
+@pytest.mark.parametrize("index", [True, 0.0, "0"], ids=["bool", "float", "str"])
+def test_a_message_index_must_be_an_integer(entry, index):
+    """A bool, float or string message index is refused, not read as a
+    numpy boolean mask or a position."""
+    case = canonical_case(3, AuxValue.ZERO)
+    with pytest.raises(InvalidInput, match="message index"):
+        _MESSAGE_INDEX_ENTRIES[entry](case, _with_index(case.expected_layout, index))
+
+
+def test_a_numpy_message_index_is_accepted_as_an_int():
+    case = canonical_case(3, AuxValue.ZERO)
+    first = min(ch for ch, out in case.expected_layout.items() if isinstance(out, MessageOut))
+    layout = _with_index(case.expected_layout, np.int64(case.expected_layout[first].index))
+    assert type(layout[first].index) is int
+    batch = message_batch([QUBIT_PLUS, QUBIT_ONE])
+    assert layout_states(layout, batch).shape == (1, 8)
+    np.testing.assert_array_equal(layout_states(layout, batch),
+                                  layout_states(case.expected_layout, batch))
+    np.testing.assert_array_equal(layout_rows(3, layout), layout_rows(3, case.expected_layout))
+    assert verify_case(replace(case, expected_layout=layout), [QUBIT_PLUS, QUBIT_ONE]).passed
+
+
+def test_gate_word_is_built_once_per_case(monkeypatch):
+    """verify_case runs the encoder then the program, and builds that word
+    once per case, not on every call."""
+    case = replace(canonical_case(4, AuxValue.PLUS))  # a fresh instance: no cached word
+    calls = []
+    real = protocol.alice_encoder
+    monkeypatch.setattr(protocol, "alice_encoder", lambda n: calls.append(n) or real(n))
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        assert verify_case(case, [random_qubit(rng) for _ in range(3)]).passed
+    assert calls == [4]
+    assert case.gate_word == tuple(real(4)) + tuple(case.bob_program)
 
 
 def test_stabilizer_row_of_the_known_qubits():

@@ -67,6 +67,18 @@ def test_single_qubit_requires_normalization():
         SingleQubit(float("nan"), 0.0)
 
 
+@pytest.mark.parametrize("coeff0, coeff1", [
+    (complex(0, float("inf")), 0.0),
+    (np.complex128(complex("nan")), 0.0),
+    (0.0, float("-inf")),
+], ids=["imaginary-inf", "numpy-complex-nan", "minus-inf-coeff1"])
+def test_single_qubit_refuses_every_non_finite_part(coeff0, coeff1):
+    """Infinite or NaN real and imaginary parts, Python or numpy, in either
+    coefficient are refused before the norm is tested."""
+    with pytest.raises(InvalidInput, match="non-finite"):
+        SingleQubit(coeff0, coeff1)
+
+
 def test_single_qubit_rescales_only_what_rounding_cannot_explain():
     """A norm^2 off by more than float rounding is divided out; the
     coefficients of an already normalised pair keep every bit."""

@@ -235,16 +235,17 @@ def test_root_holds_the_auxiliary_stabilizer_and_the_message_rows():
 
 
 @pytest.mark.parametrize("target", [
-    {1: MessageOut(1), 2: None, 3: MessageOut(0)},
-    {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: ResidueOut(QUBIT_ZERO)},
-    {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: MessageOut("0")},
-    {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: MessageOut(1)},
+    lambda: {1: MessageOut(1), 2: None, 3: MessageOut(0)},
+    lambda: {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: ResidueOut(QUBIT_ZERO)},
+    lambda: {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: MessageOut("0")},
+    lambda: {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: MessageOut(1)},
 ], ids=["none-entry", "two-residues", "string-index", "missing-message"])
 def test_search_refuses_a_malformed_target(target):
     """A target that does not hold one residue and each message once is
-    refused as InvalidInput before any walk."""
+    refused as InvalidInput before any walk (a string index already by
+    MessageOut, so each target is built inside the check)."""
     with pytest.raises(InvalidInput):
-        solve_bob_program(3, 2, AuxValue.ZERO, 6, target=target)
+        solve_bob_program(3, 2, AuxValue.ZERO, 6, target=target())
 
 
 @pytest.mark.parametrize("wrong", [{"aux_value": "zero"}, {"max_gates": 3.5},
