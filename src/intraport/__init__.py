@@ -27,6 +27,7 @@ from .errors import (
 )
 from .protocol import (
     AuxValue,
+    Layout,
     MessageOut,
     ProtocolCase,
     ResidueOut,

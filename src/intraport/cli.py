@@ -27,7 +27,6 @@ from .protocol import (
     DEFAULT_TOL,
     SCENARIO_FIGURES,
     AuxValue,
-    MessageOut,
     ProtocolCase,
     bell_byproduct,
     builtin_scenario,
@@ -211,15 +210,11 @@ def _messages_from_args(args, case: ProtocolCase) -> Optional[list[SingleQubit]]
     return messages
 
 
-def _layout_json(layout) -> dict:
-    out = {}
-    for ch in sorted(layout):
-        entry = layout[ch]
-        if isinstance(entry, MessageOut):
-            out[str(ch)] = {"kind": "message", "index": entry.index}
-        else:
-            out[str(ch)] = {"kind": "residue", "state": _state_json(entry.state)}
-    return out
+def _claim_json(layout, ch: int) -> dict:
+    """A layout's claim for one channel: a message index or the residue."""
+    if ch == layout.residue_channel:
+        return {"kind": "residue", "state": _state_json(layout.residue)}
+    return {"kind": "message", "index": layout.columns[ch - 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +242,14 @@ def _cmd_run_figure(args) -> int:
 
     report = run_scenario(figure, messages, tol)
     channels = []
+    block = case.psi_block or ()
     for ch in range(1, case.channel_count + 1):
-        if case.psi_block is not None and ch in case.psi_block:
-            claimed = {"kind": "psi-block", "channels": list(case.psi_block)}
+        if ch in block:
+            claimed = {"kind": "psi-block", "channels": list(block)}
         else:
-            entry = case.expected_layout[ch]
-            if isinstance(entry, MessageOut):
-                claimed = {"kind": "message", "index": entry.index,
-                           "state": _state_json(entry.qubit(messages))}
-            else:
-                claimed = {"kind": "residue", "state": _state_json(entry.state)}
+            claimed = _claim_json(case.expected_layout, ch)
+            if claimed["kind"] == "message":
+                claimed["state"] = _state_json(messages[claimed["index"]])
         factor = report.factors[ch - 1]
         observed = None if factor is None else _state_json(factor)
         channels.append({
@@ -329,7 +322,8 @@ def _cmd_table(args) -> int:
             "aux_value": case.aux_value.value,
             "message_channels": list(case.message_channels),
             "bob_program": [gate_text(g) for g in case.bob_program],
-            "expected_layout": _layout_json(case.expected_layout),
+            "expected_layout": {str(ch): _claim_json(case.expected_layout, ch)
+                                for ch in case.expected_layout},
         })
     _emit({
         "command": "table",

@@ -79,11 +79,9 @@ from .errors import InvalidInput, InvalidLayout, require_integer
 from .protocol import (
     AuxValue,
     CANONICAL_AUX_CHANNEL,
-    MessageOut,
     ProtocolCase,
-    ResidueOut,
     alice_encoder,
-    layout_states,
+    column_states,
     post_swap_plan,
     relocated_case,
     stabilizer_row,
@@ -247,9 +245,7 @@ def _fold(true: _CompiledCase, eve: Optional[_CompiledCase]) -> _Group:
         return _Group(through)
     sources = [true.case.message_channels.index(ch) for ch in eve.case.message_channels]
     believed = np.full(true.case.channel_count, -1)
-    for ch, out in eve.case.expected_layout.items():
-        if isinstance(out, MessageOut):
-            believed[ch - 1] = sources[out.index]
+    believed[np.array(eve.case.expected_layout.message_channels) - 1] = sources
     return _Group(through, first, believed)
 
 
@@ -259,7 +255,7 @@ class _Layouts:
     qubits: its m messages, then the auxiliary value's qubit (column m) and
     the residue's (column m + 1)."""
 
-    inputs: dict  # the input layout; where the messages go does not depend on the value
+    inputs: tuple[int, ...]  # the input layout's columns, the same for every value
     known: np.ndarray  # (3, 2, 2): each value code's auxiliary and residue qubits
     outputs: np.ndarray  # (3, n): each value code's column on each output channel
     residue_channels: tuple[int, ...]  # every value's residue channel, sorted
@@ -270,26 +266,26 @@ class _Layouts:
 def _layouts(n: int, aux_channel: int) -> _Layouts:
     m = n - 1
     cases = [_compiled(n, aux_channel, value).case for value in _AUX_CYCLE]
-    known = np.array([(case.aux_value.qubit.as_array(), case.residue.as_array())
-                      for case in cases])
-    outputs = np.array([[out.index if isinstance(out, MessageOut) else m + 1
-                         for _, out in sorted(case.expected_layout.items())]
-                        for case in cases])
-    residue_channels = tuple(sorted({case.residue_channel for case in cases}))
-    residue_column = np.array([residue_channels.index(case.residue_channel)
-                               for case in cases])
-    inputs = {**cases[0].input_layout, aux_channel: MessageOut(m)}
-    return _Layouts(inputs, known, outputs, residue_channels, residue_column)
+    ins, outs = [c.input_layout for c in cases], [c.expected_layout for c in cases]
+    known = np.array([(i.residue.as_array(), o.residue.as_array()) for i, o in zip(ins, outs)])
+    columns = np.array([out.columns for out in outs])
+    outputs = columns + (columns == m)  # the residue's column is m + 1 here
+    residue_channels = tuple(sorted({out.residue_channel for out in outs}))
+    residue_column = np.array([residue_channels.index(out.residue_channel) for out in outs])
+    return _Layouts(ins[0].columns, known, outputs, residue_channels, residue_column)
 
 
 def _reencode_gates(case: ProtocolCase):
     """Eve's rebuild: believed outputs back to input placement, residue
     channel refreshed to the auxiliary value, then the encoder.  The residue
     and the value are compared by their stabilizer rows on one channel."""
-    desired = {**case.input_layout, case.aux_channel: ResidueOut(case.residue)}
-    gates = post_swap_plan(case.expected_layout, desired)
+    # Columns as tokens: message j is j in both layouts, and column m, the
+    # residue among the outputs, is the auxiliary among the inputs.
+    gates = post_swap_plan(dict(enumerate(case.expected_layout.columns, 1)),
+                           dict(enumerate(case.input_layout.columns, 1)))
 
-    res, value = (stabilizer_row(q, 1, 1) for q in (case.residue, case.aux_value.qubit))
+    res, value = (stabilizer_row(q, 1, 1)
+                  for q in (case.expected_layout.residue, case.aux_value.qubit))
     if res != value:
         if tableau.conjugate(res, 1, Hadamard(1)) != value:
             raise InvalidLayout("registered residue is not one H away from the value")
@@ -518,7 +514,7 @@ def _run_block(n: int, aux_channel: int, codes: np.ndarray, qubits: np.ndarray,
     count = len(codes)
     layouts = _layouts(n, aux_channel)
     value_codes = codes // (3 * n + 1)
-    inputs = layout_states(layouts.inputs, qubits)
+    inputs = column_states(layouts.inputs, qubits)
     edges = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
     groups = [(s, e, _group(n, aux_channel, int(codes[s])))
               for s, e in zip([0, *edges], [*edges, count])]

@@ -39,8 +39,8 @@ class UnsupportedSize(IntraportError):
     pass
 
 
-class InvalidLayout(IntraportError):
-    pass
+class InvalidLayout(InvalidInput):
+    """A malformed layout (see protocol.Layout) or channel rearrangement."""
 
 
 class UnknownScenario(IntraportError):

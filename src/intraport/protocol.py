@@ -14,15 +14,19 @@ program agreed for (auxiliary channel, auxiliary value) and every message
 reappears, unmeasured, on some output channel, with a known residue state
 left on one channel.
 
+That claim is a Layout: one known residue and each message once on channels
+1..n, and optionally a block word applied to that product.  Figure 6 claims
+an entangled pair, H 1 then CN 1 2 on messages 0 and 1, as its block.  A
+Layout is validated once, when built, and every layout of the package is
+one: the inputs and claimed outputs of every case, and the search's target.
 figures/manifest.json is the single source of the figure facts: which
 channel carries the auxiliary state and its value, where each message
 reappears, the residue left behind, and the entangled block of figure 6.
 builtin_scenario loads each figure from it as a ProtocolCase, the same case
 type the protocol table and the registered decoders use.  One builder
-(layout_states) turns a layout into product states, one (layout_rows) into
-its stabilizer-tableau input rows, with stabilizer_row the one rule for a
-known qubit's Pauli row, and one routine (verify_case) checks a case's
-output.
+(layout_states) turns a layout into states, one (layout_rows) into its
+stabilizer-tableau rows, with stabilizer_row the one rule for a known
+qubit's Pauli row, and one routine (verify_case) checks a case's output.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from importlib import resources
-from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -111,31 +114,92 @@ class MessageOut:
         require_integer("message index", self.index)
         object.__setattr__(self, "index", int(self.index))
 
-    def qubit(self, messages: Sequence[SingleQubit]) -> SingleQubit:
-        return messages[self.index]
-
 
 @dataclass(frozen=True)
 class ResidueOut:
     state: SingleQubit
 
-    def qubit(self, messages: Sequence[SingleQubit]) -> SingleQubit:
-        return self.state
-
 
 ExpectedOut = MessageOut | ResidueOut
 
 
+class Layout(Mapping[int, ExpectedOut]):
+    """What channels 1..n carry: a read-only, hashable map from each channel
+    to its MessageOut or ResidueOut, read as their product state, then the
+    `block` word applied to that product (figure 6: H 1, CN 1 2).
+
+    Every layout check is made here, once: the channels are exactly 1..n
+    (n = `channels`, or the number of entries), one channel holds the
+    residue, each message index 0..n-2 appears once, and the block acts on
+    channels 1..n.  Anything else raises InvalidLayout.  `columns` holds
+    each channel's message index, or n - 1 for the residue, and
+    `message_channels` each message's channel.
+    """
+
+    __slots__ = ("_entries", "block", "columns", "message_channels", "residue_channel")
+
+    def __init__(self, entries: Mapping[int, ExpectedOut], block: Sequence[Gate] = (),
+                 channels: Optional[int] = None):
+        n = len(entries) if channels is None else channels
+        if set(entries) != set(range(1, n + 1)):
+            raise InvalidLayout(f"a layout must cover channels 1..{n} exactly")
+        ordered = {ch: entries[ch] for ch in range(1, n + 1)}
+        residues = [ch for ch, out in ordered.items() if isinstance(out, ResidueOut)]
+        by_index = {out.index: ch for ch, out in ordered.items() if isinstance(out, MessageOut)}
+        if len(residues) != 1 or sorted(by_index) != list(range(n - 1)):
+            raise InvalidLayout("a layout must hold one residue and each message index "
+                                f"0..{n - 2} once")
+        if any(not 1 <= ch <= n for gate in block for ch in gate.channels()):
+            raise InvalidLayout(f"a layout's block must act on channels 1..{n}")
+        init = partial(object.__setattr__, self)
+        init("_entries", ordered)
+        init("block", tuple(block))
+        init("residue_channel", residues[0])
+        init("message_channels", tuple(by_index[j] for j in range(n - 1)))
+        init("columns", tuple(getattr(out, "index", n - 1) for out in ordered.values()))
+
+    @classmethod
+    def of(cls, layout: Mapping[int, ExpectedOut], channels: Optional[int] = None) -> "Layout":
+        """`layout` itself when it is a Layout over `channels`, else a new one."""
+        if isinstance(layout, cls) and channels in (None, len(layout)):
+            return layout
+        return cls(layout, channels=channels)
+
+    @property
+    def residue(self) -> SingleQubit:
+        return self._entries[self.residue_channel].state
+
+    def __getitem__(self, channel: int) -> ExpectedOut:
+        return self._entries[channel]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Layout) and self._entries == other._entries
+                and self.block == other.block)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self._entries.items()), self.block))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Layout is read-only")
+
+    def __repr__(self) -> str:
+        return f"Layout({self._entries!r}, block={self.block!r})"
+
+
 def input_layout(
     message_channels: Sequence[int], aux_channel: int, value: AuxValue
-) -> dict[int, ExpectedOut]:
+) -> Layout:
     """A protocol input as a layout: message j on message_channels[j], and
     the auxiliary value as the known state of its channel."""
-    layout: dict[int, ExpectedOut] = {
-        ch: MessageOut(j) for j, ch in enumerate(message_channels)
-    }
-    layout[aux_channel] = ResidueOut(value.qubit)
-    return layout
+    messages = {ch: MessageOut(j) for j, ch in enumerate(message_channels)}
+    # a message on the auxiliary's channel takes the residue's place: refused
+    return Layout({aux_channel: ResidueOut(value.qubit), **messages})
 
 
 def message_batch(messages: Sequence[SingleQubit]) -> np.ndarray:
@@ -143,19 +207,24 @@ def message_batch(messages: Sequence[SingleQubit]) -> np.ndarray:
     return np.array([[(q.coeff0, q.coeff1) for q in messages]], dtype=complex)
 
 
-def layout_states(layout: Mapping[int, ExpectedOut], messages: np.ndarray) -> np.ndarray:
-    """(T, 2^n) product states of a layout over channels 1..n, one for each
-    (m, 2) message tuple of the (T, m, 2) batch `messages`."""
-    count = len(messages)
+def column_states(columns: Sequence[int], qubits: np.ndarray) -> np.ndarray:
+    """(T, 2^n) product states, one per row of the (T, k, 2) batch `qubits`:
+    channel c carries the row's qubit columns[c - 1]."""
+    count = len(qubits)
     out = np.ones((count, 1), dtype=complex)
-    for ch in range(1, len(layout) + 1):
-        entry = layout[ch]
-        if isinstance(entry, MessageOut):
-            q = messages[:, entry.index]
-        else:
-            q = entry.state.as_array()[None]  # broadcast over the batch
-        out = (out[:, :, None] * q[:, None, :]).reshape(count, -1)
+    for col in columns:
+        out = (out[:, :, None] * qubits[:, col, None, :]).reshape(count, -1)
     return out
+
+
+def layout_states(layout: Mapping[int, ExpectedOut], messages: np.ndarray) -> np.ndarray:
+    """(T, 2^n) states of a layout over channels 1..n, one for each (m, 2)
+    message tuple of the (T, m, 2) batch `messages`: the product of the
+    channels' qubits, then the layout's block word."""
+    layout = Layout.of(layout)
+    qubits = np.empty((len(messages), len(layout), 2), dtype=complex)
+    qubits[:, :-1], qubits[:, -1] = messages, layout.residue.as_array()
+    return _apply_gates(column_states(layout.columns, qubits), len(layout), layout.block)
 
 
 # Pauli matrices by (x, z) bits; (1, 1) is the Hermitian Y = iXZ.
@@ -179,20 +248,15 @@ def stabilizer_row(q: SingleQubit, channel: int, n: int) -> int:
 
 
 def layout_rows(n: int, layout: Mapping[int, ExpectedOut]) -> np.ndarray:
-    """The input rows of a layout over channels 1..n (tableau.input_rows):
-    its residue's stabilizer row, then the rows of each message's channel
-    in message order.  A residue that is not a stabilizer state gets 0,
-    which no image of a stabilizer equals.  Raises InvalidInput unless the
-    layout holds one residue and places each message 0..n-2 once."""
-    if set(layout) != set(range(1, n + 1)):
-        raise InvalidInput("target layout must cover every output channel")
-    residues = [ch for ch, out in layout.items() if isinstance(out, ResidueOut)]
-    by_index = {out.index: ch for ch, out in layout.items() if isinstance(out, MessageOut)}
-    if len(residues) != 1 or set(by_index) != set(range(n - 1)):
-        raise InvalidInput("target layout must hold one residue and each message once")
-    (res,) = residues
-    return tableau.input_rows(n, stabilizer_row(layout[res].state, res, n),
-                              [by_index[j] for j in range(n - 1)])
+    """The rows of a layout over channels 1..n: its input rows
+    (tableau.input_rows: the residue's stabilizer row, then the rows of each
+    message's channel in message order) mapped through its block word.  A
+    residue that is not a stabilizer state gets 0, which no image of a
+    stabilizer equals."""
+    layout = Layout.of(layout, n)
+    rows = tableau.input_rows(n, stabilizer_row(layout.residue, layout.residue_channel, n),
+                              layout.message_channels)
+    return tableau.apply_word(rows, n, layout.block)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +299,25 @@ def bob_prefix(channel_count: int) -> list[Gate]:
 # Protocol cases
 
 
+@lru_cache(maxsize=1024)
+def _case_inputs(message_channels: tuple[int, ...], aux_channel: int, value: AuxValue,
+                 n: int) -> Layout:
+    """A case's input layout over its n channels, built once for the cases
+    that share it."""
+    return Layout.of(input_layout(message_channels, aux_channel, value), n)
+
+
 @dataclass(frozen=True)
 class ProtocolCase:
     """One agreed (auxiliary channel, auxiliary value, program, layout) tuple.
 
     A builtin figure is a case that also carries its figure number and
-    circuit.  Figure 6 claims an entangled pair on its psi_block channels
-    instead of one factor per channel; its expected layout leaves those
-    channels out.
+    circuit.  The expected layout is made a Layout over the case's channels
+    when the case is built, and the input layout (message j on
+    message_channels[j], the auxiliary value on its channel) with it, so a
+    case that is built holds two valid layouts.  Figure 6's expected layout
+    carries its entangled pair as a block word; psi_block gives that word's
+    channels.
     """
 
     case_id: str
@@ -251,24 +326,16 @@ class ProtocolCase:
     aux_value: AuxValue
     message_channels: tuple[int, ...]
     bob_program: tuple[Gate, ...]
-    # A dict or mappingproxy, so not hashable: compared, but left out of the hash.
-    expected_layout: Mapping[int, ExpectedOut] = field(hash=False)
+    expected_layout: Layout
     figure_id: Optional[int] = None
     circuit: Optional[Circuit] = None
-    psi_block: Optional[tuple[int, ...]] = None
+    input_layout: Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        chans = set(range(1, self.channel_count + 1))
-        if set(self.message_channels) | {self.aux_channel} != chans or len(
-            self.message_channels
-        ) != self.channel_count - 1:
-            raise InvalidLayout("message channels plus auxiliary must cover all channels")
-        if set(self.expected_layout) | set(self.psi_block or ()) != chans:
-            raise InvalidLayout("expected layout must cover all output channels")
-
-    @cached_property
-    def input_layout(self) -> dict[int, ExpectedOut]:
-        return input_layout(self.message_channels, self.aux_channel, self.aux_value)
+        n = self.channel_count
+        inputs = _case_inputs(tuple(self.message_channels), self.aux_channel, self.aux_value, n)
+        object.__setattr__(self, "expected_layout", Layout.of(self.expected_layout, n))
+        object.__setattr__(self, "input_layout", inputs)
 
     @cached_property
     def gate_word(self) -> tuple[Gate, ...]:
@@ -276,15 +343,10 @@ class ProtocolCase:
         return (*alice_encoder(self.channel_count), *self.bob_program)
 
     @property
-    def residue_channel(self) -> int:
-        for ch, out in self.expected_layout.items():
-            if isinstance(out, ResidueOut):
-                return ch
-        raise InvalidLayout("case has no residue channel")
-
-    @property
-    def residue(self) -> SingleQubit:
-        return self.expected_layout[self.residue_channel].state
+    def psi_block(self) -> Optional[tuple[int, ...]]:
+        """The channels of the expected layout's block word, or None."""
+        block = self.expected_layout.block
+        return tuple(sorted({ch for gate in block for ch in gate.channels()})) or None
 
 
 @dataclass
@@ -345,10 +407,13 @@ def builtin_scenario(figure_id: int) -> ProtocolCase:
         (r for r in entry["roles"] if r["kind"] == "message"), key=lambda r: r["index"]
     )
     layout: dict[int, ExpectedOut] = {}
-    psi_block = None
+    block: tuple[Gate, ...] = ()
     for claim in entry["claimed_outputs"]:
         if claim["kind"] == "psi-block":
-            psi_block = tuple(claim["channels"])
+            # construct_psi's pair: message j on the block's channel j, then H and CN
+            a, b = claim["channels"]
+            layout.update({a: MessageOut(0), b: MessageOut(1)})
+            block = (Hadamard(a), ControlledNot(a, b))
         elif claim["kind"] == "message":
             layout[claim["channel"]] = MessageOut(claim["index"])
         else:
@@ -361,10 +426,9 @@ def builtin_scenario(figure_id: int) -> ProtocolCase:
         aux_value=AuxValue(aux["value"]),
         message_channels=tuple(r["channel"] for r in messages),
         bob_program=circuit.bob_gates,
-        expected_layout=MappingProxyType(layout),
+        expected_layout=Layout(layout, block),
         figure_id=figure_id,
         circuit=circuit,
-        psi_block=psi_block,
     )
 
 
@@ -397,9 +461,11 @@ def verify_case(
 
     Per-channel fidelities are computed against the expected factors through
     the channel's reduced density, so they stay meaningful even when the
-    output fails to factor.  For the entangled-pair figure (block on
-    channels 1-2, residue on channel 3) the joint block is compared against
-    construct_psi and both block channels report the block fidelity.  One
+    output fails to factor.  A layout with a block word is read as figure
+    6's (H 1, CN 1 2 on messages 0 and 1, the residue on channel 3): the
+    joint block is compared against construct_psi, whose arithmetic the
+    figure's pinned numbers keep, and both block channels report the block
+    fidelity.  One
     tolerance sets both tests: a channel factors when its purity is at least
     1 - tol, and the case passes when every fidelity is too.
     """
@@ -412,25 +478,24 @@ def verify_case(
     out = PureState(n, amps, _trust=True)
     factors = channel_factors(out, tol)
 
+    layout = case.expected_layout
     block_fid: Optional[float] = None
-    if case.psi_block is None:
-        fids = [
-            channel_fidelity(out, ch, case.expected_layout[ch].qubit(messages))
-            for ch in range(1, n + 1)
-        ]
+    if not layout.block:
+        known = [*messages, layout.residue]
+        fids = [channel_fidelity(out, ch, known[col]) for ch, col in enumerate(layout.columns, 1)]
         product_ok = None not in factors
-        expected = layout_states(case.expected_layout, batch)[0]
+        expected = layout_states(layout, batch)[0]
     else:
         m0, m1 = messages
         psi = construct_psi(m0.coeff1, m0.coeff0, m1.coeff1, m1.coeff0)
-        split = factor_channel(out, case.residue_channel, tol)
+        split = factor_channel(out, layout.residue_channel, tol)
         product_ok = split is not None
         block_fid = (
             float(abs(np.vdot(psi.amplitudes, split[1].amplitudes)) ** 2) if product_ok else 0.0
         )
-        res_fid = channel_fidelity(out, case.residue_channel, case.residue)
+        res_fid = channel_fidelity(out, layout.residue_channel, layout.residue)
         fids = [block_fid, block_fid, res_fid]
-        expected = np.kron(psi.amplitudes, case.residue.as_array())
+        expected = np.kron(psi.amplitudes, layout.residue.as_array())
 
     overlap = complex(np.vdot(expected, out.amplitudes))
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else overlap
@@ -488,20 +553,14 @@ def post_swap_plan(current: Mapping[int, object], desired: Mapping[int, object])
     gates: list[Gate] = []
     seen: set[int] = set()
     for start in chans:
-        if start in seen or perm[start] == start:
-            seen.add(start)
-            continue
-        cycle = [start]
+        # swap(start, ch) for each ch along start's cycle walks start's
+        # current content around it; a channel already seen adds nothing
         seen.add(start)
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = perm[nxt]
-        # swap(start, c) walks start's current content along the cycle
-        anchor = cycle[0]
-        for ch in cycle[1:]:
-            gates.extend(swap_circuit(anchor, ch))
+        ch = perm[start]
+        while ch not in seen:
+            gates.extend(swap_circuit(start, ch))
+            seen.add(ch)
+            ch = perm[ch]
     return gates
 
 
@@ -509,13 +568,9 @@ def post_swap_plan(current: Mapping[int, object], desired: Mapping[int, object])
 # Protocol table (three channels, auxiliary on channel 2)
 
 # The three possible output arrangements for messages entering on channels
-# 1 and 3 with the auxiliary on channel 2 (message 0 from channel 1); None
-# marks the residue's channel.
-_ARRANGEMENTS = {
-    "a": (MessageOut(1), MessageOut(0), None),
-    "b": (None, MessageOut(1), MessageOut(0)),
-    "c": (MessageOut(1), None, MessageOut(0)),
-}
+# 1 and 3 with the auxiliary on channel 2 (message 0 from channel 1), as
+# layout columns: each channel's message index, or 2 for the residue.
+_ARRANGEMENTS = {"a": (1, 0, 2), "b": (2, 1, 0), "c": (1, 2, 0)}
 
 
 def protocol_table(channel_count: int, reduced: bool = False) -> list[ProtocolCase]:
@@ -531,13 +586,13 @@ def protocol_table(channel_count: int, reduced: bool = False) -> list[ProtocolCa
         raise UnsupportedSize("the protocol table is enumerated for 3 channels only")
     cases = []
     for value in (AuxValue.PLUS, AuxValue.ZERO, AuxValue.ONE):
-        base = canonical_case(3, value)
-        layouts = {
-            name: {ch: out or ResidueOut(base.residue) for ch, out in enumerate(slots, start=1)}
-            for name, slots in _ARRANGEMENTS.items()
-        }
-        base_arr = next(name for name, lay in layouts.items() if lay == base.expected_layout)
-        for arr in (base_arr,) if reduced else tuple(layouts):
+        figure = builtin_scenario(_BASE_FIGURE[3][value])
+        base, residue = figure.expected_layout.columns, ResidueOut(figure.expected_layout.residue)
+        for arr, columns in _ARRANGEMENTS.items():
+            if reduced and columns != base:
+                continue
+            # columns as tokens: the swaps move each base output to its place
+            swaps = post_swap_plan(dict(enumerate(base, 1)), dict(enumerate(columns, 1)))
             cases.append(
                 ProtocolCase(
                     case_id=f"n3-aux2-{value.value}-{arr}",
@@ -545,9 +600,9 @@ def protocol_table(channel_count: int, reduced: bool = False) -> list[ProtocolCa
                     aux_channel=2,
                     aux_value=value,
                     message_channels=(1, 3),
-                    bob_program=base.bob_program
-                    + tuple(post_swap_plan(layouts[base_arr], layouts[arr])),
-                    expected_layout=layouts[arr],
+                    bob_program=figure.bob_program + tuple(swaps),
+                    expected_layout={ch: MessageOut(col) if col < 2 else residue
+                                     for ch, col in enumerate(columns, 1)},
                 )
             )
     return cases
@@ -638,14 +693,9 @@ def relocated_case(channel_count: int, aux_channel: int, value: AuxValue) -> Pro
     message_channels = tuple(ch for ch in range(1, n + 1) if ch != aux_channel)
     # Input channel feeding each canonical message slot: the swap moves the
     # message sitting on the canonical aux channel to the guessed channel.
-    layout: dict[int, ExpectedOut] = {}
-    for ch, out in base.expected_layout.items():
-        if isinstance(out, ResidueOut):
-            layout[ch] = out
-            continue
-        source = base.message_channels[out.index]
-        relocated_source = m if source == aux_channel else source
-        layout[ch] = MessageOut(message_channels.index(relocated_source))
+    layout = dict(base.expected_layout)
+    for source, ch in zip(base.message_channels, base.expected_layout.message_channels):
+        layout[ch] = MessageOut(message_channels.index(m if source == aux_channel else source))
     return ProtocolCase(
         case_id=f"n{n}-aux{aux_channel}-{value.value}",
         channel_count=n,

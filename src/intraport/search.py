@@ -172,7 +172,7 @@ from .errors import ChannelOutOfRange, InvalidInput, UnsupportedSize, require_in
 from .protocol import (
     AuxValue,
     CANONICAL_AUX_CHANNEL,
-    ExpectedOut,
+    Layout,
     alice_encoder,
     bob_prefix,
     canonical_case,
@@ -389,7 +389,7 @@ class _Task:
     """
 
     def __init__(self, n: int, aux_channel: int, value: AuxValue,
-                 target: Optional[Mapping[int, ExpectedOut]]):
+                 target: Optional[Layout]):
         self.n = n
         self.gates = _alphabet(n)
         self.tables = _row_tables(n)
@@ -528,7 +528,7 @@ def solve_bob_program(
     aux_channel: int,
     aux_value: AuxValue,
     max_gates: int = 10,
-    target: Optional[Mapping[int, ExpectedOut]] = None,
+    target: Optional[Mapping] = None,
 ) -> Optional[list[Gate]]:
     """Find a decoding program for one (auxiliary channel, value) case.
 
@@ -536,7 +536,8 @@ def solve_bob_program(
     was found within the bound.  With target=None any product output that
     returns every message is accepted (layout discovered); passing an
     expected layout restricts the search to programs reproducing exactly
-    that arrangement and residue.
+    that arrangement and residue.  A target with a block word is refused:
+    the bound h holds only for product outputs.
     """
     n = channel_count
     require_integer("channel count", n)
@@ -550,6 +551,9 @@ def solve_bob_program(
     require_integer("max_gates", max_gates)
     if not 0 <= max_gates <= 14:
         raise InvalidInput("max_gates must lie in 0..14")
+    target = None if target is None else Layout.of(target, n)
+    if target is not None and target.block:
+        raise InvalidInput("the search reaches product layouts only; the target has a block")
 
     task = _Task(n, aux_channel, aux_value, target)
     horizon = _DEPTH_HORIZON[n]

@@ -177,7 +177,8 @@ def test_reencode_refreshes_the_residue_with_h_exactly_where_it_differs():
                     assert refresh == [Hadamard(aux)]
                     assert word[-len(encoder) - 1] == Hadamard(aux)
                     with_h.add(canonical_case(n, value).figure_id)
-                differs = abs(np.vdot(value.qubit.as_array(), case.residue.as_array())) ** 2 < 0.99
+                residue = case.expected_layout.residue
+                differs = abs(np.vdot(value.qubit.as_array(), residue.as_array())) ** 2 < 0.99
                 assert bool(refresh) == differs, case.case_id
     assert with_h == {2, 3, 7}
 
@@ -490,7 +491,11 @@ def _oracle_trial(n, aux_channel, value, strategy, seed, mode):
     messages = [random_qubit(rng) for _ in range(n - 1)]
     uniform = rng.random() if mode is DetectionMode.SAMPLED else None
     true = relocated_case(n, aux_channel, value)
-    sent = {ch: out.qubit(messages) for ch, out in true.input_layout.items()}
+
+    def qubit(out):
+        return messages[out.index] if isinstance(out, MessageOut) else out.state
+
+    sent = {ch: qubit(out) for ch, out in true.input_layout.items()}
     state = make_state([sent[ch] for ch in range(1, n + 1)]).amplitudes
     state = _apply_gates(state, n, alice_encoder(n))
 
@@ -515,10 +520,11 @@ def _oracle_trial(n, aux_channel, value, strategy, seed, mode):
         state = _apply_gates(state, n, eavesdrop._reencode_gates(guess))
     state = _apply_gates(state, n, true.bob_program)
     if mode is DetectionMode.OMNISCIENT:
-        detects = any(fidelity(ch, out.qubit(messages)) < 1 - 1e-9
+        detects = any(fidelity(ch, qubit(out)) < 1 - 1e-9
                       for ch, out in true.expected_layout.items())
     else:
-        detects = uniform < 1.0 - fidelity(true.residue_channel, true.residue)
+        layout = true.expected_layout
+        detects = uniform < 1.0 - fidelity(layout.residue_channel, layout.residue)
     return success, detects
 
 

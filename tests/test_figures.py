@@ -19,6 +19,8 @@ from intraport.protocol import (
 )
 from intraport.qsim import (
     QUBIT_MINUS10,
+    ControlledNot,
+    Hadamard,
     QUBIT_ONE,
     QUBIT_PLUS,
     PureState,
@@ -145,6 +147,10 @@ def test_builtin_scenarios_are_loaded_from_the_manifest():
         for index, ch in enumerate(sc.message_channels):
             assert roles[ch] == {"channel": ch, "kind": "message", "index": index}
         outs = {o.get("channel"): o for o in entry["claimed_outputs"] if "channel" in o}
+        blocks = [o for o in entry["claimed_outputs"] if o.get("kind") == "psi-block"]
+        for block in blocks:  # message j on the block's channel j, then its block word
+            outs.update({ch: {"channel": ch, "kind": "message", "index": j}
+                         for j, ch in enumerate(block["channels"])})
         assert set(outs) == set(sc.expected_layout)
         for ch, claim in sc.expected_layout.items():
             if hasattr(claim, "index"):
@@ -155,12 +161,12 @@ def test_builtin_scenarios_are_loaded_from_the_manifest():
                 state = [complex(*got["state"][0]), complex(*got["state"][1])]
                 assert abs(state[0] - claim.state.coeff0) < 1e-12
                 assert abs(state[1] - claim.state.coeff1) < 1e-12
-        blocks = [o for o in entry["claimed_outputs"] if o.get("kind") == "psi-block"]
         if fig == 6:
             assert blocks == [{"channels": [1, 2], "kind": "psi-block"}]
             assert sc.psi_block == (1, 2)
+            assert sc.expected_layout.block == (Hadamard(1), ControlledNot(1, 2))
         else:
-            assert blocks == [] and sc.psi_block is None
+            assert blocks == [] and sc.psi_block is None and sc.expected_layout.block == ()
         if fig == 1:
             assert entry["literal_file"] == "fig1_literal.qc"
             assert "note" in entry

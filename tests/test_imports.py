@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and only
+protocol.py knows the entries a layout is made of.
 
 No linter is a dependency, so this walks each module's syntax tree with
 the standard library's ast.  A name counts as used when it appears as a
@@ -34,6 +35,29 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [(line, name) for line, name in imported
             if name not in used and "# noqa: F401" not in lines[line - 1]]
+
+
+def imported_names(source: str) -> set[str]:
+    """Every name a module imports from another, as it is spelled there."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+# A layout's entries: the modules that read layouts use Layout's columns,
+# residue and message channels instead, so the format stays in protocol.py.
+_LAYOUT_ENTRIES = {"MessageOut", "ResidueOut", "ExpectedOut"}
+
+
+@pytest.mark.parametrize("name", ["cli.py", "eavesdrop.py", "search.py"])
+def test_layout_readers_do_not_import_layout_entries(name):
+    source = (_PACKAGE / name).read_text(encoding="utf-8")
+    assert imported_names(source) & _LAYOUT_ENTRIES == set()
+
+
+def test_imported_names_finds_names_imported_from_a_package():
+    source = ("from .protocol import (\n    Layout,\n    MessageOut as M,\n)\n"
+              "import intraport.protocol\n")
+    assert imported_names(source) == {"Layout", "MessageOut", "intraport.protocol"}
 
 
 def test_the_package_has_modules():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intraport.circuit import MAX_CHANNELS, Circuit
-from intraport import protocol
+from intraport import protocol, tableau
 from intraport.errors import (
     ChannelOutOfRange,
     ImpossibleBranch,
@@ -20,6 +20,7 @@ from intraport.errors import (
 )
 from intraport.protocol import (
     AuxValue,
+    Layout,
     MessageOut,
     ResidueOut,
     SCENARIO_FIGURES,
@@ -551,14 +552,17 @@ _MESSAGE_INDEX_ENTRIES = {
         layout, message_batch([QUBIT_PLUS, QUBIT_ONE])),
     "layout_rows": lambda case, layout: layout_rows(3, layout),
     "ProtocolCase": lambda case, layout: replace(case, expected_layout=layout),
+    "solve_bob_program": lambda case, layout: solve_bob_program(
+        3, case.aux_channel, case.aux_value, 6, target=layout),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_MESSAGE_INDEX_ENTRIES))
-@pytest.mark.parametrize("index", [True, 0.0, "0"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("index", [True, 0.0, "0", -1], ids=["bool", "float", "str", "negative"])
 def test_a_message_index_must_be_an_integer(entry, index):
     """A bool, float or string message index is refused, not read as a
-    numpy boolean mask or a position."""
+    numpy boolean mask or a position, and so is a negative one, not read
+    as Python's index from the end."""
     case = canonical_case(3, AuxValue.ZERO)
     with pytest.raises(InvalidInput, match="message index"):
         _MESSAGE_INDEX_ENTRIES[entry](case, _with_index(case.expected_layout, index))
@@ -575,6 +579,134 @@ def test_a_numpy_message_index_is_accepted_as_an_int():
                                   layout_states(case.expected_layout, batch))
     np.testing.assert_array_equal(layout_rows(3, layout), layout_rows(3, case.expected_layout))
     assert verify_case(replace(case, expected_layout=layout), [QUBIT_PLUS, QUBIT_ONE]).passed
+
+
+# ---------------------------------------------------------------------------
+# Layouts
+
+
+_KNOWN_QUBITS = [QUBIT_ZERO, QUBIT_ONE, QUBIT_PLUS, QUBIT_MINUS10, SingleQubit(0.6, 0.8)]
+
+
+@st.composite
+def layout_entries(draw):
+    """(n, entries): a channel -> entry mapping for n = 3..6, drawn well
+    formed (each message on one channel, the residue on the last of a
+    random channel order) and then, in three draws of four, changed: a
+    channel dropped or added, or one entry replaced by None, a residue or a
+    message index from -1 to n."""
+    n = draw(st.integers(3, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    entries = {ch: MessageOut(j) for j, ch in enumerate(order[:-1])}
+    entries[order[-1]] = ResidueOut(draw(st.sampled_from(_KNOWN_QUBITS)))
+    entry = st.one_of(st.none(), st.builds(ResidueOut, st.sampled_from(_KNOWN_QUBITS)),
+                      st.builds(MessageOut, st.integers(-1, n)))
+    change = draw(st.sampled_from(["none", "drop", "add", "replace"]))
+    if change == "drop":
+        del entries[draw(st.sampled_from(sorted(entries)))]
+    elif change == "add":
+        entries[draw(st.sampled_from([0, n + 1]))] = draw(entry)
+    elif change == "replace":
+        entries[draw(st.sampled_from(sorted(entries)))] = draw(entry)
+    return n, entries
+
+
+def _well_formed(n, entries):
+    """The rule a layout keeps, told from the entries directly: channels
+    1..n, one residue, and message indices 0..n-2 once each."""
+    residues = [out for out in entries.values() if isinstance(out, ResidueOut)]
+    indices = sorted(out.index for out in entries.values() if isinstance(out, MessageOut))
+    return (sorted(entries) == list(range(1, n + 1)) and len(residues) == 1
+            and indices == list(range(n - 1)))
+
+
+@given(layout_entries(), st.integers(0, 2**32 - 1))
+def test_layout_accepts_exactly_the_well_formed_entries(drawn, seed):
+    """Layout refuses every malformed mapping with InvalidLayout; for the
+    others, layout_states is the Kronecker product of the entries' qubits
+    and layout_rows the tableau input rows of the residue and messages."""
+    n, entries = drawn
+    if not _well_formed(n, entries):
+        with pytest.raises(InvalidLayout):
+            Layout(entries, channels=n)
+        for build in (lambda: layout_rows(n, entries), lambda: replace(
+                canonical_case(n, AuxValue.ZERO), expected_layout=entries)):
+            with pytest.raises(InvalidLayout):
+                build()
+        return
+    layout = Layout(entries, channels=n)
+    rng = np.random.default_rng(seed)
+    messages = [[random_qubit(rng) for _ in range(n - 1)] for _ in range(2)]
+    batch = np.array([[(q.coeff0, q.coeff1) for q in trial] for trial in messages])
+    for trial, state in zip(messages, layout_states(layout, batch)):
+        factors = [trial[out.index] if isinstance(out, MessageOut) else out.state
+                   for _, out in sorted(entries.items())]
+        expected = np.ones(1, dtype=complex)
+        for q in factors:
+            expected = np.kron(expected, q.as_array())
+        np.testing.assert_array_equal(state, expected)
+    (res,) = [ch for ch, out in entries.items() if isinstance(out, ResidueOut)]
+    by_index = {out.index: ch for ch, out in entries.items() if isinstance(out, MessageOut)}
+    rows = tableau.input_rows(n, stabilizer_row(entries[res].state, res, n),
+                              [by_index[j] for j in range(n - 1)])
+    np.testing.assert_array_equal(layout_rows(n, layout), rows)
+    np.testing.assert_array_equal(layout_rows(n, entries), rows)
+
+
+def test_invalid_layout_is_invalid_input():
+    """One error type covers a bad layout, for callers that catch InvalidInput."""
+    assert issubclass(InvalidLayout, InvalidInput)
+    with pytest.raises(InvalidInput, match="one residue"):
+        Layout({1: MessageOut(0), 2: MessageOut(1), 3: MessageOut(2)})
+
+
+def test_a_layout_is_read_only_hashable_and_keeps_its_block():
+    layout = builtin_scenario(6).expected_layout
+    with pytest.raises(AttributeError):
+        layout.block = ()
+    same = Layout(dict(layout), layout.block)
+    assert same == layout and hash(same) == hash(layout)
+    assert Layout(dict(layout)) != layout  # the block tells them apart
+    assert layout != dict(layout)
+    assert (layout.residue_channel, layout.message_channels, layout.columns) == (3, (1, 2),
+                                                                              (0, 1, 2))
+    assert list(layout) == [1, 2, 3] and layout[3].state == layout.residue == QUBIT_ZERO
+
+
+def test_a_layout_block_must_act_on_its_channels():
+    entries = dict(builtin_scenario(6).expected_layout)
+    with pytest.raises(InvalidLayout, match="block"):
+        Layout(entries, [Hadamard(4)])
+
+
+def test_a_case_refuses_inputs_that_do_not_cover_its_channels():
+    """The input layout (messages on message_channels, the auxiliary on its
+    channel) is a Layout too, so overlapping or missing channels are refused."""
+    case = canonical_case(3, AuxValue.ZERO)
+    for channels in [(1, 2), (1, 1), (1, 4), (1, 3, 2), (2, 1, 3)]:
+        with pytest.raises(InvalidLayout):
+            replace(case, message_channels=channels)
+    with pytest.raises(InvalidLayout):
+        replace(case, channel_count=4)
+
+
+def test_the_case_hash_covers_the_expected_layout():
+    """Cases that differ only in their layout hash apart."""
+    for value in AuxValue:
+        cases = [replace(case, case_id="x", bob_program=())
+                 for case in protocol_table(3) if case.aux_value is value]
+        assert len({hash(case) for case in cases}) == len(set(cases)) == 3
+
+
+def test_figure6_layout_states_are_construct_psi_with_the_residue():
+    """The block word H 1, CN 1 2 on messages 0 and 1 is construct_psi's pair."""
+    layout = builtin_scenario(6).expected_layout
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        m0, m1 = random_qubit(rng), random_qubit(rng)
+        psi = construct_psi(m0.coeff1, m0.coeff0, m1.coeff1, m1.coeff0)
+        np.testing.assert_allclose(layout_states(layout, message_batch([m0, m1]))[0],
+                                   np.kron(psi.amplitudes, QUBIT_ZERO.as_array()), atol=1e-15)
 
 
 def test_gate_word_is_built_once_per_case(monkeypatch):
@@ -618,7 +750,8 @@ def test_cases_are_hashable_and_equal_cases_hash_equal():
     rebuilt = (
         [canonical_case(c.channel_count, c.aux_value) for c in canonical]
         + [relocated_case(c.channel_count, c.aux_channel, c.aux_value) for c in relocated]
-        + [replace(c, expected_layout=dict(c.expected_layout)) for c in figures]
+        + [replace(c, expected_layout=Layout(dict(c.expected_layout), c.expected_layout.block))
+           for c in figures]
     )
     for original, again in zip(canonical + relocated + figures, rebuilt):
         assert again == original

@@ -239,11 +239,13 @@ def test_root_holds_the_auxiliary_stabilizer_and_the_message_rows():
     lambda: {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: ResidueOut(QUBIT_ZERO)},
     lambda: {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: MessageOut("0")},
     lambda: {1: MessageOut(1), 2: ResidueOut(QUBIT_ZERO), 3: MessageOut(1)},
-], ids=["none-entry", "two-residues", "string-index", "missing-message"])
+    lambda: builtin_scenario(6).expected_layout,
+], ids=["none-entry", "two-residues", "string-index", "missing-message", "block"])
 def test_search_refuses_a_malformed_target(target):
     """A target that does not hold one residue and each message once is
     refused as InvalidInput before any walk (a string index already by
-    MessageOut, so each target is built inside the check)."""
+    MessageOut, so each target is built inside the check), and so is one
+    with a block word, which the bound h does not cover."""
     with pytest.raises(InvalidInput):
         solve_bob_program(3, 2, AuxValue.ZERO, 6, target=target())
 
@@ -358,33 +360,35 @@ def test_distances_are_exact(n, reach, above):
 
 def _registered_decoders():
     """Every registered decoder: the relocated cases at n=3..6 (the
-    canonical ones among them) and the figures whose outputs are a product."""
+    canonical ones among them) and every figure."""
     for n in range(3, 7):
         for aux in range(1, n + 1):
             for value in AuxValue:
                 yield relocated_case(n, aux, value)
     for figure in SCENARIO_FIGURES:
-        case = builtin_scenario(figure)
-        if case.psi_block is None:
-            yield case
+        yield builtin_scenario(figure)
 
 
 def test_lower_bound_holds_along_every_registered_decoder():
     """h never exceeds the gates left, on every prefix of every registered
-    decoder, and the whole decoder is accepted.  Relocated programs do not
-    start with bob_prefix, so each walk starts from the encoder's image."""
+    decoder with a product output, and every whole decoder reaches exactly
+    its layout, figure 6's block included (h bounds the gates to a product
+    output only).  Relocated programs do not start with bob_prefix, so each
+    walk starts from the encoder's image."""
     checks = 0
     for case in _registered_decoders():
-        n = case.channel_count
-        task = _Task(n, case.aux_channel, case.aux_value, None)
+        n, layout = case.channel_count, case.expected_layout
+        task = _Task(n, case.aux_channel, case.aux_value, layout)
         rows = tableau.apply_word(task.root, n, list(reversed(bob_prefix(n))))
         program = list(case.bob_program)
         for k, gate in enumerate(program + [None]):
-            assert task.lower_bound(rows[None])[0] <= len(program) - k, (case.case_id, k)
-            checks += 1
+            if not layout.block:
+                assert task.lower_bound(rows[None])[0] <= len(program) - k, (case.case_id, k)
+                checks += 1
             if gate is not None:
                 rows = tableau.conjugate(rows, n, gate)
         assert task.accepts(rows[None])[0], case.case_id
+        assert tableau.accepts(rows[None], n)[0] == (not layout.block), case.case_id
     assert checks == 1565
 
 

@@ -11,6 +11,7 @@ from intraport import tableau
 from intraport.protocol import (
     SCENARIO_FIGURES,
     AuxValue,
+    Layout,
     MessageOut,
     alice_encoder,
     bob_prefix,
@@ -22,6 +23,7 @@ from intraport.protocol import (
     protocol_table,
     relocated_case,
 )
+from intraport.qsim import ControlledNot, Hadamard
 from intraport.search import gate_alphabet
 
 _X = np.array([[0, 1], [1, 0]])
@@ -74,9 +76,9 @@ def test_multiply_matches_dense_products_of_commuting_rows(pair):
 
 
 def _registered_cases():
-    """The figures with a product output, the 9 protocol_table(3) cases,
-    canonical_case for n=3..6 and the 54 relocated cases."""
-    cases = [builtin_scenario(f) for f in SCENARIO_FIGURES if f != 6]
+    """The figures (figure 6 with its block word), the 9 protocol_table(3)
+    cases, canonical_case for n=3..6 and the 54 relocated cases."""
+    cases = [builtin_scenario(f) for f in SCENARIO_FIGURES]
     cases += protocol_table(3)
     cases += [canonical_case(n, value) for n in range(3, 7) for value in AuxValue]
     cases += [relocated_case(n, aux, value)
@@ -93,11 +95,23 @@ def test_registered_decoder_reaches_exactly_its_layout(case):
                               alice_encoder(n) + list(case.bob_program))[None]
     assert tableau.accepts(rows, n, layout_rows(n, layout))[0]
     a, b = [ch for ch, out in layout.items() if isinstance(out, MessageOut)][:2]
-    assert not tableau.accepts(rows, n, layout_rows(n, {**layout, a: layout[b], b: layout[a]}))[0]
+    swapped = Layout({**layout, a: layout[b], b: layout[a]}, layout.block)
+    assert not tableau.accepts(rows, n, layout_rows(n, swapped))[0]
 
 
 def test_registered_decoder_count():
-    assert len(_registered_cases()) == 7 + 9 + 12 + 54
+    assert len(_registered_cases()) == 8 + 9 + 12 + 54
+
+
+def test_figure6_reaches_no_other_block():
+    """Figure 6's decoder leaves construct_psi's pair (H 1, CN 1 2 on
+    messages 0 and 1), not the pair that H 2, CN 1 2 makes, nor the two
+    messages unentangled."""
+    case = builtin_scenario(6)
+    rows = tableau.apply_word(layout_rows(3, case.input_layout), 3, case.gate_word)[None]
+    for block in ([Hadamard(2), ControlledNot(1, 2)], []):
+        other = Layout(dict(case.expected_layout), block)
+        assert not tableau.accepts(rows, 3, layout_rows(3, other))[0]
 
 
 @pytest.mark.parametrize("n", range(4, 17))
