@@ -40,17 +40,25 @@ default_rng(splitmix64(seed ^ strategy.seed)).  So results are
 reproducible bit for bit and independent of execution order.  Building
 those generators would cost about 12 us each, more than the rest of a
 batched trial, and none is built: numpy's SeedSequence hash and PCG64
-seeding (O'Neill, HMC-CS-2014-0905) are fixed algorithms that numpy keeps
-stable, because seeded streams must not change between releases.  So
-_pcg64_states derives a whole chunk's PCG64 (state, inc) pairs in one pass
-(the hash as uint32 array ops, the two 128-bit LCG steps of the seeding in
-Python ints).  One Generator, made per call, is set to each trial's state
-in turn before it draws the normals and the sampled uniform.  A uniform
-guess needs no generator: integers(1, n + 1) is one PCG64 step, its XSL-RR
-output and Lemire's multiply-shift reduction of the output's low 32 bits
-(arXiv:1805.10941), computed in Python ints; only the draw that Lemire's
-rule may reject, about n in 2^32, sets the generator and asks it.  The
-draws equal default_rng's bit for bit; the tests compare them directly.
+(O'Neill, HMC-CS-2014-0905) are fixed algorithms that numpy keeps stable,
+because seeded streams must not change between releases.  So
+_pcg64_streams computes a whole chunk's streams as arrays: the hash as
+uint32 ops, then every 128-bit state the trials read, each an affine map
+of the seeding words (the state k steps on is A_k s + S_k inc, with A_k =
+M^k and S_k the sum of M^j for j < k), as one exact float64 product of
+16-bit limbs, then PCG64's XSL-RR output.  A normal is the ziggurat's
+(Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000) fast path of one word:
++-rabs * w[idx] when rabs < bound[idx], from numpy's table (_ziggurat.py,
+written by tools/ziggurat_table.py from the installed numpy's
+standard_normal); a sampled uniform is the next word's top 53 bits /
+2^53; a uniform guess is Lemire's multiply-shift (arXiv:1805.10941) of a
+word.  A trial with any normal off the fast path (about 11% at n=3, 26%
+at n=6) is replayed: one Generator, made per call, is set to its state and
+draws, as is a guess Lemire's rule may reject (about n in 2^32).  On first
+use the table is checked against standard_normal at the largest fast
+magnitude of every layer; if numpy disagrees (a release with other tables)
+every bound is set to 0, so that every trial is replayed.  The draws equal
+default_rng's bit for bit; the tests compare them directly.
 
 run_experiment works in chunks of CHUNK trials: it derives the chunk's
 seeds, true value codes and guess seeds as uint64 array ops and draws
@@ -75,6 +83,7 @@ from typing import Optional
 import numpy as np
 
 from . import tableau
+from ._ziggurat import ZIGGURAT
 from .errors import InvalidInput, InvalidLayout, require_integer
 from .protocol import (
     AuxValue,
@@ -293,13 +302,10 @@ def _reencode_gates(case: ProtocolCase):
     return gates + alice_encoder(case.channel_count)
 
 
-# numpy's SeedSequence(seed).generate_state(4, uint64) (bit_generator.pyx)
-# and PCG64 seeding.  Each hash step k xors a uint32 with a constant c_k,
-# multiplies it by c_{k+1} = c_k * mult and xors its high 16 bits into the
-# low ones; mix combines two pool words.  The hash works mod 2^32, the
-# seeding mod 2^128.
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# numpy's SeedSequence(seed).generate_state(4, uint64) (bit_generator.pyx).
+# Each hash step k xors a uint32 with a constant c_k, multiplies it by
+# c_{k+1} = c_k * mult and xors its high 16 bits into the low ones; mix
+# combines two pool words.  The hash works mod 2^32.
 _MIX_L = np.array([0xCA01F9DD], dtype=np.uint32)
 _MIX_R = np.array([0x4973F715], dtype=np.uint32)
 
@@ -333,11 +339,9 @@ _MIX_STEPS = [(src, np.array([dst for dst in range(4) if dst != src]),
 _OUT_WORDS = np.arange(8) % 4
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of `default_rng(seed)` for each uint64 seed,
-    without building a generator: SeedSequence(seed).generate_state(4,
-    uint64) for the whole array at once, then PCG64's seeding in Python
-    ints.  The generator's state also says that no uint32 is buffered."""
+def _seed_halves(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, uint64) for each uint64 seed, as
+    an (8, T) uint32 array: row 2i + j holds half j (0 low, 1 high) of word i."""
     pool = np.empty((4, len(seeds)), dtype=np.uint32)
     pool[0] = seeds.astype(np.uint32)
     pool[1] = (seeds >> 32).astype(np.uint32)
@@ -348,15 +352,119 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
         hashed = _hashmix(pool[src], _POOL_XOR[step], _POOL_MULT[step])
         mixed = _MIX_L * pool[dst] - _MIX_R * hashed
         pool[dst] = mixed ^ (mixed >> 16)
-    halves = _hashmix(pool[_OUT_WORDS], _OUT_XOR, _OUT_MULT).astype(np.uint64)
-    words = halves[0::2] | halves[1::2] << 32
+    return _hashmix(pool[_OUT_WORDS], _OUT_XOR, _OUT_MULT)
 
-    states = []
-    for hi, lo, inc_hi, inc_lo in zip(*words.tolist()):
-        # state = 0, inc = seq << 1 | 1, step, add the initial state, step
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-        states.append((((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+
+# PCG64 (O'Neill, HMC-CS-2014-0905) steps a 128-bit state s to s * M + inc
+# and outputs XSL-RR of the new state.  default_rng seeds it from the four
+# generate_state words: init = w0 w1 and seq = w2 w3 (high word first), inc
+# = 2 seq + 1, s = (inc + init) M + inc.  So s and every later state are
+# affine in (init, seq): the state k steps on is
+#     2 a_k seq + b_k init + a_k  (mod 2^128),
+# with b_k = M^(k+1) and a_k = b_k + sum_{j<=k} M^j.
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_INVERSE = pow(_PCG_MULT, -1, 1 << 128)
+
+
+def _affines(k: int) -> list[tuple[int, int, int]]:
+    """(init multiplier, seq multiplier, constant) of the states 0..k steps
+    after seeding, mod 2^128."""
+    affines, b, powers = [], _PCG_MULT, 1  # b = M^(j+1), powers = sum_{i<=j} M^i
+    for _ in range(k + 1):
+        a = (b + powers) & _MASK128
+        affines.append((b, 2 * a & _MASK128, a))
+        powers, b = (powers + b) & _MASK128, b * _PCG_MULT & _MASK128
+    return affines
+
+
+# _seed_halves' row r is half r % 2 of generate_state word r // 2, and init
+# is words 0 (high) and 1 (low), seq words 2 and 3.  _pcg64_streams splits
+# each half into two 16-bit limbs: limb row's multiplicand (0 init, 1 seq)
+# and position i.  Sum p takes limb i times the multiplier's limbs 2p - i
+# and, times 2^16, 2p + 1 - i: _TERMS[row, p] = 2p - i + 7 indexes them in
+# _stream_coefficients' padded limbs.
+_MULTIPLICAND = np.repeat([0, 1], 8)[:, None]
+_TERMS = np.array([[2 * p - (4 * (word % 2 == 0) + 2 * half + part) + 7 for p in range(4)]
+                   for word in range(4) for half in (0, 1) for part in (0, 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_coefficients(steps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 matrix and row that map the 16-bit limbs of each seed
+    set to 4 sums per stream column; the columns of each set in turn are its
+    state, its inc, then its states 1..k steps on.
+
+    A sum u_p (p = 0..3) gathers the limb products at bit 32p and, times
+    2^16, those at bit 32p + 16, so the value is the sum of u_p 2^(32p) mod
+    2^128.  Every product of a 16-bit limb with a constant's 16-bit limb is
+    below 2^32, times 2^16 below 2^48, and a sum holds at most 16 of them and
+    a 32-bit constant: below 2^53, so the float64 product is exact whatever
+    the order of summation."""
+    sets, columns = [], []
+    for s, k in enumerate(steps):
+        state, *later = _affines(k)
+        for affine in (state, (0, 2, 1), *later):
+            sets.append(s)
+            columns.append(affine)
+    # the multipliers' 16-bit limbs 0..7 at 7..14, zero from -7 to 8
+    padded = np.zeros((len(columns), 2, 17))
+    padded[:, :, 7:15] = [[[m >> 16 * j & 0xFFFF for j in range(8)] for m in column[:2]]
+                          for column in columns]
+    terms = (padded[:, :, :-1] + 65536 * padded[:, :, 1:])[:, _MULTIPLICAND, _TERMS]
+    matrix = np.zeros((len(steps), len(columns), 16, 4))
+    matrix[sets, np.arange(len(columns))] = terms
+    offset = [[c >> 32 * p & 0xFFFFFFFF for p in range(4)] for _, _, c in columns]
+    return (matrix.transpose(0, 2, 3, 1).reshape(16 * len(steps), -1),
+            np.array(offset, dtype=float).T.reshape(-1))
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """default_rng(seed)'s PCG64 stream for each of T seeds: `words`, its
+    next k 64-bit outputs, (T, k), and `hi`, `lo`, the high and low halves of
+    the generator's state (column 0) and inc (column 1), (T, 2) each."""
+
+    words: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+
+    def replay(self, rng: np.random.Generator, rows: np.ndarray):
+        """Set `rng` to the generator state of each of `rows` in turn,
+        yielding the row each time."""
+        state = _generator_state()  # one dict, refilled for each row
+        pcg = state["state"]
+        for row, hi, lo in zip(rows.tolist(), self.hi[rows].tolist(), self.lo[rows].tolist()):
+            pcg["state"], pcg["inc"] = hi[0] << 64 | lo[0], hi[1] << 64 | lo[1]
+            rng.bit_generator.state = state
+            yield row
+
+
+def _pcg64_streams(seed_sets: list[tuple[np.ndarray, int]]) -> list[_Stream]:
+    """The _Stream of k words for each (uint64 seeds, k) of equal lengths,
+    without building a generator: one SeedSequence hash over every seed,
+    then one float64 matrix product (_stream_coefficients) for every state
+    of every stream, whose sums are carried into 64-bit halves."""
+    count, sets = len(seed_sets[0][0]), len(seed_sets)
+    halves = _seed_halves(np.concatenate([seeds for seeds, _ in seed_sets]))
+    limbs = (halves.astype("<u4", copy=False).view("<u2").reshape(8, sets, count, 2)
+             .transpose(2, 1, 0, 3).reshape(count, 16 * sets))
+    matrix, offset = _stream_coefficients(tuple(k for _, k in seed_sets))
+    # below 2^53: float64 -> int64 is exact (and quicker than -> uint64)
+    sums = (limbs @ matrix + offset).astype(np.int64).view(np.uint64).reshape(count, 4, -1)
+    u0, u1, u2, u3 = sums.transpose(1, 0, 2)
+    lo = u0 + (u1 << 32)
+    hi = u2 + (u3 << 32) + (((u0 >> 32) + u1) >> 32)
+    # XSL-RR: the halves' xor rotated right by the high half's top 6 bits
+    rot = hi >> 58
+    folded = hi ^ lo
+    words = folded >> rot | folded << ((64 - rot) & 63)
+    streams, col = [], 0
+    for _, k in seed_sets:
+        streams.append(_Stream(words[:, col + 2:col + 2 + k],
+                               hi[:, col:col + 2], lo[:, col:col + 2]))
+        col += k + 2
+    return streams
 
 
 def _generator_state(state: int = 0, inc: int = 0) -> dict:
@@ -365,18 +473,125 @@ def _generator_state(state: int = 0, inc: int = 0) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _draw(rng: np.random.Generator, seeds: np.ndarray, message_count: int,
+# numpy's standard_normal is Marsaglia and Tsang's ziggurat of 256 layers
+# (J. Stat. Softw. 5(8), 2000).  It reads a 64-bit word whose low 8 bits
+# are the layer idx, bit 8 the sign and bits 9..60 the magnitude rabs; if
+# rabs < bound[idx] it returns +-rabs * w[idx] and reads nothing more,
+# otherwise it reads more words (the layer's edge, or the tail for idx 0).
+_RABS_MASK = (1 << 52) - 1
+_LAYERS = 256
+# _word_state's states all step onto this high half, with this inc.
+_PROBE_HIGH, _PROBE_INC = 0x9E3779B97F4A7C15, 0xDA3E39CB94B95BDB
+
+
+def _word_state(word: int) -> int:
+    """The PCG64 state, with inc _PROBE_INC, whose next output is `word`:
+    its step lands on high half _PROBE_HIGH and a low half that XSL-RR
+    turns into `word`."""
+    rot = _PROBE_HIGH >> 58
+    low = _PROBE_HIGH ^ ((word << rot | word >> (64 - rot)) & _MASK64)
+    stepped = _PROBE_HIGH << 64 | low
+    return (stepped - _PROBE_INC) * _PCG_INVERSE & _MASK128
+
+
+def _probe(rng: np.random.Generator, word: int) -> tuple[float, int]:
+    """standard_normal() of `rng` set to the state whose next output is
+    `word`, and how many words it read (3 standing for 3 or more)."""
+    state = _word_state(word)
+    rng.bit_generator.state = _generator_state(state, _PROBE_INC)
+    x = rng.standard_normal()
+    after = rng.bit_generator.state["state"]["state"]
+    for read in (1, 2):
+        state = (state * _PCG_MULT + _PROBE_INC) & _MASK128
+        if after == state:
+            return x, read
+    return x, 3
+
+
+def derive_ziggurat_table() -> tuple[tuple[float, int], ...]:
+    """(w, bound) of every layer idx, read off the installed numpy's
+    standard_normal.  A draw reads one word exactly when rabs < bound, so a
+    binary search for the least rabs that reads more finds the bound.  At
+    rabs = 1 a draw that reads at most two words returns 1 * w: it took the
+    fast path or accepted the layer's edge at once (the tail reads three)."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    table = []
+    for idx in range(_LAYERS):
+        w, read = _probe(rng, 1 << 9 | idx)
+        if read > 2:
+            raise RuntimeError(f"layer {idx}: standard_normal read {read} words at rabs 1")
+        low, high = 0, 1 << 52
+        while low < high:
+            mid = (low + high) // 2
+            if _probe(rng, mid << 9 | idx)[1] == 1:
+                low = mid + 1
+            else:
+                high = mid
+        table.append((w, low))
+    return tuple(table)
+
+
+def _fast_normals(words: np.ndarray, w: np.ndarray,
+                  bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's fast-path normal (before + 0.0) and whether the fast path
+    applies, from _ziggurat's tables."""
+    low = words & 0x1FF
+    rabs = (words >> 9) & _RABS_MASK
+    return rabs * w[low], rabs < bound[low]
+
+
+def _checked_in_ziggurat() -> tuple[tuple[float, int], ...]:
+    """ZIGGURAT's (w, bound) for each layer idx, as derive_ziggurat_table
+    gives them."""
+    return tuple((float.fromhex(w), int(bound, 16))
+                 for w, bound in map(str.split, ZIGGURAT.strip().splitlines()))
+
+
+@functools.lru_cache(maxsize=None)
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """The fast path's multipliers and bounds, indexed by a word's low 9
+    bits (idx and sign): +-w[idx] and bound[idx], from the checked-in
+    table.  On first use they are checked against standard_normal; if it
+    disagrees (a numpy release with other tables), every bound is 0, so that
+    every trial is drawn by the generator."""
+    w, bound = zip(*_checked_in_ziggurat())
+    w = np.array(w + tuple(-x for x in w))
+    bound = np.array(bound + bound, dtype=np.uint64)
+    if not _ziggurat_agrees(w, bound):
+        bound[:] = 0
+    return w, bound
+
+
+def _ziggurat_agrees(w: np.ndarray, bound: np.ndarray) -> bool:
+    """Whether standard_normal, on one word per layer with rabs = bound - 1
+    (the largest fast one; the sign alternating with idx), reads that word
+    alone and returns what _fast_normals gives.  A bound below numpy's only
+    replays more trials, so the words at the bounds are not drawn."""
+    words = [(b - 1) << 9 | (idx & 1) << 8 | idx
+             for idx, b in enumerate(bound[:_LAYERS].tolist()) if b > 0]
+    xs, fast = _fast_normals(np.array(words, dtype=np.uint64), w, bound)
+    rng = np.random.Generator(np.random.PCG64(0))
+    return bool(fast.all()) and all(_probe(rng, word) == (x, 1)
+                                    for word, x in zip(words, xs.tolist()))
+
+
+def _draw(rng: np.random.Generator, stream: _Stream, message_count: int,
           mode: DetectionMode) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's draws from `rng` set to default_rng(seed)'s state: 4
-    normals per message (re0, re1, im0, im1: the stream of one random_qubit
-    call each), then, in sampled mode, the uniform of the receiver's
-    projective check.  (T, 4m) normals and (T,) uniforms."""
-    normals = np.empty((len(seeds), 4 * message_count))
-    uniforms = np.zeros(len(seeds))
-    state = _generator_state()  # one dict, refilled for each trial
-    pcg = state["state"]
-    for j, (pcg["state"], pcg["inc"]) in enumerate(_pcg64_states(seeds)):
-        rng.bit_generator.state = state
+    """Each trial's draws from its default_rng stream: 4 normals per message
+    (re0, re1, im0, im1: the stream of one random_qubit call each), then, in
+    sampled mode, the uniform of the receiver's projective check.  (T, 4m)
+    normals and (T,) uniforms.
+
+    A trial whose normals all take the ziggurat's fast path reads one word
+    each, and its uniform, random(), is the next word's top 53 bits / 2^53.
+    Any other trial is replayed: `rng` is set to its state and draws."""
+    count = 4 * message_count
+    normals, fast = _fast_normals(stream.words[:, :count], *_ziggurat())
+    if mode is DetectionMode.SAMPLED:
+        uniforms = (stream.words[:, count] >> 11) * 2.0**-53
+    else:
+        uniforms = np.zeros(len(normals))
+    for j in stream.replay(rng, np.flatnonzero(~fast.all(axis=1))):
         rng.standard_normal(out=normals[j])
         if mode is DetectionMode.SAMPLED:
             uniforms[j] = rng.random()
@@ -385,34 +600,24 @@ def _draw(rng: np.random.Generator, seeds: np.ndarray, message_count: int,
     return normals, uniforms
 
 
-def _uniform_guess(rng: np.random.Generator, state: int, inc: int, n: int) -> int:
-    """`integers(1, n + 1)` of a generator at the PCG64 (state, inc), with no
-    uint32 buffered: one LCG step, the XSL-RR output and Lemire's
-    multiply-shift on its low 32 bits.  Lemire's rule may reject only a
-    product whose low word is below n; that draw, about n in 2^32, is asked
-    of `rng` set to the state."""
-    stepped = (state * _PCG_MULT + inc) & _MASK128
-    folded = (stepped >> 64) ^ (stepped & _MASK64)
-    rot = stepped >> 122
-    product = ((folded >> rot | folded << (64 - rot)) & 0xFFFFFFFF) * n
-    if product & 0xFFFFFFFF >= n:
-        return 1 + (product >> 32)
-    rng.bit_generator.state = _generator_state(state, inc)
-    return int(rng.integers(1, n + 1))
-
-
 def _guesses(rng: np.random.Generator, strategy: Optional[EveStrategy], n: int,
-             seeds: np.ndarray, value_codes: np.ndarray) -> np.ndarray:
+             stream: Optional[_Stream], value_codes: np.ndarray) -> np.ndarray:
     """Eve's guess code for each trial (_guess_code; 0 when she is absent).
     A uniform guess reads the value from the token and takes the channel
-    integers(1, n + 1) of default_rng(splitmix64(seed ^ strategy.seed))."""
+    integers(1, n + 1) of default_rng(splitmix64(seed ^ strategy.seed)),
+    whose one-word `stream` is given.  That is Lemire's multiply-shift of the
+    word's low 32 bits (arXiv:1805.10941), which may reject only a product
+    whose low word is below n; those draws, about n in 2^32, are asked of
+    `rng` set to the stream's state."""
     if strategy is None:
-        return np.zeros(len(seeds), dtype=np.intp)
+        return np.zeros(len(value_codes), dtype=np.intp)
     if strategy.mode == "fixed":
         code = _guess_code(strategy.fixed_channel, _AUX_CYCLE.index(strategy.fixed_value))
-        return np.full(len(seeds), code, dtype=np.intp)
-    states = _pcg64_states(splitmix64(seeds ^ (strategy.seed & _MASK64)))
-    channels = np.array([_uniform_guess(rng, state, inc, n) for state, inc in states])
+        return np.full(len(value_codes), code, dtype=np.intp)
+    product = (stream.words[:, 0] & 0xFFFFFFFF) * n
+    channels = (1 + (product >> 32)).astype(np.intp)
+    for j in stream.replay(rng, np.flatnonzero((product & 0xFFFFFFFF) < n)):
+        channels[j] = rng.integers(1, n + 1)
     return _guess_code(channels, value_codes)
 
 
@@ -476,8 +681,13 @@ def _run_trials(
     for all of them at once, and _run_block checks them a block of rows at
     a time."""
     count, m = len(seeds), n - 1
-    normals, uniforms = _draw(rng, seeds, m, detection_mode)
-    guesses = _guesses(rng, strategy, n, seeds, value_codes)
+    seed_sets = [(seeds, 4 * m + (detection_mode is DetectionMode.SAMPLED))]
+    uniform = strategy is not None and strategy.mode == "uniform"
+    if uniform:
+        seed_sets.append((splitmix64(seeds ^ (strategy.seed & _MASK64)), 1))
+    streams = _pcg64_streams(seed_sets)
+    normals, uniforms = _draw(rng, streams[0], m, detection_mode)
+    guesses = _guesses(rng, strategy, n, streams[1] if uniform else None, value_codes)
     codes = value_codes * (3 * n + 1) + guesses
     order = np.argsort(codes, kind="stable")
     codes, uniforms = codes[order], uniforms[order]

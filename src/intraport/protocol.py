@@ -333,6 +333,8 @@ class ProtocolCase:
 
     def __post_init__(self):
         n = self.channel_count
+        if not isinstance(self.aux_value, AuxValue):
+            raise InvalidInput(f"aux_value must be an AuxValue, got {self.aux_value!r}")
         inputs = _case_inputs(tuple(self.message_channels), self.aux_channel, self.aux_value, n)
         object.__setattr__(self, "expected_layout", Layout.of(self.expected_layout, n))
         object.__setattr__(self, "input_layout", inputs)
@@ -461,11 +463,13 @@ def verify_case(
 
     Per-channel fidelities are computed against the expected factors through
     the channel's reduced density, so they stay meaningful even when the
-    output fails to factor.  A layout with a block word is read as figure
-    6's (H 1, CN 1 2 on messages 0 and 1, the residue on channel 3): the
+    output fails to factor.  A layout with a block word reports figure 6's
+    numbers (H 1, CN 1 2 on messages 0 and 1, the residue on channel 3): the
     joint block is compared against construct_psi, whose arithmetic the
     figure's pinned numbers keep, and both block channels report the block
-    fidelity.  One
+    fidelity.  Such a case passes only if the output's overlap with the
+    layout's own state (layout_states, which applies its block word) is at
+    least 1 - tol as well, so no other block word passes as figure 6's.  One
     tolerance sets both tests: a channel factors when its purity is at least
     1 - tol, and the case passes when every fidelity is too.
     """
@@ -480,6 +484,7 @@ def verify_case(
 
     layout = case.expected_layout
     block_fid: Optional[float] = None
+    on_layout = True
     if not layout.block:
         known = [*messages, layout.residue]
         fids = [channel_fidelity(out, ch, known[col]) for ch, col in enumerate(layout.columns, 1)]
@@ -496,6 +501,8 @@ def verify_case(
         res_fid = channel_fidelity(out, layout.residue_channel, layout.residue)
         fids = [block_fid, block_fid, res_fid]
         expected = np.kron(psi.amplitudes, layout.residue.as_array())
+        own = layout_states(layout, batch)[0]
+        on_layout = abs(np.vdot(own, out.amplitudes)) ** 2 >= 1 - tol
 
     overlap = complex(np.vdot(expected, out.amplitudes))
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else overlap
@@ -503,7 +510,7 @@ def verify_case(
         per_channel_fidelity=fids,
         product_ok=product_ok,
         entangled_block_fidelity=block_fid,
-        passed=bool(product_ok and min(fids) >= 1 - tol),
+        passed=bool(product_ok and on_layout and min(fids) >= 1 - tol),
         relative_phase=phase,
         output=out,
         factors=factors,

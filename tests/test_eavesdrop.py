@@ -209,24 +209,46 @@ def test_trials_build_no_generator():
         assert run_experiment(4, eavesdrop.CHUNK + 1, strategy, base_seed=15) == first
 
 
+def _generator_at(state, inc):
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def _stream_at(states, steps):
+    """The _Stream of `steps` words from each PCG64 (state, inc), read off a
+    generator set to it."""
+    words = [_generator_at(state, inc).bit_generator.random_raw(steps) for state, inc in states]
+    halves = np.array([[(v >> 64, v & (2**64 - 1)) for v in pair] for pair in states],
+                      dtype=np.uint64)
+    return eavesdrop._Stream(np.array(words, dtype=np.uint64).reshape(len(states), steps),
+                             halves[:, :, 0], halves[:, :, 1])
+
+
 @settings(max_examples=40, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=eavesdrop.CHUNK + 8),
        strategy_seed=st.integers(0, 2**64 - 1),
        n=st.sampled_from(sorted(CANONICAL_AUX_CHANNEL)))
 @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1], strategy_seed=0, n=3)
 @example(seeds=[2**64 - 1, 0], strategy_seed=2**64 - 1, n=6)
+@example(seeds=list(range(eavesdrop.CHUNK + 1)), strategy_seed=5, n=6)
 def test_chunk_draws_are_those_of_default_rng(seeds, strategy_seed, n):
-    """The derived generator states, and every draw made from them with one
-    reused generator, equal those of a fresh default_rng per seed."""
+    """The derived streams, and every draw made from them, the generator
+    states replayed with one reused generator included, equal those of a
+    fresh default_rng per seed."""
     chunk = np.array(seeds, dtype=np.uint64)
-    states = [{"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
-              for state, inc in eavesdrop._pcg64_states(chunk)]
-    assert states == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+    guess_seeds = splitmix64(chunk ^ strategy_seed)
+    stream, guess_stream = eavesdrop._pcg64_streams([(chunk, 4 * n - 3), (guess_seeds, 1)])
     rng = np.random.Generator(np.random.PCG64(0))
-    normals, uniforms = eavesdrop._draw(rng, chunk, n - 1, DetectionMode.SAMPLED)
+    for j, seed in zip(stream.replay(rng, np.arange(len(seeds))), seeds):
+        own = np.random.default_rng(seed)
+        assert rng.bit_generator.state == own.bit_generator.state
+        assert stream.words[j].tolist() == own.bit_generator.random_raw(4 * n - 3).tolist()
+    normals, uniforms = eavesdrop._draw(rng, stream, n - 1, DetectionMode.SAMPLED)
     values = np.full(len(seeds), eavesdrop._AUX_CYCLE.index(AuxValue.ZERO))
-    guesses = eavesdrop._guesses(rng, EveStrategy.uniform_guess(strategy_seed), n, chunk, values)
+    guesses = eavesdrop._guesses(rng, EveStrategy.uniform_guess(strategy_seed), n,
+                                 guess_stream, values)
     for j, seed in enumerate(seeds):
         own = np.random.default_rng(seed)
         assert normals[j].tobytes() == own.normal(size=4 * (n - 1)).tobytes()
@@ -236,11 +258,21 @@ def test_chunk_draws_are_those_of_default_rng(seeds, strategy_seed, n):
                 == (int(guess_rng.integers(1, n + 1)), AuxValue.ZERO))
 
 
-def _generator_at(state, inc):
+@pytest.mark.slow
+def test_draws_are_those_of_default_rng_over_a_million_seeds():
+    """Every normal and sampled uniform of 2^20 random seeds, chunk by
+    chunk, at each message count in turn: about 1 in 5 of them replayed."""
+    seeds = np.random.default_rng(2024).integers(0, 2**64, size=2**20, dtype=np.uint64)
     rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
+    for start in range(0, len(seeds), eavesdrop.CHUNK):
+        chunk = seeds[start:start + eavesdrop.CHUNK]
+        m = 2 + start // eavesdrop.CHUNK % 4
+        (stream,) = eavesdrop._pcg64_streams([(chunk, 4 * m + 1)])
+        normals, uniforms = eavesdrop._draw(rng, stream, m, DetectionMode.SAMPLED)
+        for j, seed in enumerate(chunk.tolist()):
+            own = np.random.default_rng(seed)
+            assert normals[j].tobytes() == own.normal(size=4 * m).tobytes()
+            assert uniforms[j] == own.random()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -250,31 +282,99 @@ def test_uniform_guess_asks_the_generator_when_lemire_may_reject(n):
     0 (n = 3, 5, 6) numpy rejects that draw and draws again, and the guess
     must still be the generator's."""
     inverse = pow(eavesdrop._PCG_MULT, -1, 1 << 128)
-    rng = np.random.Generator(np.random.PCG64(0))
+    states = []
     for half, inc in [(0, 1), (1, 3), (0x0123456789ABCDEF, 2**127 + 1),
                       (2**64 - 1, 2**128 - 1), (2**63, 0xDA3E39CB94B95BDB)]:
         state = ((half << 64 | half) - inc) * inverse % (1 << 128)
         assert _generator_at(state, inc).bit_generator.random_raw() == 0
-        expected = int(_generator_at(state, inc).integers(1, n + 1))
-        assert eavesdrop._uniform_guess(rng, state, inc, n) == expected
+        states.append((state, inc))
+    expected = [int(_generator_at(state, inc).integers(1, n + 1)) for state, inc in states]
+    values = np.full(len(states), eavesdrop._AUX_CYCLE.index(AuxValue.ONE))
+    guesses = eavesdrop._guesses(np.random.Generator(np.random.PCG64(0)),
+                                 EveStrategy.uniform_guess(), n, _stream_at(states, 1), values)
+    assert [eavesdrop._guessed(int(code)) for code in guesses] == [
+        (channel, AuxValue.ONE) for channel in expected]
 
 
 def test_draw_returns_normal_s_plus_zero():
     """A state whose next output (0x101: table 1, sign bit set, magnitude 0)
     makes the ziggurat return -0.0.  normal() returns 0.0 + 1.0 * x, so
-    +0.0, and _draw, which fills with standard_normal, must too."""
+    +0.0, and _draw must too, on the generator (table 1 is always replayed)
+    and on the fast path (0x102: table 2)."""
     inverse = pow(eavesdrop._PCG_MULT, -1, 1 << 128)
     mask64 = (1 << 64) - 1
     high, inc, rot = 0x9E3779B97F4A7C15, 0xDA3E39CB94B95BDB, 0x9E3779B97F4A7C15 >> 58
-    low = high ^ ((0x101 << rot | 0x101 >> (64 - rot)) & mask64)
-    state = ((high << 64 | low) - inc) * inverse % (1 << 128)
-    assert np.signbit(_generator_at(state, inc).standard_normal())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eavesdrop, "_pcg64_states", lambda seeds: [(state, inc)])
+    for word in (0x101, 0x102):
+        low = high ^ ((word << rot | word >> (64 - rot)) & mask64)
+        state = ((high << 64 | low) - inc) * inverse % (1 << 128)
+        assert np.signbit(_generator_at(state, inc).standard_normal())
         normals, _ = eavesdrop._draw(np.random.Generator(np.random.PCG64(0)),
-                                     np.zeros(1, dtype=np.uint64), 2, DetectionMode.OMNISCIENT)
-    assert normals[0].tobytes() == _generator_at(state, inc).normal(size=8).tobytes()
-    assert not np.signbit(normals[0, 0])
+                                     _stream_at([(state, inc)], 8), 2, DetectionMode.OMNISCIENT)
+        assert normals[0].tobytes() == _generator_at(state, inc).normal(size=8).tobytes()
+        assert not np.signbit(normals[0, 0])
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+def test_draws_at_every_layer_bound_are_standard_normal_s(mode):
+    """For every layer idx, a state whose next word has rabs = bound - 1
+    (the fast path) and one with rabs = bound (replayed on the generator)
+    draw exactly what the generator draws, signs alternating."""
+    w, bound = eavesdrop._ziggurat()
+    words, fast = [], []
+    for idx, b in enumerate(bound[:256].tolist()):
+        for rabs in (b - 1, b):
+            if 0 <= rabs < 2**52:
+                words.append(rabs << 9 | (rabs & 1) << 8 | idx)
+                fast.append(rabs < b)
+    assert fast.count(False) == 256 and fast.count(True) == 255  # idx 1's bound is 0
+    states = [(eavesdrop._word_state(word), eavesdrop._PROBE_INC) for word in words]
+    stream = _stream_at(states, 9)
+    assert stream.words[:, 0].tolist() == words
+    assert eavesdrop._fast_normals(stream.words[:, :1], w, bound)[1][:, 0].tolist() == fast
+    rng = np.random.Generator(np.random.PCG64(0))
+    normals, uniforms = eavesdrop._draw(rng, stream, 2, mode)
+    for j, (state, inc) in enumerate(states):
+        own = _generator_at(state, inc)
+        assert normals[j].tobytes() == own.normal(size=8).tobytes()
+        assert uniforms[j] == (own.random() if mode is DetectionMode.SAMPLED else 0.0)
+
+
+def test_ziggurat_table_is_the_installed_numpy_s():
+    """The checked-in table, re-derived from the installed numpy: a numpy
+    with other tables fails here, where at run time the first-use check
+    would turn the fast path off."""
+    assert eavesdrop.derive_ziggurat_table() == eavesdrop._checked_in_ziggurat()
+    w, bound = eavesdrop._ziggurat()
+    assert np.count_nonzero(bound) == 2 * 255  # the fast path is on
+
+
+@pytest.mark.parametrize("layer, change", [(0, "w"), (7, "bound"), (255, "bound"), (200, "w")])
+def test_first_use_check_refuses_a_table_numpy_does_not_use(layer, change):
+    w, bound = (table.copy() for table in eavesdrop._ziggurat())
+    assert eavesdrop._ziggurat_agrees(w, bound)
+    if change == "w":
+        w[[layer, layer + 256]] = np.nextafter(w[[layer, layer + 256]], 1.0)
+    else:
+        bound[[layer, layer + 256]] += np.uint64(1)
+    assert not eavesdrop._ziggurat_agrees(w, bound)
+
+
+def test_experiment_without_the_fast_path_is_the_same():
+    """With the first-use check failing, every trial is drawn by the
+    generator, and every experiment comes out the same."""
+    cases = [(n, strategy, mode) for n in (3, 6) for mode in DetectionMode
+             for strategy in (None, EveStrategy.uniform_guess(seed=8),
+                              EveStrategy.fixed_guess(1, AuxValue.PLUS))]
+    fast = [run_experiment(n, 300, strategy, 19, mode) for n, strategy, mode in cases]
+    eavesdrop._ziggurat.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eavesdrop, "_ziggurat_agrees", lambda w, bound: False)
+            assert not eavesdrop._ziggurat()[1].any()
+            assert [run_experiment(n, 300, strategy, 19, mode)
+                    for n, strategy, mode in cases] == fast
+    finally:
+        eavesdrop._ziggurat.cache_clear()
 
 
 def test_uniform_guesses_ask_no_generator_for_integers():

@@ -521,8 +521,9 @@ def test_relocated_cases_decode(n):
     (lambda: canonical_case(True, AuxValue.ZERO), InvalidInput),
     (lambda: canonical_case(2, AuxValue.ZERO), UnsupportedSize),
     (lambda: canonical_case(np.int64(7), AuxValue.ZERO), UnsupportedSize),
+    (lambda: replace(canonical_case(3, AuxValue.ZERO), aux_value="zero"), InvalidInput),
 ], ids=["bool-channel", "float-channel", "str-value-relocated", "str-value-n4",
-        "str-value-n5", "float-size", "bool-size", "size-2", "numpy-size-7"])
+        "str-value-n5", "float-size", "bool-size", "size-2", "numpy-size-7", "str-value-case"])
 def test_registry_refuses_arguments_of_the_wrong_type(build, error):
     """A bool or non-integer channel or size and a value that is not an
     AuxValue are refused as InvalidInput, not built or failed on later; an
@@ -707,6 +708,22 @@ def test_figure6_layout_states_are_construct_psi_with_the_residue():
         psi = construct_psi(m0.coeff1, m0.coeff0, m1.coeff1, m1.coeff0)
         np.testing.assert_allclose(layout_states(layout, message_batch([m0, m1]))[0],
                                    np.kron(psi.amplitudes, QUBIT_ZERO.as_array()), atol=1e-15)
+
+
+def test_verify_case_fails_a_block_word_the_decoder_does_not_reach():
+    """Figure 6's decoder with the block word H 2, CN 1 2 claimed instead of
+    H 1, CN 1 2 fails, although figure 6's own numbers (construct_psi's
+    pair, the residue) are the same for both claims."""
+    figure = builtin_scenario(6)
+    other = replace(figure, expected_layout=Layout(dict(figure.expected_layout),
+                                                   [Hadamard(2), ControlledNot(1, 2)]))
+    rng = np.random.default_rng(62)
+    for _ in range(20):
+        messages = [random_qubit(rng), random_qubit(rng)]
+        assert verify_case(figure, messages).passed
+        report = verify_case(other, messages)
+        assert not report.passed
+        assert report.per_channel_fidelity == verify_case(figure, messages).per_channel_fidelity
 
 
 def test_gate_word_is_built_once_per_case(monkeypatch):
