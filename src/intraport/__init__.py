@@ -70,6 +70,7 @@ from .qsim import (
     reduced_density,
     run_circuit,
 )
-from .search import gate_alphabet, solve_bob_program
+from .search import solve_bob_program
+from .tableau import gate_alphabet
 
 __version__ = "0.1.0"

@@ -22,16 +22,25 @@ channel against the protocol's expectation, either omnisciently (fidelity
 of every channel's reduced state) or by sampling a projective check of the
 auxiliary-residue channel.
 
-Every gate word a trial runs depends only on the protocol cases involved,
-never on the trial, so each registered case's decoder and Eve's re-encode,
-and the encoder for each size, are compiled once into cached real float64
-matrices (qsim.gate_unitary).  Each (true case, guess) group then folds them
-once, also cached: the receiver's view of the sender's input is the true
-decoder times the encoder when Eve is absent, and the true decoder times her
-re-encode times `first` otherwise, where `first` (her decoder times the
-encoder) is her own view.  A trial applies at most these two products, and
-`first` only when Eve's believed message channels are the true ones, since
-otherwise she cannot succeed.
+Every gate here is H or CNOT, so every circuit is Clifford and a trial is
+checked in the Heisenberg picture, with no statevector.  A channel's
+fidelity with a known qubit q is (1 + r_q . r) / 2, where r holds the
+channel's <X>, <Z> and <Y>.  Each of those is <in| U^dagger P U |in> for
+the composite U applied to the sender's product input, and U^dagger P U is
+a signed Pauli string, so it is the sign times one Bloch component of each
+input channel's qubit.  The composites depend only on the protocol cases
+involved, never on the trial: the receiver's is the encoder and the true
+decoder when Eve is absent, and otherwise the encoder, her decoder, her
+re-encode and the true decoder; Eve's own view, `first`, is the encoder and
+her decoder.  So each registered case's decoder and re-encode, and the
+encoder, are compiled once into pull-back maps over every packed row
+(tableau.pull_back), and each (true case, guess) group pulls X, Z and Y of
+every checked channel back through its composites once, when a trial of it
+is first seen.  Eve's view is checked only when her believed message
+channels are the true ones, since otherwise she cannot succeed.  The
+strings are exact; the products round otherwise than a dense contraction,
+by a few ulp, which moves a count only when a fidelity lands that close to
+the 1e-9 bar below 1 or to a sampled check's uniform draw.
 
 Each trial draws as if from its own generators, seeded from the
 experiment base seed through the splitmix64 sequence: default_rng(seed)
@@ -53,24 +62,24 @@ written by tools/ziggurat_table.py from the installed numpy's
 standard_normal); a sampled uniform is the next word's top 53 bits /
 2^53; a uniform guess is Lemire's multiply-shift (arXiv:1805.10941) of a
 word.  A trial with any normal off the fast path (about 11% at n=3, 26%
-at n=6) is replayed: one Generator, made per call, is set to its state and
-draws, as is a guess Lemire's rule may reject (about n in 2^32).  On first
-use the table is checked against standard_normal at the largest fast
-magnitude of every layer; if numpy disagrees (a release with other tables)
-every bound is set to 0, so that every trial is replayed.  The draws equal
-default_rng's bit for bit; the tests compare them directly.
+at n=6) is replayed: one Generator, made on a call's first replay, is set
+to its state and draws, as is a guess Lemire's rule may reject (about n in
+2^32).  On first use the table is checked against standard_normal at the
+largest fast magnitude of every layer; if numpy disagrees (a release with
+other tables) every bound is set to 0, so that every trial is replayed.
+The draws equal default_rng's bit for bit; the tests compare them
+directly.
 
 run_experiment works in chunks of CHUNK trials: it derives the chunk's
 seeds, true value codes and guess seeds as uint64 array ops and draws
 every trial.  Each trial gets an integer group code, its true value code
-times 3n + 1 plus its guess code (0 when Eve is absent), and a stable sort
-by code makes each (true case, guess) group a run of rows.  The rest is
-one pipeline over the chunk: the messages and input states of every
-trial, then, a block of rows at a time, each group's folded products on
-its own rows and one contraction per checked channel over the block, for
-Eve's recovery (on the rows of the groups where she can succeed) and for
-the receiver's check.  Only the matrix products are per group.  run_trial
-is a batch of one through the same code.
+times 3n + 1 plus its guess code (0 when Eve is absent).  The rest is one
+pass over the chunk: the Bloch vectors of every trial's qubits, then, for
+Eve's recovery (on the trials of the groups where she can succeed) and for
+the receiver's check, every trial's pulled-back strings gathered by its
+code, their products and the fidelities.  Nothing is per group, and a
+trial's fidelities do not depend on the other trials of its chunk, so
+run_trial is a batch of one through the same code.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -90,12 +99,11 @@ from .protocol import (
     CANONICAL_AUX_CHANNEL,
     ProtocolCase,
     alice_encoder,
-    column_states,
     post_swap_plan,
     relocated_case,
     stabilizer_row,
 )
-from .qsim import Hadamard, gate_unitary
+from .qsim import Hadamard
 # perfbench/tracer.py traces these names here, though no trial calls them.
 from .qsim import _apply_gates, channel_fidelity, make_state, random_qubit  # noqa: F401
 
@@ -124,7 +132,7 @@ class DetectionMode(enum.Enum):
     SAMPLED = "sampled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EveStrategy:
     """uniform: guess the auxiliary channel uniformly, value read from the
     classical token.  fixed: always guess one (channel, value) case."""
@@ -177,10 +185,8 @@ CHUNK = 256
 
 @dataclass(frozen=True)
 class _CompiledCase:
-    """A registered case with its gate words compiled to matrices.
-
-    H and CNOT are real, so the matrices stay real float64: a product with a
-    complex batch casts the matrix once per batch, not once per trial."""
+    """A registered case with its gate words compiled to pull-back maps
+    (tableau.pull_back): entry P of a map is U^dagger P U for its word U."""
 
     case: ProtocolCase
     decoder: np.ndarray  # the case's bob_program
@@ -190,16 +196,8 @@ class _CompiledCase:
 @functools.lru_cache(maxsize=None)
 def _compiled(n: int, aux_channel: int, value: AuxValue) -> _CompiledCase:
     case = relocated_case(n, aux_channel, value)
-    return _CompiledCase(
-        case,
-        gate_unitary(n, case.bob_program),
-        gate_unitary(n, _reencode_gates(case)),
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _encoder(n: int) -> np.ndarray:
-    return gate_unitary(n, alice_encoder(n))
+    return _CompiledCase(case, tableau.pull_back(n, case.bob_program),
+                         tableau.pull_back(n, _reencode_gates(case)))
 
 
 # The classical values in the order of their codes: run_experiment draws a
@@ -218,70 +216,107 @@ def _guessed(guess_code: int) -> tuple[int, AuxValue]:
     return channel + 1, _AUX_CYCLE[value_code]
 
 
-@dataclass(frozen=True)
-class _Group:
-    """One (true case, guess) group's folded matrices, applied to the
-    sender's input states.  `through` gives the receiver's input.  `first`
-    gives Eve's decoded state, and `believed` holds, for each channel, the
-    index of the true message where she expects one and -1 elsewhere; both
-    are None when she is absent or her message channels are not the true
-    ones."""
+def _bloch(qubits: np.ndarray) -> np.ndarray:
+    """(..., 8) Bloch rows of (..., 2) qubit coefficients: (1, <X>, <Z>,
+    <Y>) and their negatives.  A Pauli with bits (x, z) has expectation
+    row[x + 2z] (x = z = 1 is Y, as in tableau), and its negative
+    row[4 + x + 2z]."""
+    a, b = qubits[..., 0], qubits[..., 1]
+    cross = 2 * np.conj(a) * b
+    out = np.empty(qubits.shape[:-1] + (8,))
+    out[..., 0] = 1
+    out[..., 1] = cross.real
+    out[..., 2] = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
+    out[..., 3] = cross.imag
+    out[..., 4:] = -out[..., :4]
+    return out
 
-    through: np.ndarray
-    first: Optional[np.ndarray] = None
-    believed: Optional[np.ndarray] = None
+
+def _channel_paulis(n: int, channels) -> np.ndarray:
+    """(k, 3) packed rows: X, Z and Y on each of the k channels."""
+    bits = 1 << (np.array(channels)[:, None] - 1)
+    return bits * np.array([1, 1 << n, 1 | 1 << n])
+
+
+class _Checks:
+    """What a trial of each group code on one auxiliary channel checks,
+    each code filled on first use.
+
+    A trial's Bloch table has one _bloch row per qubit: its m messages, then
+    the auxiliary value's qubit (row m) and the residue's (row m + 1).  A
+    channel's fidelity with the qubit it is compared with, q, is
+    (1 + sum over P in (X, Z, Y) of <P>_q s_P prod_c <P_c>) / 2, where
+    s_P P_1 ... P_n is P on the channel pulled back to the sender's input,
+    and <P_c> is taken on input channel c's qubit.  So a code holds, for
+    each checked channel and each P, the indices of those n + 1 factors in
+    the trial's flattened table: one per input channel, the first taken
+    from the negated half when s_P is -1, then <P>_q.  `received` holds the
+    receiver's output channels.  `first` holds the channels where Eve
+    expects a message, each compared with the true message she believes is
+    there, and is filled only for the codes whose `recoverable` is set,
+    those where her believed message channels are the true ones.  A code is
+    filled the same whoever fills it, so every caller may share the tables."""
+
+    def __init__(self, n: int, aux_channel: int):
+        m, codes = n - 1, 3 * (3 * n + 1)
+        cases = [_compiled(n, aux_channel, value).case for value in _AUX_CYCLE]
+        ins, outs = [c.input_layout for c in cases], [c.expected_layout for c in cases]
+        self.n, self.aux_channel = n, aux_channel
+        self.encoder = tableau.pull_back(n, alice_encoder(n))
+        # every value's input layout has the same columns, the auxiliary's m
+        self.inputs = 8 * np.array(ins[0].columns)
+        self.known = _bloch(np.array([(i.residue.as_array(), o.residue.as_array())
+                                      for i, o in zip(ins, outs)]))
+        columns = np.array([out.columns for out in outs])
+        self.outputs = columns + (columns == m)  # the residue's row is m + 1 here
+        self.residue = np.array([out.residue_channel - 1 for out in outs])
+        self.filled = np.zeros(codes, dtype=bool)
+        self.recoverable = np.zeros(codes, dtype=bool)
+        self.received = np.zeros((codes, n, 3, n + 1), dtype=np.uint8)
+        self.first = np.zeros((codes, m, 3, n + 1), dtype=np.uint8)
+
+    def fill(self, codes: np.ndarray) -> None:
+        """Fill each of `codes` not filled yet."""
+        for code in set(codes[~self.filled[codes]].tolist()):
+            self._fill(code)
+
+    def _fill(self, code: int) -> None:
+        n = self.n
+        value_code, guess_code = divmod(code, 3 * n + 1)
+        true = _compiled(n, self.aux_channel, _AUX_CYCLE[value_code])
+        received = true.decoder[_channel_paulis(n, range(1, n + 1))]
+        if guess_code:
+            eve = _compiled(n, *_guessed(guess_code))
+            received = eve.decoder[eve.reencode[received]]
+            # Full recovery requires her believed message channels to be the
+            # true ones; a wrong auxiliary guess silently discards one true
+            # message.
+            if set(eve.case.message_channels) == set(true.case.message_channels):
+                theirs = _channel_paulis(n, eve.case.expected_layout.message_channels)
+                believed = [true.case.message_channels.index(ch)
+                            for ch in eve.case.message_channels]
+                self.first[code] = self._factors(eve.decoder[theirs], believed)
+                self.recoverable[code] = True
+        self.received[code] = self._factors(received, self.outputs[value_code])
+        self.filled[code] = True
+
+    def _factors(self, rows: np.ndarray, compared: Sequence[int]) -> np.ndarray:
+        """(k, 3, n + 1) factor indices of k channels: their (k, 3) packed
+        rows pulled back to the encoder's output, and the k Bloch rows of the
+        qubits they are compared with."""
+        n = self.n
+        rows = self.encoder[rows].astype(np.intp)[..., None]
+        factors = np.empty((len(rows), 3, n + 1), dtype=np.intp)
+        x, z = rows >> np.arange(n) & 1, rows >> np.arange(n, 2 * n) & 1
+        factors[..., :n] = self.inputs + x + 2 * z
+        factors[..., 0] += 4 * (rows[..., 0] >> 2 * n)
+        factors[..., n] = 8 * np.array(compared)[:, None] + [1, 2, 3]
+        return factors
 
 
 @functools.lru_cache(maxsize=None)
-def _group(n: int, aux_channel: int, code: int) -> _Group:
-    """The group of trials with this code: true value code x (3n + 1) + guess
-    code.  Keyed by codes, not cases: a _CompiledCase holds arrays and
-    cannot be hashed."""
-    value_code, guess_code = divmod(code, 3 * n + 1)
-    true = _compiled(n, aux_channel, _AUX_CYCLE[value_code])
-    return _fold(true, _compiled(n, *_guessed(guess_code)) if guess_code else None)
-
-
-def _fold(true: _CompiledCase, eve: Optional[_CompiledCase]) -> _Group:
-    encoder = _encoder(true.case.channel_count)
-    if eve is None:
-        return _Group(true.decoder @ encoder)
-    first = eve.decoder @ encoder
-    through = true.decoder @ eve.reencode @ first
-    # Full recovery requires her believed message channels to be the true
-    # ones; a wrong auxiliary guess silently discards one true message.
-    if set(eve.case.message_channels) != set(true.case.message_channels):
-        return _Group(through)
-    sources = [true.case.message_channels.index(ch) for ch in eve.case.message_channels]
-    believed = np.full(true.case.channel_count, -1)
-    believed[np.array(eve.case.expected_layout.message_channels) - 1] = sources
-    return _Group(through, first, believed)
-
-
-@dataclass(frozen=True)
-class _Layouts:
-    """The registered cases on one auxiliary channel as columns of a trial's
-    qubits: its m messages, then the auxiliary value's qubit (column m) and
-    the residue's (column m + 1)."""
-
-    inputs: tuple[int, ...]  # the input layout's columns, the same for every value
-    known: np.ndarray  # (3, 2, 2): each value code's auxiliary and residue qubits
-    outputs: np.ndarray  # (3, n): each value code's column on each output channel
-    residue_channels: tuple[int, ...]  # every value's residue channel, sorted
-    residue_column: np.ndarray  # (3,): where each value code's is in residue_channels
-
-
-@functools.lru_cache(maxsize=None)
-def _layouts(n: int, aux_channel: int) -> _Layouts:
-    m = n - 1
-    cases = [_compiled(n, aux_channel, value).case for value in _AUX_CYCLE]
-    ins, outs = [c.input_layout for c in cases], [c.expected_layout for c in cases]
-    known = np.array([(i.residue.as_array(), o.residue.as_array()) for i, o in zip(ins, outs)])
-    columns = np.array([out.columns for out in outs])
-    outputs = columns + (columns == m)  # the residue's column is m + 1 here
-    residue_channels = tuple(sorted({out.residue_channel for out in outs}))
-    residue_column = np.array([residue_channels.index(out.residue_channel) for out in outs])
-    return _Layouts(ins[0].columns, known, outputs, residue_channels, residue_column)
+def _checks(n: int, aux_channel: int) -> _Checks:
+    return _Checks(n, aux_channel)
 
 
 def _reencode_gates(case: ProtocolCase):
@@ -429,15 +464,26 @@ class _Stream:
     hi: np.ndarray
     lo: np.ndarray
 
-    def replay(self, rng: np.random.Generator, rows: np.ndarray):
-        """Set `rng` to the generator state of each of `rows` in turn,
-        yielding the row each time."""
+
+class _Replay:
+    """The generator one call replays trials on: built on the first replay
+    (about 19 us, which most calls then never pay), then set to each
+    replayed trial's state in turn.  It is never shared with another call."""
+
+    def __init__(self):
+        self._rng: Optional[np.random.Generator] = None
+
+    def __call__(self, stream: _Stream, rows: np.ndarray):
+        """Yield (row, generator) for each of `rows`, the generator set to
+        the row's state in `stream`."""
         state = _generator_state()  # one dict, refilled for each row
         pcg = state["state"]
-        for row, hi, lo in zip(rows.tolist(), self.hi[rows].tolist(), self.lo[rows].tolist()):
+        for row, hi, lo in zip(rows.tolist(), stream.hi[rows].tolist(), stream.lo[rows].tolist()):
+            if self._rng is None:
+                self._rng = np.random.Generator(np.random.PCG64(0))
             pcg["state"], pcg["inc"] = hi[0] << 64 | lo[0], hi[1] << 64 | lo[1]
-            rng.bit_generator.state = state
-            yield row
+            self._rng.bit_generator.state = state
+            yield row, self._rng
 
 
 def _pcg64_streams(seed_sets: list[tuple[np.ndarray, int]]) -> list[_Stream]:
@@ -575,7 +621,7 @@ def _ziggurat_agrees(w: np.ndarray, bound: np.ndarray) -> bool:
                                     for word, x in zip(words, xs.tolist()))
 
 
-def _draw(rng: np.random.Generator, stream: _Stream, message_count: int,
+def _draw(replay: _Replay, stream: _Stream, message_count: int,
           mode: DetectionMode) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's draws from its default_rng stream: 4 normals per message
     (re0, re1, im0, im1: the stream of one random_qubit call each), then, in
@@ -584,14 +630,15 @@ def _draw(rng: np.random.Generator, stream: _Stream, message_count: int,
 
     A trial whose normals all take the ziggurat's fast path reads one word
     each, and its uniform, random(), is the next word's top 53 bits / 2^53.
-    Any other trial is replayed: `rng` is set to its state and draws."""
+    Any other trial is replayed: `replay`'s generator is set to its state
+    and draws."""
     count = 4 * message_count
     normals, fast = _fast_normals(stream.words[:, :count], *_ziggurat())
     if mode is DetectionMode.SAMPLED:
         uniforms = (stream.words[:, count] >> 11) * 2.0**-53
     else:
         uniforms = np.zeros(len(normals))
-    for j in stream.replay(rng, np.flatnonzero(~fast.all(axis=1))):
+    for j, rng in replay(stream, np.flatnonzero(~fast.all(axis=1))):
         rng.standard_normal(out=normals[j])
         if mode is DetectionMode.SAMPLED:
             uniforms[j] = rng.random()
@@ -600,7 +647,7 @@ def _draw(rng: np.random.Generator, stream: _Stream, message_count: int,
     return normals, uniforms
 
 
-def _guesses(rng: np.random.Generator, strategy: Optional[EveStrategy], n: int,
+def _guesses(replay: _Replay, strategy: Optional[EveStrategy], n: int,
              stream: Optional[_Stream], value_codes: np.ndarray) -> np.ndarray:
     """Eve's guess code for each trial (_guess_code; 0 when she is absent).
     A uniform guess reads the value from the token and takes the channel
@@ -608,7 +655,7 @@ def _guesses(rng: np.random.Generator, strategy: Optional[EveStrategy], n: int,
     whose one-word `stream` is given.  That is Lemire's multiply-shift of the
     word's low 32 bits (arXiv:1805.10941), which may reject only a product
     whose low word is below n; those draws, about n in 2^32, are asked of
-    `rng` set to the stream's state."""
+    `replay`'s generator set to the stream's state."""
     if strategy is None:
         return np.zeros(len(value_codes), dtype=np.intp)
     if strategy.mode == "fixed":
@@ -616,7 +663,7 @@ def _guesses(rng: np.random.Generator, strategy: Optional[EveStrategy], n: int,
         return np.full(len(value_codes), code, dtype=np.intp)
     product = (stream.words[:, 0] & 0xFFFFFFFF) * n
     channels = (1 + (product >> 32)).astype(np.intp)
-    for j in stream.replay(rng, np.flatnonzero((product & 0xFFFFFFFF) < n)):
+    for j, rng in replay(stream, np.flatnonzero((product & 0xFFFFFFFF) < n)):
         channels[j] = rng.integers(1, n + 1)
     return _guess_code(channels, value_codes)
 
@@ -630,41 +677,22 @@ def _messages(normals: np.ndarray) -> np.ndarray:
     return raw / norms[:, :, None]
 
 
-def _channel_fidelities(states: np.ndarray, expected: dict[int, np.ndarray]) -> np.ndarray:
-    """(T, len(expected)) fidelities <q| rho_channel |q> of each state in the
-    (T, 2^n) batch, one column per channel of `expected`, which maps the
-    channel to its qubit q, a (T, 2) array with one row per state.
-
-    Each channel is one contraction over the whole batch, through a view of
-    the states, so no copy of the batch is made per channel.  It is not
-    bitwise equal to qsim.channel_fidelity (it sums in another order and
-    differs in the last bits on about half the cases tried: 1,739 of 3,600).
-    The states it gets differ in the same way: a group's folded product
-    rounds otherwise than the chain of matrices it stands for, by a few ulp
-    per amplitude.  A row's contraction does not depend on the other rows,
-    so a trial's fidelity is the same whichever trials share its batch.  A
-    row's product does not either, except that numpy multiplies a single
-    row as a vector-matrix product (gemv), which rounds otherwise: a trial
-    alone in its group, or cut from it alone by a block boundary, can
-    differ in the last bits.  All of this is kept on purpose: the
-    fidelities only become counts, each from a comparison with the 1e-9
-    bar below 1 or with a uniform draw, and a difference of a few ulp moves
-    a count only when a fidelity lands that close to the bar or to the
-    draw."""
-    count = len(states)
-    out = np.empty((count, len(expected)))
-    for col, (ch, qubit) in enumerate(expected.items()):
-        bra0, bra1 = np.conj(qubit).T[..., None, None]
-        rows = states.reshape(count, 1 << (ch - 1), 2, -1)
-        contracted = rows[:, :, 0] * bra0
-        contracted += rows[:, :, 1] * bra1
-        flat = contracted.reshape(count, -1).view(float)
-        out[:, col] = np.einsum("tr,tr->t", flat, flat)
-    return out
+def _fidelities(bloch: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """(T, k) fidelities of k channels per trial, from the trials' (T, m +
+    2, 8) Bloch tables and the channels' (T, k, 3, n + 1) factor indices
+    (_Checks).  Each trial's fidelities are computed from its own rows
+    alone, so they do not depend on the other trials of the batch."""
+    size = bloch[0].size
+    terms = np.take(bloch, factors + np.arange(0, bloch.size, size).reshape(-1, 1, 1, 1))
+    # numpy's product along a short last axis is slower than this loop
+    products = terms[..., 0] * terms[..., 1]
+    for j in range(2, terms.shape[-1]):
+        products *= terms[..., j]
+    return (1 + products[..., 0] + products[..., 1] + products[..., 2]) / 2
 
 
 def _run_trials(
-    rng: np.random.Generator,
+    replay: _Replay,
     n: int,
     aux_channel: int,
     value_codes: np.ndarray,
@@ -674,95 +702,35 @@ def _run_trials(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eve's success and the receiver's detection (boolean arrays in trial
     order) and Eve's guess codes, for trials of the registered cases on
-    `aux_channel` with the given true value codes and uint64 seeds.
-
-    The trials are sorted by group code (true value code x (3n + 1) + guess
-    code), stably, so that each group is a run of rows; the qubits are built
-    for all of them at once, and _run_block checks them a block of rows at
-    a time."""
+    `aux_channel` with the given true value codes and uint64 seeds."""
     count, m = len(seeds), n - 1
     seed_sets = [(seeds, 4 * m + (detection_mode is DetectionMode.SAMPLED))]
     uniform = strategy is not None and strategy.mode == "uniform"
     if uniform:
         seed_sets.append((splitmix64(seeds ^ (strategy.seed & _MASK64)), 1))
     streams = _pcg64_streams(seed_sets)
-    normals, uniforms = _draw(rng, streams[0], m, detection_mode)
-    guesses = _guesses(rng, strategy, n, streams[1] if uniform else None, value_codes)
+    normals, uniforms = _draw(replay, streams[0], m, detection_mode)
+    guesses = _guesses(replay, strategy, n, streams[1] if uniform else None, value_codes)
     codes = value_codes * (3 * n + 1) + guesses
-    order = np.argsort(codes, kind="stable")
-    codes, uniforms = codes[order], uniforms[order]
-    qubits = np.empty((count, m + 2, 2), dtype=complex)
-    qubits[:, :m] = _messages(normals[order])
-    qubits[:, m:] = _layouts(n, aux_channel).known[value_codes[order]]
+    checks = _checks(n, aux_channel)
+    checks.fill(codes)
+    bloch = np.empty((count, m + 2, 8))
+    bloch[:, :m] = _bloch(_messages(normals))
+    bloch[:, m:] = checks.known[value_codes]
 
-    checked = np.empty((2, count), dtype=bool)
-    rows = max(1, _BLOCK_AMPLITUDES >> n)
-    for start in range(0, count, rows):
-        block = slice(start, start + rows)
-        checked[:, block] = _run_block(n, aux_channel, codes[block], qubits[block],
-                                       uniforms[block], detection_mode)
-    in_trial_order = np.empty_like(checked)
-    in_trial_order[:, order] = checked
-    return in_trial_order[0], in_trial_order[1], guesses
-
-
-# A block's state arrays hold at most this many amplitudes (64 KiB).  Larger
-# ones cost page faults: with glibc's malloc on Linux, freeing a 200-trial
-# chunk's arrays at n=6 (200 KiB each) handed their pages back to the
-# system, and the next chunk faulted them in again, 150-650 faults (0.4-1.6
-# ms on a 2-core x86 VM) per experiment.
-_BLOCK_AMPLITUDES = 1 << 12
-
-
-def _run_block(n: int, aux_channel: int, codes: np.ndarray, qubits: np.ndarray,
-               uniforms: np.ndarray, detection_mode: DetectionMode) -> np.ndarray:
-    """Eve's success and the receiver's detection, a (2, T) boolean array,
-    for a block of trials sorted by group code, from their (T, m + 2, 2)
-    qubits (see _Layouts) and sampled-check uniforms.  Each group's run of
-    rows takes its folded products; each check is one contraction over the
-    rows it concerns."""
-    count = len(codes)
-    layouts = _layouts(n, aux_channel)
-    value_codes = codes // (3 * n + 1)
-    inputs = column_states(layouts.inputs, qubits)
-    edges = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
-    groups = [(s, e, _group(n, aux_channel, int(codes[s])))
-              for s, e in zip([0, *edges], [*edges, count])]
-    received = np.empty_like(inputs)
-    for s, e, group in groups:
-        np.matmul(inputs[s:e], group.through.T, out=received[s:e])
-
-    checked = np.zeros((2, count), dtype=bool)
-    believed = [(s, e, group) for s, e, group in groups if group.believed is not None]
-    if believed:
-        rows = np.concatenate([np.arange(s, e) for s, e, _ in believed])
-        decoded = np.empty((len(rows), 1 << n), dtype=complex)
-        sources = np.empty((len(rows), n), dtype=np.intp)
-        at = 0
-        for s, e, group in believed:
-            np.matmul(inputs[s:e], group.first.T, out=decoded[at:at + e - s])
-            sources[at:at + e - s] = group.believed
-            at += e - s
-        # The channels where some row expects a message; a row's source of
-        # -1 there takes some qubit, and its fidelity is not counted.
-        channels = np.flatnonzero((sources >= 0).any(axis=0))
-        expected = qubits[rows[:, None], sources[:, channels]]
-        fidelities = _channel_fidelities(
-            decoded, {ch + 1: expected[:, j] for j, ch in enumerate(channels.tolist())})
-        recovered = (fidelities >= _FIDELITY_BAR) | (sources[:, channels] < 0)
-        checked[0, rows] = recovered.all(axis=1)
-
+    eve_success = np.zeros(count, dtype=bool)
+    rows = np.flatnonzero(checks.recoverable[codes])
+    if len(rows):
+        fidelities = _fidelities(bloch[rows], checks.first[codes[rows]])
+        eve_success[rows] = (fidelities >= _FIDELITY_BAR).all(axis=1)
     if detection_mode is DetectionMode.OMNISCIENT:
-        expected = qubits[np.arange(count)[:, None], layouts.outputs[value_codes]]
-        fidelities = _channel_fidelities(
-            received, {ch: expected[:, ch - 1] for ch in range(1, n + 1)})
-        checked[1] = (fidelities < _FIDELITY_BAR).any(axis=1)
+        fidelities = _fidelities(bloch, checks.received[codes])
+        detects = (fidelities < _FIDELITY_BAR).any(axis=1)
     else:
-        fidelities = _channel_fidelities(
-            received, {ch: qubits[:, n] for ch in layouts.residue_channels})
-        residue = fidelities[np.arange(count), layouts.residue_column[value_codes]]
-        checked[1] = uniforms < 1.0 - residue
-    return checked
+        residue = checks.received[codes, checks.residue[value_codes], None]
+        fidelities = _fidelities(bloch, residue)
+        detects = uniforms < 1.0 - fidelities[:, 0]
+    return eve_success, detects, guesses
 
 
 def _check_inputs(n: int, strategy: Optional[EveStrategy],
@@ -796,7 +764,7 @@ def run_trial(
     """One intercept-decode-reencode trial.  strategy=None is Eve absent.
 
     `true_case` must be the registered case for its auxiliary channel and
-    value (relocated_case's), whose compiled matrices the trial applies.
+    value (relocated_case's), whose compiled pull-back maps the trial uses.
     The trial is a batch of one through run_experiment's core.
     """
     n = channel_count
@@ -808,7 +776,7 @@ def run_trial(
     if true.case is not true_case and true.case != true_case:
         raise InvalidInput("true_case is not the registered case for its auxiliary channel")
     eve_success, detects, (guess,) = _run_trials(
-        np.random.Generator(np.random.PCG64(0)), n, true_case.aux_channel,
+        _Replay(), n, true_case.aux_channel,
         np.array([_AUX_CYCLE.index(true_case.aux_value)]),
         np.array([int(trial_seed) & _MASK64], dtype=np.uint64), strategy, detection_mode)
     return TrialOutcome(
@@ -833,9 +801,8 @@ def run_experiment(
     value is drawn per trial unless pinned by `aux_value` (fixed-guess
     strategies pin it to their own value so "guessed the true case" is
     well defined).  Each chunk of CHUNK trials derives its seeds, value
-    codes and generator states as arrays and runs as one pipeline
-    (_run_trials), in which only the folded matrix products are applied
-    group by group.
+    codes and generator states as arrays and runs as one pass
+    (_run_trials), with no loop over its groups.
     """
     n = channel_count
     require_integer("trials", trials)
@@ -850,9 +817,7 @@ def run_experiment(
     if aux_value is None and strategy is not None and strategy.mode == "fixed":
         aux_value = strategy.fixed_value
 
-    # Every trial sets this generator to its own state; it is never shared
-    # with another call.
-    rng = np.random.Generator(np.random.PCG64(0))
+    replay = _Replay()
     successes = 0
     detections = 0
     for start in range(0, trials, CHUNK):
@@ -862,8 +827,8 @@ def run_experiment(
             value_codes = (splitmix64(seeds) % 3).astype(np.intp)
         else:
             value_codes = np.full(len(seeds), _AUX_CYCLE.index(aux_value))
-        eve_success, detects, _ = _run_trials(rng, n, CANONICAL_AUX_CHANNEL[n], value_codes,
-                                              seeds, strategy, detection_mode)
+        eve_success, detects, _ = _run_trials(replay, n, CANONICAL_AUX_CHANNEL[n],
+                                              value_codes, seeds, strategy, detection_mode)
         successes += int(eve_success.sum())
         detections += int(detects.sum())
 

@@ -10,9 +10,8 @@ a -> coeff1, b -> coeff0.  The only gates are the Hadamard and the
 controlled-NOT |e1>|e2> -> |e1>|e1 xor e2>; both are real and self-inverse.
 
 The kernels _apply_h, _apply_cn and _apply_gates apply gates one at a time
-to a state or a batch of states.  gate_unitary compiles a fixed gate word
-on at most MAX_UNITARY_CHANNELS channels into its real matrix once, for
-callers that apply the same word many times.
+to a state or a batch of states.  A word applied to many states need not
+come here: every circuit is Clifford, and tableau maps Paulis through it.
 
 Everything here is a pure function over immutable values; no operation
 mutates its arguments.
@@ -34,7 +33,6 @@ from .errors import (
     InvalidInput,
     NotNormalized,
     ShapeMismatch,
-    UnsupportedSize,
 )
 
 NORM_TOL = 1e-9
@@ -43,8 +41,6 @@ NORM_TOL = 1e-9
 ROUNDING_TOL = 16 * np.finfo(float).eps
 # The default tolerance of every purity and fidelity check.
 DEFAULT_TOL = 1e-10
-# gate_unitary's limit: a 2^6 x 2^6 real matrix is 32 KiB.
-MAX_UNITARY_CHANNELS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +224,6 @@ def _apply_gates(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
         else:
             amps = _apply_cn(amps, n, g.control, g.target)
     return amps
-
-
-def gate_unitary(n: int, gates: Sequence[Gate]) -> np.ndarray:
-    """The real 2^n x 2^n matrix U of a gate word: U @ v == _apply_gates(v, n, gates).
-
-    Pushes the real identity through the kernels once as a batch; row i
-    comes out as U e_i, so the batch is U transposed.  H and CNOT are real,
-    so U is.  Sizes above MAX_UNITARY_CHANNELS raise UnsupportedSize.
-    """
-    if n > MAX_UNITARY_CHANNELS:
-        raise UnsupportedSize(
-            f"gate_unitary supports up to {MAX_UNITARY_CHANNELS} channels, got {n}"
-        )
-    if n < 1:
-        raise InvalidInput("channel count must be >= 1")
-    for g in gates:
-        for k in g.channels():
-            _check_channel(n, k)
-    return np.ascontiguousarray(_apply_gates(np.eye(1 << n), n, gates).T)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ Candidates are compared as stabilizer tableaux, not as states: a candidate
 is the image of the input rows (protocol.layout_rows) under the whole map
 (encoder, prefix, word), and tableau.accepts decides exactly whether it
 decodes.  Rows evolve independently, so each gate is a lookup table over
-all 2^(2n+1) packed rows, tableau.conjugate applied once per row and
-cached.
+all 2^(2n+1) packed rows (tableau.row_tables).
 
 The search is breadth-first.  One step, _Task._step, expands a level: it
 lists the children of the level's tableaux parent-major and gate-minor,
@@ -180,12 +179,11 @@ from .protocol import (
     layout_rows,
 )
 from .qsim import (
-    ControlledNot,
     Gate,
-    Hadamard,
     _apply_gates,  # noqa: F401  (perfbench/tracer.py traces this name here)
     gates_commute,
 )
+from .tableau import gate_alphabet
 
 # Largest exhaustively enumerated extension length per channel count.
 _DEPTH_HORIZON = {3: 7, 4: 6, 5: 7, 6: 4}
@@ -197,16 +195,6 @@ _CHUNK_CHILDREN = 1 << 13
 # channel count it is built for (its keys fit a uint64 up to n = 4).
 _BALL_RADIUS = 3
 _BALL_CHANNELS = 4
-
-
-def gate_alphabet(channel_count: int) -> list[Gate]:
-    """Canonical gate order: H_1..H_N, then CN(c,t) lexicographic."""
-    gates: list[Gate] = [Hadamard(k) for k in range(1, channel_count + 1)]
-    for c in range(1, channel_count + 1):
-        for t in range(1, channel_count + 1):
-            if c != t:
-                gates.append(ControlledNot(c, t))
-    return gates
 
 
 @lru_cache(maxsize=None)
@@ -230,19 +218,11 @@ def _follows(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _row_tables(n: int) -> np.ndarray:
-    """(g, 2^(2n+1)) uint16: every packed row's image under each alphabet
-    gate, by tableau.conjugate."""
-    row = np.arange(1 << (2 * n + 1), dtype=np.uint16)
-    return np.stack([tableau.conjugate(row, n, g) for g in gate_alphabet(n)])
-
-
-@lru_cache(maxsize=None)
 def _distances(n: int) -> np.ndarray:
     """(2^(2n+1),) uint8: every packed row's distance, the fewest alphabet
     gates that take it to weight at most 1.  Every gate is an involution, so
     the rows one gate away from a level are its images."""
-    tables = _row_tables(n)
+    tables = tableau.row_tables(n)
     support = tableau.support(np.arange(1 << (2 * n + 1)), n)
     dist = np.where((support & (support - 1)) == 0, 0, 255).astype(np.uint8)
     level = 0
@@ -366,7 +346,7 @@ def _ball(n: int) -> _Ball:
     steps = np.zeros(len(keys), dtype=np.uint8)
     for d in range(1, _BALL_RADIUS + 1):
         found = []
-        for gate, table in enumerate(_row_tables(n)):  # in alphabet order
+        for gate, table in enumerate(tableau.row_tables(n)):  # in alphabet order
             for start in range(0, len(level), _CHUNK_CHILDREN):
                 kids = table[level[start:start + _CHUNK_CHILDREN]]
                 uniq, first = np.unique(_class_keys(kids, n, signs), return_index=True)
@@ -392,7 +372,7 @@ class _Task:
                  target: Optional[Layout]):
         self.n = n
         self.gates = _alphabet(n)
-        self.tables = _row_tables(n)
+        self.tables = tableau.row_tables(n)
         self.dist = _distances(n)
         self.allowed = _follows(n)
         self.root = _root(n, aux_channel, value)

@@ -35,15 +35,32 @@ Two H/CNOT circuits U and V on n channels are equal up to a global phase
 iff they map X_1..X_n and Z_1..Z_n to the same signed rows.  Then V^dagger U
 commutes with every Pauli; the Paulis span all 2^n x 2^n matrices, so
 V^dagger U is a multiple of the identity, and a unitary one.
+
+Rows evolve independently, so each gate of the alphabet is also one lookup
+table over all 2^(2n+1) packed rows (row_tables), conjugate applied once per
+row.  A gate word's tables compose into one more (pull_back): P -> U^dagger
+P U, the Heisenberg picture of the word U.  H and CNOT are self-inverse, so
+that is P conjugated by U's gates last first.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .qsim import Gate, Hadamard
+from .qsim import ControlledNot, Gate, Hadamard
+
+
+def gate_alphabet(channel_count: int) -> list[Gate]:
+    """Canonical gate order: H_1..H_N, then CN(c,t) lexicographic."""
+    gates: list[Gate] = [Hadamard(k) for k in range(1, channel_count + 1)]
+    for c in range(1, channel_count + 1):
+        for t in range(1, channel_count + 1):
+            if c != t:
+                gates.append(ControlledNot(c, t))
+    return gates
 
 
 def conjugate(rows: np.ndarray, n: int, gate: Gate) -> np.ndarray:
@@ -57,6 +74,34 @@ def conjugate(rows: np.ndarray, n: int, gate: Gate) -> np.ndarray:
     xc, zc = (rows >> c) & 1, (rows >> (n + c)) & 1
     xt, zt = (rows >> t) & 1, (rows >> (n + t)) & 1
     return rows ^ ((xc & zt & (xt ^ zc ^ 1)) * sign) ^ (xc << t) ^ (zt << (n + c))
+
+
+@lru_cache(maxsize=None)
+def row_tables(n: int) -> np.ndarray:
+    """(g, 2^(2n+1)) uint16, read-only: every packed row's image under each
+    gate of gate_alphabet(n), in that order (n <= 7)."""
+    row = np.arange(1 << (2 * n + 1), dtype=np.uint16)
+    tables = np.stack([conjugate(row, n, g) for g in gate_alphabet(n)])
+    tables.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _gate_rows(n: int) -> dict[Gate, int]:
+    """Each alphabet gate's row in row_tables(n)."""
+    return {gate: i for i, gate in enumerate(gate_alphabet(n))}
+
+
+def pull_back(n: int, gates: Sequence[Gate]) -> np.ndarray:
+    """(2^(2n+1),) uint16: entry P is the packed row U^dagger P U for the
+    gate word U (first gate first), one gather over row_tables per gate."""
+    tables, rows = row_tables(n), _gate_rows(n)
+    out = np.arange(1 << (2 * n + 1), dtype=np.uint16)
+    for gate in gates:
+        # out[P] was the pull-back through the gates before this one, so
+        # out[T[P]] conjugates P by this gate first
+        out = np.take(out, tables[rows[gate]])
+    return out
 
 
 def pauli(n: int, channel: int, x: int, z: int, sign: int = 0) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intraport import eavesdrop
+from intraport import eavesdrop, tableau
 from intraport.eavesdrop import (
     DetectionMode,
     EveStrategy,
@@ -184,17 +184,47 @@ def test_reencode_refreshes_the_residue_with_h_exactly_where_it_differs():
 
 
 def test_trials_reuse_compiled_cases():
+    """Once its group codes are filled, a trial builds no case, runs no gate
+    and conjugates no row: its pulled-back strings are only gathered."""
+    eavesdrop._checks.cache_clear()
     strategy = EveStrategy.uniform_guess(seed=4)
     first = run_experiment(4, 60, strategy, base_seed=15)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a trial compiled a gate word or folded a group's matrices")
+        raise AssertionError("a trial built a case, ran a gate or conjugated a row")
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_apply_gates", "post_swap_plan", "relocated_case", "gate_unitary",
-                     "_fold"):
+        for name in ("conjugate", "apply_word", "pull_back"):
+            mp.setattr(tableau, name, refuse)
+        for name in ("_apply_gates", "post_swap_plan", "relocated_case"):
             mp.setattr(eavesdrop, name, refuse)
         assert run_experiment(4, 60, strategy, base_seed=15) == first
+
+
+def test_a_trial_on_the_fast_path_builds_no_generator():
+    """The replay generator is built on a call's first replay: a trial whose
+    normals all take the ziggurat's fast path builds none, one that is
+    replayed builds one."""
+    n = 3
+    case = relocated_case(n, CANONICAL_AUX_CHANNEL[n], AuxValue.ZERO)
+    seeds = [trial_seed(27, i) for i in range(40)]
+    (stream,) = eavesdrop._pcg64_streams([(np.array(seeds, dtype=np.uint64), 4 * (n - 1))])
+    fast = eavesdrop._fast_normals(stream.words, *eavesdrop._ziggurat())[1].all(axis=1)
+    assert fast.any() and not fast.all()
+    built = []
+
+    class Counted(np.random.Generator):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    for seed, on_fast_path in zip(seeds, fast.tolist()):
+        expected = run_trial(n, case, None, seed)
+        built.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "Generator", Counted)
+            assert run_trial(n, case, None, seed) == expected
+        assert len(built) == (0 if on_fast_path else 1)
 
 
 def test_trials_build_no_generator():
@@ -240,14 +270,14 @@ def test_chunk_draws_are_those_of_default_rng(seeds, strategy_seed, n):
     chunk = np.array(seeds, dtype=np.uint64)
     guess_seeds = splitmix64(chunk ^ strategy_seed)
     stream, guess_stream = eavesdrop._pcg64_streams([(chunk, 4 * n - 3), (guess_seeds, 1)])
-    rng = np.random.Generator(np.random.PCG64(0))
-    for j, seed in zip(stream.replay(rng, np.arange(len(seeds))), seeds):
+    replay = eavesdrop._Replay()
+    for (j, rng), seed in zip(replay(stream, np.arange(len(seeds))), seeds):
         own = np.random.default_rng(seed)
         assert rng.bit_generator.state == own.bit_generator.state
         assert stream.words[j].tolist() == own.bit_generator.random_raw(4 * n - 3).tolist()
-    normals, uniforms = eavesdrop._draw(rng, stream, n - 1, DetectionMode.SAMPLED)
+    normals, uniforms = eavesdrop._draw(replay, stream, n - 1, DetectionMode.SAMPLED)
     values = np.full(len(seeds), eavesdrop._AUX_CYCLE.index(AuxValue.ZERO))
-    guesses = eavesdrop._guesses(rng, EveStrategy.uniform_guess(strategy_seed), n,
+    guesses = eavesdrop._guesses(replay, EveStrategy.uniform_guess(strategy_seed), n,
                                  guess_stream, values)
     for j, seed in enumerate(seeds):
         own = np.random.default_rng(seed)
@@ -263,12 +293,12 @@ def test_draws_are_those_of_default_rng_over_a_million_seeds():
     """Every normal and sampled uniform of 2^20 random seeds, chunk by
     chunk, at each message count in turn: about 1 in 5 of them replayed."""
     seeds = np.random.default_rng(2024).integers(0, 2**64, size=2**20, dtype=np.uint64)
-    rng = np.random.Generator(np.random.PCG64(0))
+    replay = eavesdrop._Replay()
     for start in range(0, len(seeds), eavesdrop.CHUNK):
         chunk = seeds[start:start + eavesdrop.CHUNK]
         m = 2 + start // eavesdrop.CHUNK % 4
         (stream,) = eavesdrop._pcg64_streams([(chunk, 4 * m + 1)])
-        normals, uniforms = eavesdrop._draw(rng, stream, m, DetectionMode.SAMPLED)
+        normals, uniforms = eavesdrop._draw(replay, stream, m, DetectionMode.SAMPLED)
         for j, seed in enumerate(chunk.tolist()):
             own = np.random.default_rng(seed)
             assert normals[j].tobytes() == own.normal(size=4 * m).tobytes()
@@ -290,7 +320,7 @@ def test_uniform_guess_asks_the_generator_when_lemire_may_reject(n):
         states.append((state, inc))
     expected = [int(_generator_at(state, inc).integers(1, n + 1)) for state, inc in states]
     values = np.full(len(states), eavesdrop._AUX_CYCLE.index(AuxValue.ONE))
-    guesses = eavesdrop._guesses(np.random.Generator(np.random.PCG64(0)),
+    guesses = eavesdrop._guesses(eavesdrop._Replay(),
                                  EveStrategy.uniform_guess(), n, _stream_at(states, 1), values)
     assert [eavesdrop._guessed(int(code)) for code in guesses] == [
         (channel, AuxValue.ONE) for channel in expected]
@@ -308,7 +338,7 @@ def test_draw_returns_normal_s_plus_zero():
         low = high ^ ((word << rot | word >> (64 - rot)) & mask64)
         state = ((high << 64 | low) - inc) * inverse % (1 << 128)
         assert np.signbit(_generator_at(state, inc).standard_normal())
-        normals, _ = eavesdrop._draw(np.random.Generator(np.random.PCG64(0)),
+        normals, _ = eavesdrop._draw(eavesdrop._Replay(),
                                      _stream_at([(state, inc)], 8), 2, DetectionMode.OMNISCIENT)
         assert normals[0].tobytes() == _generator_at(state, inc).normal(size=8).tobytes()
         assert not np.signbit(normals[0, 0])
@@ -331,8 +361,7 @@ def test_draws_at_every_layer_bound_are_standard_normal_s(mode):
     stream = _stream_at(states, 9)
     assert stream.words[:, 0].tolist() == words
     assert eavesdrop._fast_normals(stream.words[:, :1], w, bound)[1][:, 0].tolist() == fast
-    rng = np.random.Generator(np.random.PCG64(0))
-    normals, uniforms = eavesdrop._draw(rng, stream, 2, mode)
+    normals, uniforms = eavesdrop._draw(eavesdrop._Replay(), stream, 2, mode)
     for j, (state, inc) in enumerate(states):
         own = _generator_at(state, inc)
         assert normals[j].tobytes() == own.normal(size=8).tobytes()
@@ -553,26 +582,26 @@ def test_pinned_value_other_than_the_guessed_one_is_the_sum_of_its_trials(mode):
 
 
 def test_fidelity_contractions_do_not_grow_with_the_group_count():
-    """Only the matrix products are applied per group: a uniform chunk at
-    n=6 (18 groups) makes no more fidelity calls than a chunk of one group
-    of the correct fixed guess, which also checks Eve's recovery."""
+    """Nothing is done per group: a uniform chunk at n=6 (18 groups) makes no
+    more fidelity evaluations than a chunk of one group of the correct fixed
+    guess, which also checks Eve's recovery."""
     n = 6
-    group, fidelities = eavesdrop._group, eavesdrop._channel_fidelities
+    fill, fidelities = eavesdrop._Checks.fill, eavesdrop._fidelities
 
     def chunk(strategy):
         codes, calls = set(), []
 
-        def recording_group(n, aux_channel, code):
-            codes.add(code)
-            return group(n, aux_channel, code)
+        def recording_fill(checks, chunk_codes):
+            codes.update(chunk_codes.tolist())
+            return fill(checks, chunk_codes)
 
         def counted_fidelities(*args):
             calls.append(1)
             return fidelities(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eavesdrop, "_group", recording_group)
-            mp.setattr(eavesdrop, "_channel_fidelities", counted_fidelities)
+            mp.setattr(eavesdrop._Checks, "fill", recording_fill)
+            mp.setattr(eavesdrop, "_fidelities", counted_fidelities)
             run_experiment(n, eavesdrop.CHUNK, strategy, base_seed=17)
         return len(codes), len(calls)
 
@@ -581,6 +610,73 @@ def test_fidelity_contractions_do_not_grow_with_the_group_count():
                                                               AuxValue.ZERO))
     assert (uniform_groups, fixed_groups) == (3 * n, 1)
     assert uniform_calls <= fixed_calls
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode))
+def test_a_trial_s_fidelities_do_not_depend_on_its_chunk(mode):
+    """Every fidelity a chunk computes, for Eve's recovery and for the
+    receiver's check, equals bit for bit the one its trial computes alone."""
+    n, fidelities = 5, eavesdrop._fidelities
+    strategy = EveStrategy.uniform_guess(seed=2)
+    seeds = np.array([trial_seed(23, i) for i in range(64)], dtype=np.uint64)
+    value_codes = (splitmix64(seeds) % 3).astype(np.intp)
+
+    def run(rows):
+        calls = []
+
+        def recording(*args):
+            calls.append(fidelities(*args))
+            return calls[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eavesdrop, "_fidelities", recording)
+            eavesdrop._run_trials(eavesdrop._Replay(), n, CANONICAL_AUX_CHANNEL[n],
+                                  value_codes[rows], seeds[rows], strategy, mode)
+        return calls[:-1], calls[-1]  # Eve's recovery, if checked, then the receiver's
+
+    (recovery,), received = run(slice(None))
+    alone = [run(slice(t, t + 1)) for t in range(len(seeds))]
+    assert 0 < len(recovery) < len(seeds)
+    assert received.tobytes() == b"".join(r.tobytes() for _, r in alone)
+    assert recovery.tobytes() == b"".join(e.tobytes() for eve, _ in alone for e in eve)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from(sorted(CANONICAL_AUX_CHANNEL)), seed=st.integers(0, 2**32))
+def test_pulled_back_fidelities_equal_dense_channel_fidelities(n, seed):
+    """For every group code, each fidelity the pulled-back strings give, on
+    the receiver's composite and on Eve's own view, equals
+    qsim.channel_fidelity on the statevector run gate by gate, within 1e-12.
+    The auxiliary and residue qubits are random too: the strings hold for
+    any product input, and on a known auxiliary every string whose sign is
+    -1 has a factor 0, so only random ones test the signs."""
+    aux, m = CANONICAL_AUX_CHANNEL[n], n - 1
+    rng = np.random.default_rng(seed)
+    qubits = [random_qubit(rng) for _ in range(m + 2)]  # messages, auxiliary, residue
+    bloch = eavesdrop._bloch(np.array([[q.as_array() for q in qubits]]))
+    checks, codes = eavesdrop._checks(n, aux), np.arange(3 * (3 * n + 1))
+    checks.fill(codes)
+    for code in codes.tolist():
+        value_code, guess_code = divmod(code, 3 * n + 1)
+        true = relocated_case(n, aux, eavesdrop._AUX_CYCLE[value_code])
+        state = make_state([qubits[col] for col in true.input_layout.columns]).amplitudes
+        state = _apply_gates(state, n, alice_encoder(n))
+        if guess_code:
+            eve = relocated_case(n, *eavesdrop._guessed(guess_code))
+            state = _apply_gates(state, n, eve.bob_program)
+            assert checks.recoverable[code] == (eve.aux_channel == aux)
+            if checks.recoverable[code]:
+                pulled = eavesdrop._fidelities(bloch, checks.first[code][None])[0]
+                sources = [true.message_channels.index(ch) for ch in eve.message_channels]
+                dense = [channel_fidelity(PureState(n, state), ch, qubits[j])
+                         for ch, j in zip(eve.expected_layout.message_channels, sources)]
+                assert np.abs(pulled - dense).max() <= 1e-12
+            state = _apply_gates(state, n, eavesdrop._reencode_gates(eve))
+        state = _apply_gates(state, n, true.bob_program)
+        pulled = eavesdrop._fidelities(bloch, checks.received[code][None])[0]
+        dense = [channel_fidelity(PureState(n, state), ch, qubits[col + (col == m)])
+                 for ch, col in enumerate(true.expected_layout.columns, 1)]
+        assert np.abs(pulled - dense).max() <= 1e-12
 
 
 def _oracle_trial(n, aux_channel, value, strategy, seed, mode):
@@ -633,7 +729,7 @@ def _check_against_oracle(n, strategy, mode, seeds):
     seeds = np.array(seeds, dtype=np.uint64)
     value_codes = (splitmix64(seeds) % 3).astype(np.intp)
     success, detects, _ = eavesdrop._run_trials(
-        np.random.Generator(np.random.PCG64(0)), n, aux, value_codes, seeds, strategy, mode)
+        eavesdrop._Replay(), n, aux, value_codes, seeds, strategy, mode)
     oracle = [_oracle_trial(n, aux, eavesdrop._AUX_CYCLE[code], strategy, seed, mode)
               for code, seed in zip(value_codes.tolist(), seeds.tolist())]
     assert list(zip(success.tolist(), detects.tolist())) == oracle

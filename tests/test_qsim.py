@@ -11,7 +11,6 @@ from intraport.errors import (
     InvalidInput,
     NotNormalized,
     ShapeMismatch,
-    UnsupportedSize,
 )
 from intraport.qsim import (
     ControlledNot,
@@ -31,7 +30,6 @@ from intraport.qsim import (
     factor_all,
     factor_channel,
     fidelity,
-    gate_unitary,
     make_state,
     project,
     random_qubit,
@@ -42,7 +40,6 @@ from intraport.circuit import Circuit
 
 from helpers import (
     apply_circuit_oracle,
-    circuit_matrix_oracle,
     gate_matrix_oracle,
     haar_qubit_array,
     product_oracle,
@@ -292,29 +289,6 @@ def test_batched_application_matches_oracle_row_by_row(word, batch, seed):
     for vec, row in zip(states, out):
         np.testing.assert_allclose(row, apply_circuit_oracle(vec, n, gates), atol=1e-12)
     np.testing.assert_array_equal(_apply_gates(states[0], n, gates), out[0])
-
-
-@given(_words(), st.integers(0, 2**32 - 1))
-def test_gate_unitary_is_real_and_matches_oracle(word, seed):
-    n, gates = word
-    u = gate_unitary(n, gates)
-    assert u.dtype == np.float64 and u.shape == (2**n, 2**n)
-    np.testing.assert_allclose(u, circuit_matrix_oracle(n, gates), atol=1e-12)
-    rng = np.random.default_rng(seed)
-    for _ in range(3):
-        vec = random_state_vector(rng, n)
-        np.testing.assert_allclose(u @ vec, _apply_gates(vec, n, gates), atol=1e-12)
-
-
-def test_gate_unitary_refuses_large_or_bad_sizes():
-    # the size is checked before the identity is allocated
-    for n in (7, 64, 10**6):
-        with pytest.raises(UnsupportedSize):
-            gate_unitary(n, [Hadamard(1)])
-    with pytest.raises(InvalidInput):
-        gate_unitary(0, [])
-    with pytest.raises(ChannelOutOfRange):
-        gate_unitary(3, [ControlledNot(1, 4)])
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ from intraport.search import (
     _follows,
     _pack,
     _root,
-    _row_tables,
     _unpack,
     gate_alphabet,
     solve_bob_program,
@@ -333,7 +332,7 @@ def test_one_gate_changes_a_weight_by_at_most_one(n):
     """The lemma behind the search's lower bound, over every packed row
     and every alphabet gate."""
     weight = _weights(n)
-    for image in _row_tables(n):
+    for image in tableau.row_tables(n):
         assert np.abs(weight[image] - weight).max() <= 1
 
 
@@ -347,7 +346,7 @@ def test_distances_are_exact(n, reach, above):
     identity, of weight 0, aside), and never depends on the sign bit."""
     d = _distances(n).astype(int)
     weight = _weights(n)
-    images = d[_row_tables(n)]  # (g, rows): d of each row's image by each gate
+    images = d[tableau.row_tables(n)]  # (g, rows): d of each row's image by each gate
     assert np.array_equal(d == 0, weight <= 1)
     assert np.abs(images - d).max() <= 1
     assert np.all((d == 0) | (images.min(axis=0) == d - 1))
@@ -542,7 +541,7 @@ def test_ball_distances_are_exact(n):
     ball = _ball(n)
     rows, d = _unpack(ball.keys, n), (ball.steps >> 4).astype(int)
     best = np.full(len(d), _BALL_RADIUS + 1)
-    for table in _row_tables(n):
+    for table in tableau.row_tables(n):
         image = ball.distance(table[rows]).astype(int)
         assert np.abs(image - d).max() <= 1
         best = np.minimum(best, image)
@@ -555,7 +554,7 @@ def test_ball_stores_each_keys_first_downhill_gate(n):
     _Ball.distance puts at d - 1, and following the stored gates from the
     key's tableau reaches one that tableau.accepts accepts in exactly d
     steps."""
-    ball, tables = _ball(n), _row_tables(n)
+    ball, tables = _ball(n), tableau.row_tables(n)
     rows, d = _unpack(ball.keys, n), (ball.steps >> 4).astype(int)
     first = np.full(len(d), -1)
     for gate in reversed(range(len(tables))):
@@ -637,7 +636,7 @@ def _canonical_words(n, length):
 def _least_decoders(n, rows, most):
     """Per length 0..most, the least canonical word of that length that the
     tableau test accepts from `rows`, or None: every word is applied."""
-    tables, gates = _row_tables(n), gate_alphabet(n)
+    tables, gates = tableau.row_tables(n), gate_alphabet(n)
     least = []
     for length in range(most + 1):
         words = _canonical_words(n, length)
@@ -700,7 +699,7 @@ def _dead_ends(level, links, n):
     """The tableaux at the least distance of a level that meets the ball,
     after its first, whose first downhill child in canonical order has no
     canonical completion: every shortest word from it breaks the order."""
-    ball, tables, follows = _ball(n), _row_tables(n), _follows(n)
+    ball, tables, follows = _ball(n), tableau.row_tables(n), _follows(n)
     dist = ball.distance(level)
     least = int(dist.min())
     dead = []
@@ -753,7 +752,7 @@ def test_shallow_solves_build_only_the_n3_ball():
     solve-bob, build the n=3 ball that fixes their decoders' lengths (5,760
     keys, under 64 KiB kept and 512 KiB at the peak of its build), never
     the n=4 one."""
-    _row_tables(3)  # numpy's first-call allocations, outside the measurement
+    tableau.row_tables(3)  # numpy's first-call allocations, outside the measurement
     _ball.cache_clear()
     tracemalloc.start()
     try:
@@ -779,7 +778,7 @@ def test_ball_build_memory_is_bounded():
     """Building the n=4 ball allocates at most 4 MiB at its peak, and it
     keeps at most 2 MiB (keys, distances and the table of product signs)."""
     _ball(3)  # numpy's first-call allocations, outside the measurement
-    _row_tables(4)
+    tableau.row_tables(4)
     _ball.cache_clear()
     tracemalloc.start()
     try:

@@ -3,9 +3,9 @@ registered decoder checked exactly against its own layout."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import gate_matrix_oracle
+from helpers import circuit_matrix_oracle, gate_matrix_oracle
 
 from intraport import tableau
 from intraport.protocol import (
@@ -52,6 +52,19 @@ def test_conjugate_matches_dense_conjugation(n):
             p = _pauli_matrix(int(row), n)
             np.testing.assert_allclose(u @ p @ u.conj().T, _pauli_matrix(int(image), n),
                                        atol=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sampled_from(gate_alphabet(n)), max_size=8))))
+def test_pull_back_is_the_word_s_heisenberg_picture(word):
+    """U^dagger P U equals the pulled-back row's Pauli, sign included, for
+    every packed row P, where U runs the word first gate first."""
+    n, gates = word
+    u = circuit_matrix_oracle(n, gates)
+    for row, image in enumerate(tableau.pull_back(n, gates).tolist()):
+        np.testing.assert_allclose(u.conj().T @ _pauli_matrix(row, n) @ u,
+                                   _pauli_matrix(image, n), atol=1e-12)
 
 
 @st.composite
