@@ -14,15 +14,16 @@ is the image of the input rows (protocol.layout_rows) under the whole map
 decodes.  Rows evolve independently, so each gate is a lookup table over
 all 2^(2n+1) packed rows (tableau.row_tables).
 
-The search is breadth-first.  One step, _Task._step, expands a level: it
-lists the children of the level's tableaux parent-major and gate-minor,
-which is word order, keeps those that a keep rule accepts and links each to
-its parent and gate, so that a word is read back along the links.  On the
-last level it stops at the first kept child.  Levels are expanded in chunks
-of parents.  Two walks share the step with different keep rules; the ball
-walk steps only until it meets the ball, then descends one tableau.
+The search is breadth-first, and a level lists its parents' children
+parent-major and gate-minor, which is word order.  The general walk expands
+a level with _Task._step: it keeps the children that a keep rule accepts
+and links each to its parent and gate, so that a word is read back along
+the links.  On the last level it stops at the first kept child.  Levels are
+expanded in chunks of parents.  The ball walk expands every canonical word
+from a table until it meets the ball, then descends one tableau.
 
-Both walks drop every tableau that cannot decode in the gates it has left.
+The general walk drops every tableau that cannot decode in the gates it has
+left.
 Let the weight of a Pauli be the number of channels it acts on, and its
 distance d the fewest alphabet gates that take it to weight at most 1
 (tabulated over every packed row by a breadth-first walk from those rows).
@@ -90,17 +91,33 @@ class at d - 1 to it, and the gates are tried in order.  A key is inserted
 beside its byte, so the walk ends with both sorted, and the rows of the
 last level, never expanded, are not kept.
 
-The ball walk (no target, n <= 4) has no acceptance test and no
-deduplication.  It looks up the root's class, then each level, kept by h,
-until the first level k that meets the ball (k = 0 for a root in the ball);
-nothing accepted lies outside the ball.  Then L = k + d for the least
-distance d met, and d = R when k > 0: every tableau of level k - 1 lies
-outside the ball, and one gate changes the distance by at most one.  L is
-the minimal length: the words to level k give a decoder of k + d gates, and
-the prefix of the least accepted word that stops R gates short of its end
-passes h and lies in the ball, so the walk meets the ball no later than
-that.  A walk to depth D never expands a level past D - R without meeting
-the ball, and returns None at once when L > D.
+The ball walk (no target, n <= 4) has no acceptance test, no
+deduplication and no pruning by h.  Level k lists every canonical word of
+k gates in lexicographic order.  _word_table(n) holds these words for k =
+1.._DEPTH_HORIZON[n] - R, each with its last gate and the index of its
+prefix in level k - 1, built once from the follow rule: 9, 57, 351 and
+2,164 words at n=3, and 16, 174 and 1,792 at n=4.  So a level's tableaux
+are one gather from the previous level's through the row tables, and its
+words are read from the table.  The walk looks up the root's class, then
+each level whole, until the first level k that meets the ball (k = 0 for a
+root in the ball); nothing accepted lies outside the ball.  Then L = k + d
+for the least distance d met, and d = R when k > 0: every tableau of level
+k - 1 lies outside the ball, and one gate changes the distance by at most
+one.  L is the minimal length: the words to level k give a decoder of k + d
+gates, and the prefix of the least accepted word that stops R gates short
+of its end is listed and lies in the ball, so the walk meets the ball no
+later than that.  A walk to depth D never expands a level past D - R
+without meeting the ball, and returns None at once when L > D.
+
+Pruning by h would change none of this, which is why the walk does not
+prune.  A tableau that h drops at level i has d > D - i, and so has every
+tableau below it at level j, d > D - j, since one gate changes d by at most
+one.  The walk expands level j only when j <= D - R, so all of these lie
+more than R gates from acceptance, outside the ball.  Each expanded level
+therefore holds the tableaux in the ball that a level kept by h would hold,
+in the same order, and the meeting level k, the length L = k + d and the
+first tableau at distance d, with its word, are the same.  Filtering by h
+before the lookup costs more than looking the dropped tableaux up.
 
 Then the walk descends from the first tableau of level k at distance d,
 picked by the distance nibble alone (the whole byte would also order by the
@@ -117,10 +134,10 @@ way, L being minimal, and each swap makes it lexicographically smaller, so
 W is the least of all shortest words, canonical or not.  Hence:
 
 - The first tableau at distance d on level k is W's prefix of k gates.  The
-  level lists the canonical words of k gates kept by h in lexicographic
-  order, W's prefix among them.  A tableau at distance d listed earlier has
-  a shortest completion of d gates, and its word with that completion
-  would be a shortest word less than W.
+  level lists the canonical words of k gates in lexicographic order, W's
+  prefix among them.  A tableau at distance d listed earlier has a shortest
+  completion of d gates, and its word with that completion would be a
+  shortest word less than W.
 - At each step W's next gate is the stored first downhill gate.  It is
   downhill, the rest of W being a shortest completion, and an earlier
   downhill gate g would give a shortest word less than W: the gates so
@@ -138,14 +155,15 @@ every shortest completion breaks the canonical order; a depth-first descent
 from it would backtrack and fail, but this descent never starts there.
 
 Without deduplication a ball walk level holds one tableau per canonical
-word whose prefixes were all kept, in word order, and a tableau may repeat.
-That changes neither L nor the word returned.  A tableau repeated from an
-earlier level lies outside the ball, or the walk would have stopped there,
-and within a level a repeat has the distance of its first entry, so repeats
-change neither the meeting level k nor the least distance d, and the
-argument above holds for each listed word.  Before the ball is met the walk
-expands at most D - R levels, 4 at n=3 and 3 at n=4 within the horizons, so
-the repeats cost little there.
+word, in word order, and a tableau may repeat.  That changes neither L nor
+the word returned.  A tableau repeated from an earlier level lies outside
+the ball, or the walk would have stopped there, and within a level a repeat
+has the distance of its first entry, so repeats change neither the meeting
+level k nor the least distance d, and the argument above holds for each
+listed word.  Before the ball is met the walk expands at most D - R levels,
+4 at n=3 and 3 at n=4 within the horizons, so the repeats cost little
+there: the largest level has 2,164 tableaux.  The table stops at n=4; at
+n=5 there are 1,408,651 canonical words of 5 gates.
 
 The walk is capped at a per-size depth horizon; within it a None result
 proves that no word of the searched length decodes, whether the bound
@@ -215,6 +233,35 @@ def _follows(n: int) -> np.ndarray:
                 allowed[i + 1, j] = False
     allowed.flags.writeable = False
     return allowed
+
+
+class _Level(NamedTuple):
+    """Level k of _word_table: every canonical word of k gates, in
+    lexicographic order."""
+
+    parent: np.ndarray  # intp: the index of each word's first k - 1 gates in level k - 1
+    at: np.ndarray  # intp (W, 1): its last gate g as g 2^(2n+1), g's table in the flat row_tables
+    words: np.ndarray  # uint8 (W, k): its gates
+
+
+@lru_cache(maxsize=None)
+def _word_table(n: int) -> tuple[_Level, ...]:
+    """Levels 1.._DEPTH_HORIZON[n] - _BALL_RADIUS of canonical words, the
+    levels a ball walk may expand before it meets the ball (n <=
+    _BALL_CHANNELS).  A level lists its parents' children parent-major and
+    gate-minor, which is lexicographic order; arrays are read-only."""
+    follows, size = _follows(n), 1 << (2 * n + 1)
+    last = np.zeros(1, dtype=np.intp)  # each word's row of follows: its last gate + 1
+    words, levels = np.zeros((1, 0), dtype=np.uint8), []
+    for _ in range(_DEPTH_HORIZON[n] - _BALL_RADIUS):
+        parent, gate = np.nonzero(follows[last])
+        words = np.column_stack([words[parent], gate.astype(np.uint8)])
+        levels.append(_Level(parent, gate[:, None] * size, words))
+        last = gate + 1
+    for level in levels:
+        for table in level:
+            table.flags.writeable = False
+    return tuple(levels)
 
 
 @lru_cache(maxsize=None)
@@ -304,8 +351,12 @@ class _Ball(NamedTuple):
         that take it to acceptance << 4 | its first downhill gate, or
         (_BALL_RADIUS + 1) << 4 outside the ball."""
         keys = _class_keys(rows, self.n, self.signs)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[at] == keys, self.steps[at], (_BALL_RADIUS + 1) << 4)
+        order = keys.argsort()  # sorted queries read the ball's keys in order
+        keys = keys[order]
+        at = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
+        steps = np.empty(len(keys), dtype=np.uint8)
+        steps[order] = np.where(self.keys[at] == keys, self.steps[at], (_BALL_RADIUS + 1) << 4)
+        return steps
 
     def distance(self, rows: np.ndarray) -> np.ndarray:
         """(K,) uint8: the distance nibble of lookup."""
@@ -410,25 +461,27 @@ class _Task:
         return self._general_walk(max_depth)
 
     def _ball_walk(self, ball: _Ball, max_depth: int) -> Optional[list[Gate]]:
-        """Levels kept by h until one meets the ball, which fixes the
-        minimal length; then, from the level's first tableau at the least
-        distance, the stored first downhill gate at every step."""
+        """The levels of _word_table until one meets the ball, which fixes
+        the minimal length; then, from the level's first tableau at the
+        least distance, the stored first downhill gate at every step.
+        max_depth is at most the horizon."""
         near = ball.scalar_lookup()
-        level, links, first, step = self.root[None], [], 0, near(self.root.tolist())
+        flat, levels = self.tables.reshape(-1), _word_table(self.n)
+        level, word, first, step = self.root[None], [], 0, near(self.root.tolist())
         while step >> 4 > _BALL_RADIUS:
-            left = max_depth - len(links) - 1  # gates a child may still add
-            if left < _BALL_RADIUS:  # its children are at least R gates from acceptance
+            depth = len(word) + 1
+            if depth + _BALL_RADIUS > max_depth:  # its tableaux are R gates or more from acceptance
                 return None
-            level = self._step(level, links, left, lambda kids: self.lower_bound(kids) <= left)
-            if not len(level):
-                return None
+            table = levels[depth - 1]
+            level = flat.take(level.take(table.parent, axis=0) + table.at)
             steps = ball.lookup(level)
             first = int((steps >> 4).argmin())  # by distance alone, not by the gate
-            step = int(steps[first])
-        if len(links) + (step >> 4) > max_depth:
+            step, word = int(steps[first]), table.words[first].tolist()
+        if len(word) + (step >> 4) > max_depth:
             return None
         tables = memoryview(self.tables)
-        word, rows = self._word(links, first), level[first].tolist()
+        word = [self.gates[gate] for gate in word]
+        rows = level[first].tolist()
         for left in reversed(range(step >> 4)):  # gates left after this one
             gate = step & 0xF
             word.append(self.gates[gate])

@@ -58,6 +58,7 @@ from intraport.search import (
     _pack,
     _root,
     _unpack,
+    _word_table,
     gate_alphabet,
     solve_bob_program,
 )
@@ -667,26 +668,26 @@ def test_search_returns_the_least_word_of_every_canonical_word(case):
 
 
 @st.composite
-def ball_lookups(draw):
-    """(n, rows) at n=3 or n=4: an accepted tableau scrambled by up to 5
-    gates, so inside the ball or outside it, or arbitrary rows with any
-    sign bits."""
-    n = draw(st.integers(3, 4))
+def ball_lookups(draw, n):
+    """A tableau at n=3 or n=4: an accepted one scrambled by up to 5 gates,
+    so inside the ball or outside it, or arbitrary rows with any sign
+    bits."""
     if draw(st.booleans()):
         rows = draw(st.sampled_from(list(_accepted_tableaux(n))))
-        return n, tableau.apply_word(rows, n, draw(st.lists(st.sampled_from(gate_alphabet(n)),
-                                                            max_size=5)))
+        return tableau.apply_word(rows, n, draw(st.lists(st.sampled_from(gate_alphabet(n)),
+                                                         max_size=5)))
     rows = st.integers(0, (1 << (2 * n + 1)) - 1)
-    return n, np.array(draw(st.lists(rows, min_size=2 * n - 1, max_size=2 * n - 1)),
-                       dtype=np.uint16)
+    return np.array(draw(st.lists(rows, min_size=2 * n - 1, max_size=2 * n - 1)),
+                    dtype=np.uint16)
 
 
-@given(ball_lookups())
-def test_scalar_class_key_and_distance_equal_the_vectorised_ones(case):
+@given(st.data())
+def test_scalar_class_key_and_distance_equal_the_vectorised_ones(data):
     """The walk's one-tableau lookup, a key built from Python ints and found
     by bisection, agrees with _class_keys, and with _Ball.lookup in both
     the distance and the gate; its distance is _Ball.distance."""
-    n, rows = case
+    n = data.draw(st.integers(3, 4))
+    rows = data.draw(ball_lookups(n))
     ball = _ball(n)
     key = _class_key(rows.tolist(), n, memoryview(ball.signs))
     assert key == int(_class_keys(rows[None], n, ball.signs)[0])
@@ -695,17 +696,32 @@ def test_scalar_class_key_and_distance_equal_the_vectorised_ones(case):
     assert step >> 4 == int(ball.distance(rows[None])[0])
 
 
-def _dead_ends(level, links, n):
+@contextlib.contextmanager
+def _recorded_lookups():
+    """A list that gains the rows of every _Ball.lookup call made inside."""
+    calls, lookup = [], search_module._Ball.lookup
+
+    def recorded(ball, rows):
+        calls.append(rows.copy())
+        return lookup(ball, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_module._Ball, "lookup", recorded)
+        yield calls
+
+
+def _dead_ends(level, last_gates, n):
     """The tableaux at the least distance of a level that meets the ball,
     after its first, whose first downhill child in canonical order has no
-    canonical completion: every shortest word from it breaks the order."""
+    canonical completion: every shortest word from it breaks the order.
+    last_gates holds the last gate of each tableau's word."""
     ball, tables, follows = _ball(n), tableau.row_tables(n), _follows(n)
     dist = ball.distance(level)
     least = int(dist.min())
     dead = []
     for i in np.flatnonzero(dist == least)[1:]:
         kids = tables[:, level[i]]
-        downhill = follows[links[-1][1][i] + 1] & (ball.distance(kids) == least - 1)
+        downhill = follows[last_gates[i] + 1] & (ball.distance(kids) == least - 1)
         gate = int(np.argmax(downhill))
         words = _canonical_words(n, least - 1)
         if least > 1:
@@ -733,18 +749,75 @@ def test_the_walk_passes_over_meeting_tableaux_that_dead_end(accepted, scramble,
     n = 4
     task = _Task(n, n, AuxValue.ZERO, None)
     task.root = tableau.apply_word(_accepted_tableaux(n)[accepted], n, scramble)
-    steps, step = [], task._step
-
-    def recorded(level, links, left, keep):
-        steps.append((step(level, links, left, keep), links))
-        return steps[-1][0]
-
-    task._step = recorded
-    assert task.search(_DEPTH_HORIZON[n]) == word
-    assert _dead_ends(*steps[-1], n)
+    with _recorded_lookups() as levels:
+        assert task.search(_DEPTH_HORIZON[n]) == word
+    meeting = _word_table(n)[len(levels) - 1]  # one lookup per level expanded
+    assert _dead_ends(levels[-1], meeting.words[:, -1], n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search_module, "_BALL_CHANNELS", 0)
         assert task.search(_DEPTH_HORIZON[n]) == word
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_word_table_lists_every_canonical_word_in_order(n):
+    """Level k of the word table holds every canonical word of k gates in
+    lexicographic order, k = 1..horizon - R, each with the index of its
+    prefix in level k - 1 and its last gate's place in the flat row tables;
+    its arrays are read-only, and both tables take under 128 KiB."""
+    levels = _word_table(n)
+    assert len(levels) == _DEPTH_HORIZON[n] - _BALL_RADIUS
+    prefixes = np.zeros((1, 0), dtype=np.uint8)
+    for k, level in enumerate(levels, 1):
+        assert np.array_equal(level.words, _canonical_words(n, k))
+        assert np.array_equal(prefixes[level.parent], level.words[:, :-1])
+        assert np.array_equal(level.at[:, 0], level.words[:, -1].astype(int) << (2 * n + 1))
+        assert not any(table.flags.writeable for table in level)
+        prefixes = level.words
+    assert [len(level.words) for level in levels] == (
+        [9, 57, 351, 2164] if n == 3 else [16, 174, 1792])
+    tables = [table for m in (3, 4) for level in _word_table(m) for table in level]
+    assert sum(table.nbytes for table in tables) < 128 << 10
+
+
+def test_untargeted_n4_solves_expand_levels_from_the_word_table():
+    """After a warm-up, no untargeted n=4 solve calls _Task._step, and each
+    looks up every level it expands once, whole: the root mapped through
+    each of the level's words.  A shuffled level, with repeats, looks up
+    to the bytes of its tableaux looked up one at a time."""
+    n, tables = 4, tableau.row_tables(4)
+    solve_bob_program(n, 1, AuxValue.ONE, 10)
+    deepest = []
+    for aux in range(1, n + 1):
+        for value in AuxValue:
+            with pytest.MonkeyPatch.context() as mp, _recorded_lookups() as levels:
+                mp.setattr(_Task, "_step", lambda *args: pytest.fail("the ball walk stepped"))
+                assert solve_bob_program(n, aux, value, 10) is not None
+            assert len(levels) <= len(_word_table(n))
+            for level, table in zip(levels, _word_table(n)):
+                images = np.broadcast_to(_root(n, aux, value), (len(table.words), 2 * n - 1))
+                for column in table.words.T:
+                    images = tables[column[:, None], images]
+                assert np.array_equal(level, images)
+            deepest = max(deepest, levels, key=len)
+    assert len(deepest) == 3  # the 6-gate decoders meet the ball on the last level
+    ball = _ball(n)
+    batch = deepest[-1][np.random.default_rng(5).integers(0, len(deepest[-1]), 3000)]
+    assert ball.lookup(batch).tobytes() == b"".join(ball.lookup(row[None]).tobytes()
+                                                    for row in batch)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_a_batch_looks_up_as_its_tableaux_one_at_a_time(data):
+    """_Ball.lookup sorts a batch's keys before searching the ball and puts
+    each answer back in its place: any batch, in any order and with
+    repeats, gives the bytes of its tableaux looked up one at a time."""
+    n = data.draw(st.integers(3, 4))
+    rows = data.draw(st.lists(ball_lookups(n), min_size=1, max_size=16))
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=48))
+    batch, ball = np.array([rows[i] for i in picks]), _ball(n)
+    assert ball.lookup(batch).tobytes() == b"".join(ball.lookup(row[None]).tobytes()
+                                                    for row in batch)
 
 
 def test_shallow_solves_build_only_the_n3_ball():
