@@ -64,16 +64,20 @@ the sign).  Each gate maps a row and its product with S' to the images and
 their product, and acceptance reduces modulo S', so the tableaux whose
 message rows agree modulo S' form a class that gates map to classes and
 that is accepted as a whole.  A class is keyed by S' and then, per message
-row, the smaller of row and row S' (63 bits at n=4).  _ball(n) holds every
+row, the smaller of row and row S' (63 bits at n=4).  That smaller row, sign
+included, is read from one table per size, _canon(n), at (S' << (2n+1)) |
+row for every pair of packed rows: 2^18 uint16 entries (512 KiB) at n=4 and
+2^14 (32 KiB) at n=3, built once when a key is first needed.  At n=5 it
+would take 2^22 entries (8 MiB), so it stops at n=4.  _ball(n) holds every
 class within R = 3 gates of acceptance with its distance, the backward half
 of the meet-in-the-middle search of Amy, Maslov, Mosca and Roetteler
 (arXiv:1206.0758): a breadth-first walk over classes from all 6 n! accepted
 ones (message j on channel perm[j], a signed X, Y or Z residue on the last
 channel of perm, for every channel permutation perm; the gates are
 involutions, so walking back is walking forward).  At n=4 it holds 139,704
-keys at distances 0..3 (144, 1,944, 17,496 and 120,120), 1.3 MiB with a
-table of product signs; at n=3, 5,760 keys in 57 KiB.  Each is built once,
-when a walk first needs it.  The ball measures distance over unrestricted
+keys at distances 0..3 (144, 1,944, 17,496 and 120,120) in 1.2 MiB with
+their bytes below; at n=3, 5,760 keys in 51 KiB.  Each is built once, when
+a walk first needs it.  The ball measures distance over unrestricted
 words, but any word reduces to a canonical one that is no longer (drop
 repeated pairs, sort commuting neighbours), so it is also the fewest gates a
 canonical word needs; distance 0 is exactly acceptance.
@@ -99,15 +103,21 @@ prefix in level k - 1, built once from the follow rule: 9, 57, 351 and
 2,164 words at n=3, and 16, 174 and 1,792 at n=4.  So a level's tableaux
 are one gather from the previous level's through the row tables, and its
 words are read from the table.  The walk looks up the root's class, then
-each level whole, until the first level k that meets the ball (k = 0 for a
-root in the ball); nothing accepted lies outside the ball.  Then L = k + d
-for the least distance d met, and d = R when k > 0: every tableau of level
-k - 1 lies outside the ball, and one gate changes the distance by at most
-one.  L is the minimal length: the words to level k give a decoder of k + d
-gates, and the prefix of the least accepted word that stops R gates short
-of its end is listed and lies in the ball, so the walk meets the ball no
-later than that.  A walk to depth D never expands a level past D - R
-without meeting the ball, and returns None at once when L > D.
+each level in word order, _FIRST_LOOKUP tableaux and then twice as many at
+a time, until the first level k that meets the ball (k = 0 for a root in the
+ball); nothing accepted lies outside the ball.  Then L = k + d for the least
+distance d met, and d = R when k > 0: every tableau of level k - 1 lies
+outside the ball, and one gate changes the distance by at most one, so every
+tableau of level k in the ball is exactly R gates from acceptance.  Hence
+the first one in word order is the first at the least distance, and the walk
+stops at the first lookup of level k that holds one; the rest of the level
+is never looked up.  The levels before k hold no tableau in the ball, so
+each of them is looked up in full.  L is the minimal length: the words to
+level k give a decoder of k + d gates, and the prefix of the least accepted
+word that stops R gates short of its end is listed and lies in the ball, so
+the walk meets the ball no later than that.  A walk to depth D never
+expands a level past D - R without meeting the ball, and returns None at
+once when L > D.
 
 Pruning by h would change none of this, which is why the walk does not
 prune.  A tableau that h drops at level i has d > D - i, and so has every
@@ -125,13 +135,14 @@ gate): at each step it appends the tableau's stored first downhill gate
 and maps the rows through it, then looks up the image, except after the
 last step, whose image is accepted.  Each lookup is of one tableau, so the
 class key is computed from Python ints and bisected in the ball's keys, as
-for the root; the levels before the meeting are looked up whole.  This
-returns the least accepted word W of length L.  Call any word of L gates
-that takes the root to acceptance a shortest word.  A word becomes
-canonical by deleting a gate that follows itself and by swapping adjacent
-commuting gates that are out of order; a shortest word loses no gate that
-way, L being minimal, and each swap makes it lexicographically smaller, so
-W is the least of all shortest words, canonical or not.  Hence:
+for the root, through memoryviews that the ball makes once, when it is
+built.  This returns the least accepted word W of length L.  Call any word
+of L gates that takes the root to acceptance a shortest word.  A word
+becomes canonical by deleting a gate that follows itself and by swapping
+adjacent commuting gates that are out of order; a shortest word loses no
+gate that way, L being minimal, and each swap makes it lexicographically
+smaller, so W is the least of all shortest words, canonical or not.
+Hence:
 
 - The first tableau at distance d on level k is W's prefix of k gates.  The
   level lists the canonical words of k gates in lexicographic order, W's
@@ -213,6 +224,10 @@ _CHUNK_CHILDREN = 1 << 13
 # channel count it is built for (its keys fit a uint64 up to n = 4).
 _BALL_RADIUS = 3
 _BALL_CHANNELS = 4
+
+# Tableaux a ball walk looks up first on a level; each further lookup of the
+# level takes twice as many, until one holds a tableau in the ball.
+_FIRST_LOOKUP = 256
 
 
 @lru_cache(maxsize=None)
@@ -309,15 +324,34 @@ def _row_places(n: int, r: int) -> np.ndarray:
     return np.uint64(1) << np.arange(0, r * (2 * n + 1), 2 * n + 1, dtype=np.uint64)
 
 
-def _class_keys(rows: np.ndarray, n: int, signs: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _canon(n: int) -> np.ndarray:
+    """(2^(4n+2),) uint16, read-only: at (S' << (2n+1)) | row, the smaller
+    of row and the product row S' with its sign (tableau.multiply), for
+    every pair of packed rows; n <= _BALL_CHANNELS (512 KiB at n=4)."""
+    if n > _BALL_CHANNELS:
+        raise UnsupportedSize(f"class keys are tabulated up to {_BALL_CHANNELS} channels, got {n}")
+    half = 1 << (2 * n)  # the rows without a sign
+    row = np.arange(half, dtype=np.uint16)
+    # the product's sign bit depends on neither factor's sign: [row, S']
+    sign = tableau.multiply(row[:, None], row[None, :], n) & np.uint16(half)
+    full = np.arange(2 * half, dtype=np.uint16)
+    table = full[:, None] ^ full[None, :]  # [S', row]: the product up to its sign
+    quarters = table.reshape(2, half, 2, half)  # [S' sign, S', row sign, row]
+    np.bitwise_xor(quarters, sign.T[None, :, None, :], out=quarters)
+    np.minimum(table, full[None, :], out=table)
+    table = table.ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _class_keys(rows: np.ndarray, n: int) -> np.ndarray:
     """(K,) uint64: the class key of each (K, 2n-1) tableau, S' and then
-    the smaller of row and row S' for each message row; `signs` is
-    _Ball.signs."""
-    s, msg = rows[:, :1], rows[:, 1:]
-    bits = (1 << (2 * n)) - 1
-    product = msg ^ s ^ signs[((msg & bits) << (2 * n)) | (s & bits)]
-    keys = _pack(np.minimum(msg, product), n) << np.uint64(2 * n + 1)
-    return keys | s[:, 0].astype(np.uint64)
+    the smaller of row and row S' for each message row, read from _canon."""
+    at = np.ascontiguousarray(rows.T, dtype=np.intp)  # row-major, so each step runs over K
+    at[1:] |= at[0] << (2 * n + 1)
+    # message row i goes to place i of the key, S' to place 0
+    return _row_places(n, 2 * n - 1)[1:] @ _canon(n).take(at[1:]).astype(np.uint64) | rows[:, 0]
 
 
 def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
@@ -328,29 +362,32 @@ def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
     return (rows & np.uint64((1 << bits) - 1)).astype(np.uint16)
 
 
-def _class_key(rows: Sequence[int], n: int, signs: memoryview) -> int:
+def _class_key(rows: Sequence[int], n: int, canon: memoryview) -> int:
     """The class key of one tableau given as ints, as _class_keys computes
-    it; `signs` is a memoryview of _Ball.signs."""
-    s, bits, width = rows[0], (1 << (2 * n)) - 1, 2 * n + 1
-    key, low = s, s & bits
+    it; `canon` is a memoryview of _canon(n)."""
+    s, width = rows[0], 2 * n + 1
+    key, base = s, s << width
     for i, row in enumerate(rows[1:], 1):
-        key |= min(row, row ^ s ^ signs[((row & bits) << (2 * n)) | low]) << (i * width)
+        key |= canon[base | row] << (i * width)
     return key
 
 
-class _Ball(NamedTuple):
+class _Ball:
     """Every tableau class within _BALL_RADIUS gates of acceptance."""
 
-    n: int
-    keys: np.ndarray  # sorted uint64 class keys
-    steps: np.ndarray  # uint8 per key: its distance << 4 | its first downhill gate
-    signs: np.ndarray  # uint16 [(a << 2n) | b] over unsigned rows: the sign bit of a b
+    __slots__ = ("n", "keys", "steps", "_views")
+
+    def __init__(self, n: int, keys: np.ndarray, steps: np.ndarray):
+        self.n = n
+        self.keys = keys  # sorted uint64 class keys
+        self.steps = steps  # uint8 per key: its distance << 4 | its first downhill gate
+        self._views = memoryview(_canon(n)), memoryview(keys), memoryview(steps)
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """(K,) uint8: for each of the (K, 2n-1) tableaux, the fewest gates
         that take it to acceptance << 4 | its first downhill gate, or
         (_BALL_RADIUS + 1) << 4 outside the ball."""
-        keys = _class_keys(rows, self.n, self.signs)
+        keys = _class_keys(rows, self.n)
         order = keys.argsort()  # sorted queries read the ball's keys in order
         keys = keys[order]
         at = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
@@ -362,17 +399,27 @@ class _Ball(NamedTuple):
         """(K,) uint8: the distance nibble of lookup."""
         return self.lookup(rows) >> 4
 
-    def scalar_lookup(self) -> Callable[[Sequence[int]], int]:
+    def scalar_lookup(self, rows: Sequence[int]) -> int:
         """lookup for one tableau given as ints: its key by _class_key,
         found by bisection, with the tables read through memoryviews."""
-        keys, steps, signs = memoryview(self.keys), memoryview(self.steps), memoryview(self.signs)
-        n, size = self.n, len(self.keys)
+        canon, keys, steps = self._views
+        key = _class_key(rows, self.n, canon)
+        at = bisect_left(keys, key)
+        return steps[at] if at < len(keys) and keys[at] == key else (_BALL_RADIUS + 1) << 4
 
-        def lookup(rows: Sequence[int]) -> int:
-            key = _class_key(rows, n, signs)
-            at = bisect_left(keys, key)
-            return steps[at] if at < size and keys[at] == key else (_BALL_RADIUS + 1) << 4
-        return lookup
+    def first_in_ball(self, level: np.ndarray) -> tuple[int, int]:
+        """The index of the first of the (K, 2n-1) tableaux in the ball and
+        its lookup, or (K, (_BALL_RADIUS + 1) << 4) if none is: looked up in
+        order, _FIRST_LOOKUP tableaux and then twice as many each time, up
+        to the first lookup that holds one."""
+        start, size = 0, _FIRST_LOOKUP
+        while start < len(level):
+            steps = self.lookup(level[start:start + size])
+            hit = int((steps >> 4 <= _BALL_RADIUS).argmax())
+            if steps[hit] >> 4 <= _BALL_RADIUS:
+                return start + hit, int(steps[hit])
+            start, size = start + size, 2 * size
+        return len(level), (_BALL_RADIUS + 1) << 4
 
 
 def _unseen(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,28 +435,26 @@ def _ball(n: int) -> _Ball:
     n <= _BALL_CHANNELS: a breadth-first walk over classes from every
     accepted one, each key with the gate that first reached it (see the
     module docstring)."""
-    row = np.arange(1 << (2 * n), dtype=np.uint16)  # the rows without a sign
-    signs = (tableau.multiply(row[:, None], row[None, :], n) & np.uint16(1 << (2 * n))).ravel()
     level = np.array([tableau.input_rows(n, tableau.pauli(n, perm[-1], x, z, sign), perm[:-1])
                       for perm in permutations(range(1, n + 1))
                       for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
-    keys = np.sort(_class_keys(level, n, signs))
+    keys = np.sort(_class_keys(level, n))
     steps = np.zeros(len(keys), dtype=np.uint8)
     for d in range(1, _BALL_RADIUS + 1):
         found = []
         for gate, table in enumerate(tableau.row_tables(n)):  # in alphabet order
             for start in range(0, len(level), _CHUNK_CHILDREN):
                 kids = table[level[start:start + _CHUNK_CHILDREN]]
-                uniq, first = np.unique(_class_keys(kids, n, signs), return_index=True)
+                uniq, first = np.unique(_class_keys(kids, n), return_index=True)
                 at, new = _unseen(keys, uniq)
                 keys = np.insert(keys, at[new], uniq[new])
                 steps = np.insert(steps, at[new], d << 4 | gate)
                 if d < _BALL_RADIUS:  # the last level is never expanded
                     found.append(kids[first[new]])
         level = np.concatenate(found) if found else level[:0]
-    for table in (keys, steps, signs):
+    for table in (keys, steps):
         table.flags.writeable = False
-    return _Ball(n, keys, steps, signs)
+    return _Ball(n, keys, steps)
 
 
 class _Task:
@@ -448,8 +493,12 @@ class _Task:
         return np.maximum(d[rows[:, 0]], worst).astype(np.int16)
 
     def verify(self, ext: Sequence[Gate]) -> bool:
-        """Exact check of one extension word."""
-        return bool(self.accepts(tableau.apply_word(self.root, self.n, ext)[None])[0])
+        """Exact check of one extension word: the root mapped through each
+        gate's row table."""
+        rows, index = self.root, tableau._gate_rows(self.n)
+        for gate in ext:
+            rows = self.tables[index[gate]].take(rows)
+        return bool(self.accepts(rows[None])[0])
 
     # -- breadth-first walks -------------------------------------------------
 
@@ -465,21 +514,20 @@ class _Task:
         the minimal length; then, from the level's first tableau at the
         least distance, the stored first downhill gate at every step.
         max_depth is at most the horizon."""
-        near = ball.scalar_lookup()
         flat, levels = self.tables.reshape(-1), _word_table(self.n)
-        level, word, first, step = self.root[None], [], 0, near(self.root.tolist())
+        level, depth, first = self.root[None], 0, 0
+        step = ball.scalar_lookup(self.root.tolist())
         while step >> 4 > _BALL_RADIUS:
-            depth = len(word) + 1
+            depth += 1
             if depth + _BALL_RADIUS > max_depth:  # its tableaux are R gates or more from acceptance
                 return None
             table = levels[depth - 1]
             level = flat.take(level.take(table.parent, axis=0) + table.at)
-            steps = ball.lookup(level)
-            first = int((steps >> 4).argmin())  # by distance alone, not by the gate
-            step, word = int(steps[first]), table.words[first].tolist()
-        if len(word) + (step >> 4) > max_depth:
+            first, step = ball.first_in_ball(level)  # at distance R, the least
+        if depth + (step >> 4) > max_depth:
             return None
         tables = memoryview(self.tables)
+        word = levels[depth - 1].words[first].tolist() if depth else []
         word = [self.gates[gate] for gate in word]
         rows = level[first].tolist()
         for left in reversed(range(step >> 4)):  # gates left after this one
@@ -487,7 +535,7 @@ class _Task:
             word.append(self.gates[gate])
             rows = [tables[gate, row] for row in rows]
             if left:
-                step = near(rows)
+                step = ball.scalar_lookup(rows)
         return word
 
     def _general_walk(self, max_depth: int) -> Optional[list[Gate]]:
@@ -556,6 +604,13 @@ class _Task:
         return word[::-1]
 
 
+@lru_cache(maxsize=None)
+def _registered_extension(n: int, value: AuxValue) -> tuple[Gate, ...]:
+    """The registered decoder of canonical_case(n, value) after the receiver
+    prefix."""
+    return tuple(canonical_case(n, value).bob_program[len(bob_prefix(n)):])
+
+
 def solve_bob_program(
     channel_count: int,
     aux_channel: int,
@@ -595,8 +650,8 @@ def solve_bob_program(
         return found
 
     if max_gates > horizon and aux_channel == CANONICAL_AUX_CHANNEL.get(n):
-        case = canonical_case(n, aux_value)
-        ext = list(case.bob_program[len(bob_prefix(n)):])
+        ext = list(_registered_extension(n, aux_value))
         if len(ext) <= max_gates and task.verify(ext):
             return ext
     return None
+

@@ -49,8 +49,10 @@ from intraport.qsim import (
 from intraport.search import (
     _BALL_RADIUS,
     _DEPTH_HORIZON,
+    _FIRST_LOOKUP,
     _Task,
     _ball,
+    _canon,
     _class_key,
     _class_keys,
     _distances,
@@ -528,7 +530,7 @@ def test_ball_distance_zero_is_exactly_acceptance(n, sizes):
     assert np.array_equal(np.bincount(dist), sizes)
     assert np.all(ball.keys[1:] > ball.keys[:-1])
     assert np.array_equal(dist == 0, tableau.accepts(_unpack(ball.keys, n), n))
-    accepted = _class_keys(_accepted_tableaux(n), n, ball.signs)
+    accepted = _class_keys(_accepted_tableaux(n), n)
     assert np.array_equal(np.sort(accepted), ball.keys[dist == 0])
 
 
@@ -576,7 +578,7 @@ def test_class_key_ignores_message_rows_times_s(n):
     for j in range(1, 2 * n - 1):
         other = rows.copy()
         other[:, j] = tableau.multiply(rows[:, 0], rows[:, j], n)
-        assert np.array_equal(_class_keys(other, n, ball.signs), ball.keys)
+        assert np.array_equal(_class_keys(other, n), ball.keys)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -634,17 +636,23 @@ def _canonical_words(n, length):
     return np.array(words, dtype=np.intp).reshape(len(words), length)
 
 
+def _images(n, rows, words):
+    """(W, 2n-1): the tableau `rows` mapped through each of the (W, k)
+    words of alphabet indices, in order."""
+    tables = tableau.row_tables(n)
+    images = np.broadcast_to(rows, (len(words), 2 * n - 1))
+    for column in words.T:
+        images = tables[column[:, None], images]
+    return images
+
+
 def _least_decoders(n, rows, most):
     """Per length 0..most, the least canonical word of that length that the
     tableau test accepts from `rows`, or None: every word is applied."""
-    tables, gates = tableau.row_tables(n), gate_alphabet(n)
-    least = []
+    gates, least = gate_alphabet(n), []
     for length in range(most + 1):
         words = _canonical_words(n, length)
-        images = np.broadcast_to(rows, (len(words), len(rows)))
-        for column in words.T:
-            images = tables[column[:, None], images]
-        hit = np.flatnonzero(tableau.accepts(images, n))
+        hit = np.flatnonzero(tableau.accepts(_images(n, rows, words), n))
         least.append([gates[j] for j in words[hit[0]]] if hit.size else None)
     return least
 
@@ -689,11 +697,47 @@ def test_scalar_class_key_and_distance_equal_the_vectorised_ones(data):
     n = data.draw(st.integers(3, 4))
     rows = data.draw(ball_lookups(n))
     ball = _ball(n)
-    key = _class_key(rows.tolist(), n, memoryview(ball.signs))
-    assert key == int(_class_keys(rows[None], n, ball.signs)[0])
+    key = _class_key(rows.tolist(), n, memoryview(_canon(n)))
+    assert key == int(_class_keys(rows[None], n)[0])
     step = int(ball.lookup(rows[None])[0])
-    assert divmod(ball.scalar_lookup()(rows.tolist()), 16) == divmod(step, 16)
+    assert divmod(ball.scalar_lookup(rows.tolist()), 16) == divmod(step, 16)
     assert step >> 4 == int(ball.distance(rows[None])[0])
+
+
+@st.composite
+def signed_tableaux(draw):
+    """(n, rows): a batch of 1 to 8 tableaux at n=3 or n=4 whose rows are
+    any packed Paulis, signs included, commuting with S' or not."""
+    n = draw(st.integers(3, 4))
+    row = st.integers(0, (1 << (2 * n + 1)) - 1)
+    tableaux = st.lists(row, min_size=2 * n - 1, max_size=2 * n - 1)
+    return n, np.array(draw(st.lists(tableaux, min_size=1, max_size=8)), dtype=np.uint16)
+
+
+@given(signed_tableaux())
+def test_class_keys_from_the_table_follow_their_definition(case):
+    """_class_keys and _class_key read each message row's part of the key
+    from _canon; both equal the arithmetic key: S', then for each message
+    row the smaller of row and tableau.multiply(row, S') at its place."""
+    n, rows = case
+    width, canon = 2 * n + 1, memoryview(_canon(n))
+    expected = []
+    for tab in rows.tolist():
+        s, key = tab[0], tab[0]
+        for i, row in enumerate(tab[1:], 1):
+            key |= min(row, int(tableau.multiply(row, s, n))) << (i * width)
+        expected.append(key)
+        assert _class_key(tab, n, canon) == key
+    assert _class_keys(rows, n).tolist() == expected
+
+
+def test_the_class_key_table_stops_at_the_ball_channels():
+    """_canon is read-only, 2^(4n+2) entries (32 KiB at n=3, 512 KiB at
+    n=4), and refuses n=5, where it would take 8 MiB."""
+    for n, size in ((3, 32 << 10), (4, 512 << 10)):
+        assert _canon(n).nbytes == size and not _canon(n).flags.writeable
+    with pytest.raises(UnsupportedSize):
+        _canon(5)
 
 
 @contextlib.contextmanager
@@ -708,6 +752,19 @@ def _recorded_lookups():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search_module._Ball, "lookup", recorded)
         yield calls
+
+
+def _by_level(n, chunks):
+    """The recorded lookups of one ball walk, as one list of chunks per
+    level of _word_table(n): a level takes chunks until they hold all of
+    its tableaux, and the last level may stop short."""
+    levels, sizes = [], (len(level.words) for level in _word_table(n))
+    for chunk in chunks:
+        if not levels or sum(map(len, levels[-1])) == size:
+            levels.append([])
+            size = next(sizes)
+        levels[-1].append(chunk)
+    return levels
 
 
 def _dead_ends(level, last_gates, n):
@@ -726,10 +783,7 @@ def _dead_ends(level, last_gates, n):
         words = _canonical_words(n, least - 1)
         if least > 1:
             words = words[follows[gate + 1][words[:, 0]]]
-        images = np.broadcast_to(kids[gate], (len(words), 2 * n - 1))
-        for column in words.T:
-            images = tables[column[:, None], images]
-        if downhill.any() and not tableau.accepts(images, n).any():
+        if downhill.any() and not tableau.accepts(_images(n, kids[gate], words), n).any():
             dead.append(int(i))
     return dead
 
@@ -749,10 +803,10 @@ def test_the_walk_passes_over_meeting_tableaux_that_dead_end(accepted, scramble,
     n = 4
     task = _Task(n, n, AuxValue.ZERO, None)
     task.root = tableau.apply_word(_accepted_tableaux(n)[accepted], n, scramble)
-    with _recorded_lookups() as levels:
+    with _recorded_lookups() as chunks:
         assert task.search(_DEPTH_HORIZON[n]) == word
-    meeting = _word_table(n)[len(levels) - 1]  # one lookup per level expanded
-    assert _dead_ends(levels[-1], meeting.words[:, -1], n)
+    meeting = _word_table(n)[len(_by_level(n, chunks)) - 1]
+    assert _dead_ends(_images(n, task.root, meeting.words), meeting.words[:, -1], n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search_module, "_BALL_CHANNELS", 0)
         assert task.search(_DEPTH_HORIZON[n]) == word
@@ -779,29 +833,40 @@ def test_word_table_lists_every_canonical_word_in_order(n):
     assert sum(table.nbytes for table in tables) < 128 << 10
 
 
-def test_untargeted_n4_solves_expand_levels_from_the_word_table():
-    """After a warm-up, no untargeted n=4 solve calls _Task._step, and each
-    looks up every level it expands once, whole: the root mapped through
-    each of the level's words.  A shuffled level, with repeats, looks up
-    to the bytes of its tableaux looked up one at a time."""
-    n, tables = 4, tableau.row_tables(4)
+def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
+    """After a warm-up, no untargeted n=4 solve calls _Task._step.  Each
+    looks a level's tableaux up in word order, _FIRST_LOOKUP of them and
+    then twice as many each time: a level's chunks, joined, are a prefix of
+    the root mapped through the level's words.  Levels before the meeting
+    are looked up whole, and the last chunk holds the meeting level's first
+    tableau in the ball, so both 6-gate solves look up fewer than the 1,792
+    tableaux of level 3.  A shuffled level 3, with repeats, looks up to the
+    bytes of its tableaux looked up one at a time."""
+    n, ball = 4, _ball(4)
     solve_bob_program(n, 1, AuxValue.ONE, 10)
     deepest = []
     for aux in range(1, n + 1):
         for value in AuxValue:
-            with pytest.MonkeyPatch.context() as mp, _recorded_lookups() as levels:
+            with pytest.MonkeyPatch.context() as mp, _recorded_lookups() as chunks:
                 mp.setattr(_Task, "_step", lambda *args: pytest.fail("the ball walk stepped"))
-                assert solve_bob_program(n, aux, value, 10) is not None
-            assert len(levels) <= len(_word_table(n))
-            for level, table in zip(levels, _word_table(n)):
-                images = np.broadcast_to(_root(n, aux, value), (len(table.words), 2 * n - 1))
-                for column in table.words.T:
-                    images = tables[column[:, None], images]
-                assert np.array_equal(level, images)
-            deepest = max(deepest, levels, key=len)
-    assert len(deepest) == 3  # the 6-gate decoders meet the ball on the last level
-    ball = _ball(n)
-    batch = deepest[-1][np.random.default_rng(5).integers(0, len(deepest[-1]), 3000)]
+                program = solve_bob_program(n, aux, value, 10)
+            levels = _by_level(n, chunks)
+            for k, (level, table) in enumerate(zip(levels, _word_table(n)), 1):
+                assert [len(chunk) for chunk in level[:-1]] == [
+                    _FIRST_LOOKUP << i for i in range(len(level) - 1)]
+                assert 0 < len(level[-1]) <= _FIRST_LOOKUP << (len(level) - 1)
+                images = _images(n, _root(n, aux, value), table.words)
+                joined = np.concatenate(level)
+                assert np.array_equal(joined, images[:len(joined)])
+                assert len(joined) == len(images) or k == len(levels)
+            if levels:
+                inside = np.flatnonzero(ball.distance(np.concatenate(levels[-1])) <= _BALL_RADIUS)
+                assert inside.size and inside[0] >= sum(map(len, levels[-1][:-1]))
+            if len(program) == 6:
+                assert len(levels) == 3 and sum(map(len, levels[-1])) < 1792
+                deepest = images
+    assert len(deepest) == 1792
+    batch = deepest[np.random.default_rng(5).integers(0, len(deepest), 3000)]
     assert ball.lookup(batch).tobytes() == b"".join(ball.lookup(row[None]).tobytes()
                                                     for row in batch)
 
@@ -823,10 +888,11 @@ def test_a_batch_looks_up_as_its_tableaux_one_at_a_time(data):
 def test_shallow_solves_build_only_the_n3_ball():
     """The benchmark's warm-ups, one n=3 solve and an in-process n=3
     solve-bob, build the n=3 ball that fixes their decoders' lengths (5,760
-    keys, under 64 KiB kept and 512 KiB at the peak of its build), never
-    the n=4 one."""
+    keys and their steps, under 64 KiB kept, with a 32 KiB class-key table;
+    under 512 KiB at the peak of both builds), never the n=4 one."""
     tableau.row_tables(3)  # numpy's first-call allocations, outside the measurement
     _ball.cache_clear()
+    _canon.cache_clear()
     tracemalloc.start()
     try:
         ball = _ball(3)
@@ -834,25 +900,29 @@ def test_shallow_solves_build_only_the_n3_ball():
     finally:
         tracemalloc.stop()
     assert len(ball.keys) == 5760 and peak <= 512 << 10
-    assert ball.keys.nbytes + ball.steps.nbytes + ball.signs.nbytes <= 64 << 10
+    assert ball.keys.nbytes + ball.steps.nbytes <= 64 << 10
+    assert _canon(3).nbytes == 32 << 10
     _ball.cache_clear()
+    _canon.cache_clear()
     assert solve_bob_program(3, 2, AuxValue.PLUS, 10) == [ControlledNot(1, 3), ControlledNot(2, 3)]
     for aux in range(1, 4):
         for value in AuxValue:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["solve-bob", "--channels", "3", "--aux-channel", str(aux),
                                  "--aux-value", value.value]) == 0
-    assert _ball.cache_info().currsize == 1
+    assert _ball.cache_info().currsize == 1 and _canon.cache_info().currsize == 1
     _ball(3)  # a hit: the one ball built is the n=3 one
-    assert _ball.cache_info().currsize == 1
+    _canon(3)
+    assert _ball.cache_info().currsize == 1 and _canon.cache_info().currsize == 1
 
 
 def test_ball_build_memory_is_bounded():
-    """Building the n=4 ball allocates at most 4 MiB at its peak, and it
-    keeps at most 2 MiB (keys, distances and the table of product signs)."""
+    """Building the n=4 ball and its class-key table allocates at most 4 MiB
+    at its peak, and they keep at most 2 MiB (keys, steps and the table)."""
     _ball(3)  # numpy's first-call allocations, outside the measurement
     tableau.row_tables(4)
     _ball.cache_clear()
+    _canon.cache_clear()
     tracemalloc.start()
     try:
         ball = _ball(4)
@@ -860,4 +930,45 @@ def test_ball_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20
-    assert ball.keys.nbytes + ball.steps.nbytes + ball.signs.nbytes <= 2 << 20
+    assert ball.keys.nbytes + ball.steps.nbytes + _canon(4).nbytes <= 2 << 20
+
+
+def test_row_table_verify_agrees_with_apply_word():
+    """_Task.verify maps the root through the row tables.  On every
+    registered decoder at n=3..6 (the relocated cases, the canonical ones
+    among them) and on each of its one-gate-dropped mutants, it agrees with
+    tableau.accepts of tableau.apply_word, without a target and with the
+    case's layout.  Relocated programs do not start with bob_prefix, so each
+    word first undoes it."""
+    verdicts = []
+    for n in range(3, 7):
+        for aux in range(1, n + 1):
+            for value in AuxValue:
+                case = relocated_case(n, aux, value)
+                ext = list(reversed(bob_prefix(n))) + list(case.bob_program)
+                for target in (None, case.expected_layout):
+                    task = _Task(n, aux, value, target)
+                    assert task.verify(ext)
+                    for i in range(len(ext)):
+                        mutant = ext[:i] + ext[i + 1:]
+                        rows = tableau.apply_word(task.root, n, mutant)[None]
+                        verdicts.append(task.verify(mutant))
+                        assert verdicts[-1] == tableau.accepts(rows, n, task.target)[0]
+    assert not all(verdicts)
+
+
+def test_an_n6_fallback_solve_verifies_its_word_once():
+    """Past the n=6 horizon on the canonical channel, each solve checks the
+    registered decoder with exactly one _Task.verify call; nothing is
+    remembered between solves."""
+    calls, verify = [], _Task.verify
+
+    def counted(task, ext):
+        calls.append(list(ext))
+        return verify(task, ext)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Task, "verify", counted)
+        programs = [solve_bob_program(6, 6, AuxValue.PLUS, 10) for _ in range(2)]
+    assert len(programs[0]) == 9 and calls == programs
+    assert programs[0] == list(canonical_case(6, AuxValue.PLUS).bob_program[len(bob_prefix(6)):])
