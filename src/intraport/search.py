@@ -19,8 +19,9 @@ parent-major and gate-minor, which is word order.  The general walk expands
 a level with _Task._step: it keeps the children that a keep rule accepts
 and links each to its parent and gate, so that a word is read back along
 the links.  On the last level it stops at the first kept child.  Levels are
-expanded in chunks of parents.  The ball walk expands every canonical word
-from a table until it meets the ball, then descends one tableau.
+expanded in chunks of parents.  The ball walk looks up the canonical words
+of a table, level after level, until it meets the ball, then appends the
+stored completion of the first tableau it met.
 
 The general walk drops every tableau that cannot decode in the gates it has
 left.
@@ -75,25 +76,30 @@ of the meet-in-the-middle search of Amy, Maslov, Mosca and Roetteler
 ones (message j on channel perm[j], a signed X, Y or Z residue on the last
 channel of perm, for every channel permutation perm; the gates are
 involutions, so walking back is walking forward).  At n=4 it holds 139,704
-keys at distances 0..3 (144, 1,944, 17,496 and 120,120) in 1.2 MiB with
-their bytes below; at n=3, 5,760 keys in 51 KiB.  Each is built once, when
+keys at distances 0..3 (144, 1,944, 17,496 and 120,120) in 1.3 MiB with
+their words below; at n=3, 5,760 keys in 56 KiB.  Each is built once, when
 a walk first needs it.  The ball measures distance over unrestricted
 words, but any word reduces to a canonical one that is no longer (drop
 repeated pairs, sort commuting neighbours), so it is also the fewest gates a
 canonical word needs; distance 0 is exactly acceptance.
 
-Each key at distance d > 0 also holds its first downhill gate: the least
-alphabet gate whose image is one gate closer to acceptance.  One byte per
-key holds both, the distance in the high nibble and the gate in the low one
-(n <= 4 has at most 16 gates).  The gate belongs to the class: a gate maps
-a class to one class, so every tableau of a class has the same downhill
-gates.  The walk expands level d - 1, the classes first reached at d - 1,
-one gate at a time in alphabet order, and each key it reaches first keeps
-that gate.  This is the key's least downhill gate: a gate is an involution
-on classes, so g takes a class at d to d - 1 exactly when g takes some
-class at d - 1 to it, and the gates are tried in order.  A key is inserted
-beside its byte, so the walk ends with both sorted, and the rows of the
-last level, never expanded, are not kept.
+Each key also holds its class's least completion: the least word, in
+alphabet order, of d gates that takes it to acceptance.  It belongs to the
+class: a gate maps a class to one class, so every tableau of a class has the
+same completions.  Its first gate is the least downhill gate g, the least
+alphabet gate whose image is one gate closer to acceptance (every downhill
+gate starts some completion), and the rest is the least completion of g's
+image.  One uint16 per key holds both, the distance in the top nibble and
+below it up to R gate nibbles, first gate lowest (n <= 4 has at most 16
+gates).  The build expands level d - 1, the classes first reached at d - 1,
+one gate at a time in alphabet order, and carries beside each tableau of
+the level its class's completion.  Each key it reaches first from a class p
+by a gate g keeps g | completion(p) << 4.  This is the key's least
+completion: a gate is an involution on classes, so g takes a class at d to
+d - 1 exactly when g takes some class at d - 1 to it, the gates are tried in
+order, and g's image is p.  A key is inserted beside its word, so the walk
+ends with both sorted, and the rows of the last level, never expanded, are
+not kept.
 
 The ball walk (no target, n <= 4) has no acceptance test, no
 deduplication and no pruning by h.  Level k lists every canonical word of
@@ -102,22 +108,25 @@ k gates in lexicographic order.  _word_table(n) holds these words for k =
 prefix in level k - 1, built once from the follow rule: 9, 57, 351 and
 2,164 words at n=3, and 16, 174 and 1,792 at n=4.  So a level's tableaux
 are one gather from the previous level's through the row tables, and its
-words are read from the table.  The walk looks up the root's class, then
-each level in word order, _FIRST_LOOKUP tableaux and then twice as many at
-a time, until the first level k that meets the ball (k = 0 for a root in the
-ball); nothing accepted lies outside the ball.  Then L = k + d for the least
-distance d met, and d = R when k > 0: every tableau of level k - 1 lies
-outside the ball, and one gate changes the distance by at most one, so every
-tableau of level k in the ball is exactly R gates from acceptance.  Hence
-the first one in word order is the first at the least distance, and the walk
-stops at the first lookup of level k that holds one; the rest of the level
-is never looked up.  The levels before k hold no tableau in the ball, so
-each of them is looked up in full.  L is the minimal length: the words to
+words are read from the table.  The walk looks up the root's class and,
+outside the ball, levels 1..D - R as one stream in word order (level 1,
+then level 2, and so on): _FIRST_LOOKUP tableaux and then twice as many at
+a time, a lookup free to cross from one level into the next.  It stops at
+the first lookup that holds a tableau in the ball, and gathers a level only
+as far as its lookups reach; the level before, which that gather reads, has
+been looked up whole by then.  Let k be the level of the first tableau of
+the stream in the ball (k = 0 for a root in the ball).  No level before k
+meets the ball, and nothing accepted lies outside it.  Then L = k + d for
+the least distance d on level k, and d = R when k > 0: every tableau of
+level k - 1 lies outside the ball, and one gate changes the distance by at
+most one, so every tableau of level k in the ball is exactly R gates from
+acceptance.  Hence the first tableau of the stream in the ball is the first
+of level k at the least distance.  L is the minimal length: the words to
 level k give a decoder of k + d gates, and the prefix of the least accepted
 word that stops R gates short of its end is listed and lies in the ball, so
-the walk meets the ball no later than that.  A walk to depth D never
-expands a level past D - R without meeting the ball, and returns None at
-once when L > D.
+the walk meets the ball no later than that.  A walk to depth D never looks
+a level past D - R up without meeting the ball, and returns None at once
+when L > D.
 
 Pruning by h would change none of this, which is why the walk does not
 prune.  A tableau that h drops at level i has d > D - i, and so has every
@@ -129,41 +138,29 @@ in the same order, and the meeting level k, the length L = k + d and the
 first tableau at distance d, with its word, are the same.  Filtering by h
 before the lookup costs more than looking the dropped tableaux up.
 
-Then the walk descends from the first tableau of level k at distance d,
-picked by the distance nibble alone (the whole byte would also order by the
-gate): at each step it appends the tableau's stored first downhill gate
-and maps the rows through it, then looks up the image, except after the
-last step, whose image is accepted.  Each lookup is of one tableau, so the
-class key is computed from Python ints and bisected in the ball's keys, as
-for the root, through memoryviews that the ball makes once, when it is
-built.  This returns the least accepted word W of length L.  Call any word
-of L gates that takes the root to acceptance a shortest word.  A word
-becomes canonical by deleting a gate that follows itself and by swapping
-adjacent commuting gates that are out of order; a shortest word loses no
-gate that way, L being minimal, and each swap makes it lexicographically
-smaller, so W is the least of all shortest words, canonical or not.
-Hence:
+The walk returns that tableau's word followed by the least completion that
+its lookup holds, so it makes no lookup past the stream.  This is the least
+accepted word W of length L.  Call any word of L gates that takes the root
+to acceptance a shortest word.  A word becomes canonical by deleting a gate
+that follows itself and by swapping adjacent commuting gates that are out
+of order; a shortest word loses no gate that way, L being minimal, and each
+swap makes it lexicographically smaller, so W is the least of all shortest
+words, canonical or not.  Hence:
 
 - The first tableau at distance d on level k is W's prefix of k gates.  The
   level lists the canonical words of k gates in lexicographic order, W's
   prefix among them.  A tableau at distance d listed earlier has a shortest
   completion of d gates, and its word with that completion would be a
   shortest word less than W.
-- At each step W's next gate is the stored first downhill gate.  It is
-  downhill, the rest of W being a shortest completion, and an earlier
-  downhill gate g would give a shortest word less than W: the gates so
-  far, g, and a shortest completion of g's image.
+- W's last d gates are the prefix's least completion.  They take it to
+  acceptance, and a lesser completion would give a shortest word less than
+  W.
 
-So the descent never backtracks and always ends at acceptance after d
-steps, with d - 1 lookups, where a level sweep would look up every
-shortest-path child of every level.  It needs no trimming of level k to
-distance d, since it starts at the first such tableau, and no
-canonical-order test, since no downhill gate comes before W's next one.
-Only that test could make a descent backtrack: without it a tableau at
-distance j > 0 always has a downhill gate, its stored one.  A later tableau
-at distance d on level k may have none allowed, or a first one after which
-every shortest completion breaks the canonical order; a depth-first descent
-from it would backtrack and fail, but this descent never starts there.
+So the walk needs no trimming of level k to distance d, since it starts at
+the first such tableau, and no canonical-order test: W is canonical, being
+the least shortest word.  A later tableau at distance d on level k may have
+no canonical completion at all, since every shortest word through it may
+break the canonical order, but the walk never completes it.
 
 Without deduplication a ball walk level holds one tableau per canonical
 word, in word order, and a tableau may repeat.  That changes neither L nor
@@ -191,7 +188,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -225,8 +222,13 @@ _CHUNK_CHILDREN = 1 << 13
 _BALL_RADIUS = 3
 _BALL_CHANNELS = 4
 
-# Tableaux a ball walk looks up first on a level; each further lookup of the
-# level takes twice as many, until one holds a tableau in the ball.
+# A ball key's step: its distance in the top nibble and, below it, the gates
+# of its least completion, first gate lowest (n <= 4 has at most 16 gates).
+_DISTANCE_SHIFT = 4 * _BALL_RADIUS
+_OUTSIDE = (_BALL_RADIUS + 1) << _DISTANCE_SHIFT  # the step of a tableau outside the ball
+
+# Tableaux a ball walk looks up first; each further lookup takes twice as
+# many, until one holds a tableau in the ball.
 _FIRST_LOOKUP = 256
 
 
@@ -380,24 +382,34 @@ class _Ball:
     def __init__(self, n: int, keys: np.ndarray, steps: np.ndarray):
         self.n = n
         self.keys = keys  # sorted uint64 class keys
-        self.steps = steps  # uint8 per key: its distance << 4 | its first downhill gate
+        self.steps = steps  # uint16 per key: its distance and least completion (_DISTANCE_SHIFT)
         self._views = memoryview(_canon(n)), memoryview(keys), memoryview(steps)
 
+    @staticmethod
+    def distance_of(steps):
+        """The distance of each step, an int or an array of them."""
+        return steps >> _DISTANCE_SHIFT
+
+    @staticmethod
+    def completion(step: int) -> list[int]:
+        """The alphabet indices of one in-ball step's least completion, in
+        order: distance_of(step) gates."""
+        return [step >> 4 * i & 0xF for i in range(step >> _DISTANCE_SHIFT)]
+
     def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """(K,) uint8: for each of the (K, 2n-1) tableaux, the fewest gates
-        that take it to acceptance << 4 | its first downhill gate, or
-        (_BALL_RADIUS + 1) << 4 outside the ball."""
+        """(K,) uint16: the step of each of the (K, 2n-1) tableaux's class,
+        or _OUTSIDE outside the ball."""
         keys = _class_keys(rows, self.n)
         order = keys.argsort()  # sorted queries read the ball's keys in order
         keys = keys[order]
         at = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
-        steps = np.empty(len(keys), dtype=np.uint8)
-        steps[order] = np.where(self.keys[at] == keys, self.steps[at], (_BALL_RADIUS + 1) << 4)
+        steps = np.empty(len(keys), dtype=np.uint16)
+        steps[order] = np.where(self.keys[at] == keys, self.steps[at], _OUTSIDE)
         return steps
 
     def distance(self, rows: np.ndarray) -> np.ndarray:
-        """(K,) uint8: the distance nibble of lookup."""
-        return self.lookup(rows) >> 4
+        """(K,) uint16: the distance of each looked-up step."""
+        return self.distance_of(self.lookup(rows))
 
     def scalar_lookup(self, rows: Sequence[int]) -> int:
         """lookup for one tableau given as ints: its key by _class_key,
@@ -405,21 +417,21 @@ class _Ball:
         canon, keys, steps = self._views
         key = _class_key(rows, self.n, canon)
         at = bisect_left(keys, key)
-        return steps[at] if at < len(keys) and keys[at] == key else (_BALL_RADIUS + 1) << 4
+        return steps[at] if at < len(keys) and keys[at] == key else _OUTSIDE
 
-    def first_in_ball(self, level: np.ndarray) -> tuple[int, int]:
-        """The index of the first of the (K, 2n-1) tableaux in the ball and
-        its lookup, or (K, (_BALL_RADIUS + 1) << 4) if none is: looked up in
-        order, _FIRST_LOOKUP tableaux and then twice as many each time, up
-        to the first lookup that holds one."""
-        start, size = 0, _FIRST_LOOKUP
-        while start < len(level):
-            steps = self.lookup(level[start:start + size])
-            hit = int((steps >> 4 <= _BALL_RADIUS).argmax())
-            if steps[hit] >> 4 <= _BALL_RADIUS:
+    def first_in_ball(self, chunks: Iterable[np.ndarray]) -> tuple[int, int]:
+        """The position of the first tableau in the ball among the (K, 2n-1)
+        chunks joined, and its step, or (their length, _OUTSIDE) if none is:
+        each chunk is looked up whole, up to the first that holds one."""
+        start = 0
+        for chunk in chunks:
+            steps = self.lookup(chunk)
+            inside = self.distance_of(steps) <= _BALL_RADIUS
+            hit = int(inside.argmax())
+            if inside[hit]:
                 return start + hit, int(steps[hit])
-            start, size = start + size, 2 * size
-        return len(level), (_BALL_RADIUS + 1) << 4
+            start += len(chunk)
+        return start, _OUTSIDE
 
 
 def _unseen(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,25 +445,30 @@ def _unseen(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _ball(n: int) -> _Ball:
     """The ball of radius _BALL_RADIUS around acceptance (target None), for
     n <= _BALL_CHANNELS: a breadth-first walk over classes from every
-    accepted one, each key with the gate that first reached it (see the
-    module docstring)."""
+    accepted one, each key with the gate that first reached it followed by
+    the completion of the class it was reached from (see the module
+    docstring)."""
     level = np.array([tableau.input_rows(n, tableau.pauli(n, perm[-1], x, z, sign), perm[:-1])
                       for perm in permutations(range(1, n + 1))
                       for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
     keys = np.sort(_class_keys(level, n))
-    steps = np.zeros(len(keys), dtype=np.uint8)
+    steps = np.zeros(len(keys), dtype=np.uint16)
+    completions = np.zeros(len(level), dtype=np.uint16)  # the least completion of each level tableau
     for d in range(1, _BALL_RADIUS + 1):
-        found = []
+        found, found_completions = [], []
         for gate, table in enumerate(tableau.row_tables(n)):  # in alphabet order
             for start in range(0, len(level), _CHUNK_CHILDREN):
                 kids = table[level[start:start + _CHUNK_CHILDREN]]
                 uniq, first = np.unique(_class_keys(kids, n), return_index=True)
                 at, new = _unseen(keys, uniq)
+                completion = completions[start:start + _CHUNK_CHILDREN][first[new]] << 4 | gate
                 keys = np.insert(keys, at[new], uniq[new])
-                steps = np.insert(steps, at[new], d << 4 | gate)
+                steps = np.insert(steps, at[new], completion | d << _DISTANCE_SHIFT)
                 if d < _BALL_RADIUS:  # the last level is never expanded
                     found.append(kids[first[new]])
+                    found_completions.append(completion)
         level = np.concatenate(found) if found else level[:0]
+        completions = np.concatenate(found_completions) if found else completions[:0]
     for table in (keys, steps):
         table.flags.writeable = False
     return _Ball(n, keys, steps)
@@ -510,33 +527,50 @@ class _Task:
         return self._general_walk(max_depth)
 
     def _ball_walk(self, ball: _Ball, max_depth: int) -> Optional[list[Gate]]:
-        """The levels of _word_table until one meets the ball, which fixes
-        the minimal length; then, from the level's first tableau at the
-        least distance, the stored first downhill gate at every step.
-        max_depth is at most the horizon."""
-        flat, levels = self.tables.reshape(-1), _word_table(self.n)
-        level, depth, first = self.root[None], 0, 0
-        step = ball.scalar_lookup(self.root.tolist())
-        while step >> 4 > _BALL_RADIUS:
-            depth += 1
-            if depth + _BALL_RADIUS > max_depth:  # its tableaux are R gates or more from acceptance
+        """The first tableau in the ball of the levels of _word_table, looked
+        up as one stream, which fixes the minimal length; then its word and
+        its class's stored least completion.  max_depth is at most the
+        horizon."""
+        step, word = ball.scalar_lookup(self.root.tolist()), []
+        if ball.distance_of(step) > _BALL_RADIUS:
+            # a first meeting past level max_depth - R would take more than max_depth gates
+            levels = _word_table(self.n)[:max(0, max_depth - _BALL_RADIUS)]
+            at, step = ball.first_in_ball(self._stream(levels))
+            for level in levels:
+                if at < len(level.words):
+                    word = level.words[at].tolist()
+                    break
+                at -= len(level.words)
+            else:
                 return None
-            table = levels[depth - 1]
-            level = flat.take(level.take(table.parent, axis=0) + table.at)
-            first, step = ball.first_in_ball(level)  # at distance R, the least
-        if depth + (step >> 4) > max_depth:
+        if len(word) + ball.distance_of(step) > max_depth:
             return None
-        tables = memoryview(self.tables)
-        word = levels[depth - 1].words[first].tolist() if depth else []
-        word = [self.gates[gate] for gate in word]
-        rows = level[first].tolist()
-        for left in reversed(range(step >> 4)):  # gates left after this one
-            gate = step & 0xF
-            word.append(self.gates[gate])
-            rows = [tables[gate, row] for row in rows]
-            if left:
-                step = ball.scalar_lookup(rows)
-        return word
+        return [self.gates[gate] for gate in word + ball.completion(step)]
+
+    def _stream(self, levels: Sequence[_Level]) -> Iterator[np.ndarray]:
+        """The root mapped through every word of `levels`, joined in word
+        order, in chunks of _FIRST_LOOKUP tableaux and then twice as many
+        each time; a chunk may cross from one level into the next.  A level
+        is gathered from the whole previous one only as far as the chunks
+        taken so far reach."""
+        flat, size = self.tables.reshape(-1), _FIRST_LOOKUP
+        above, chunk, need = self.root[None], [], size
+        for level in levels:
+            gathered, start = [], 0
+            while start < len(level.parent):
+                stop = min(start + need, len(level.parent))
+                gathered.append(flat.take(above.take(level.parent[start:stop], axis=0)
+                                          + level.at[start:stop]))
+                chunk.append(gathered[-1])
+                need -= stop - start
+                start = stop
+                if not need:
+                    yield np.concatenate(chunk)
+                    size *= 2
+                    chunk, need = [], size
+            above = np.concatenate(gathered)
+        if chunk:
+            yield np.concatenate(chunk)
 
     def _general_walk(self, max_depth: int) -> Optional[list[Gate]]:
         """Levels kept by h and deduplicated against every earlier one, the
@@ -607,8 +641,12 @@ class _Task:
 @lru_cache(maxsize=None)
 def _registered_extension(n: int, value: AuxValue) -> tuple[Gate, ...]:
     """The registered decoder of canonical_case(n, value) after the receiver
-    prefix."""
-    return tuple(canonical_case(n, value).bob_program[len(bob_prefix(n)):])
+    prefix: the program without the prefix where it starts with it, else
+    the prefix undone (its gates are involutions) and then the program."""
+    program, prefix = canonical_case(n, value).bob_program, tuple(bob_prefix(n))
+    if program[:len(prefix)] == prefix:
+        return program[len(prefix):]
+    return prefix[::-1] + program
 
 
 def solve_bob_program(

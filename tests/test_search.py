@@ -19,6 +19,7 @@ from intraport import search as search_module
 from intraport.circuit import Circuit, parse_circuit
 from intraport.errors import ChannelOutOfRange, InvalidInput, UnsupportedSize
 from intraport.protocol import (
+    CANONICAL_AUX_CHANNEL,
     SCENARIO_FIGURES,
     AuxValue,
     MessageOut,
@@ -58,6 +59,7 @@ from intraport.search import (
     _distances,
     _follows,
     _pack,
+    _registered_extension,
     _root,
     _unpack,
     _word_table,
@@ -526,7 +528,7 @@ def test_ball_distance_zero_is_exactly_acceptance(n, sizes):
     """A key is at distance 0 iff tableau.accepts accepts its tableau, and
     the accepted classes are the 6 n! of every channel arrangement."""
     ball = _ball(n)
-    dist = ball.steps >> 4
+    dist = ball.distance_of(ball.steps)
     assert np.array_equal(np.bincount(dist), sizes)
     assert np.all(ball.keys[1:] > ball.keys[:-1])
     assert np.array_equal(dist == 0, tableau.accepts(_unpack(ball.keys, n), n))
@@ -542,7 +544,7 @@ def test_ball_distances_are_exact(n):
     gives at most the true distance and completeness, the second at least
     it, as for the per-row distances."""
     ball = _ball(n)
-    rows, d = _unpack(ball.keys, n), (ball.steps >> 4).astype(int)
+    rows, d = _unpack(ball.keys, n), ball.distance_of(ball.steps).astype(int)
     best = np.full(len(d), _BALL_RADIUS + 1)
     for table in tableau.row_tables(n):
         image = ball.distance(table[rows]).astype(int)
@@ -553,20 +555,30 @@ def test_ball_distances_are_exact(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_ball_stores_each_keys_first_downhill_gate(n):
-    """At distance d > 0 a key's gate is the least alphabet gate whose image
-    _Ball.distance puts at d - 1, and following the stored gates from the
-    key's tableau reaches one that tableau.accepts accepts in exactly d
-    steps."""
+    """Every key stores a least completion of exactly d gates.  At d > 0 it
+    starts with the least alphabet gate whose image _Ball.distance puts at
+    d - 1 and continues with the completion stored for that image's key,
+    and following it from the key's tableau reaches one that
+    tableau.accepts accepts in exactly d steps."""
     ball, tables = _ball(n), tableau.row_tables(n)
-    rows, d = _unpack(ball.keys, n), (ball.steps >> 4).astype(int)
+    rows, d = _unpack(ball.keys, n), ball.distance_of(ball.steps).astype(int)
+    completions = [ball.completion(step) for step in ball.steps.tolist()]
+    assert [len(word) for word in completions] == d.tolist()
     first = np.full(len(d), -1)
     for gate in reversed(range(len(tables))):
         first[ball.distance(tables[gate][rows]) == d - 1] = gate
-    assert np.array_equal(first[d > 0], (ball.steps & 0xF)[d > 0])
-    for step in range(_BALL_RADIUS + 1):
+    gates = np.array([word + [-1] * (_BALL_RADIUS - len(word)) for word in completions])
+    assert np.array_equal(first[d > 0], gates[d > 0, 0])
+    down = np.flatnonzero(d > 0)
+    image = tables[first[down][:, None], rows[down]]
+    at = ball.keys.searchsorted(_class_keys(image, n))
+    assert np.array_equal(ball.keys[at], _class_keys(image, n))
+    assert all(completions[i][1:] == completions[j] for i, j in zip(down, at))
+    for step, column in enumerate(gates.T):
         assert np.array_equal(tableau.accepts(rows, n), d <= step)
         live = d > step
-        rows[live] = tables[(ball.lookup(rows[live]) & 0xF)[:, None], rows[live]]
+        rows[live] = tables[column[live][:, None], rows[live]]
+    assert np.all(tableau.accepts(rows, n))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -590,7 +602,7 @@ def test_ball_distances_are_kept_by_every_channel_swap(n):
     rows = _unpack(ball.keys, n)
     for a, b in combinations(range(1, n + 1), 2):
         swapped = tableau.apply_word(rows, n, swap_circuit(a, b))
-        assert np.array_equal(ball.lookup(swapped) >> 4, ball.steps >> 4)
+        assert np.array_equal(ball.distance(swapped), ball.distance_of(ball.steps))
 
 
 @st.composite
@@ -692,16 +704,16 @@ def ball_lookups(draw, n):
 @given(st.data())
 def test_scalar_class_key_and_distance_equal_the_vectorised_ones(data):
     """The walk's one-tableau lookup, a key built from Python ints and found
-    by bisection, agrees with _class_keys, and with _Ball.lookup in both
-    the distance and the gate; its distance is _Ball.distance."""
+    by bisection, agrees with _class_keys, and with _Ball.lookup in the
+    whole step, distance and completion; its distance is _Ball.distance."""
     n = data.draw(st.integers(3, 4))
     rows = data.draw(ball_lookups(n))
     ball = _ball(n)
     key = _class_key(rows.tolist(), n, memoryview(_canon(n)))
     assert key == int(_class_keys(rows[None], n)[0])
     step = int(ball.lookup(rows[None])[0])
-    assert divmod(ball.scalar_lookup(rows.tolist()), 16) == divmod(step, 16)
-    assert step >> 4 == int(ball.distance(rows[None])[0])
+    assert ball.scalar_lookup(rows.tolist()) == step
+    assert ball.distance_of(step) == int(ball.distance(rows[None])[0])
 
 
 @st.composite
@@ -741,30 +753,48 @@ def test_the_class_key_table_stops_at_the_ball_channels():
 
 
 @contextlib.contextmanager
-def _recorded_lookups():
-    """A list that gains the rows of every _Ball.lookup call made inside."""
-    calls, lookup = [], search_module._Ball.lookup
+def _recorded_lookups(name="lookup"):
+    """A list that gains the rows of every call of the _Ball method `name`
+    made inside."""
+    calls, lookup = [], getattr(search_module._Ball, name)
 
     def recorded(ball, rows):
         calls.append(rows.copy())
         return lookup(ball, rows)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search_module._Ball, "lookup", recorded)
+        mp.setattr(search_module._Ball, name, recorded)
         yield calls
 
 
-def _by_level(n, chunks):
-    """The recorded lookups of one ball walk, as one list of chunks per
-    level of _word_table(n): a level takes chunks until they hold all of
-    its tableaux, and the last level may stop short."""
-    levels, sizes = [], (len(level.words) for level in _word_table(n))
-    for chunk in chunks:
-        if not levels or sum(map(len, levels[-1])) == size:
-            levels.append([])
-            size = next(sizes)
-        levels[-1].append(chunk)
-    return levels
+@contextlib.contextmanager
+def _recorded_gathers(task):
+    """A list that gains the number of tableaux of every gather from the
+    task's row tables made inside."""
+    gathers = []
+
+    class Recording(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            gathers.append(len(indices))
+            return np.asarray(self).take(indices, *args, **kwargs)
+
+    tables, task.tables = task.tables, task.tables.view(Recording)
+    try:
+        yield gathers
+    finally:
+        task.tables = tables
+
+
+def _stream_hit(n, chunks):
+    """(k, i, at): the level, the index in it and the stream position of the
+    first tableau in the ball among one ball walk's looked-up chunks."""
+    at = int(np.argmax(_ball(n).distance(np.concatenate(chunks)) <= _BALL_RADIUS))
+    i = at
+    for k, level in enumerate(_word_table(n), 1):
+        if i < len(level.words):
+            return k, i, at
+        i -= len(level.words)
+    raise AssertionError("the stream holds no tableau in the ball")
 
 
 def _dead_ends(level, last_gates, n):
@@ -798,14 +828,14 @@ def test_the_walk_passes_over_meeting_tableaux_that_dead_end(accepted, scramble,
     """From these scrambled n=4 roots the level that meets the ball holds a
     later tableau at the least distance whose first downhill child has no
     canonical completion, where a depth-first descent would backtrack.  The
-    walk descends from the first one only and returns the word of the walk
+    walk completes the first one only and returns the word of the walk
     without the ball."""
     n = 4
     task = _Task(n, n, AuxValue.ZERO, None)
     task.root = tableau.apply_word(_accepted_tableaux(n)[accepted], n, scramble)
     with _recorded_lookups() as chunks:
         assert task.search(_DEPTH_HORIZON[n]) == word
-    meeting = _word_table(n)[len(_by_level(n, chunks)) - 1]
+    meeting = _word_table(n)[_stream_hit(n, chunks)[0] - 1]
     assert _dead_ends(_images(n, task.root, meeting.words), meeting.words[:, -1], n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search_module, "_BALL_CHANNELS", 0)
@@ -834,38 +864,44 @@ def test_word_table_lists_every_canonical_word_in_order(n):
 
 
 def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
-    """After a warm-up, no untargeted n=4 solve calls _Task._step.  Each
-    looks a level's tableaux up in word order, _FIRST_LOOKUP of them and
-    then twice as many each time: a level's chunks, joined, are a prefix of
-    the root mapped through the level's words.  Levels before the meeting
-    are looked up whole, and the last chunk holds the meeting level's first
-    tableau in the ball, so both 6-gate solves look up fewer than the 1,792
-    tableaux of level 3.  A shuffled level 3, with repeats, looks up to the
-    bytes of its tableaux looked up one at a time."""
-    n, ball = 4, _ball(4)
+    """After a warm-up, no untargeted n=4 solve calls _Task._step, and each
+    makes one scalar lookup, the root's.  Outside the ball it looks levels
+    1, 2, ... of the word table up as one stream, _FIRST_LOOKUP tableaux and
+    then twice as many each time, a chunk free to cross from one level into
+    the next: the chunks, joined, are a prefix of the root mapped through
+    every level's words, joined in word order.  The last chunk holds the
+    stream's first tableau in the ball, on level L - R, and the walk gathers
+    only the tableaux it looks up, so both 6-gate solves gather and look up
+    fewer than the 1,792 tableaux of level 3.  A shuffled level 3, with
+    repeats, looks up to the bytes of its tableaux looked up one at a
+    time."""
+    n, ball, levels = 4, _ball(4), _word_table(4)
     solve_bob_program(n, 1, AuxValue.ONE, 10)
-    deepest = []
+    deep = []
     for aux in range(1, n + 1):
         for value in AuxValue:
-            with pytest.MonkeyPatch.context() as mp, _recorded_lookups() as chunks:
+            task = _Task(n, aux, value, None)
+            with pytest.MonkeyPatch.context() as mp, _recorded_lookups() as chunks, \
+                    _recorded_lookups("scalar_lookup") as scalars, _recorded_gathers(task) as gathers:
                 mp.setattr(_Task, "_step", lambda *args: pytest.fail("the ball walk stepped"))
-                program = solve_bob_program(n, aux, value, 10)
-            levels = _by_level(n, chunks)
-            for k, (level, table) in enumerate(zip(levels, _word_table(n)), 1):
-                assert [len(chunk) for chunk in level[:-1]] == [
-                    _FIRST_LOOKUP << i for i in range(len(level) - 1)]
-                assert 0 < len(level[-1]) <= _FIRST_LOOKUP << (len(level) - 1)
-                images = _images(n, _root(n, aux, value), table.words)
-                joined = np.concatenate(level)
-                assert np.array_equal(joined, images[:len(joined)])
-                assert len(joined) == len(images) or k == len(levels)
-            if levels:
-                inside = np.flatnonzero(ball.distance(np.concatenate(levels[-1])) <= _BALL_RADIUS)
-                assert inside.size and inside[0] >= sum(map(len, levels[-1][:-1]))
+                program = task.search(_DEPTH_HORIZON[n])
+            assert program == solve_bob_program(n, aux, value, 10)
+            assert scalars == [_root(n, aux, value).tolist()]
+            stream = np.concatenate([_images(n, task.root, level.words) for level in levels])
+            joined = np.concatenate(chunks) if chunks else stream[:0]
+            assert np.array_equal(joined, stream[:len(joined)])
+            sizes = [_FIRST_LOOKUP << i for i in range(len(chunks))]
+            assert [len(chunk) for chunk in chunks[:-1]] == sizes[:-1]
+            assert sum(gathers) == len(joined)
+            if chunks:
+                assert len(chunks[-1]) == min(sizes[-1], len(stream) - sum(sizes[:-1]))
+                k, _, at = _stream_hit(n, chunks)
+                assert at >= len(joined) - len(chunks[-1]) and k == len(program) - _BALL_RADIUS
             if len(program) == 6:
-                assert len(levels) == 3 and sum(map(len, levels[-1])) < 1792
-                deepest = images
-    assert len(deepest) == 1792
+                assert k == 3 and len(joined) < 1792
+                deep.append(program)
+    assert len(deep) == 2
+    deepest = _images(n, _root(n, 1, AuxValue.ONE), levels[2].words)
     batch = deepest[np.random.default_rng(5).integers(0, len(deepest), 3000)]
     assert ball.lookup(batch).tobytes() == b"".join(ball.lookup(row[None]).tobytes()
                                                     for row in batch)
@@ -874,9 +910,11 @@ def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
 @settings(max_examples=60)
 @given(st.data())
 def test_a_batch_looks_up_as_its_tableaux_one_at_a_time(data):
-    """_Ball.lookup sorts a batch's keys before searching the ball and puts
-    each answer back in its place: any batch, in any order and with
-    repeats, gives the bytes of its tableaux looked up one at a time."""
+    """_Ball.lookup sorts a batch's keys before searching the ball (at
+    256-1,024 keys, the chunks a walk looks up, it pays only when the
+    ball's keys are out of cache) and puts each answer back in its place:
+    any batch, in any order and with repeats, gives the bytes of its
+    tableaux looked up one at a time."""
     n = data.draw(st.integers(3, 4))
     rows = data.draw(st.lists(ball_lookups(n), min_size=1, max_size=16))
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=48))
@@ -972,3 +1010,20 @@ def test_an_n6_fallback_solve_verifies_its_word_once():
         programs = [solve_bob_program(6, 6, AuxValue.PLUS, 10) for _ in range(2)]
     assert len(programs[0]) == 9 and calls == programs
     assert programs[0] == list(canonical_case(6, AuxValue.PLUS).bob_program[len(bob_prefix(6)):])
+
+
+def test_every_fallback_word_verifies():
+    """The fallback word on the canonical channel decodes for every n=3..6
+    and value: it is the registered program after the receiver prefix where
+    the program starts with it, and otherwise (n=4, whose programs undo no
+    prefix) the prefix undone and then the program."""
+    for n in range(3, 7):
+        prefix = bob_prefix(n)
+        for value in AuxValue:
+            program, ext = canonical_case(n, value).bob_program, _registered_extension(n, value)
+            assert _Task(n, CANONICAL_AUX_CHANNEL[n], value, None).verify(list(ext))
+            if n == 4:
+                assert list(program[:len(prefix)]) != prefix
+                assert list(ext) == prefix[::-1] + list(program)
+            else:
+                assert ext == program[len(prefix):]
