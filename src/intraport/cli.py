@@ -9,6 +9,7 @@ variable overrides the default conformance tolerance of 1e-10.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -400,7 +401,8 @@ def _cmd_swap(args) -> int:
         return _error(f"--channels must lie in 2..{MAX_CHANNELS}")
     not_permutation = f"--to must be a permutation of 1..{n}"
     try:
-        targets = [int(x) for x in args.to.split(",")] if args.to else list(range(2, n + 1)) + [1]
+        targets = ([int(x) for x in args.to.split(",")] if args.to is not None
+                   else list(range(2, n + 1)) + [1])
     except ValueError:
         return _error(not_permutation)
     if sorted(targets) != list(range(1, n + 1)):
@@ -498,17 +500,7 @@ def _cmd_eavesdrop(args) -> int:
         strategy = EveStrategy.fixed_guess(args.fixed_channel, value, args.strategy_seed)
     mode = DetectionMode(args.mode)
     stats = run_experiment(args.channels, args.trials, strategy, args.seed, mode)
-    _emit({
-        "channel_count": stats.channel_count,
-        "trials": stats.trials,
-        "mode": stats.mode,
-        "strategy": stats.strategy,
-        "eve_success_rate": stats.eve_success_rate,
-        "detection_rate": stats.detection_rate,
-        "analytic_success_rate": stats.analytic_success_rate,
-        "ci95_halfwidth": stats.ci95_halfwidth,
-        "base_seed": stats.base_seed,
-    })
+    _emit(dataclasses.asdict(stats))
     successes = round(stats.eve_success_rate * stats.trials)
     return 0 if _binomial_consistent(successes, stats.trials, stats.analytic_success_rate) else 1
 

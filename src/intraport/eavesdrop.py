@@ -103,7 +103,7 @@ from .protocol import (
     relocated_case,
     stabilizer_row,
 )
-from .qsim import Hadamard
+from .qsim import Hadamard, bloch_rows
 # perfbench/tracer.py traces these names here, though no trial calls them.
 from .qsim import _apply_gates, channel_fidelity, make_state, random_qubit  # noqa: F401
 
@@ -216,22 +216,6 @@ def _guessed(guess_code: int) -> tuple[int, AuxValue]:
     return channel + 1, _AUX_CYCLE[value_code]
 
 
-def _bloch(qubits: np.ndarray) -> np.ndarray:
-    """(..., 8) Bloch rows of (..., 2) qubit coefficients: (1, <X>, <Z>,
-    <Y>) and their negatives.  A Pauli with bits (x, z) has expectation
-    row[x + 2z] (x = z = 1 is Y, as in tableau), and its negative
-    row[4 + x + 2z]."""
-    a, b = qubits[..., 0], qubits[..., 1]
-    cross = 2 * np.conj(a) * b
-    out = np.empty(qubits.shape[:-1] + (8,))
-    out[..., 0] = 1
-    out[..., 1] = cross.real
-    out[..., 2] = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
-    out[..., 3] = cross.imag
-    out[..., 4:] = -out[..., :4]
-    return out
-
-
 def _channel_paulis(n: int, channels) -> np.ndarray:
     """(k, 3) packed rows: X, Z and Y on each of the k channels."""
     bits = 1 << (np.array(channels)[:, None] - 1)
@@ -242,10 +226,10 @@ class _Checks:
     """What a trial of each group code on one auxiliary channel checks,
     each code filled on first use.
 
-    A trial's Bloch table has one _bloch row per qubit: its m messages, then
-    the auxiliary value's qubit (row m) and the residue's (row m + 1).  A
-    channel's fidelity with the qubit it is compared with, q, is
-    (1 + sum over P in (X, Z, Y) of <P>_q s_P prod_c <P_c>) / 2, where
+    A trial's Bloch table has one qsim.bloch_rows row per qubit: its m
+    messages, then the auxiliary value's qubit (row m) and the residue's
+    (row m + 1).  A channel's fidelity with the qubit it is compared with,
+    q, is (1 + sum over P in (X, Z, Y) of <P>_q s_P prod_c <P_c>) / 2, where
     s_P P_1 ... P_n is P on the channel pulled back to the sender's input,
     and <P_c> is taken on input channel c's qubit.  So a code holds, for
     each checked channel and each P, the indices of those n + 1 factors in
@@ -265,8 +249,8 @@ class _Checks:
         self.encoder = tableau.pull_back(n, alice_encoder(n))
         # every value's input layout has the same columns, the auxiliary's m
         self.inputs = 8 * np.array(ins[0].columns)
-        self.known = _bloch(np.array([(i.residue.as_array(), o.residue.as_array())
-                                      for i, o in zip(ins, outs)]))
+        self.known = bloch_rows(np.array([(i.residue.as_array(), o.residue.as_array())
+                                          for i, o in zip(ins, outs)]))
         columns = np.array([out.columns for out in outs])
         self.outputs = columns + (columns == m)  # the residue's row is m + 1 here
         self.residue = np.array([out.residue_channel - 1 for out in outs])
@@ -715,7 +699,7 @@ def _run_trials(
     checks = _checks(n, aux_channel)
     checks.fill(codes)
     bloch = np.empty((count, m + 2, 8))
-    bloch[:, :m] = _bloch(_messages(normals))
+    bloch[:, :m] = bloch_rows(_messages(normals))
     bloch[:, m:] = checks.known[value_codes]
 
     eve_success = np.zeros(count, dtype=bool)

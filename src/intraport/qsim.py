@@ -13,6 +13,11 @@ The kernels _apply_h, _apply_cn and _apply_gates apply gates one at a time
 to a state or a batch of states.  A word applied to many states need not
 come here: every circuit is Clifford, and tableau maps Paulis through it.
 
+column_states is the package's one product-state builder, for one state
+(make_state) or a batch (protocol.layout_states).  bloch_rows is the one
+rule for a known qubit's <X>, <Z> and <Y>, which protocol.stabilizer_row and
+the Monte-Carlo trials read.
+
 Everything here is a pure function over immutable values; no operation
 mutates its arguments.
 """
@@ -123,6 +128,22 @@ class SingleQubit:
         return SingleQubit(complex(vec[0]), complex(vec[1]))
 
 
+def bloch_rows(qubits: np.ndarray) -> np.ndarray:
+    """(..., 8) Bloch rows of (..., 2) qubit coefficients: (1, <X>, <Z>,
+    <Y>) and their negatives.  A Pauli with bits (x, z) has expectation
+    row[x + 2z] (x = z = 1 is Y, as in tableau), and its negative
+    row[4 + x + 2z]."""
+    a, b = qubits[..., 0], qubits[..., 1]
+    cross = 2 * np.conj(a) * b
+    out = np.empty(qubits.shape[:-1] + (8,))
+    out[..., 0] = 1
+    out[..., 1] = cross.real
+    out[..., 2] = a.real**2 + a.imag**2 - b.real**2 - b.imag**2
+    out[..., 3] = cross.imag
+    out[..., 4:] = -out[..., :4]
+    return out
+
+
 QUBIT_ZERO = SingleQubit(1.0, 0.0)
 QUBIT_ONE = SingleQubit(0.0, 1.0)
 QUBIT_PLUS = SingleQubit(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -230,14 +251,22 @@ def _apply_gates(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
 # Public operations
 
 
+def column_states(columns: Sequence[int], qubits: np.ndarray) -> np.ndarray:
+    """(T, 2^n) product states, one per row of the (T, k, 2) batch `qubits`:
+    channel c carries the row's qubit columns[c - 1]."""
+    count, out = len(qubits), qubits[:, columns[0]]
+    for col in columns[1:]:
+        out = (out[:, :, None] * qubits[:, col, None, :]).reshape(count, -1)
+    return out
+
+
 def make_state(factors: Sequence[SingleQubit]) -> PureState:
-    """Tensor product with channel k taken from the k-th factor."""
+    """Tensor product with channel k taken from the k-th factor: the one-row
+    case of column_states."""
     if not factors:
         raise InvalidInput("make_state requires at least one factor")
-    amps = factors[0].as_array()
-    for q in factors[1:]:
-        amps = (amps[:, None] * q.as_array()[None, :]).reshape(-1)
-    return PureState(len(factors), amps)
+    qubits = np.array([[q.as_array() for q in factors]])
+    return PureState(len(factors), column_states(range(len(factors)), qubits)[0])
 
 
 def apply_gate(state: PureState, gate: Gate) -> PureState:

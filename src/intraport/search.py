@@ -16,12 +16,12 @@ all 2^(2n+1) packed rows (tableau.row_tables).
 
 The search is breadth-first, and a level lists its parents' children
 parent-major and gate-minor, which is word order.  The general walk expands
-a level with _Task._step: it keeps the children that a keep rule accepts
-and links each to its parent and gate, so that a word is read back along
-the links.  On the last level it stops at the first kept child.  Levels are
-expanded in chunks of parents.  The ball walk looks up the canonical words
-of a table, level after level, until it meets the ball, then appends the
-stored completion of the first tableau it met.
+a level with _Task._step: it keeps the children that a keep rule accepts,
+each with its word (its parent's word, then its gate), so an accepted
+tableau's word is read off its level.  On the last level it stops at the
+first kept child.  Levels are expanded in chunks of parents.  The ball walk
+looks up the canonical words of a table, level after level, until it meets
+the ball, then appends the stored completion of the first tableau it met.
 
 The general walk drops every tableau that cannot decode in the gates it has
 left.
@@ -49,14 +49,15 @@ meets the bound, so the first accepted child is unchanged.
 The general walk (with an explicit target, and at n >= 5) keeps a child
 only if h allows it and no shorter word and no earlier word of the same
 length reached the same rows, checked against a sorted array of the keys of
-every tableau kept so far.  Every prefix of the least accepted word is the
-first word to reach its rows, so the first accepted tableau of the first
-level that has one is the least canonical word of minimal length, the word
-a depth-first walk in canonical order finds.  Acceptance is tested once per
-level, after the step: an accepted tableau has h = 0, so no keep rule drops
-it, and the first accepted tableau of the kept level is the one a test of
-each chunk's kept children would find first.  On the last level the keep
-rule is acceptance itself.
+every tableau kept so far (a key is the tableau's raw bytes, at every n).
+Every prefix of the least accepted word is the first word to reach its
+rows, so the first accepted tableau of the first level that has one is the
+least canonical word of minimal length, the word a depth-first walk in
+canonical order finds.  Acceptance is tested once per level, after the
+step: an accepted tableau has h = 0, so no keep rule drops it, and the
+first accepted tableau of the kept level is the one a test of each chunk's
+kept children would find first.  On the last level the keep rule is
+acceptance itself.
 
 An untargeted walk at n <= 4 first fixes the minimal length L, from the
 exact distance to acceptance.  An accepted tableau is fixed only modulo S':
@@ -313,12 +314,6 @@ def _root(n: int, aux_channel: int, value: AuxValue) -> np.ndarray:
     return rows
 
 
-def _pack(rows: np.ndarray, n: int) -> np.ndarray:
-    """One uint64 per row of a (K, r) array of packed rows, side by side,
-    first row lowest; r(2n+1) <= 64."""
-    return rows.astype(np.uint64) @ _row_places(n, rows.shape[1])
-
-
 @lru_cache(maxsize=None)
 def _row_places(n: int, r: int) -> np.ndarray:
     """(r,) uint64: 2^(i(2n+1)), the place of row i in a key; the rows'
@@ -491,12 +486,10 @@ class _Task:
         self.root = _root(n, aux_channel, value)
         self.target = None if target is None else layout_rows(n, target)
 
-    def _keys(self, rows: np.ndarray) -> np.ndarray:
-        """One sortable key per (K, 2n-1) tableau: the rows packed into a
-        uint64 when they fit (n <= 4), else the raw bytes."""
-        if rows.shape[1] * (2 * self.n + 1) > 64:
-            return np.ascontiguousarray(rows).view(np.dtype((np.void, 2 * rows.shape[1]))).ravel()
-        return _pack(rows, self.n)
+    @staticmethod
+    def _keys(rows: np.ndarray) -> np.ndarray:
+        """One sortable key per (K, 2n-1) uint16 tableau: its rows' raw bytes."""
+        return np.ascontiguousarray(rows).view(np.dtype((np.void, 2 * rows.shape[1]))).ravel()
 
     def accepts(self, rows: np.ndarray) -> np.ndarray:
         """(K,) bool: which of the (K, 2n-1) tableaux decode (exact test)."""
@@ -575,7 +568,7 @@ class _Task:
     def _general_walk(self, max_depth: int) -> Optional[list[Gate]]:
         """Levels kept by h and deduplicated against every earlier one, the
         first accepted tableau of the first level that has one."""
-        level, links = self.root[None], []
+        level, words = self.root[None], np.zeros((1, 0), dtype=np.uint8)
         if self.lower_bound(level)[0] > max_depth:
             return None
         seen = self._keys(level)  # sorted keys of every tableau kept so far
@@ -595,22 +588,22 @@ class _Task:
         for left in reversed(range(-1, max_depth)):  # gates a child may still add
             hit = np.flatnonzero(self.accepts(level))
             if hit.size:
-                return self._word(links, hit[0])
+                return [self.gates[gate] for gate in words[hit[0]].tolist()]
             if left < 0 or not len(level):
                 return None
-            level = self._step(level, links, left, fresh if left else self.accepts)
+            level, words = self._step(level, words, left, fresh if left else self.accepts)
         return None
 
-    def _step(self, level: np.ndarray, links: list, left: int,
-              keep: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    def _step(self, level: np.ndarray, words: np.ndarray, left: int,
+              keep: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """The children of the level's tableaux, in word order, that keep(kids)
-        marks, and links gains their parents and gates.  A child whose image
-        of S alone is more than `left` gates from weight 1 is dropped before
-        its other rows are looked up; with no gates left, only the first
-        kept child is."""
-        follows = links[-1][1] + 1 if links else np.zeros(1, dtype=np.uint8)
+        marks, with their uint8 words: each parent's word in `words`, then
+        the child's gate.  A child whose image of S alone is more than `left`
+        gates from weight 1 is dropped before its other rows are looked up;
+        with no gates left, only the first kept child is."""
+        follows = words[:, -1] + 1 if words.shape[1] else np.zeros(1, dtype=np.uint8)
         chunk = max(1, _CHUNK_CHILDREN // len(self.gates))
-        kept_rows, kept_parent, kept_gate = [], [], []
+        kept_rows, kept_words = [], []
         for start in range(0, len(level), chunk):
             parent, gate = np.nonzero(self.allowed[follows[start:start + chunk]])
             rows = level[start:start + chunk]
@@ -618,24 +611,12 @@ class _Task:
             parent, gate = parent[live], gate[live]
             kids = self.tables[gate[:, None], rows[parent]]
             live = np.flatnonzero(keep(kids))
-            if left == 0 and live.size:  # the first kept child ends the walk
-                live = live[:1]
-                links.append((start + parent[live], gate[live]))
-                return kids[live]
             kept_rows.append(kids[live])
-            kept_parent.append((start + parent[live]).astype(np.int32))
-            kept_gate.append(gate[live].astype(np.uint8))
-        links.append((np.concatenate(kept_parent), np.concatenate(kept_gate)))
-        return np.concatenate(kept_rows)
-
-    def _word(self, links: list, child: int) -> list[Gate]:
-        """The word that the per-level links spell for a child of the last
-        level, walked back to the root."""
-        word = []
-        for parents, gates in reversed(links):
-            word.append(self.gates[gates[child]])
-            child = parents[child]
-        return word[::-1]
+            kept_words.append(np.column_stack([words[start + parent[live]],
+                                               gate[live].astype(np.uint8)]))
+            if left == 0 and live.size:  # the first kept child ends the walk
+                return kept_rows[-1][:1], kept_words[-1][:1]
+        return np.concatenate(kept_rows), np.concatenate(kept_words)
 
 
 @lru_cache(maxsize=None)

@@ -297,6 +297,10 @@ def test_swap_rejects_bad_permutation():
     code, doc = run_cli(["swap", "--channels", "3", "--to", "1,x"])
     assert code == 2
     assert doc["error"]["message"] == "--to must be a permutation of 1..3"
+    # an explicitly empty --to is not the default rotation
+    code, doc = run_cli(["swap", "--channels", "3", "--to", ""])
+    assert code == 2
+    assert doc["error"]["message"] == "--to must be a permutation of 1..3"
 
 
 @pytest.mark.parametrize("channels", ["1", "17", "60"])

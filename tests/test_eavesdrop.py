@@ -28,7 +28,15 @@ from intraport.protocol import (
     canonical_case,
     relocated_case,
 )
-from intraport.qsim import Hadamard, PureState, _apply_gates, channel_fidelity, make_state, random_qubit
+from intraport.qsim import (
+    Hadamard,
+    PureState,
+    _apply_gates,
+    bloch_rows,
+    channel_fidelity,
+    make_state,
+    random_qubit,
+)
 
 
 def test_splitmix64_reference_stream():
@@ -653,7 +661,7 @@ def test_pulled_back_fidelities_equal_dense_channel_fidelities(n, seed):
     aux, m = CANONICAL_AUX_CHANNEL[n], n - 1
     rng = np.random.default_rng(seed)
     qubits = [random_qubit(rng) for _ in range(m + 2)]  # messages, auxiliary, residue
-    bloch = eavesdrop._bloch(np.array([[q.as_array() for q in qubits]]))
+    bloch = bloch_rows(np.array([[q.as_array() for q in qubits]]))
     checks, codes = eavesdrop._checks(n, aux), np.arange(3 * (3 * n + 1))
     checks.fill(codes)
     for code in codes.tolist():

@@ -45,6 +45,7 @@ from intraport.protocol import (
     verify_circuit_action_equal,
 )
 from intraport.qsim import (
+    DEFAULT_TOL,
     ControlledNot,
     Hadamard,
     PureState,
@@ -712,8 +713,9 @@ def test_figure6_layout_states_are_construct_psi_with_the_residue():
 
 def test_verify_case_fails_a_block_word_the_decoder_does_not_reach():
     """Figure 6's decoder with the block word H 2, CN 1 2 claimed instead of
-    H 1, CN 1 2 fails, although figure 6's own numbers (construct_psi's
-    pair, the residue) are the same for both claims."""
+    H 1, CN 1 2 fails through its own block fidelity: the overlap of the
+    output's pair (the residue's channel 3 factored off) with the claimed
+    pair, which is below 1 - tol."""
     figure = builtin_scenario(6)
     other = replace(figure, expected_layout=Layout(dict(figure.expected_layout),
                                                    [Hadamard(2), ControlledNot(1, 2)]))
@@ -723,7 +725,27 @@ def test_verify_case_fails_a_block_word_the_decoder_does_not_reach():
         assert verify_case(figure, messages).passed
         report = verify_case(other, messages)
         assert not report.passed
-        assert report.per_channel_fidelity == verify_case(figure, messages).per_channel_fidelity
+        assert report.entangled_block_fidelity < 1 - DEFAULT_TOL
+        # the residue is |0> on channel 3, so the claimed pair is its 0 half
+        claimed = layout_states(other.expected_layout, message_batch(messages))[0][0::2]
+        _, pair = factor_channel(report.output, 3)
+        assert report.entangled_block_fidelity == pytest.approx(
+            abs(np.vdot(claimed, pair.amplitudes)) ** 2, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("figure_id", [6, 1])
+def test_verify_case_builds_the_input_and_expected_states_once(monkeypatch, figure_id):
+    """verify_case calls layout_states twice per call, for the input and
+    for the expected state, whether or not the layout has a block word."""
+    case, calls = builtin_scenario(figure_id), []
+    real = protocol.layout_states
+    monkeypatch.setattr(protocol, "layout_states",
+                        lambda layout, batch: calls.append(layout) or real(layout, batch))
+    rng = np.random.default_rng(5)
+    for count in (1, 2, 3):
+        assert verify_case(case, [random_qubit(rng) for _ in case.message_channels]).passed
+        assert len(calls) == 2 * count
+    assert calls[:2] == [case.input_layout, case.expected_layout]
 
 
 def test_gate_word_is_built_once_per_case(monkeypatch):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from intraport.errors import (
     ChannelOutOfRange,
@@ -26,6 +26,7 @@ from intraport.qsim import (
     apply_gate,
     channel_factors,
     channel_fidelity,
+    column_states,
     equal_up_to_global_phase,
     factor_all,
     factor_channel,
@@ -138,6 +139,29 @@ def test_make_state_random_matches_oracle():
         np.testing.assert_allclose(
             make_state(qubits).amplitudes, product_oracle(arrays), atol=1e-12
         )
+
+
+@st.composite
+def _signed_zero_qubits(draw):
+    """A qubit whose real and imaginary parts may be signed zeros."""
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1))
+    parts = np.array([draw(part) for _ in range(4)])
+    norm = np.sqrt(np.sum(parts**2))
+    assume(norm > 1e-3)
+    re0, im0, re1, im1 = parts / norm
+    return SingleQubit(complex(re0, im0), complex(re1, im1))
+
+
+@given(st.lists(_signed_zero_qubits(), min_size=1, max_size=5))
+def test_make_state_is_the_one_row_column_state(qubits):
+    """make_state's amplitudes equal column_states' on the qubits as one row
+    of a batch, byte for byte, signed zeros included; so does the row of the
+    same qubits reversed beside it."""
+    k = len(qubits)
+    batch = np.array([[q.as_array() for q in qubits], [q.as_array() for q in qubits[::-1]]])
+    states = column_states(range(k), batch)
+    assert make_state(qubits).amplitudes.tobytes() == states[0].tobytes()
+    assert make_state(qubits[::-1]).amplitudes.tobytes() == states[1].tobytes()
 
 
 def test_make_state_errors():

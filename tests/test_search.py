@@ -58,8 +58,8 @@ from intraport.search import (
     _class_keys,
     _distances,
     _follows,
-    _pack,
     _registered_extension,
+    _row_places,
     _root,
     _unpack,
     _word_table,
@@ -500,9 +500,10 @@ def test_n5_aux5_eight_gate_walks_find_a_decoder(value):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_pack_equals_the_shift_and_or_of_its_rows(n):
-    """_pack's matrix product equals shifting each row to its place and
-    OR-ing, for random rows and for rows with every bit set (63 bits at
-    n=4), with one row fewer (the message rows of a class key) or all."""
+    """The matrix product with _row_places that _class_keys uses equals
+    shifting each row to its place and OR-ing, for random rows and for rows
+    with every bit set (63 bits at n=4), with one row fewer (the message
+    rows of a class key) or all."""
     bits = 2 * n + 1
     rows = np.random.default_rng(n).integers(0, 1 << bits, size=(500, 2 * n - 1))
     rows = np.vstack([rows, np.full((1, 2 * n - 1), (1 << bits) - 1)]).astype(np.uint16)
@@ -510,7 +511,7 @@ def test_pack_equals_the_shift_and_or_of_its_rows(n):
         expected = np.zeros(len(rows), dtype=np.uint64)
         for i in range(r):
             expected |= rows[:, i].astype(np.uint64) << np.uint64(bits * i)
-        assert np.array_equal(_pack(rows[:, :r], n), expected)
+        assert np.array_equal(rows[:, :r].astype(np.uint64) @ _row_places(n, r), expected)
 
 
 def _accepted_tableaux(n):
