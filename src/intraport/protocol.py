@@ -136,9 +136,9 @@ class Layout(Mapping[int, ExpectedOut]):
     Every layout check is made here, once: the channels are exactly 1..n
     (n = `channels`, or the number of entries), one channel holds the
     residue, each message index 0..n-2 appears once, and the block acts on
-    channels 1..n.  Anything else raises InvalidLayout.  `columns` holds
-    each channel's message index, or n - 1 for the residue, and
-    `message_channels` each message's channel.
+    channels 1..n other than the residue's.  Anything else raises
+    InvalidLayout.  `columns` holds each channel's message index, or n - 1
+    for the residue, and `message_channels` each message's channel.
     """
 
     __slots__ = ("_entries", "block", "columns", "message_channels", "residue_channel")
@@ -154,8 +154,10 @@ class Layout(Mapping[int, ExpectedOut]):
         if len(residues) != 1 or sorted(by_index) != list(range(n - 1)):
             raise InvalidLayout("a layout must hold one residue and each message index "
                                 f"0..{n - 2} once")
-        if any(not 1 <= ch <= n for gate in block for ch in gate.channels()):
-            raise InvalidLayout(f"a layout's block must act on channels 1..{n}")
+        # verify_case factors the residue's channel off, so a block on it could never pass
+        if any(not 1 <= ch <= n or ch == residues[0] for gate in block for ch in gate.channels()):
+            raise InvalidLayout(f"a layout's block must act on channels 1..{n} "
+                                "other than the residue's")
         init = partial(object.__setattr__, self)
         init("_entries", ordered)
         init("block", tuple(block))

@@ -23,6 +23,17 @@ first kept child.  Levels are expanded in chunks of parents.  The ball walk
 looks up the canonical words of a table, level after level, until it meets
 the ball, then appends the stored completion of the first tableau it met.
 
+A solve starts from its case's root, the input rows mapped through the
+encoder and the receiver prefix, cached per (n, aux channel, value) by
+_root.  With no target at n <= 4, _root_key caches the root's class key
+(below) beside it, computed once per case, and the solve bisects the ball
+for that key.  A root in the ball returns its class's stored least
+completion at once; a root outside it runs the ball walk, _ball_walk, a
+function of the root rows, their key and the depth that needs no task.  A
+_Task holds one general walk (a target, or n >= 5) and the exact check of
+one word.  Nothing a solve returns is cached: every call bisects the ball,
+and a root outside it streams the word table again.
+
 The general walk drops every tableau that cannot decode in the gates it has
 left.
 Let the weight of a Pauli be the number of channels it acts on, and its
@@ -109,7 +120,7 @@ k gates in lexicographic order.  _word_table(n) holds these words for k =
 prefix in level k - 1, built once from the follow rule: 9, 57, 351 and
 2,164 words at n=3, and 16, 174 and 1,792 at n=4.  So a level's tableaux
 are one gather from the previous level's through the row tables, and its
-words are read from the table.  The walk looks up the root's class and,
+words are read from the table.  The walk looks up the root's key and,
 outside the ball, levels 1..D - R as one stream in word order (level 1,
 then level 2, and so on): _FIRST_LOOKUP tableaux and then twice as many at
 a time, a lookup free to cross from one level into the next.  It stops at
@@ -315,6 +326,12 @@ def _root(n: int, aux_channel: int, value: AuxValue) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _root_key(n: int, aux_channel: int, value: AuxValue) -> int:
+    """The class key of a case's root rows (_class_key), n <= _BALL_CHANNELS."""
+    return _class_key(_root(n, aux_channel, value).tolist(), n, memoryview(_canon(n)))
+
+
+@lru_cache(maxsize=None)
 def _row_places(n: int, r: int) -> np.ndarray:
     """(r,) uint64: 2^(i(2n+1)), the place of row i in a key; the rows'
     bits do not overlap, so a product with it is their shift-and-OR."""
@@ -378,7 +395,7 @@ class _Ball:
         self.n = n
         self.keys = keys  # sorted uint64 class keys
         self.steps = steps  # uint16 per key: its distance and least completion (_DISTANCE_SHIFT)
-        self._views = memoryview(_canon(n)), memoryview(keys), memoryview(steps)
+        self._views = memoryview(keys), memoryview(steps)
 
     @staticmethod
     def distance_of(steps):
@@ -406,11 +423,10 @@ class _Ball:
         """(K,) uint16: the distance of each looked-up step."""
         return self.distance_of(self.lookup(rows))
 
-    def scalar_lookup(self, rows: Sequence[int]) -> int:
-        """lookup for one tableau given as ints: its key by _class_key,
-        found by bisection, with the tables read through memoryviews."""
-        canon, keys, steps = self._views
-        key = _class_key(rows, self.n, canon)
+    def step_of(self, key: int) -> int:
+        """lookup for one class key (_class_key): its step, found by
+        bisection in memoryviews of the tables, or _OUTSIDE."""
+        keys, steps = self._views
         at = bisect_left(keys, key)
         return steps[at] if at < len(keys) and keys[at] == key else _OUTSIDE
 
@@ -469,8 +485,61 @@ def _ball(n: int) -> _Ball:
     return _Ball(n, keys, steps)
 
 
+def _ball_walk(n: int, root: np.ndarray, key: int, max_depth: int) -> Optional[list[Gate]]:
+    """The least canonical word of at most max_depth gates, max_depth at
+    most the horizon, that takes the (2n-1,) tableau `root`, of class key
+    `key`, to acceptance with no target, or None (n <= _BALL_CHANNELS).  A
+    root in the ball takes its class's stored least completion.  Outside
+    it, the first tableau in the ball of the levels of _word_table, looked
+    up as one stream, fixes the minimal length; then come its word and its
+    class's stored least completion."""
+    ball, word = _ball(n), []
+    step = ball.step_of(key)
+    if ball.distance_of(step) > _BALL_RADIUS:
+        # a first meeting past level max_depth - R would take more than max_depth gates
+        levels = _word_table(n)[:max(0, max_depth - _BALL_RADIUS)]
+        at, step = ball.first_in_ball(_stream(n, root, levels))
+        for level in levels:
+            if at < len(level.words):
+                word = level.words[at].tolist()
+                break
+            at -= len(level.words)
+        else:
+            return None
+    if len(word) + ball.distance_of(step) > max_depth:
+        return None
+    gates = _alphabet(n)
+    return [gates[gate] for gate in word + ball.completion(step)]
+
+
+def _stream(n: int, root: np.ndarray, levels: Sequence[_Level]) -> Iterator[np.ndarray]:
+    """The root mapped through every word of `levels`, joined in word order,
+    in chunks of _FIRST_LOOKUP tableaux and then twice as many each time; a
+    chunk may cross from one level into the next.  A level is gathered from
+    the whole previous one only as far as the chunks taken so far reach."""
+    flat, size = tableau.row_tables(n).reshape(-1), _FIRST_LOOKUP
+    above, chunk, need = root[None], [], size
+    for level in levels:
+        gathered, start = [], 0
+        while start < len(level.parent):
+            stop = min(start + need, len(level.parent))
+            gathered.append(flat.take(above.take(level.parent[start:stop], axis=0)
+                                      + level.at[start:stop]))
+            chunk.append(gathered[-1])
+            need -= stop - start
+            start = stop
+            if not need:
+                yield np.concatenate(chunk)
+                size *= 2
+                chunk, need = [], size
+        above = np.concatenate(gathered)
+    if chunk:
+        yield np.concatenate(chunk)
+
+
 class _Task:
-    """Shared data for one search invocation.
+    """One general walk, for a targeted solve or any solve at n >= 5 (see
+    the module docstring), and the exact check of one word.
 
     A tableau is a (2n-1,) uint16 row array: the image of S, then the X
     images and the Z images of the messages in message order.
@@ -509,61 +578,6 @@ class _Task:
         for gate in ext:
             rows = self.tables[index[gate]].take(rows)
         return bool(self.accepts(rows[None])[0])
-
-    # -- breadth-first walks -------------------------------------------------
-
-    def search(self, max_depth: int) -> Optional[list[Gate]]:
-        """The least canonical word of at most max_depth gates that decodes,
-        or None (see the module docstring)."""
-        if self.target is None and self.n <= _BALL_CHANNELS:
-            return self._ball_walk(_ball(self.n), max_depth)
-        return self._general_walk(max_depth)
-
-    def _ball_walk(self, ball: _Ball, max_depth: int) -> Optional[list[Gate]]:
-        """The first tableau in the ball of the levels of _word_table, looked
-        up as one stream, which fixes the minimal length; then its word and
-        its class's stored least completion.  max_depth is at most the
-        horizon."""
-        step, word = ball.scalar_lookup(self.root.tolist()), []
-        if ball.distance_of(step) > _BALL_RADIUS:
-            # a first meeting past level max_depth - R would take more than max_depth gates
-            levels = _word_table(self.n)[:max(0, max_depth - _BALL_RADIUS)]
-            at, step = ball.first_in_ball(self._stream(levels))
-            for level in levels:
-                if at < len(level.words):
-                    word = level.words[at].tolist()
-                    break
-                at -= len(level.words)
-            else:
-                return None
-        if len(word) + ball.distance_of(step) > max_depth:
-            return None
-        return [self.gates[gate] for gate in word + ball.completion(step)]
-
-    def _stream(self, levels: Sequence[_Level]) -> Iterator[np.ndarray]:
-        """The root mapped through every word of `levels`, joined in word
-        order, in chunks of _FIRST_LOOKUP tableaux and then twice as many
-        each time; a chunk may cross from one level into the next.  A level
-        is gathered from the whole previous one only as far as the chunks
-        taken so far reach."""
-        flat, size = self.tables.reshape(-1), _FIRST_LOOKUP
-        above, chunk, need = self.root[None], [], size
-        for level in levels:
-            gathered, start = [], 0
-            while start < len(level.parent):
-                stop = min(start + need, len(level.parent))
-                gathered.append(flat.take(above.take(level.parent[start:stop], axis=0)
-                                          + level.at[start:stop]))
-                chunk.append(gathered[-1])
-                need -= stop - start
-                start = stop
-                if not need:
-                    yield np.concatenate(chunk)
-                    size *= 2
-                    chunk, need = [], size
-            above = np.concatenate(gathered)
-        if chunk:
-            yield np.concatenate(chunk)
 
     def _general_walk(self, max_depth: int) -> Optional[list[Gate]]:
         """Levels kept by h and deduplicated against every earlier one, the
@@ -662,14 +676,20 @@ def solve_bob_program(
     if target is not None and target.block:
         raise InvalidInput("the search reaches product layouts only; the target has a block")
 
-    task = _Task(n, aux_channel, aux_value, target)
     horizon = _DEPTH_HORIZON[n]
-    found = task.search(min(max_gates, horizon))
+    depth, task = min(max_gates, horizon), None
+    if target is None and n <= _BALL_CHANNELS:
+        found = _ball_walk(n, _root(n, aux_channel, aux_value),
+                           _root_key(n, aux_channel, aux_value), depth)
+    else:
+        task = _Task(n, aux_channel, aux_value, target)
+        found = task._general_walk(depth)
     if found is not None:
         return found
 
     if max_gates > horizon and aux_channel == CANONICAL_AUX_CHANNEL.get(n):
         ext = list(_registered_extension(n, aux_value))
+        task = task or _Task(n, aux_channel, aux_value, target)  # the ball walk builds none
         if len(ext) <= max_gates and task.verify(ext):
             return ext
     return None

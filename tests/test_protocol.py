@@ -676,9 +676,16 @@ def test_a_layout_is_read_only_hashable_and_keeps_its_block():
 
 
 def test_a_layout_block_must_act_on_its_channels():
-    entries = dict(builtin_scenario(6).expected_layout)
+    """A block acts on channels 1..n other than the residue's: figure 6's
+    block with CN 1 3 on its residue channel 3 appended is refused, since
+    no output could show the residue as a factor."""
+    layout = builtin_scenario(6).expected_layout
+    entries = dict(layout)
     with pytest.raises(InvalidLayout, match="block"):
         Layout(entries, [Hadamard(4)])
+    assert layout.residue_channel == 3
+    with pytest.raises(InvalidLayout, match="block"):
+        Layout(entries, layout.block + (ControlledNot(1, 3),))
 
 
 def test_a_case_refuses_inputs_that_do_not_cover_its_channels():

@@ -53,6 +53,7 @@ from intraport.search import (
     _FIRST_LOOKUP,
     _Task,
     _ball,
+    _ball_walk,
     _canon,
     _class_key,
     _class_keys,
@@ -61,6 +62,7 @@ from intraport.search import (
     _registered_extension,
     _row_places,
     _root,
+    _root_key,
     _unpack,
     _word_table,
     gate_alphabet,
@@ -400,7 +402,7 @@ def test_root_bound_settles_the_n6_horizon_walks():
     for aux in (1, 6):
         task = _Task(6, aux, AuxValue.PLUS, None)
         assert task.lower_bound(task.root[None])[0] == 5
-        assert task.search(4) is None
+        assert task._general_walk(4) is None
 
 
 @pytest.mark.parametrize("aux", [1, 6])
@@ -408,7 +410,7 @@ def test_no_n6_plus_decoder_has_seven_gates_or_fewer(aux):
     """Past the n=6 horizon of 4 gates, the walk to 7 proves that no
     extension of 7 gates or fewer decodes (6, aux, plus); it takes about a
     second.  The registered n=6 decoders have 9-10 gates."""
-    assert _Task(6, aux, AuxValue.PLUS, None).search(7) is None
+    assert _Task(6, aux, AuxValue.PLUS, None)._general_walk(7) is None
 
 
 @lru_cache(maxsize=None)
@@ -478,9 +480,9 @@ def test_registered_n5_aux5_decoders_are_minimal(value, registered):
     walks for zero and one take 5-9 s each and are marked slow (below)."""
     assert len(canonical_case(5, value).bob_program) - len(bob_prefix(5)) == registered
     task = _Task(5, 5, value, None)
-    assert task.search(registered - 1) is None
+    assert task._general_walk(registered - 1) is None
     if registered == 7:
-        word = task.search(7)
+        word = task._general_walk(7)
         assert word is not None and len(word) == 7
         assert decoder_layout_oracle(5, 5, value.qubit.as_array(),
                                      alice_encoder(5) + bob_prefix(5) + word) is not None
@@ -492,7 +494,7 @@ def test_n5_aux5_eight_gate_walks_find_a_decoder(value):
     """The 8-gate walks for (5, aux 5, zero) and (5, aux 5, one) find a
     decoder of the registered length, and the dense oracle agrees; so the
     registered 8-gate decoders are minimal and not unique."""
-    word = _Task(5, 5, value, None).search(8)
+    word = _Task(5, 5, value, None)._general_walk(8)
     assert word is not None and len(word) == 8
     assert decoder_layout_oracle(5, 5, value.qubit.as_array(),
                                  alice_encoder(5) + bob_prefix(5) + word) is not None
@@ -617,6 +619,11 @@ def scrambled_roots(draw, most=None):
     return n, rows
 
 
+def _walk(n, rows, depth):
+    """The ball walk from the tableau `rows`, with its class key."""
+    return _ball_walk(n, rows, _class_key(rows.tolist(), n, memoryview(_canon(n))), depth)
+
+
 @settings(max_examples=150, deadline=None)
 @given(scrambled_roots())
 def test_exact_length_walk_equals_the_walk_without_the_ball(case):
@@ -627,10 +634,8 @@ def test_exact_length_walk_equals_the_walk_without_the_ball(case):
     task = _Task(n, n, AuxValue.ZERO, None)
     task.root = rows
     for depth in range(_DEPTH_HORIZON[n] + 1):
-        found = task.search(depth)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search_module, "_BALL_CHANNELS", 0)
-            assert task.search(depth) == found, depth
+        found = _walk(n, rows, depth)
+        assert task._general_walk(depth) == found, depth
         if found is not None:
             assert len(found) <= depth
             assert task.verify(found)
@@ -682,10 +687,8 @@ def test_search_returns_the_least_word_of_every_canonical_word(case):
     least = _least_decoders(n, rows, 4)
     for depth in range(5):
         expected = next((word for word in least[:depth + 1] if word is not None), None)
-        assert task.search(depth) == expected, depth
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search_module, "_BALL_CHANNELS", 0)
-            assert task.search(depth) == expected, depth
+        assert _walk(n, rows, depth) == expected, depth
+        assert task._general_walk(depth) == expected, depth
 
 
 @st.composite
@@ -713,7 +716,7 @@ def test_scalar_class_key_and_distance_equal_the_vectorised_ones(data):
     key = _class_key(rows.tolist(), n, memoryview(_canon(n)))
     assert key == int(_class_keys(rows[None], n)[0])
     step = int(ball.lookup(rows[None])[0])
-    assert ball.scalar_lookup(rows.tolist()) == step
+    assert ball.step_of(key) == step
     assert ball.distance_of(step) == int(ball.distance(rows[None])[0])
 
 
@@ -760,7 +763,7 @@ def _recorded_lookups(name="lookup"):
     calls, lookup = [], getattr(search_module._Ball, name)
 
     def recorded(ball, rows):
-        calls.append(rows.copy())
+        calls.append(rows.copy() if isinstance(rows, np.ndarray) else rows)
         return lookup(ball, rows)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -769,9 +772,9 @@ def _recorded_lookups(name="lookup"):
 
 
 @contextlib.contextmanager
-def _recorded_gathers(task):
+def _recorded_gathers(n):
     """A list that gains the number of tableaux of every gather from the
-    task's row tables made inside."""
+    row tables of n channels made inside."""
     gathers = []
 
     class Recording(np.ndarray):
@@ -779,11 +782,10 @@ def _recorded_gathers(task):
             gathers.append(len(indices))
             return np.asarray(self).take(indices, *args, **kwargs)
 
-    tables, task.tables = task.tables, task.tables.view(Recording)
-    try:
+    tables, row_tables = tableau.row_tables(n).view(Recording), tableau.row_tables
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tableau, "row_tables", lambda m: tables if m == n else row_tables(m))
         yield gathers
-    finally:
-        task.tables = tables
 
 
 def _stream_hit(n, chunks):
@@ -835,12 +837,10 @@ def test_the_walk_passes_over_meeting_tableaux_that_dead_end(accepted, scramble,
     task = _Task(n, n, AuxValue.ZERO, None)
     task.root = tableau.apply_word(_accepted_tableaux(n)[accepted], n, scramble)
     with _recorded_lookups() as chunks:
-        assert task.search(_DEPTH_HORIZON[n]) == word
+        assert _walk(n, task.root, _DEPTH_HORIZON[n]) == word
     meeting = _word_table(n)[_stream_hit(n, chunks)[0] - 1]
     assert _dead_ends(_images(n, task.root, meeting.words), meeting.words[:, -1], n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search_module, "_BALL_CHANNELS", 0)
-        assert task.search(_DEPTH_HORIZON[n]) == word
+    assert task._general_walk(_DEPTH_HORIZON[n]) == word
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -866,29 +866,29 @@ def test_word_table_lists_every_canonical_word_in_order(n):
 
 def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
     """After a warm-up, no untargeted n=4 solve calls _Task._step, and each
-    makes one scalar lookup, the root's.  Outside the ball it looks levels
-    1, 2, ... of the word table up as one stream, _FIRST_LOOKUP tableaux and
-    then twice as many each time, a chunk free to cross from one level into
-    the next: the chunks, joined, are a prefix of the root mapped through
-    every level's words, joined in word order.  The last chunk holds the
-    stream's first tableau in the ball, on level L - R, and the walk gathers
-    only the tableaux it looks up, so both 6-gate solves gather and look up
-    fewer than the 1,792 tableaux of level 3.  A shuffled level 3, with
-    repeats, looks up to the bytes of its tableaux looked up one at a
-    time."""
+    makes one scalar lookup, of the root's key.  Outside the ball it looks
+    levels 1, 2, ... of the word table up as one stream, _FIRST_LOOKUP
+    tableaux and then twice as many each time, a chunk free to cross from
+    one level into the next: the chunks, joined, are a prefix of the root
+    mapped through every level's words, joined in word order.  The last
+    chunk holds the stream's first tableau in the ball, on level L - R, and
+    the walk gathers only the tableaux it looks up, so both 6-gate solves
+    gather and look up fewer than the 1,792 tableaux of level 3.  A shuffled
+    level 3, with repeats, looks up to the bytes of its tableaux looked up
+    one at a time."""
     n, ball, levels = 4, _ball(4), _word_table(4)
     solve_bob_program(n, 1, AuxValue.ONE, 10)
     deep = []
     for aux in range(1, n + 1):
         for value in AuxValue:
-            task = _Task(n, aux, value, None)
+            root, key = _root(n, aux, value), _root_key(n, aux, value)
             with pytest.MonkeyPatch.context() as mp, _recorded_lookups() as chunks, \
-                    _recorded_lookups("scalar_lookup") as scalars, _recorded_gathers(task) as gathers:
+                    _recorded_lookups("step_of") as scalars, _recorded_gathers(n) as gathers:
                 mp.setattr(_Task, "_step", lambda *args: pytest.fail("the ball walk stepped"))
-                program = task.search(_DEPTH_HORIZON[n])
+                program = _ball_walk(n, root, key, _DEPTH_HORIZON[n])
             assert program == solve_bob_program(n, aux, value, 10)
-            assert scalars == [_root(n, aux, value).tolist()]
-            stream = np.concatenate([_images(n, task.root, level.words) for level in levels])
+            assert scalars == [key]
+            stream = np.concatenate([_images(n, root, level.words) for level in levels])
             joined = np.concatenate(chunks) if chunks else stream[:0]
             assert np.array_equal(joined, stream[:len(joined)])
             sizes = [_FIRST_LOOKUP << i for i in range(len(chunks))]
@@ -906,6 +906,49 @@ def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
     batch = deepest[np.random.default_rng(5).integers(0, len(deepest), 3000)]
     assert ball.lookup(batch).tobytes() == b"".join(ball.lookup(row[None]).tobytes()
                                                     for row in batch)
+
+
+_CASES_N3_N4 = [(n, aux, value) for n in (3, 4) for aux in range(1, n + 1) for value in AuxValue]
+
+
+def test_untargeted_n3_and_n4_solves_build_no_task_and_key_each_root_once():
+    """An untargeted solve at n <= 4 looks its case's root up in the ball by
+    a class key computed once per (n, aux channel, value), and builds no
+    _Task: solving all 21 cases twice computes 21 keys."""
+    _root_key.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Task, "__init__", lambda *args: pytest.fail("an untargeted solve built a task"))
+        first = [solve_bob_program(*case, 10) for case in _CASES_N3_N4]
+        assert [solve_bob_program(*case, 10) for case in _CASES_N3_N4] == first
+    assert len(_CASES_N3_N4) == 21 and None not in first
+    assert _root_key.cache_info().misses == 21
+
+
+def test_untargeted_n3_and_n4_solves_past_the_goldens_equal_those_at_10():
+    """The goldens stop at max_gates 10; every n <= 4 case is solved within
+    its horizon, so at 11..14 it returns what it returns at 10."""
+    for case in _CASES_N3_N4:
+        at_10 = solve_bob_program(*case, 10)
+        assert len(at_10) <= _DEPTH_HORIZON[case[0]]
+        for max_gates in range(11, 15):
+            assert solve_bob_program(*case, max_gates) == at_10
+
+
+def test_an_in_ball_root_returns_none_below_its_distance():
+    """A case whose root lies in the ball (every n=3 case and (4, aux 2,
+    plus)) returns None when max_gates is below the root's distance, and
+    its stored completion, a word of that many gates, from there on."""
+    inside = 0
+    for n, aux, value in _CASES_N3_N4:
+        ball = _ball(n)
+        distance = ball.distance_of(ball.step_of(_root_key(n, aux, value)))
+        if distance <= _BALL_RADIUS:
+            inside += 1
+            for max_gates in range(distance):
+                assert solve_bob_program(n, aux, value, max_gates) is None
+            word = solve_bob_program(n, aux, value, distance)
+            assert len(word) == distance and solve_bob_program(n, aux, value, 10) == word
+    assert inside == 10
 
 
 @settings(max_examples=60)
