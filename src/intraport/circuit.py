@@ -9,6 +9,11 @@ ignored, tokens are whitespace-separated:
     border            sender/receiver split, at most once
     measure K LABEL   deferred computational-basis measurement
 
+N, K, C and T are ASCII decimal integers, [+-]?[0-9]+ (so not '1_0' or
+'３', which int() would take); LABEL is any token.  Each directive's
+argument count and integer arguments are checked first (BadArity), then
+its channels' range (ChannelOutOfRange).
+
 Serialization is canonical: lower-case directives, single spaces, one
 trailing newline, measurements last.  parse(serialize(c)) reproduces c
 exactly and serialize(parse(t)) is idempotent on canonical text.
@@ -85,11 +90,27 @@ class Circuit:
         return self.gates[self.border_index :]
 
 
-def _int_token(tok: str) -> int | None:
-    try:
-        return int(tok)
-    except ValueError:
-        return None
+def _integers(tokens: list[str]) -> list[int] | None:
+    """The tokens as ints if each is ASCII decimal digits after an optional
+    sign, else None; int() alone also takes '1_0' and '３'."""
+    text = "".join(tokens)
+    if text.isascii() and "_" not in text:
+        try:
+            return [*map(int, tokens)]
+        except ValueError:
+            pass
+    return None
+
+
+# Each directive's channel arguments, whether a label follows them, and the
+# message for any other argument list.
+_ARGUMENTS = {
+    "channels": (1, False, "'channels' takes one integer argument"),
+    "h": (1, False, "'h' takes one integer argument"),
+    "cn": (2, False, "'cn' takes two integer arguments"),
+    "border": (0, False, "'border' takes no arguments"),
+    "measure": (1, True, "'measure' takes a channel and a label"),
+}
 
 
 def parse_circuit(source: str) -> Circuit:
@@ -104,73 +125,53 @@ def parse_circuit(source: str) -> Circuit:
         raise CircuitParseError(line_no, kind, msg)
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         word, args = tokens[0], tokens[1:]
-
-        if channel_count is None:
-            if word != "channels":
-                err(line_no, ParseErrorKind.MISSING_CHANNELS,
-                    f"first directive must be 'channels', got '{word}'")
-            if len(args) != 1 or _int_token(args[0]) is None:
-                err(line_no, ParseErrorKind.BAD_ARITY,
-                    "'channels' takes one integer argument")
-            n = _int_token(args[0])
-            if n < 1:
-                err(line_no, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
-                    f"channel count must be >= 1, got {n}")
-            if n > MAX_CHANNELS:
-                err(line_no, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
-                    f"channel count must be <= {MAX_CHANNELS}, got {n}")
-            channel_count = n
-            continue
-
-        if word == "channels":
+        if channel_count is None and word != "channels":
+            err(line_no, ParseErrorKind.MISSING_CHANNELS,
+                f"first directive must be 'channels', got '{word}'")
+        if channel_count is not None and word == "channels":
             err(line_no, ParseErrorKind.UNKNOWN_DIRECTIVE,
                 "'channels' may only appear as the first directive")
-        elif word == "h":
-            if len(args) != 1 or _int_token(args[0]) is None:
-                err(line_no, ParseErrorKind.BAD_ARITY, "'h' takes one integer argument")
-            k = _int_token(args[0])
+        spec = _ARGUMENTS.get(word)
+        if spec is None:
+            err(line_no, ParseErrorKind.UNKNOWN_DIRECTIVE, f"unknown directive '{word}'")
+        count, labelled, arity = spec
+        ks = _integers(args[:count])
+        if len(args) != count + labelled or ks is None:
+            err(line_no, ParseErrorKind.BAD_ARITY, arity)
+
+        if channel_count is None:
+            (channel_count,) = ks
+            if not 1 <= channel_count <= MAX_CHANNELS:
+                bound = ">= 1" if channel_count < 1 else f"<= {MAX_CHANNELS}"
+                err(line_no, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
+                    f"channel count must be {bound}, got {channel_count}")
+            continue
+        for k in ks:
             if not 1 <= k <= channel_count:
                 err(line_no, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
                     f"channel {k} outside 1..{channel_count}")
-            gates.append(Hadamard(k))
+        if word == "h":
+            gates.append(Hadamard(*ks))
         elif word == "cn":
-            if len(args) != 2 or any(_int_token(a) is None for a in args):
-                err(line_no, ParseErrorKind.BAD_ARITY, "'cn' takes two integer arguments")
-            c, t = _int_token(args[0]), _int_token(args[1])
-            for k in (c, t):
-                if not 1 <= k <= channel_count:
-                    err(line_no, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
-                        f"channel {k} outside 1..{channel_count}")
-            if c == t:
+            if ks[0] == ks[1]:
                 err(line_no, ParseErrorKind.CONTROL_EQUALS_TARGET,
-                    f"control and target are both {c}")
-            gates.append(ControlledNot(c, t))
+                    f"control and target are both {ks[0]}")
+            gates.append(ControlledNot(*ks))
         elif word == "border":
-            if args:
-                err(line_no, ParseErrorKind.BAD_ARITY, "'border' takes no arguments")
             if border is not None:
                 err(line_no, ParseErrorKind.DUPLICATE_BORDER, "second 'border' directive")
             border = len(gates)
-        elif word == "measure":
-            if len(args) != 2 or _int_token(args[0]) is None:
-                err(line_no, ParseErrorKind.BAD_ARITY,
-                    "'measure' takes a channel and a label")
-            k, label = _int_token(args[0]), args[1]
-            if not 1 <= k <= channel_count:
-                err(line_no, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
-                    f"channel {k} outside 1..{channel_count}")
+        else:
+            label = args[1]
             if label in seen_labels:
                 err(line_no, ParseErrorKind.DUPLICATE_LABEL,
                     f"measurement label '{label}' already used")
             seen_labels.add(label)
-            measurements.append((k, label))
-        else:
-            err(line_no, ParseErrorKind.UNKNOWN_DIRECTIVE, f"unknown directive '{word}'")
+            measurements.append((ks[0], label))
 
     if channel_count is None:
         raise CircuitParseError(1, ParseErrorKind.MISSING_CHANNELS,

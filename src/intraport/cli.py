@@ -23,10 +23,9 @@ import numpy as np
 
 from .circuit import MAX_CHANNELS, Circuit, CircuitParseError, gate_text, parse_circuit
 from .eavesdrop import DetectionMode, EveStrategy, run_experiment
-from .errors import IntraportError
+from .errors import ImpossibleBranch, IntraportError
 from .protocol import (
     DEFAULT_TOL,
-    SCENARIO_FIGURES,
     AuxValue,
     ProtocolCase,
     bell_byproduct,
@@ -225,13 +224,8 @@ def _claim_json(layout, ch: int) -> dict:
 def _cmd_run_figure(args) -> int:
     t0 = time.perf_counter()
     figure = args.figure
-    if figure == 5:
-        return _error("figure 5 is the swap demonstration; use 'swap'")
-    if figure not in SCENARIO_FIGURES:
-        return _error(f"no scenario for figure {figure} (valid: 1-4, 6-9)")
-    tol = _tol(args)
-
     case = builtin_scenario(figure)
+    tol = _tol(args)
     messages = _messages_from_args(args, case)
     if messages is None:
         if args.seed is None:
@@ -278,12 +272,10 @@ def _cmd_run_figure(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     t0 = time.perf_counter()
-    if args.figure not in SCENARIO_FIGURES:
-        return _error(f"no scenario for figure {args.figure} (valid: 1-4, 6-9)")
+    case = builtin_scenario(args.figure)
     if args.trials < 1:
         return _error("--trials must be >= 1")
     tol = _tol(args)
-    case = builtin_scenario(args.figure)
     rng = np.random.default_rng(args.seed)
     failures = 0
     min_fid = 1.0
@@ -336,22 +328,29 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _complex_pair(pair) -> complex:
+    """A JSON [re, im] pair of two numbers (int or float, not bool)."""
+    if type(pair) is not list or len(pair) != 2 or any(type(x) not in (int, float) for x in pair):
+        raise IntraportError(f"expected a pair of numbers [re, im], got {pair!r}")
+    return complex(*pair)
+
+
 def _load_input_state(path: str, channel_count: int) -> PureState:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if "basis" in doc:
         bits = doc["basis"]
-        if len(bits) != channel_count or any(b not in "01" for b in bits):
+        if type(bits) is not str or len(bits) != channel_count or any(b not in "01" for b in bits):
             raise IntraportError(f"basis string must be {channel_count} bits of 0/1")
         qubits = [SingleQubit(1.0, 0.0) if b == "0" else SingleQubit(0.0, 1.0) for b in bits]
         return make_state(qubits)
     if "qubits" in doc:
-        qubits = [SingleQubit(complex(*c0), complex(*c1)) for c0, c1 in doc["qubits"]]
+        qubits = [SingleQubit(_complex_pair(c0), _complex_pair(c1)) for c0, c1 in doc["qubits"]]
         if len(qubits) != channel_count:
             raise IntraportError(f"expected {channel_count} qubits, got {len(qubits)}")
         return make_state(qubits)
     if "amplitudes" in doc:
-        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+        amps = np.array([_complex_pair(pair) for pair in doc["amplitudes"]])
         return PureState(channel_count, amps)
     raise IntraportError("input file needs one of: basis, qubits, amplitudes")
 
@@ -376,7 +375,7 @@ def _cmd_exec(args) -> int:
     for ch, label in circuit.measurements:
         try:
             p1, _ = project(out, ch, 1)
-        except IntraportError:
+        except ImpossibleBranch:
             p1 = 0.0
         measurements.append({"channel": ch, "label": label,
                              "p0": 1.0 - p1, "p1": p1})
@@ -485,8 +484,6 @@ def _binomial_consistent(successes: int, trials: int, p: float) -> bool:
 
 
 def _cmd_eavesdrop(args) -> int:
-    if args.trials < 1:
-        return _error("--trials must be >= 1")
     if args.strategy != "fixed" and (args.fixed_channel, args.fixed_value) != (None, None):
         return _error("--fixed-channel and --fixed-value need --strategy fixed")
     if args.strategy == "uniform":
@@ -517,7 +514,6 @@ def _cmd_bell(args) -> int:
         if None in (args.a, args.b, args.e, args.f):
             return _error("provide --a --b --e --f or --seed")
         a, b, e, f = args.a, args.b, args.e, args.f
-    SingleQubit(b, a), SingleQubit(f, e)  # raises NotNormalized for a bad pair
     branches = []
     total = 0.0
     for outcome in (0, 1):
@@ -525,7 +521,7 @@ def _cmd_bell(args) -> int:
             prob, state = bell_byproduct(a, b, e, f, outcome)
             branches.append({"outcome": outcome, "probability": prob,
                              "state": _amplitudes_json(state)})
-        except IntraportError:
+        except ImpossibleBranch:
             branches.append({"outcome": outcome, "probability": 0.0, "state": None})
             prob = 0.0
         total += prob

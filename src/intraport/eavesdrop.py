@@ -691,7 +691,8 @@ def _run_trials(
     seed_sets = [(seeds, 4 * m + (detection_mode is DetectionMode.SAMPLED))]
     uniform = strategy is not None and strategy.mode == "uniform"
     if uniform:
-        seed_sets.append((splitmix64(seeds ^ (strategy.seed & _MASK64)), 1))
+        seed = require_integer("strategy seed", strategy.seed)
+        seed_sets.append((splitmix64(seeds ^ (seed & _MASK64)), 1))
     streams = _pcg64_streams(seed_sets)
     normals, uniforms = _draw(replay, streams[0], m, detection_mode)
     guesses = _guesses(replay, strategy, n, streams[1] if uniform else None, value_codes)
@@ -751,10 +752,10 @@ def run_trial(
     value (relocated_case's), whose compiled pull-back maps the trial uses.
     The trial is a batch of one through run_experiment's core.
     """
-    n = channel_count
+    n = require_integer("channel count", channel_count)
     if true_case.channel_count != n:
         raise InvalidInput("true_case does not match channel_count")
-    require_integer("trial seed", trial_seed)
+    trial_seed = require_integer("trial seed", trial_seed)
     _check_inputs(n, strategy, detection_mode)
     true = _compiled(n, true_case.aux_channel, true_case.aux_value)
     if true.case is not true_case and true.case != true_case:
@@ -762,7 +763,7 @@ def run_trial(
     eve_success, detects, (guess,) = _run_trials(
         _Replay(), n, true_case.aux_channel,
         np.array([_AUX_CYCLE.index(true_case.aux_value)]),
-        np.array([int(trial_seed) & _MASK64], dtype=np.uint64), strategy, detection_mode)
+        np.array([trial_seed & _MASK64], dtype=np.uint64), strategy, detection_mode)
     return TrialOutcome(
         eve_success=bool(eve_success[0]),
         bob_detects=bool(detects[0]),
@@ -788,9 +789,9 @@ def run_experiment(
     codes and generator states as arrays and runs as one pass
     (_run_trials), with no loop over its groups.
     """
-    n = channel_count
-    require_integer("trials", trials)
-    require_integer("base seed", base_seed)
+    n = require_integer("channel count", channel_count)
+    trials = require_integer("trials", trials)
+    base_seed = require_integer("base seed", base_seed)
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     if n not in CANONICAL_AUX_CHANNEL:
@@ -806,7 +807,7 @@ def run_experiment(
     detections = 0
     for start in range(0, trials, CHUNK):
         indices = np.arange(start, min(start + CHUNK, trials), dtype=np.uint64)
-        seeds = trial_seed(int(base_seed) & _MASK64, indices)
+        seeds = trial_seed(base_seed & _MASK64, indices)
         if aux_value is None:
             value_codes = (splitmix64(seeds) % 3).astype(np.intp)
         else:

@@ -47,10 +47,14 @@ class UnknownScenario(IntraportError):
     pass
 
 
-def require_integer(name: str, value) -> None:
-    """Refuse anything but an integer with InvalidInput, a bool included
-    (Python counts True and False as the integers 1 and 0)."""
+def require_integer(name: str, value) -> int:
+    """The value as a Python int; anything but an integer is refused with
+    InvalidInput, a bool included (Python counts True and False as the
+    integers 1 and 0).  A numpy integer comes back as an int, so that it
+    neither keys the caches apart from the int nor reaches fixed-width
+    arithmetic or JSON."""
     if type(value) is int:  # skips the abstract-class check, many times slower
-        return
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -116,8 +116,7 @@ class MessageOut:
     def __post_init__(self):
         # Kept as a Python int: a bool would index a batch as a mask, and a
         # numpy integer is not JSON.
-        require_integer("message index", self.index)
-        object.__setattr__(self, "index", int(self.index))
+        object.__setattr__(self, "index", require_integer("message index", self.index))
 
 
 @dataclass(frozen=True)
@@ -388,10 +387,11 @@ def figure_circuit(name: int | str) -> Circuit:
 def builtin_scenario(figure_id: int) -> ProtocolCase:
     """A bundled figure as a case, with its roles, claimed outputs and
     entangled block read from the manifest."""
-    if figure_id == 5:
-        raise UnknownScenario("figure 5 is the swap demonstration, not a scenario")
     if figure_id not in _MANIFEST:
-        raise UnknownScenario(f"no builtin scenario for figure {figure_id}")
+        valid = ", ".join(map(str, SCENARIO_FIGURES))
+        what = ("figure 5 is the swap demonstration, not a scenario" if figure_id == 5
+                else f"no builtin scenario for figure {figure_id}")
+        raise UnknownScenario(f"{what} (valid: {valid})")
     entry = _MANIFEST[figure_id]
     circuit = figure_circuit(figure_id)
     (aux,) = [r for r in entry["roles"] if r["kind"] == "aux"]
@@ -637,8 +637,7 @@ _BASE_FIGURE = {
 
 def canonical_case(channel_count: int, value: AuxValue) -> ProtocolCase:
     """The registered decoder for the canonical auxiliary placement."""
-    n = channel_count
-    require_integer("channel count", n)
+    n = require_integer("channel count", channel_count)
     if not isinstance(value, AuxValue):
         raise InvalidInput(f"aux_value must be an AuxValue, got {value!r}")
     if n in _BASE_FIGURE:
@@ -667,10 +666,9 @@ def relocated_case(channel_count: int, aux_channel: int, value: AuxValue) -> Pro
     because encoder gates are self-inverse and the encoder itself does not
     depend on the auxiliary placement.
     """
-    n = channel_count
-    require_integer("auxiliary channel", aux_channel)
-    base = canonical_case(n, value)
-    m = base.aux_channel
+    aux_channel = require_integer("auxiliary channel", aux_channel)
+    base = canonical_case(channel_count, value)
+    n, m = base.channel_count, base.aux_channel
     if aux_channel == m:
         return base
     if not 1 <= aux_channel <= n:

@@ -26,13 +26,13 @@ the ball, then appends the stored completion of the first tableau it met.
 A solve starts from its case's root, the input rows mapped through the
 encoder and the receiver prefix, cached per (n, aux channel, value) by
 _root.  With no target at n <= 4, _root_key caches the root's class key
-(below) beside it, computed once per case, and the solve bisects the ball
-for that key.  A root in the ball returns its class's stored least
-completion at once; a root outside it runs the ball walk, _ball_walk, a
-function of the root rows, their key and the depth that needs no task.  A
-_Task holds one general walk (a target, or n >= 5) and the exact check of
-one word.  Nothing a solve returns is cached: every call bisects the ball,
-and a root outside it streams the word table again.
+(below) beside it, computed by _class_keys once per case, and the solve
+bisects the ball for that key.  A root in the ball returns its class's
+stored least completion at once; a root outside it runs the ball walk,
+_ball_walk, a function of the root rows, their key and the depth that
+needs no task.  A _Task holds one general walk (a target, or n >= 5) and
+the exact check of one word.  Nothing a solve returns is cached: every call
+bisects the ball, and a root outside it streams the word table again.
 
 The general walk drops every tableau that cannot decode in the gates it has
 left.
@@ -327,8 +327,8 @@ def _root(n: int, aux_channel: int, value: AuxValue) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _root_key(n: int, aux_channel: int, value: AuxValue) -> int:
-    """The class key of a case's root rows (_class_key), n <= _BALL_CHANNELS."""
-    return _class_key(_root(n, aux_channel, value).tolist(), n, memoryview(_canon(n)))
+    """The class key of a case's root rows (_class_keys), n <= _BALL_CHANNELS."""
+    return int(_class_keys(_root(n, aux_channel, value)[None], n)[0])
 
 
 @lru_cache(maxsize=None)
@@ -368,24 +368,6 @@ def _class_keys(rows: np.ndarray, n: int) -> np.ndarray:
     return _row_places(n, 2 * n - 1)[1:] @ _canon(n).take(at[1:]).astype(np.uint64) | rows[:, 0]
 
 
-def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
-    """(K, 2n-1) uint16: a tableau of each class key, S' and then each
-    message row as the key holds it, which lies in the key's class."""
-    bits = 2 * n + 1
-    rows = keys[:, None] >> np.arange(0, (2 * n - 1) * bits, bits, dtype=np.uint64)
-    return (rows & np.uint64((1 << bits) - 1)).astype(np.uint16)
-
-
-def _class_key(rows: Sequence[int], n: int, canon: memoryview) -> int:
-    """The class key of one tableau given as ints, as _class_keys computes
-    it; `canon` is a memoryview of _canon(n)."""
-    s, width = rows[0], 2 * n + 1
-    key, base = s, s << width
-    for i, row in enumerate(rows[1:], 1):
-        key |= canon[base | row] << (i * width)
-    return key
-
-
 class _Ball:
     """Every tableau class within _BALL_RADIUS gates of acceptance."""
 
@@ -419,12 +401,8 @@ class _Ball:
         steps[order] = np.where(self.keys[at] == keys, self.steps[at], _OUTSIDE)
         return steps
 
-    def distance(self, rows: np.ndarray) -> np.ndarray:
-        """(K,) uint16: the distance of each looked-up step."""
-        return self.distance_of(self.lookup(rows))
-
     def step_of(self, key: int) -> int:
-        """lookup for one class key (_class_key): its step, found by
+        """lookup for one class key (_class_keys): its step, found by
         bisection in memoryviews of the tables, or _OUTSIDE."""
         keys, steps = self._views
         at = bisect_left(keys, key)
@@ -660,16 +638,15 @@ def solve_bob_program(
     that arrangement and residue.  A target with a block word is refused:
     the bound h holds only for product outputs.
     """
-    n = channel_count
-    require_integer("channel count", n)
+    n = require_integer("channel count", channel_count)
     if not 3 <= n <= 6:
         raise UnsupportedSize(f"search supports 3..6 channels, got {n}")
-    require_integer("auxiliary channel", aux_channel)
+    aux_channel = require_integer("auxiliary channel", aux_channel)
     if not 1 <= aux_channel <= n:
         raise ChannelOutOfRange(f"auxiliary channel {aux_channel} outside 1..{n}")
     if not isinstance(aux_value, AuxValue):
         raise InvalidInput(f"aux_value must be an AuxValue, got {aux_value!r}")
-    require_integer("max_gates", max_gates)
+    max_gates = require_integer("max_gates", max_gates)
     if not 0 <= max_gates <= 14:
         raise InvalidInput("max_gates must lie in 0..14")
     target = None if target is None else Layout.of(target, n)

@@ -53,39 +53,58 @@ def test_parse_measure():
     assert c.measurements == ((3, "aux"), (1, "top"))
 
 
-@pytest.mark.parametrize(
-    "source,line,kind",
-    [
-        ("channels 2\nborder\nborder\n", 3, ParseErrorKind.DUPLICATE_BORDER),
-        ("channels 3\nh 5\n", 2, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
-        ("channels 3\ncn 0 2\n", 2, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
-        ("channels 0\n", 1, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
-        # above MAX_CHANNELS; parsing allocates no amplitudes at any size
-        ("channels 17\n", 1, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
-        ("channels 64\nh 1\n", 1, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
-        ("channels 2\ncn 2 2\n", 2, ParseErrorKind.CONTROL_EQUALS_TARGET),
-        ("channels 2\nfoo 1\n", 2, ParseErrorKind.UNKNOWN_DIRECTIVE),
-        ("channels 2\nchannels 3\n", 2, ParseErrorKind.UNKNOWN_DIRECTIVE),
-        ("h 1\nchannels 2\n", 1, ParseErrorKind.MISSING_CHANNELS),
-        ("", 1, ParseErrorKind.MISSING_CHANNELS),
-        ("# only a comment\n", 1, ParseErrorKind.MISSING_CHANNELS),
-        ("channels\n", 1, ParseErrorKind.BAD_ARITY),
-        ("channels two\n", 1, ParseErrorKind.BAD_ARITY),
-        ("channels 2\nh\n", 2, ParseErrorKind.BAD_ARITY),
-        ("channels 2\nh 1 2\n", 2, ParseErrorKind.BAD_ARITY),
-        ("channels 2\ncn 1\n", 2, ParseErrorKind.BAD_ARITY),
-        ("channels 2\ncn 1 x\n", 2, ParseErrorKind.BAD_ARITY),
-        ("channels 2\nborder now\n", 2, ParseErrorKind.BAD_ARITY),
-        ("channels 2\nmeasure 1\n", 2, ParseErrorKind.BAD_ARITY),
-        ("channels 2\nmeasure 9 out\n", 2, ParseErrorKind.CHANNEL_OUT_OF_RANGE),
-        ("channels 2\nmeasure 1 a\nmeasure 2 a\n", 3, ParseErrorKind.DUPLICATE_LABEL),
-    ],
-)
+# Each bad text: the line, kind and message of its error.
+_PARSE_ERRORS = {
+    "channels 2\nborder\nborder\n": (3, ParseErrorKind.DUPLICATE_BORDER,
+                                    "second 'border' directive"),
+    "channels 3\nh 5\n": (2, ParseErrorKind.CHANNEL_OUT_OF_RANGE, "channel 5 outside 1..3"),
+    "channels 3\ncn 0 2\n": (2, ParseErrorKind.CHANNEL_OUT_OF_RANGE, "channel 0 outside 1..3"),
+    "channels 2\nh -1\n": (2, ParseErrorKind.CHANNEL_OUT_OF_RANGE, "channel -1 outside 1..2"),
+    "channels 2\ncn +1 -2\n": (2, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
+                               "channel -2 outside 1..2"),
+    "channels 0\n": (1, ParseErrorKind.CHANNEL_OUT_OF_RANGE, "channel count must be >= 1, got 0"),
+    # above MAX_CHANNELS; parsing allocates no amplitudes at any size
+    "channels 17\n": (1, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
+                      "channel count must be <= 16, got 17"),
+    "channels 64\nh 1\n": (1, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
+                           "channel count must be <= 16, got 64"),
+    "channels 2\ncn 2 2\n": (2, ParseErrorKind.CONTROL_EQUALS_TARGET,
+                             "control and target are both 2"),
+    "channels 2\nfoo 1\n": (2, ParseErrorKind.UNKNOWN_DIRECTIVE, "unknown directive 'foo'"),
+    "channels 2\nchannels 3\n": (2, ParseErrorKind.UNKNOWN_DIRECTIVE,
+                                 "'channels' may only appear as the first directive"),
+    "h 1\nchannels 2\n": (1, ParseErrorKind.MISSING_CHANNELS,
+                          "first directive must be 'channels', got 'h'"),
+    "": (1, ParseErrorKind.MISSING_CHANNELS, "no 'channels' directive found"),
+    "# only a comment\n": (1, ParseErrorKind.MISSING_CHANNELS, "no 'channels' directive found"),
+    "channels\n": (1, ParseErrorKind.BAD_ARITY, "'channels' takes one integer argument"),
+    "channels two\n": (1, ParseErrorKind.BAD_ARITY, "'channels' takes one integer argument"),
+    # integers are ASCII decimal: int() alone would read these as 10, 3 and 2
+    "channels 1_0\n": (1, ParseErrorKind.BAD_ARITY, "'channels' takes one integer argument"),
+    "channels \uff13\n": (1, ParseErrorKind.BAD_ARITY, "'channels' takes one integer argument"),
+    "channels 2\nh \uff12\n": (2, ParseErrorKind.BAD_ARITY, "'h' takes one integer argument"),
+    "channels 2\nh\n": (2, ParseErrorKind.BAD_ARITY, "'h' takes one integer argument"),
+    "channels 2\nh 1 2\n": (2, ParseErrorKind.BAD_ARITY, "'h' takes one integer argument"),
+    "channels 2\ncn 1\n": (2, ParseErrorKind.BAD_ARITY, "'cn' takes two integer arguments"),
+    "channels 2\ncn 1 x\n": (2, ParseErrorKind.BAD_ARITY, "'cn' takes two integer arguments"),
+    "channels 2\nborder now\n": (2, ParseErrorKind.BAD_ARITY, "'border' takes no arguments"),
+    "channels 2\nmeasure 1\n": (2, ParseErrorKind.BAD_ARITY,
+                                "'measure' takes a channel and a label"),
+    "channels 2\nmeasure 9 out\n": (2, ParseErrorKind.CHANNEL_OUT_OF_RANGE,
+                                    "channel 9 outside 1..2"),
+    "channels 2\nmeasure 1 a\nmeasure 2 a\n": (3, ParseErrorKind.DUPLICATE_LABEL,
+                                               "measurement label 'a' already used"),
+}
+
+
+@pytest.mark.parametrize("source,line,kind",
+                         [(text, line, kind) for text, (line, kind, _) in _PARSE_ERRORS.items()])
 def test_parse_errors(source, line, kind):
     with pytest.raises(CircuitParseError) as exc_info:
         parse_circuit(source)
     assert exc_info.value.line_number == line
     assert exc_info.value.kind == kind
+    assert exc_info.value.message == _PARSE_ERRORS[source][2]
 
 
 def test_serialize_empty_circuit():

@@ -268,6 +268,26 @@ def test_exec_reports_a_circuit_file_that_is_not_utf8(tmp_path):
     assert doc["error"]["message"].startswith("cannot read circuit file:")
 
 
+_ZERO_QUBIT = [[1, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("state", [
+    {"basis": ["", "", ""]},  # a list of strings, each "in" "01"
+    {"basis": ["01", "0", "1"]},
+    {"qubits": [[["1+0j"], []], _ZERO_QUBIT, _ZERO_QUBIT]},  # read as (1, 0)
+    {"qubits": [[[True, 0], [False, 0]], _ZERO_QUBIT, _ZERO_QUBIT]},
+    {"amplitudes": [[True, False]] + [[0, 0]] * 7},
+])
+def test_exec_refuses_malformed_input_states(tmp_path, state):
+    """A basis is a string of one 0 or 1 per channel, and each complex
+    number a pair of JSON numbers; anything else is a bad input state."""
+    infile = tmp_path / "in.json"
+    infile.write_text(json.dumps(state), encoding="utf-8")
+    code, doc = run_cli(["exec", FIG1_PATH, "--in", str(infile)])
+    assert code == 2
+    assert doc["error"]["message"].startswith("bad input state: ")
+
+
 def test_exec_refuses_oversized_circuit(tmp_path):
     qc = tmp_path / "big.qc"
     qc.write_text("channels 64\nh 1\n", encoding="utf-8")
@@ -533,6 +553,14 @@ def test_usage_errors_are_json(argv, message):
      "|coeff0|^2 + |coeff1|^2 = 2.0, expected 1"),
     (["run-figure", "1", "--a", "1", "--b", "1", "--e", "1", "--f", "0"],
      "|coeff0|^2 + |coeff1|^2 = 2.0, expected 1"),
+    # builtin_scenario checks the figure, before anything else
+    (["run-figure", "5"],
+     "figure 5 is the swap demonstration, not a scenario (valid: 1, 2, 3, 4, 6, 7, 8, 9)"),
+    (["run-figure", "10"], "no builtin scenario for figure 10 (valid: 1, 2, 3, 4, 6, 7, 8, 9)"),
+    (["fuzz", "--figure", "0", "--trials", "0"],
+     "no builtin scenario for figure 0 (valid: 1, 2, 3, 4, 6, 7, 8, 9)"),
+    (["fuzz", "--figure", "1", "--trials", "0"], "--trials must be >= 1"),
+    (["eavesdrop", "--trials", "0"], "trials must be >= 1"),
 ])
 def test_invalid_values_print_the_exact_error_document(argv, message):
     buf = io.StringIO()

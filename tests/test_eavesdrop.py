@@ -467,6 +467,7 @@ def test_malformed_strategy_or_mode_is_refused_before_any_trial(strategy, mode):
     lambda case: run_experiment(3, 5, None, False),
     lambda case: run_experiment(3, True, EveStrategy.uniform_guess(seed=True), False),
     lambda case: run_trial(3, case, None, True),
+    lambda case: run_experiment(3.0, 5, None, 1),
 ])
 def test_non_integer_trials_or_seed_is_refused_before_any_trial(call):
     """Floats, strings, None and bools (which Python counts as integers)."""
@@ -488,6 +489,13 @@ def test_numpy_integer_trials_and_seeds_are_accepted():
             == run_experiment(4, 50, strategy, 2**64 - 1))
     case = relocated_case(4, CANONICAL_AUX_CHANNEL[4], AuxValue.ONE)
     assert run_trial(4, case, strategy, np.uint64(5)) == run_trial(4, case, strategy, 5)
+    assert run_trial(np.int64(4), case, strategy, 5) == run_trial(4, case, strategy, 5)
+    # a numpy strategy seed and channel count: an OverflowError, and a
+    # channel_count that is not JSON, before they were read as ints
+    assert (run_experiment(3, 10, EveStrategy.uniform_guess(np.int64(7)), 1)
+            == run_experiment(3, 10, EveStrategy.uniform_guess(7), 1))
+    stats = run_experiment(np.int64(3), 10, None, 1)
+    assert type(stats.channel_count) is int and stats == run_experiment(3, 10, None, 1)
 
 
 def test_malformed_aux_value_is_refused():

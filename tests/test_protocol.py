@@ -533,6 +533,16 @@ def test_registry_refuses_arguments_of_the_wrong_type(build, error):
         build()
 
 
+def test_numpy_integer_sizes_and_channels_build_the_int_cases():
+    """A numpy size or auxiliary channel builds the case its ints build,
+    with Python ints in it."""
+    for n in (3, 4, 5):
+        for g in (1, n):
+            case = relocated_case(np.int64(n), np.int64(g), AuxValue.ONE)
+            assert case == relocated_case(n, g, AuxValue.ONE)
+            assert type(case.channel_count) is int and type(case.aux_channel) is int
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_an_aux_channel_out_of_range_is_channel_out_of_range(n):
     """relocated_case refuses channels 0 and n+1 as solve_bob_program does."""

@@ -1,0 +1,48 @@
+"""tools/same_outputs.py: digests of the package's outputs that two runs
+reproduce, with no elapsed time among what is hashed."""
+
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL_PATH = ROOT / "tools" / "same_outputs.py"
+
+# A small subset of the sections: documents with elapsed_ms, and error texts
+SUBSET = ["cli-errors", "exec-bad-states", "parse-errors", "parse-tokens"]
+
+
+def _run(sections):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, str(TOOL_PATH), *sections],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def _keys(value):
+    """Every dict key anywhere in a JSON-like value."""
+    if isinstance(value, dict):
+        return set(value) | {k for v in value.values() for k in _keys(v)}
+    if isinstance(value, list):
+        return {k for v in value for k in _keys(v)}
+    return set()
+
+
+def test_two_runs_give_the_same_digests():
+    first = _run(SUBSET)
+    assert list(first) == SUBSET
+    assert all(len(digest) == 64 for digest in first.values())
+    assert _run(SUBSET) == first
+
+
+def test_no_elapsed_time_is_hashed():
+    """The cli section drops elapsed_ms from documents that carry it."""
+    sections = runpy.run_path(str(TOOL_PATH))["SECTIONS"]
+    records = sections["cli"]()
+    assert any(argv[0] == "run-figure" for argv, _, _ in records)
+    assert "elapsed_ms" not in _keys(records)

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -55,7 +58,6 @@ from intraport.search import (
     _ball,
     _ball_walk,
     _canon,
-    _class_key,
     _class_keys,
     _distances,
     _follows,
@@ -63,7 +65,6 @@ from intraport.search import (
     _row_places,
     _root,
     _root_key,
-    _unpack,
     _word_table,
     gate_alphabet,
     solve_bob_program,
@@ -266,6 +267,27 @@ def test_search_refuses_arguments_of_the_wrong_type(wrong):
     args = {"channel_count": 3, "aux_channel": 2, "aux_value": AuxValue.ZERO, "max_gates": 6}
     with pytest.raises(InvalidInput):
         solve_bob_program(**{**args, **wrong})
+
+
+def test_numpy_integer_arguments_solve_as_python_ints():
+    """numpy integers are taken as the Python ints they equal.  In a fresh
+    process, so that no cache holds the int cases yet, each numpy call
+    (first) gives the same word as the int call; a numpy channel count
+    used to key the caches apart and reach the uint16 tables as int64."""
+    script = (
+        "import numpy as np\n"
+        "from intraport import AuxValue, solve_bob_program\n"
+        "for args in [(3, 2, AuxValue.ZERO), (4, 3, AuxValue.ONE, 6),\n"
+        "             (5, 5, AuxValue.ZERO, 3)]:\n"
+        "    wide = [np.int64(a) if type(a) is int else a for a in args]\n"
+        "    print(solve_bob_program(*wide) == solve_bob_program(*args))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True"] * 3
 
 
 def test_gate_alphabet_order():
@@ -525,6 +547,14 @@ def _accepted_tableaux(n):
                      for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
 
 
+def _unpack(keys, n):
+    """(K, 2n-1) uint16: a tableau of each class key, S' and then each
+    message row as the key holds it, which lies in the key's class."""
+    bits = 2 * n + 1
+    rows = keys[:, None] >> np.arange(0, (2 * n - 1) * bits, bits, dtype=np.uint64)
+    return (rows & np.uint64((1 << bits) - 1)).astype(np.uint16)
+
+
 @pytest.mark.parametrize("n, sizes", [(3, [36, 252, 1224, 4248]),
                                       (4, [144, 1944, 17496, 120120])])
 def test_ball_distance_zero_is_exactly_acceptance(n, sizes):
@@ -550,7 +580,7 @@ def test_ball_distances_are_exact(n):
     rows, d = _unpack(ball.keys, n), ball.distance_of(ball.steps).astype(int)
     best = np.full(len(d), _BALL_RADIUS + 1)
     for table in tableau.row_tables(n):
-        image = ball.distance(table[rows]).astype(int)
+        image = ball.distance_of(ball.lookup(table[rows])).astype(int)
         assert np.abs(image - d).max() <= 1
         best = np.minimum(best, image)
     assert np.all((d == 0) | (best == d - 1))
@@ -559,7 +589,7 @@ def test_ball_distances_are_exact(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_ball_stores_each_keys_first_downhill_gate(n):
     """Every key stores a least completion of exactly d gates.  At d > 0 it
-    starts with the least alphabet gate whose image _Ball.distance puts at
+    starts with the least alphabet gate whose image _Ball.lookup puts at
     d - 1 and continues with the completion stored for that image's key,
     and following it from the key's tableau reaches one that
     tableau.accepts accepts in exactly d steps."""
@@ -569,7 +599,7 @@ def test_ball_stores_each_keys_first_downhill_gate(n):
     assert [len(word) for word in completions] == d.tolist()
     first = np.full(len(d), -1)
     for gate in reversed(range(len(tables))):
-        first[ball.distance(tables[gate][rows]) == d - 1] = gate
+        first[ball.distance_of(ball.lookup(tables[gate][rows])) == d - 1] = gate
     gates = np.array([word + [-1] * (_BALL_RADIUS - len(word)) for word in completions])
     assert np.array_equal(first[d > 0], gates[d > 0, 0])
     down = np.flatnonzero(d > 0)
@@ -605,7 +635,8 @@ def test_ball_distances_are_kept_by_every_channel_swap(n):
     rows = _unpack(ball.keys, n)
     for a, b in combinations(range(1, n + 1), 2):
         swapped = tableau.apply_word(rows, n, swap_circuit(a, b))
-        assert np.array_equal(ball.distance(swapped), ball.distance_of(ball.steps))
+        assert np.array_equal(ball.distance_of(ball.lookup(swapped)),
+                              ball.distance_of(ball.steps))
 
 
 @st.composite
@@ -621,7 +652,7 @@ def scrambled_roots(draw, most=None):
 
 def _walk(n, rows, depth):
     """The ball walk from the tableau `rows`, with its class key."""
-    return _ball_walk(n, rows, _class_key(rows.tolist(), n, memoryview(_canon(n))), depth)
+    return _ball_walk(n, rows, int(_class_keys(rows[None], n)[0]), depth)
 
 
 @settings(max_examples=150, deadline=None)
@@ -707,17 +738,14 @@ def ball_lookups(draw, n):
 
 @given(st.data())
 def test_scalar_class_key_and_distance_equal_the_vectorised_ones(data):
-    """The walk's one-tableau lookup, a key built from Python ints and found
-    by bisection, agrees with _class_keys, and with _Ball.lookup in the
-    whole step, distance and completion; its distance is _Ball.distance."""
+    """The walk's one-tableau lookup, a class key from _class_keys found by
+    bisection, agrees with _Ball.lookup in the whole step, distance and
+    completion."""
     n = data.draw(st.integers(3, 4))
     rows = data.draw(ball_lookups(n))
     ball = _ball(n)
-    key = _class_key(rows.tolist(), n, memoryview(_canon(n)))
-    assert key == int(_class_keys(rows[None], n)[0])
-    step = int(ball.lookup(rows[None])[0])
-    assert ball.step_of(key) == step
-    assert ball.distance_of(step) == int(ball.distance(rows[None])[0])
+    key = int(_class_keys(rows[None], n)[0])
+    assert ball.step_of(key) == int(ball.lookup(rows[None])[0])
 
 
 @st.composite
@@ -732,18 +760,17 @@ def signed_tableaux(draw):
 
 @given(signed_tableaux())
 def test_class_keys_from_the_table_follow_their_definition(case):
-    """_class_keys and _class_key read each message row's part of the key
-    from _canon; both equal the arithmetic key: S', then for each message
-    row the smaller of row and tableau.multiply(row, S') at its place."""
+    """_class_keys reads each message row's part of the key from _canon; it
+    equals the arithmetic key: S', then for each message row the smaller of
+    row and tableau.multiply(row, S') at its place."""
     n, rows = case
-    width, canon = 2 * n + 1, memoryview(_canon(n))
+    width = 2 * n + 1
     expected = []
     for tab in rows.tolist():
         s, key = tab[0], tab[0]
         for i, row in enumerate(tab[1:], 1):
             key |= min(row, int(tableau.multiply(row, s, n))) << (i * width)
         expected.append(key)
-        assert _class_key(tab, n, canon) == key
     assert _class_keys(rows, n).tolist() == expected
 
 
@@ -791,7 +818,8 @@ def _recorded_gathers(n):
 def _stream_hit(n, chunks):
     """(k, i, at): the level, the index in it and the stream position of the
     first tableau in the ball among one ball walk's looked-up chunks."""
-    at = int(np.argmax(_ball(n).distance(np.concatenate(chunks)) <= _BALL_RADIUS))
+    ball = _ball(n)
+    at = int(np.argmax(ball.distance_of(ball.lookup(np.concatenate(chunks))) <= _BALL_RADIUS))
     i = at
     for k, level in enumerate(_word_table(n), 1):
         if i < len(level.words):
@@ -806,12 +834,13 @@ def _dead_ends(level, last_gates, n):
     canonical completion: every shortest word from it breaks the order.
     last_gates holds the last gate of each tableau's word."""
     ball, tables, follows = _ball(n), tableau.row_tables(n), _follows(n)
-    dist = ball.distance(level)
+    dist = ball.distance_of(ball.lookup(level))
     least = int(dist.min())
     dead = []
     for i in np.flatnonzero(dist == least)[1:]:
         kids = tables[:, level[i]]
-        downhill = follows[last_gates[i] + 1] & (ball.distance(kids) == least - 1)
+        image = ball.distance_of(ball.lookup(kids))
+        downhill = follows[last_gates[i] + 1] & (image == least - 1)
         gate = int(np.argmax(downhill))
         words = _canonical_words(n, least - 1)
         if least > 1:
