@@ -367,7 +367,7 @@ def _cmd_exec(args) -> int:
         return _error(str(exc), line=exc.line_number, kind=exc.kind.value)
     try:
         state = _load_input_state(args.input, circuit.channel_count)
-    except (IntraportError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (IntraportError, OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         return _error(f"bad input state: {exc}")
     out = run_circuit(state, circuit, Segment.ALL)
     factors = factor_all(out)

@@ -57,18 +57,22 @@ of the seeding words (the state k steps on is A_k s + S_k inc, with A_k =
 M^k and S_k the sum of M^j for j < k), as one exact float64 product of
 16-bit limbs, then PCG64's XSL-RR output.  A normal is the ziggurat's
 (Marsaglia and Tsang, J. Stat. Softw. 5(8), 2000) fast path of one word:
-+-rabs * w[idx] when rabs < bound[idx], from numpy's table (_ziggurat.py,
-written by tools/ziggurat_table.py from the installed numpy's
-standard_normal); a sampled uniform is the next word's top 53 bits /
-2^53; a uniform guess is Lemire's multiply-shift (arXiv:1805.10941) of a
-word.  A trial with any normal off the fast path (about 11% at n=3, 26%
-at n=6) is replayed: one Generator, made on a call's first replay, is set
-to its state and draws, as is a guess Lemire's rule may reject (about n in
-2^32).  On first use the table is checked against standard_normal at the
-largest fast magnitude of every layer; if numpy disagrees (a release with
-other tables) every bound is set to 0, so that every trial is replayed.
-The draws equal default_rng's bit for bit; the tests compare them
-directly.
++-rabs * w[idx] when rabs < bound[idx].  The table is derived from the
+installed numpy on first use: w[idx] is standard_normal of the word of
+layer idx with rabs = 1, and bound[idx] is 2^52 w[idx-1] / w[idx] rounded,
+idx - 1 taken mod 256, except bound[1] = 0.  These are numpy's k_i = 2^52
+x_{i-1} / x_i, with w_i = x_i / 2^52: the base strip, layer 0, has the
+tail start x_255 as its inner edge, the top strip, layer 1, has 0.  A
+sampled uniform is the next word's top 53 bits / 2^53; a uniform guess is
+Lemire's multiply-shift (arXiv:1805.10941) of a word.  A trial with any
+normal off the fast path (about 11% at n=3, 26% at n=6) is replayed: one
+Generator, made on a call's first replay, is set to its state and draws,
+as is a guess Lemire's rule may reject (about n in 2^32).  On first use
+the table is checked against standard_normal at the largest fast
+magnitude of every layer; if numpy disagrees (a release with other
+tables, or a bound rounded above numpy's) every bound is set to 0, so
+that every trial is replayed.  The draws equal default_rng's bit for bit;
+the tests compare them directly.
 
 run_experiment works in chunks of CHUNK trials: it derives the chunk's
 seeds, true value codes and guess seeds as uint64 array ops and draws
@@ -92,7 +96,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tableau
-from ._ziggurat import ZIGGURAT
 from .errors import InvalidInput, InvalidLayout, require_integer
 from .protocol import (
     AuxValue,
@@ -538,29 +541,6 @@ def _probe(rng: np.random.Generator, word: int) -> tuple[float, int]:
     return x, 3
 
 
-def derive_ziggurat_table() -> tuple[tuple[float, int], ...]:
-    """(w, bound) of every layer idx, read off the installed numpy's
-    standard_normal.  A draw reads one word exactly when rabs < bound, so a
-    binary search for the least rabs that reads more finds the bound.  At
-    rabs = 1 a draw that reads at most two words returns 1 * w: it took the
-    fast path or accepted the layer's edge at once (the tail reads three)."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    table = []
-    for idx in range(_LAYERS):
-        w, read = _probe(rng, 1 << 9 | idx)
-        if read > 2:
-            raise RuntimeError(f"layer {idx}: standard_normal read {read} words at rabs 1")
-        low, high = 0, 1 << 52
-        while low < high:
-            mid = (low + high) // 2
-            if _probe(rng, mid << 9 | idx)[1] == 1:
-                low = mid + 1
-            else:
-                high = mid
-        table.append((w, low))
-    return tuple(table)
-
-
 def _fast_normals(words: np.ndarray, w: np.ndarray,
                   bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each word's fast-path normal (before + 0.0) and whether the fast path
@@ -570,23 +550,20 @@ def _fast_normals(words: np.ndarray, w: np.ndarray,
     return rabs * w[low], rabs < bound[low]
 
 
-def _checked_in_ziggurat() -> tuple[tuple[float, int], ...]:
-    """ZIGGURAT's (w, bound) for each layer idx, as derive_ziggurat_table
-    gives them."""
-    return tuple((float.fromhex(w), int(bound, 16))
-                 for w, bound in map(str.split, ZIGGURAT.strip().splitlines()))
-
-
 @functools.lru_cache(maxsize=None)
 def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     """The fast path's multipliers and bounds, indexed by a word's low 9
-    bits (idx and sign): +-w[idx] and bound[idx], from the checked-in
-    table.  On first use they are checked against standard_normal; if it
-    disagrees (a numpy release with other tables), every bound is 0, so that
-    every trial is drawn by the generator."""
-    w, bound = zip(*_checked_in_ziggurat())
-    w = np.array(w + tuple(-x for x in w))
-    bound = np.array(bound + bound, dtype=np.uint64)
+    bits (idx and sign): +-w[idx] and bound[idx], derived from the installed
+    numpy's standard_normal (see the module docstring).  At rabs = 1 a draw
+    returns 1 * w: it takes the fast path, or for layer 1 (bound 0) accepts
+    the layer's edge at once.  On first use they are checked against
+    standard_normal; if it disagrees (a numpy release with other tables),
+    every bound is 0, so that every trial is drawn by the generator."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    w = np.array([_probe(rng, 1 << 9 | idx)[0] for idx in range(_LAYERS)])
+    bound = np.rint(2.0**52 * np.roll(w, 1) / w).astype(np.uint64)
+    bound[1] = 0
+    w, bound = np.concatenate([w, -w]), np.tile(bound, 2)
     if not _ziggurat_agrees(w, bound):
         bound[:] = 0
     return w, bound

@@ -98,6 +98,15 @@ def gates_commute(a: Gate, b: Gate) -> bool:
 # States
 
 
+def pair_norm2(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2, or inf where a square overflows a float (a magnitude
+    past about 1.3e154, far from any norm within NORM_TOL of 1)."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SingleQubit:
     """coeff0 * |0> + coeff1 * |1>.  Any norm^2 within NORM_TOL of 1 is
@@ -112,7 +121,7 @@ class SingleQubit:
             c = complex(c)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise InvalidInput("non-finite amplitude")
-        norm2 = abs(self.coeff0) ** 2 + abs(self.coeff1) ** 2
+        norm2 = pair_norm2(self.coeff0, self.coeff1)
         if abs(norm2 - 1.0) > NORM_TOL:
             raise NotNormalized(f"|coeff0|^2 + |coeff1|^2 = {norm2}, expected 1")
         if abs(norm2 - 1.0) > ROUNDING_TOL:

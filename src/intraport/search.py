@@ -70,6 +70,14 @@ first accepted tableau of the kept level is the one a test of each chunk's
 kept children would find first.  On the last level the keep rule is
 acceptance itself.
 
+Some targets no word reaches, and a solve returns None for them before it
+builds a task.  Every gate keeps the parity of a row's Y count: H swaps
+x_k and z_k, and CN(c, t) turns x_c z_c + x_t z_t into x_c (z_c + z_t) +
+(x_t + x_c) z_t, the same sum mod 2.  Every root's S' is the image of +Z,
+-Z or +X, so its count is even, and a gate maps no nonzero row to 0.  So a
+target whose residue row has an odd Y count (|+-i>) is never reached, nor
+one whose residue row is 0 (a residue that is not a stabilizer state).
+
 An untargeted walk at n <= 4 first fixes the minimal length L, from the
 exact distance to acceptance.  An accepted tableau is fixed only modulo S':
 a message row may be multiplied by S' (they commute; tableau.multiply gives
@@ -652,6 +660,10 @@ def solve_bob_program(
     target = None if target is None else Layout.of(target, n)
     if target is not None and target.block:
         raise InvalidInput("the search reaches product layouts only; the target has a block")
+    if target is not None:
+        residue = int(layout_rows(n, target)[0])
+        if residue == 0 or (residue & (residue >> n) & ((1 << n) - 1)).bit_count() % 2:
+            return None  # unreachable (module docstring)
 
     horizon = _DEPTH_HORIZON[n]
     depth, task = min(max_gates, horizon), None

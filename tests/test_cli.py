@@ -277,12 +277,15 @@ _ZERO_QUBIT = [[1, 0], [0, 0]]
     {"qubits": [[["1+0j"], []], _ZERO_QUBIT, _ZERO_QUBIT]},  # read as (1, 0)
     {"qubits": [[[True, 0], [False, 0]], _ZERO_QUBIT, _ZERO_QUBIT]},
     {"amplitudes": [[True, False]] + [[0, 0]] * 7},
+    {"qubits": [[[1e200, 0], [0, 0]], _ZERO_QUBIT, _ZERO_QUBIT]},  # |1e200|^2 overflows
+    # past json.load's recursion limit, so written as text, not by json.dumps
+    pytest.param("[" * 100_000 + "]" * 100_000, id="arrays-nested-100000-deep"),
 ])
 def test_exec_refuses_malformed_input_states(tmp_path, state):
     """A basis is a string of one 0 or 1 per channel, and each complex
     number a pair of JSON numbers; anything else is a bad input state."""
     infile = tmp_path / "in.json"
-    infile.write_text(json.dumps(state), encoding="utf-8")
+    infile.write_text(state if isinstance(state, str) else json.dumps(state), encoding="utf-8")
     code, doc = run_cli(["exec", FIG1_PATH, "--in", str(infile)])
     assert code == 2
     assert doc["error"]["message"].startswith("bad input state: ")
@@ -561,6 +564,13 @@ def test_usage_errors_are_json(argv, message):
      "no builtin scenario for figure 0 (valid: 1, 2, 3, 4, 6, 7, 8, 9)"),
     (["fuzz", "--figure", "1", "--trials", "0"], "--trials must be >= 1"),
     (["eavesdrop", "--trials", "0"], "trials must be >= 1"),
+    # a square past the float range is an infinite norm, not an OverflowError
+    (["run-figure", "1", "--a", "1e200", "--b", "0", "--c", "1", "--d", "0"],
+     "|coeff0|^2 + |coeff1|^2 = inf, expected 1"),
+    (["run-figure", "1", "--a", "1e308", "--b", "1e308"],
+     "|coeff0|^2 + |coeff1|^2 = inf, expected 1"),
+    (["bell", "--a", "1e200", "--b", "0", "--e", "1", "--f", "0"],
+     "|coeff0|^2 + |coeff1|^2 = inf, expected 1"),
 ])
 def test_invalid_values_print_the_exact_error_document(argv, message):
     buf = io.StringIO()
@@ -570,8 +580,9 @@ def test_invalid_values_print_the_exact_error_document(argv, message):
     assert buf.getvalue() == json.dumps({"error": {"message": message}}, indent=2) + "\n"
 
 
-# Each subcommand's flags (--help left out); values stay small, so that no
-# drawn call runs long or asks for a large register.
+# Each subcommand's flags (--help left out); drawn sizes stay small, so that
+# no drawn call runs long or asks for a large register, while amplitudes and
+# other integers reach the edges of the float and int ranges.
 _CLI_FLAGS = {
     "run-figure": ["--seed", "--tol", "--a", "--b", "--c", "--d", "--e", "--f"],
     "fuzz": ["--figure", "--trials", "--seed", "--tol"],
@@ -584,9 +595,15 @@ _CLI_FLAGS = {
     "bell": ["--seed", "--a", "--b", "--e", "--f"],
 }
 _CLI_INTS = st.integers(-1, 7).map(str)
+# Huge integers go everywhere but --trials and --max-gates, whose valid
+# values can run long.
+_CLI_WIDE_INTS = st.one_of(_CLI_INTS, st.sampled_from([2**64, -(2**64), 10**30, 10**400]).map(str))
 _CLI_PATHS = st.sampled_from([FIG1_PATH, "missing.qc", str(GOLDEN_DIR / "bell_uniform.json")])
-_CLI_AMPS = st.sampled_from(["0", "1", "0.6", "0.8", "0,1", "0.6,0.8", "2"])
+_CLI_AMPS = st.sampled_from(["0", "1", "0.6", "0.8", "0,1", "0.6,0.8", "2", "1e308", "-1e308",
+                             "1e308,1e308", "5e-324", "1e200", "1e-200", "1e200,0"])
 _CLI_VALUES = {
+    "--trials": _CLI_INTS,
+    "--max-gates": _CLI_INTS,
     "--tol": st.sampled_from(["1e-3", "0.5", "-1", "nan"]),
     "--to": st.sampled_from(["2,3,1", "1,2", "3,1,2,4", "1,1,2"]),
     "--in": _CLI_PATHS,
@@ -611,13 +628,13 @@ def cli_argv(draw):
     name = draw(st.sampled_from(sorted(_CLI_FLAGS) + ["frobnicate", None]))
     argv = [] if name is None else [name]
     if name in ("run-figure", "exec") and draw(st.integers(0, 3)):
-        argv.append(value(_CLI_INTS if name == "run-figure" else _CLI_PATHS))
+        argv.append(value(_CLI_WIDE_INTS if name == "run-figure" else _CLI_PATHS))
     flags = _CLI_FLAGS.get(name, []) + ["--bogus"]
     required = _CLI_REQUIRED.get(name, []) if draw(st.integers(0, 3)) else []
     for flag in required + draw(st.lists(st.sampled_from(flags), max_size=4)):
         argv.append(flag)
         if flag != "--reduced" or draw(st.booleans()):
-            argv.append(value(_CLI_VALUES.get(flag, _CLI_INTS)))
+            argv.append(value(_CLI_VALUES.get(flag, _CLI_WIDE_INTS)))
     return argv
 
 

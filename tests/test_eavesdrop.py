@@ -376,12 +376,39 @@ def test_draws_at_every_layer_bound_are_standard_normal_s(mode):
         assert uniforms[j] == (own.random() if mode is DetectionMode.SAMPLED else 0.0)
 
 
+def _numpy_ziggurat():
+    """(w, bound) of every layer idx, read off the installed numpy's
+    standard_normal.  A draw reads one word exactly when rabs < bound, so a
+    binary search for the least rabs that reads more finds the bound.  At
+    rabs = 1 a draw that reads at most two words returns 1 * w: it took the
+    fast path or accepted the layer's edge at once (the tail reads three)."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    ws, bounds = [], []
+    for idx in range(256):
+        w, read = eavesdrop._probe(rng, 1 << 9 | idx)
+        assert read <= 2, idx
+        low, high = 0, 1 << 52
+        while low < high:
+            mid = (low + high) // 2
+            if eavesdrop._probe(rng, mid << 9 | idx)[1] == 1:
+                low = mid + 1
+            else:
+                high = mid
+        ws.append(w)
+        bounds.append(low)
+    return ws, bounds
+
+
 def test_ziggurat_table_is_the_installed_numpy_s():
-    """The checked-in table, re-derived from the installed numpy: a numpy
-    with other tables fails here, where at run time the first-use check
-    would turn the fast path off."""
-    assert eavesdrop.derive_ziggurat_table() == eavesdrop._checked_in_ziggurat()
+    """The derived table against numpy's, each bound found by binary search:
+    the same w bit for bit, and no bound above numpy's (one below only
+    replays more trials).  A numpy with other tables fails here, where at
+    run time the first-use check would turn the fast path off."""
     w, bound = eavesdrop._ziggurat()
+    numpy_w, numpy_bound = _numpy_ziggurat()
+    assert w.tobytes() == np.array(numpy_w + [-x for x in numpy_w]).tobytes()
+    below = np.array(numpy_bound + numpy_bound, dtype=np.int64) - bound.astype(np.int64)
+    assert 0 <= below.min() and below.max() <= 3
     assert np.count_nonzero(bound) == 2 * 255  # the fast path is on
 
 

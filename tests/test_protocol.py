@@ -285,6 +285,9 @@ def test_psi_rejects_unnormalized():
         construct_psi(1.0, 1.0, 1.0, 0.0)
     with pytest.raises(NotNormalized):
         construct_psi(1.0, 0.0, 0.5, 0.5)
+    for args in ((1e200, 0, 1, 0), (1, 0, 0, 1e308 + 1e308j)):  # squares past the float range
+        with pytest.raises(NotNormalized):
+            construct_psi(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,10 @@ def state_of(vec, n):
 def test_single_qubit_requires_normalization():
     with pytest.raises(NotNormalized):
         SingleQubit(1.0, 1.0)
+    # squares past the float range are an infinite norm, not an OverflowError
+    for coeffs in ((1e200, 0), (1e308, 1e308), (0, complex(1e308, 1e308))):
+        with pytest.raises(NotNormalized, match="= inf"):
+            SingleQubit(*coeffs)
     with pytest.raises(InvalidInput):
         SingleQubit(float("nan"), 0.0)
 

@@ -41,6 +41,7 @@ from intraport.qsim import (
     ControlledNot,
     Hadamard,
     PureState,
+    QUBIT_ONE,
     QUBIT_ZERO,
     SingleQubit,
     _apply_gates,
@@ -255,6 +256,31 @@ def test_search_refuses_a_malformed_target(target):
     with a block word, which the bound h does not cover."""
     with pytest.raises(InvalidInput):
         solve_bob_program(3, 2, AuxValue.ZERO, 6, target=target())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_unreachable_targets_return_none_before_any_walk(n):
+    """A residue whose row has an odd Y count (|+i>), or whose row is 0 (a
+    residue that is not a stabilizer state), lies beyond every H and CNOT
+    word, so the solve builds no task, not even for the registered
+    fallback; a reachable residue (|0> or |1>, whose sign bit lands on
+    channel 1's z bit when the row is shifted) still does."""
+    def target(q):
+        return {1: ResidueOut(q), **{ch: MessageOut(ch - 2) for ch in range(2, n + 1)}}
+
+    def no_task(*args):
+        raise AssertionError("a task was built")
+
+    plus_i = SingleQubit(2**-0.5, 1j * 2**-0.5)
+    tilted = SingleQubit(np.cos(0.3), np.sin(0.3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Task, "__init__", no_task)
+        for q in (plus_i, tilted):
+            for value in AuxValue:
+                assert solve_bob_program(n, n, value, 14, target=target(q)) is None
+        for q in (QUBIT_ZERO, QUBIT_ONE):
+            with pytest.raises(AssertionError, match="a task was built"):
+                solve_bob_program(n, n, AuxValue.ZERO, 14, target=target(q))
 
 
 @pytest.mark.parametrize("wrong", [{"aux_value": "zero"}, {"max_gates": 3.5},

@@ -59,10 +59,14 @@ _CANONICAL_AUX = {3: 2, 4: 4, 5: 5, 6: 6}
 
 
 def _cli(argv: list[str]) -> list:
-    """[argv, exit code, document without elapsed_ms]."""
+    """[argv, exit code, document without elapsed_ms], or [argv, None,
+    [type name, message]] of what the CLI raised."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli_main(argv)
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(argv)
+    except Exception as exc:  # a tree whose CLI raises prints a traceback
+        return [argv, None, [type(exc).__name__, str(exc)]]
     doc = json.loads(buf.getvalue())
     doc.pop("elapsed_ms", None)
     return [argv, code, doc]
@@ -115,6 +119,9 @@ def cli_errors() -> list:
         ["eavesdrop", "--strategy", "fixed"], ["eavesdrop", "--fixed-channel", "2"],
         ["bell", "--a", "1", "--b", "1", "--e", "1", "--f", "0"],
         ["bell", "--seed", "2", *amps], ["frobnicate"],
+        ["run-figure", "1", "--a", "1e200", "--b", "0", "--c", "1", "--d", "0"],
+        ["run-figure", "1", "--a", "1e308", "--b", "1e308"],
+        ["bell", "--a", "1e200", "--b", "0", "--e", "1", "--f", "0"],
     ]
     return [_cli(argv) for argv in calls]
 
@@ -146,15 +153,18 @@ def exec_bad_states() -> list:
         {"qubits": [zero, zero]},
         {"amplitudes": [[True, False]] + [[0, 0]] * 7},
         {"amplitudes": [[1, 0]] + [[0, 0]] * 7}, {"amplitudes": [[1, 0]]}, {"nothing": 1},
+        {"qubits": [[[1e200, 0], [0, 0]], zero, zero]},
+        "[" * 100_000 + "]" * 100_000,  # text: json.dump would recurse too deep
     ]
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.json")
         for state in states:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(state, fh)
+                fh.write(state if isinstance(state, str) else json.dumps(state))
             argv, code, doc = _cli(["exec", _bundled("fig1.qc"), "--in", path])
-            doc.pop("circuit", None)
+            if isinstance(doc, dict):
+                doc.pop("circuit", None)
             records.append([state, code, doc])
     return records
 
