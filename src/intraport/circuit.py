@@ -90,16 +90,21 @@ class Circuit:
         return self.gates[self.border_index :]
 
 
+def decimal_int(text: str) -> int:
+    """int(text) for ASCII decimal digits after an optional sign, the one
+    integer rule of .qc files and the CLI; anything else, such as '1_0' or
+    '３', which int() alone would take, raises ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def _integers(tokens: list[str]) -> list[int] | None:
-    """The tokens as ints if each is ASCII decimal digits after an optional
-    sign, else None; int() alone also takes '1_0' and '３'."""
-    text = "".join(tokens)
-    if text.isascii() and "_" not in text:
-        try:
-            return [*map(int, tokens)]
-        except ValueError:
-            pass
-    return None
+    """The tokens as ints by decimal_int, or None if one is not."""
+    try:
+        return [*map(decimal_int, tokens)]
+    except ValueError:
+        return None
 
 
 # Each directive's channel arguments, whether a label follows them, and the

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import MAX_CHANNELS, Circuit, CircuitParseError, gate_text, parse_circuit
+from .circuit import MAX_CHANNELS, Circuit, CircuitParseError, decimal_int, gate_text, parse_circuit
 from .eavesdrop import DetectionMode, EveStrategy, run_experiment
 from .errors import ImpossibleBranch, IntraportError
 from .protocol import (
@@ -400,7 +400,7 @@ def _cmd_swap(args) -> int:
         return _error(f"--channels must lie in 2..{MAX_CHANNELS}")
     not_permutation = f"--to must be a permutation of 1..{n}"
     try:
-        targets = ([int(x) for x in args.to.split(",")] if args.to is not None
+        targets = ([decimal_int(x) for x in args.to.split(",")] if args.to is not None
                    else list(range(2, n + 1)) + [1])
     except ValueError:
         return _error(not_permutation)
@@ -538,10 +538,19 @@ def _cmd_bell(args) -> int:
 # Argument parsing
 
 
+def _integer(text: str) -> int:
+    """An integer argument, by the .qc files' rule (circuit.decimal_int),
+    refused in argparse's words for type=int."""
+    try:
+        return decimal_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _rng_seed(text: str) -> int:
     """A --seed for numpy's default_rng, which refuses negative seeds."""
     try:
-        value = int(text)
+        value = decimal_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid seed: {text!r}") from None
     if value < 0:
@@ -588,21 +597,21 @@ def _build_parser() -> argparse.ArgumentParser:
                            help=f"amplitude {name} as 're' or 're,im'")
 
     p = sub.add_parser("run-figure", help="run one builtin figure scenario")
-    p.add_argument("figure", type=int)
+    p.add_argument("figure", type=_integer)
     p.add_argument("--seed", type=_rng_seed, default=None)
     p.add_argument("--tol", type=_tolerance, default=None)
     add_amp_flags(p, "abcdef")
     p.set_defaults(func=_cmd_run_figure)
 
     p = sub.add_parser("fuzz", help="random-input conformance fuzzing of a figure")
-    p.add_argument("--figure", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--figure", type=_integer, required=True)
+    p.add_argument("--trials", type=_integer, default=100)
     p.add_argument("--seed", type=_rng_seed, default=0)
     p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("table", help="print the three-channel protocol table")
-    p.add_argument("--channels", type=int, default=3)
+    p.add_argument("--channels", type=_integer, default=3)
     p.add_argument("--reduced", action="store_true")
     p.set_defaults(func=_cmd_table)
 
@@ -612,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exec)
 
     p = sub.add_parser("swap", help="demonstrate channel-content permutation via CN triples")
-    p.add_argument("--channels", type=int, default=3)
+    p.add_argument("--channels", type=_integer, default=3)
     p.add_argument("--to", type=str, default=None,
                    help="comma list: content of channel i moves to the i-th entry")
     p.add_argument("--seed", type=_rng_seed, default=0)
@@ -620,22 +629,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_swap)
 
     p = sub.add_parser("solve-bob", help="search for a receiver decoding program")
-    p.add_argument("--channels", type=int, required=True)
-    p.add_argument("--aux-channel", type=int, required=True)
+    p.add_argument("--channels", type=_integer, required=True)
+    p.add_argument("--aux-channel", type=_integer, required=True)
     p.add_argument("--aux-value", type=str, required=True)
-    p.add_argument("--max-gates", type=int, default=10)
+    p.add_argument("--max-gates", type=_integer, default=10)
     p.set_defaults(func=_cmd_solve_bob)
 
     p = sub.add_parser("eavesdrop", help=_EVE_HELP, description=_EVE_HELP)
-    p.add_argument("--channels", type=int, default=3)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--channels", type=_integer, default=3)
+    p.add_argument("--trials", type=_integer, default=1000)
     p.add_argument("--seed", type=_trial_seed, default=0)
     p.add_argument("--mode", choices=[m.value for m in DetectionMode],
                    default="omniscient")
     p.add_argument("--strategy", choices=["uniform", "fixed", "absent"],
                    default="uniform")
     p.add_argument("--strategy-seed", type=_trial_seed, default=0)
-    p.add_argument("--fixed-channel", type=int, default=None)
+    p.add_argument("--fixed-channel", type=_integer, default=None)
     p.add_argument("--fixed-value", type=str, default=None)
     p.set_defaults(func=_cmd_eavesdrop)
 

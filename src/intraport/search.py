@@ -32,7 +32,9 @@ stored least completion at once; a root outside it runs the ball walk,
 _ball_walk, a function of the root rows, their key and the depth that
 needs no task.  A _Task holds one general walk (a target, or n >= 5) and
 the exact check of one word.  Nothing a solve returns is cached: every call
-bisects the ball, and a root outside it streams the word table again.
+bisects the ball, and a root outside it streams the word maps again.  What
+is cached is per size (the ball, its bitmap, the word table), or per case
+(the root and its key).
 
 The general walk drops every tableau that cannot decode in the gates it has
 left.
@@ -92,16 +94,31 @@ row for every pair of packed rows: 2^18 uint16 entries (512 KiB) at n=4 and
 would take 2^22 entries (8 MiB), so it stops at n=4.  _ball(n) holds every
 class within R = 3 gates of acceptance with its distance, the backward half
 of the meet-in-the-middle search of Amy, Maslov, Mosca and Roetteler
-(arXiv:1206.0758): a breadth-first walk over classes from all 6 n! accepted
-ones (message j on channel perm[j], a signed X, Y or Z residue on the last
-channel of perm, for every channel permutation perm; the gates are
-involutions, so walking back is walking forward).  At n=4 it holds 139,704
-keys at distances 0..3 (144, 1,944, 17,496 and 120,120) in 1.3 MiB with
-their words below; at n=3, 5,760 keys in 56 KiB.  Each is built once, when
-a walk first needs it.  The ball measures distance over unrestricted
-words, but any word reduces to a canonical one that is no longer (drop
-repeated pairs, sort commuting neighbours), so it is also the fewest gates a
-canonical word needs; distance 0 is exactly acceptance.
+(arXiv:1206.0758): a breadth-first walk over classes from the 4 n! accepted
+ones with an X or Z residue (message j on channel perm[j], a signed X or Z
+residue on the last channel of perm, for every channel permutation perm;
+the gates are involutions, so walking back is walking forward).  At n=4 it
+holds 80,184 keys at distances 0..3 (96, 1,224, 10,440 and 68,424) in 0.76
+MiB with their words below; at n=3, 3,228 keys in 32 KiB.  Each is built
+once, when a walk first needs it.  The ball measures distance over
+unrestricted words, but any word reduces to a canonical one that is no
+longer (drop repeated pairs, sort commuting neighbours), so it is also the
+fewest gates a canonical word needs; distance 0 is exactly acceptance.
+
+The accepted classes with a Y residue are left out, and with them every
+class that only they reach, because no root reaches them.  By the lemma
+above every gate keeps the parity of each row's Y count, and a root's S'
+has an even one, so every tableau on any word from a root has an S' with
+an even Y count.  An accepted S' with an even Y count is a signed X or Z on
+one channel.  So a class with such an S' reaches only X/Z accepted classes,
+along words whose every tableau has an even S' too: the walk from the X/Z
+classes reaches it at the distance the walk from all 6 n! would, and the
+build below gives it the same least completion, since it takes for a key
+at d the least gate whose image lies at d - 1, whatever else level d - 1
+holds.  Every kept class has the distance and least completion it would
+have in the ball of all 6 n! classes, and the classes left out (59,520 of
+139,704 keys at n=4, 2,532 of 5,760 at n=3) are never looked up from a
+root: a solve's result cannot change.
 
 Each key also holds its class's least completion: the least word, in
 alphabet order, of d gates that takes it to acceptance.  It belongs to the
@@ -121,30 +138,43 @@ order, and g's image is p.  A key is inserted beside its word, so the walk
 ends with both sorted, and the rows of the last level, never expanded, are
 not kept.
 
+A lookup of many tableaux (_Ball.members, which the walk calls once per
+chunk) first reads a membership bitmap, a read-only bool table of 2^b
+entries, b the least with 2^b at least 8 times the ball's keys (2^20
+entries, 1 MiB, at n=4, 7.4% of them set).  A key's entry is at the top b
+bits of key * 0x9E3779B97F4A7C15 mod 2^64, and every key of the ball sets
+its own, so a key whose entry is clear lies outside the ball: the bitmap
+has no false negatives.  Only the marked keys are searched for, unsorted,
+by binary search in the sorted keys.  The first such lookup builds the
+bitmap, so a solve whose root lies in the ball, as every n=3 root does,
+never does: it looks its one key up by bisection (_Ball.step_of).
+
 The ball walk (no target, n <= 4) has no acceptance test, no
 deduplication and no pruning by h.  Level k lists every canonical word of
 k gates in lexicographic order.  _word_table(n) holds these words for k =
-1.._DEPTH_HORIZON[n] - R, each with its last gate and the index of its
-prefix in level k - 1, built once from the follow rule: 9, 57, 351 and
-2,164 words at n=3, and 16, 174 and 1,792 at n=4.  So a level's tableaux
-are one gather from the previous level's through the row tables, and its
-words are read from the table.  The walk looks up the root's key and,
-outside the ball, levels 1..D - R as one stream in word order (level 1,
-then level 2, and so on): _FIRST_LOOKUP tableaux and then twice as many at
-a time, a lookup free to cross from one level into the next.  It stops at
-the first lookup that holds a tableau in the ball, and gathers a level only
-as far as its lookups reach; the level before, which that gather reads, has
-been looked up whole by then.  Let k be the level of the first tableau of
-the stream in the ball (k = 0 for a root in the ball).  No level before k
-meets the ball, and nothing accepted lies outside it.  Then L = k + d for
-the least distance d on level k, and d = R when k > 0: every tableau of
-level k - 1 lies outside the ball, and one gate changes the distance by at
-most one, so every tableau of level k in the ball is exactly R gates from
-acceptance.  Hence the first tableau of the stream in the ball is the first
-of level k at the least distance.  L is the minimal length: the words to
-level k give a decoder of k + d gates, and the prefix of the least accepted
-word that stops R gates short of its end is listed and lies in the ball, so
-the walk meets the ball no later than that.  A walk to depth D never looks
+1.._DEPTH_HORIZON[n] - R, built once from the follow rule: 9, 57, 351 and
+2,164 words at n=3, and 16, 174 and 1,792 at n=4.  Beside them it holds
+the map of every word, the levels joined in word order: a row-major
+(2^(2n+1), W) uint16 table whose column j takes every packed row through
+word j, each column its last gate's row table after its prefix's column,
+one gather per level (1.94 MiB for the 1,982 words at n=4).  So the root
+mapped through words lo..hi - 1 is one gather of 2n-1 runs, maps[root,
+lo:hi], a (2n-1, K) row-major block, the layout _class_keys reads.  The
+walk looks up the root's key and, outside the ball, levels 1..D - R as one
+stream in word order (level 1, then level 2, and so on): _FIRST_LOOKUP
+tableaux and then twice as many at a time, a lookup free to cross from one
+level into the next.  It stops at the first lookup that holds a tableau in
+the ball, and gathers only the tableaux it looks up.  Let k be the level
+of the first tableau of the stream in the ball (k = 0 for a root in the
+ball).  No level before k meets the ball, and nothing accepted lies outside
+it.  Then L = k + d for the least distance d on level k, and d = R when k >
+0: every tableau of level k - 1 lies outside the ball, and one gate changes
+the distance by at most one, so every tableau of level k in the ball is
+exactly R gates from acceptance.  Hence the first tableau of the stream in
+the ball is the first of level k at the least distance.  L is the minimal
+length: the words to level k give a decoder of k + d gates, and the prefix
+of the least accepted word that stops R gates short of its end is listed
+and lies in the ball, so the walk meets the ball no later than that.  A walk to depth D never looks
 a level past D - R up without meeting the ball, and returns None at once
 when L > D.
 
@@ -191,7 +221,8 @@ level k nor the least distance d, and the argument above holds for each
 listed word.  Before the ball is met the walk expands at most D - R levels,
 4 at n=3 and 3 at n=4 within the horizons, so the repeats cost little
 there: the largest level has 2,164 tableaux.  The table stops at n=4; at
-n=5 there are 1,408,651 canonical words of 5 gates.
+n=5 there are 1,408,651 canonical words of 5 gates.  No n=3 root lies
+outside the ball, so a solve builds the table at n=4 only.
 
 The walk is capped at a per-size depth horizon; within it a None result
 proves that no word of the searched length decodes, whether the bound
@@ -247,6 +278,10 @@ _BALL_CHANNELS = 4
 _DISTANCE_SHIFT = 4 * _BALL_RADIUS
 _OUTSIDE = (_BALL_RADIUS + 1) << _DISTANCE_SHIFT  # the step of a tableau outside the ball
 
+# The multiplier of the ball's membership hash, key times it mod 2^64 and
+# then its top bits: 2^64 over the golden ratio, made odd.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
 # Tableaux a ball walk looks up first; each further lookup takes twice as
 # many, until one holds a tableau in the ball.
 _FIRST_LOOKUP = 256
@@ -272,33 +307,40 @@ def _follows(n: int) -> np.ndarray:
     return allowed
 
 
-class _Level(NamedTuple):
-    """Level k of _word_table: every canonical word of k gates, in
-    lexicographic order."""
+class _WordTable(NamedTuple):
+    """Levels 1.._DEPTH_HORIZON[n] - _BALL_RADIUS of canonical words, each
+    in lexicographic order, and the row map of every word."""
 
-    parent: np.ndarray  # intp: the index of each word's first k - 1 gates in level k - 1
-    at: np.ndarray  # intp (W, 1): its last gate g as g 2^(2n+1), g's table in the flat row_tables
-    words: np.ndarray  # uint8 (W, k): its gates
+    levels: tuple[np.ndarray, ...]  # uint8 (W_k, k): level k's words, their gates
+    maps: np.ndarray  # uint16 (2^(2n+1), W): column j maps every packed row through word j
 
 
 @lru_cache(maxsize=None)
-def _word_table(n: int) -> tuple[_Level, ...]:
-    """Levels 1.._DEPTH_HORIZON[n] - _BALL_RADIUS of canonical words, the
-    levels a ball walk may expand before it meets the ball (n <=
-    _BALL_CHANNELS).  A level lists its parents' children parent-major and
-    gate-minor, which is lexicographic order; arrays are read-only."""
-    follows, size = _follows(n), 1 << (2 * n + 1)
+def _word_table(n: int) -> _WordTable:
+    """The levels of canonical words that a ball walk may expand before it
+    meets the ball (n <= _BALL_CHANNELS), and their maps, the levels joined
+    in word order.  A level lists its parents' children parent-major and
+    gate-minor, which is lexicographic order, and a child's map is its last
+    gate's row table after its parent's map: one gather per level.  Arrays
+    are read-only."""
+    follows, tables = _follows(n), tableau.row_tables(n)
     last = np.zeros(1, dtype=np.intp)  # each word's row of follows: its last gate + 1
-    words, levels = np.zeros((1, 0), dtype=np.uint8), []
+    words, levels, links = np.zeros((1, 0), dtype=np.uint8), [], []
     for _ in range(_DEPTH_HORIZON[n] - _BALL_RADIUS):
         parent, gate = np.nonzero(follows[last])
         words = np.column_stack([words[parent], gate.astype(np.uint8)])
-        levels.append(_Level(parent, gate[:, None] * size, words))
+        levels.append(words)
+        links.append((parent, gate))
         last = gate + 1
-    for level in levels:
-        for table in level:
-            table.flags.writeable = False
-    return tuple(levels)
+    # row-major, so that a chunk of columns is 2n-1 runs of the table
+    maps = np.empty((tables.shape[1], sum(map(len, levels))), dtype=np.uint16)
+    above, start = np.arange(tables.shape[1], dtype=np.uint16)[:, None], 0  # the empty word's map
+    for parent, gate in links:
+        maps[:, start:start + len(gate)] = tables[gate, above[:, parent]]
+        above, start = maps[:, start:start + len(gate)], start + len(gate)
+    for array in (*levels, maps):
+        array.flags.writeable = False
+    return _WordTable(tuple(levels), maps)
 
 
 @lru_cache(maxsize=None)
@@ -377,15 +419,18 @@ def _class_keys(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Ball:
-    """Every tableau class within _BALL_RADIUS gates of acceptance."""
+    """Every tableau class within _BALL_RADIUS gates of acceptance whose S'
+    has an even Y count, the classes a root can reach."""
 
-    __slots__ = ("n", "keys", "steps", "_views")
+    __slots__ = ("n", "keys", "steps", "marks", "_views", "_shift")
 
     def __init__(self, n: int, keys: np.ndarray, steps: np.ndarray):
         self.n = n
         self.keys = keys  # sorted uint64 class keys
         self.steps = steps  # uint16 per key: its distance and least completion (_DISTANCE_SHIFT)
+        self.marks = None  # bool, read-only: the membership bitmap, built by the first lookup
         self._views = memoryview(keys), memoryview(steps)
+        self._shift = np.uint64(64 - (8 * len(keys) - 1).bit_length())  # at most 1/8 marked
 
     @staticmethod
     def distance_of(steps):
@@ -398,20 +443,30 @@ class _Ball:
         order: distance_of(step) gates."""
         return [step >> 4 * i & 0xF for i in range(step >> _DISTANCE_SHIFT)]
 
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """(K,) uint16: the step of each of the (K, 2n-1) tableaux's class,
-        or _OUTSIDE outside the ball."""
+    def _marked(self, keys: np.ndarray) -> np.ndarray:
+        """(K,) bool: the bitmap's entry for each uint64 class key, at its
+        multiplicative hash; set for every key of the ball."""
+        if self.marks is None:
+            marks = np.zeros(1 << (64 - int(self._shift)), dtype=bool)
+            marks[self.keys * _HASH_MULTIPLIER >> self._shift] = True
+            marks.flags.writeable = False
+            self.marks = marks
+        return self.marks.take((keys * _HASH_MULTIPLIER >> self._shift).view(np.intp))
+
+    def members(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the (K, 2n-1) tableaux lie in the ball, in order, and
+        where each one's class key is among the ball's keys.  Only the keys
+        the bitmap marks are searched for."""
         keys = _class_keys(rows, self.n)
-        order = keys.argsort()  # sorted queries read the ball's keys in order
-        keys = keys[order]
-        at = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
-        steps = np.empty(len(keys), dtype=np.uint16)
-        steps[order] = np.where(self.keys[at] == keys, self.steps[at], _OUTSIDE)
-        return steps
+        marked = np.flatnonzero(self._marked(keys))
+        keys = keys[marked]
+        at = self.keys.searchsorted(keys)
+        found = self.keys.take(at, mode="clip") == keys
+        return marked[found], at[found]
 
     def step_of(self, key: int) -> int:
-        """lookup for one class key (_class_keys): its step, found by
-        bisection in memoryviews of the tables, or _OUTSIDE."""
+        """The step of one class key (_class_keys), found by bisection in
+        memoryviews of the tables, or _OUTSIDE outside the ball."""
         keys, steps = self._views
         at = bisect_left(keys, key)
         return steps[at] if at < len(keys) and keys[at] == key else _OUTSIDE
@@ -419,14 +474,13 @@ class _Ball:
     def first_in_ball(self, chunks: Iterable[np.ndarray]) -> tuple[int, int]:
         """The position of the first tableau in the ball among the (K, 2n-1)
         chunks joined, and its step, or (their length, _OUTSIDE) if none is:
-        each chunk is looked up whole, up to the first that holds one."""
+        each chunk's members are found whole, up to the first chunk that
+        has one."""
         start = 0
         for chunk in chunks:
-            steps = self.lookup(chunk)
-            inside = self.distance_of(steps) <= _BALL_RADIUS
-            hit = int(inside.argmax())
-            if inside[hit]:
-                return start + hit, int(steps[hit])
+            inside, at = self.members(chunk)
+            if inside.size:
+                return start + int(inside[0]), int(self.steps[at[0]])
             start += len(chunk)
         return start, _OUTSIDE
 
@@ -447,7 +501,7 @@ def _ball(n: int) -> _Ball:
     docstring)."""
     level = np.array([tableau.input_rows(n, tableau.pauli(n, perm[-1], x, z, sign), perm[:-1])
                       for perm in permutations(range(1, n + 1))
-                      for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
+                      for x, z in ((1, 0), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
     keys = np.sort(_class_keys(level, n))
     steps = np.zeros(len(keys), dtype=np.uint16)
     completions = np.zeros(len(level), dtype=np.uint16)  # the least completion of each level tableau
@@ -483,13 +537,14 @@ def _ball_walk(n: int, root: np.ndarray, key: int, max_depth: int) -> Optional[l
     step = ball.step_of(key)
     if ball.distance_of(step) > _BALL_RADIUS:
         # a first meeting past level max_depth - R would take more than max_depth gates
-        levels = _word_table(n)[:max(0, max_depth - _BALL_RADIUS)]
-        at, step = ball.first_in_ball(_stream(n, root, levels))
+        table = _word_table(n)
+        levels = table.levels[:max(0, max_depth - _BALL_RADIUS)]
+        at, step = ball.first_in_ball(_stream(table.maps, root, sum(map(len, levels))))
         for level in levels:
-            if at < len(level.words):
-                word = level.words[at].tolist()
+            if at < len(level):
+                word = level[at].tolist()
                 break
-            at -= len(level.words)
+            at -= len(level)
         else:
             return None
     if len(word) + ball.distance_of(step) > max_depth:
@@ -498,29 +553,14 @@ def _ball_walk(n: int, root: np.ndarray, key: int, max_depth: int) -> Optional[l
     return [gates[gate] for gate in word + ball.completion(step)]
 
 
-def _stream(n: int, root: np.ndarray, levels: Sequence[_Level]) -> Iterator[np.ndarray]:
-    """The root mapped through every word of `levels`, joined in word order,
-    in chunks of _FIRST_LOOKUP tableaux and then twice as many each time; a
-    chunk may cross from one level into the next.  A level is gathered from
-    the whole previous one only as far as the chunks taken so far reach."""
-    flat, size = tableau.row_tables(n).reshape(-1), _FIRST_LOOKUP
-    above, chunk, need = root[None], [], size
-    for level in levels:
-        gathered, start = [], 0
-        while start < len(level.parent):
-            stop = min(start + need, len(level.parent))
-            gathered.append(flat.take(above.take(level.parent[start:stop], axis=0)
-                                      + level.at[start:stop]))
-            chunk.append(gathered[-1])
-            need -= stop - start
-            start = stop
-            if not need:
-                yield np.concatenate(chunk)
-                size *= 2
-                chunk, need = [], size
-        above = np.concatenate(gathered)
-    if chunk:
-        yield np.concatenate(chunk)
+def _stream(maps: np.ndarray, root: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """The root mapped through the first `count` words of the word table,
+    in word order, as (K, 2n-1) views: _FIRST_LOOKUP tableaux and then twice
+    as many each time, each chunk one gather of `maps`, (2n-1, K) row-major."""
+    start, size = 0, _FIRST_LOOKUP
+    while start < count:
+        yield maps[root, start:min(start + size, count)].T
+        start, size = start + size, 2 * size
 
 
 class _Task:

@@ -138,3 +138,11 @@ def nearly_product_case(theta=1e-4):
            if isinstance(entry, MessageOut)}
     case = replace(case, bob_program=case.bob_program + (ControlledNot(out[0], out[1]),))
     return case, [SingleQubit(np.cos(theta), np.sin(theta)), SingleQubit(0.6, 0.8)]
+
+
+def y_parity(rows, n):
+    """Each packed row's Y count mod 2, the quadratic form q(x, z) = x . z
+    that every H and CNOT keeps, counted channel by channel."""
+    y = np.asarray(rows, dtype=np.int64)
+    y = y & (y >> n)
+    return sum((y >> k) & 1 for k in range(n)) % 2

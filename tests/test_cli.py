@@ -532,6 +532,13 @@ def test_unknown_subcommand_exits_2():
      "argument --strategy-seed: seed must be >= 0, got -1"),
     (["eavesdrop", "--strategy-seed", str(2**64)],
      f"argument --strategy-seed: seed must be < 2^64, got {2**64}"),
+    # integers follow the .qc rule: ASCII decimal digits, which int() alone is not
+    (["run-figure", "３"], "argument figure: invalid int value: '３'"),
+    (["run-figure", "1", "--seed", "３"], "argument --seed: invalid seed: '３'"),
+    (["solve-bob", "--channels", "３", "--aux-channel", "1", "--aux-value", "zero"],
+     "argument --channels: invalid int value: '３'"),
+    (["eavesdrop", "--trials", "５"], "argument --trials: invalid int value: '５'"),
+    (["fuzz", "--figure", "1", "--trials", "1_0"], "argument --trials: invalid int value: '1_0'"),
 ])
 def test_usage_errors_are_json(argv, message):
     buf, err = io.StringIO(), io.StringIO()
@@ -571,6 +578,7 @@ def test_usage_errors_are_json(argv, message):
      "|coeff0|^2 + |coeff1|^2 = inf, expected 1"),
     (["bell", "--a", "1e200", "--b", "0", "--e", "1", "--f", "0"],
      "|coeff0|^2 + |coeff1|^2 = inf, expected 1"),
+    (["swap", "--to", "２,3,1"], "--to must be a permutation of 1..3"),
 ])
 def test_invalid_values_print_the_exact_error_document(argv, message):
     buf = io.StringIO()
@@ -580,11 +588,12 @@ def test_invalid_values_print_the_exact_error_document(argv, message):
     assert buf.getvalue() == json.dumps({"error": {"message": message}}, indent=2) + "\n"
 
 
-# Each subcommand's flags (--help left out); drawn sizes stay small, so that
+# Each subcommand's flags (--help left out), an amplitude pair as one unit,
+# since a message needs both of its flags.  Drawn sizes stay small, so that
 # no drawn call runs long or asks for a large register, while amplitudes and
 # other integers reach the edges of the float and int ranges.
 _CLI_FLAGS = {
-    "run-figure": ["--seed", "--tol", "--a", "--b", "--c", "--d", "--e", "--f"],
+    "run-figure": ["--seed", "--tol", ("--a", "--b"), ("--c", "--d"), ("--e", "--f")],
     "fuzz": ["--figure", "--trials", "--seed", "--tol"],
     "table": ["--channels", "--reduced"],
     "exec": ["--in"],
@@ -592,12 +601,15 @@ _CLI_FLAGS = {
     "solve-bob": ["--channels", "--aux-channel", "--aux-value", "--max-gates"],
     "eavesdrop": ["--channels", "--trials", "--seed", "--mode", "--strategy",
                   "--strategy-seed", "--fixed-channel", "--fixed-value"],
-    "bell": ["--seed", "--a", "--b", "--e", "--f"],
+    "bell": ["--seed", ("--a", "--b"), ("--e", "--f")],
 }
-_CLI_INTS = st.integers(-1, 7).map(str)
+# Integers, and digits that int() takes but the CLI, like a .qc file, refuses
+_CLI_INTS = st.one_of(st.integers(-1, 7).map(str), st.sampled_from(["３", "٣", "1_0", "-２"]))
 # Huge integers go everywhere but --trials and --max-gates, whose valid
 # values can run long.
 _CLI_WIDE_INTS = st.one_of(_CLI_INTS, st.sampled_from([2**64, -(2**64), 10**30, 10**400]).map(str))
+# Mostly a figure that runs, so that its amplitude flags are read
+_CLI_FIGURES = st.one_of(st.sampled_from(["1", "2", "3", "4", "6", "7", "8", "9"]), _CLI_WIDE_INTS)
 _CLI_PATHS = st.sampled_from([FIG1_PATH, "missing.qc", str(GOLDEN_DIR / "bell_uniform.json")])
 _CLI_AMPS = st.sampled_from(["0", "1", "0.6", "0.8", "0,1", "0.6,0.8", "2", "1e308", "-1e308",
                              "1e308,1e308", "5e-324", "1e200", "1e-200", "1e200,0"])
@@ -614,27 +626,36 @@ _CLI_VALUES = {
     **{f"--{name}": _CLI_AMPS for name in "abcdef"},
 }
 _CLI_BAD = st.sampled_from(["x", "", "nan", "inf", "1,x", "bogus"])
+# The flags a call needs before it reads its values: a figure and bell read
+# no amplitude until every message has its pair.
 _CLI_REQUIRED = {"fuzz": ["--figure"], "exec": ["--in"],
-                 "solve-bob": ["--channels", "--aux-channel", "--aux-value"]}
+                 "solve-bob": ["--channels", "--aux-channel", "--aux-value"],
+                 "run-figure": [("--a", "--b"), ("--c", "--d"), ("--e", "--f")],
+                 "bell": [("--a", "--b"), ("--e", "--f")]}
 
 
 @st.composite
 def cli_argv(draw):
     """An argv of a subcommand (or none, or an unknown one), its positional
-    argument and flags, mostly with values of the right kind."""
-    def value(strategy):
-        return draw(strategy if draw(st.integers(0, 3)) else _CLI_BAD)
+    argument and flags, mostly with values of the right kind: one unit in
+    four, a flag or an amplitude pair, leads with a bad token."""
+    def bad():
+        return not draw(st.integers(0, 3))
 
     name = draw(st.sampled_from(sorted(_CLI_FLAGS) + ["frobnicate", None]))
     argv = [] if name is None else [name]
     if name in ("run-figure", "exec") and draw(st.integers(0, 3)):
-        argv.append(value(_CLI_WIDE_INTS if name == "run-figure" else _CLI_PATHS))
+        strategy = _CLI_FIGURES if name == "run-figure" else _CLI_PATHS
+        argv.append(draw(_CLI_BAD if bad() else strategy))
     flags = _CLI_FLAGS.get(name, []) + ["--bogus"]
     required = _CLI_REQUIRED.get(name, []) if draw(st.integers(0, 3)) else []
-    for flag in required + draw(st.lists(st.sampled_from(flags), max_size=4)):
-        argv.append(flag)
-        if flag != "--reduced" or draw(st.booleans()):
-            argv.append(value(_CLI_VALUES.get(flag, _CLI_WIDE_INTS)))
+    for unit in required + draw(st.lists(st.sampled_from(flags), max_size=4)):
+        unit, spoilt = unit if isinstance(unit, tuple) else (unit,), bad()
+        for i, flag in enumerate(unit):
+            argv.append(flag)
+            if flag != "--reduced" or draw(st.booleans()):
+                strategy = _CLI_VALUES.get(flag, _CLI_WIDE_INTS)
+                argv.append(draw(_CLI_BAD if spoilt and i == 0 else strategy))
     return argv
 
 
@@ -643,8 +664,12 @@ def _refuse_non_json(name):
 
 
 @given(cli_argv())
-@settings(max_examples=150)
+@settings(max_examples=500)
 def test_any_argv_prints_one_json_document(argv):
+    """Every argv prints one indented JSON document and exits 0, 1 or 2, an
+    error document exactly with 2.  It takes about 500 examples to reach
+    run-figure and bell with every message's pair given and an amplitude
+    past 1.3e154, whose square overflows a float."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import decoder_layout_oracle
+from helpers import decoder_layout_oracle, y_parity
 
 from intraport import cli, tableau
 from intraport import search as search_module
@@ -55,6 +55,7 @@ from intraport.search import (
     _BALL_RADIUS,
     _DEPTH_HORIZON,
     _FIRST_LOOKUP,
+    _OUTSIDE,
     _Task,
     _ball,
     _ball_walk,
@@ -240,6 +241,16 @@ def test_root_holds_the_auxiliary_stabilizer_and_the_message_rows():
                 expected = tableau.apply_word(np.array([s] + rows), n,
                                               alice_encoder(n) + bob_prefix(n))
                 assert _root(n, aux, value).tolist() == expected.tolist()
+
+
+def test_every_root_s_has_an_even_y_count():
+    """Every case root's S', at n=3..6 over every auxiliary channel and
+    value, has an even Y count, so no root reaches an accepted tableau with
+    a Y residue and the ball keeps none (the module docstring's lemma)."""
+    for n in range(3, 7):
+        for aux in range(1, n + 1):
+            for value in AuxValue:
+                assert y_parity(_root(n, aux, value)[0], n) == 0, (n, aux, value)
 
 
 @pytest.mark.parametrize("target", [
@@ -565,12 +576,22 @@ def test_pack_equals_the_shift_and_or_of_its_rows(n):
 
 
 def _accepted_tableaux(n):
-    """(6 n!, 2n-1): every accepted tableau whose message rows are +X_p and
-    +Z_p, message j on channel perm[j-1] and a signed X, Y or Z residue on
-    perm[n-1]."""
+    """(4 n!, 2n-1): every accepted tableau whose message rows are +X_p and
+    +Z_p, message j on channel perm[j-1] and a signed X or Z residue on
+    perm[n-1], the accepted tableaux a root can reach (its S' keeps an even
+    Y count)."""
     return np.array([tableau.input_rows(n, tableau.pauli(n, perm[-1], x, z, sign), perm[:-1])
                      for perm in permutations(range(1, n + 1))
-                     for x, z in ((1, 0), (1, 1), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
+                     for x, z in ((1, 0), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
+
+
+def _lookup(ball, rows):
+    """(K,) uint16: the step of each of the (K, 2n-1) tableaux's class in
+    `ball`, or _OUTSIDE outside it, from _Ball.members."""
+    inside, at = ball.members(rows)
+    steps = np.full(len(rows), _OUTSIDE, dtype=np.uint16)
+    steps[inside] = ball.steps[at]
+    return steps
 
 
 def _unpack(keys, n):
@@ -581,11 +602,12 @@ def _unpack(keys, n):
     return (rows & np.uint64((1 << bits) - 1)).astype(np.uint16)
 
 
-@pytest.mark.parametrize("n, sizes", [(3, [36, 252, 1224, 4248]),
-                                      (4, [144, 1944, 17496, 120120])])
+@pytest.mark.parametrize("n, sizes", [(3, [24, 156, 708, 2340]),
+                                      (4, [96, 1224, 10440, 68424])])
 def test_ball_distance_zero_is_exactly_acceptance(n, sizes):
     """A key is at distance 0 iff tableau.accepts accepts its tableau, and
-    the accepted classes are the 6 n! of every channel arrangement."""
+    the accepted classes are the 4 n! of every channel arrangement with an
+    X or Z residue; no key's S' has an odd Y count."""
     ball = _ball(n)
     dist = ball.distance_of(ball.steps)
     assert np.array_equal(np.bincount(dist), sizes)
@@ -593,6 +615,7 @@ def test_ball_distance_zero_is_exactly_acceptance(n, sizes):
     assert np.array_equal(dist == 0, tableau.accepts(_unpack(ball.keys, n), n))
     accepted = _class_keys(_accepted_tableaux(n), n)
     assert np.array_equal(np.sort(accepted), ball.keys[dist == 0])
+    assert not y_parity(_unpack(ball.keys, n)[:, 0], n).any()
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -606,7 +629,7 @@ def test_ball_distances_are_exact(n):
     rows, d = _unpack(ball.keys, n), ball.distance_of(ball.steps).astype(int)
     best = np.full(len(d), _BALL_RADIUS + 1)
     for table in tableau.row_tables(n):
-        image = ball.distance_of(ball.lookup(table[rows])).astype(int)
+        image = ball.distance_of(_lookup(ball, table[rows])).astype(int)
         assert np.abs(image - d).max() <= 1
         best = np.minimum(best, image)
     assert np.all((d == 0) | (best == d - 1))
@@ -625,7 +648,7 @@ def test_ball_stores_each_keys_first_downhill_gate(n):
     assert [len(word) for word in completions] == d.tolist()
     first = np.full(len(d), -1)
     for gate in reversed(range(len(tables))):
-        first[ball.distance_of(ball.lookup(tables[gate][rows])) == d - 1] = gate
+        first[ball.distance_of(_lookup(ball, tables[gate][rows])) == d - 1] = gate
     gates = np.array([word + [-1] * (_BALL_RADIUS - len(word)) for word in completions])
     assert np.array_equal(first[d > 0], gates[d > 0, 0])
     down = np.flatnonzero(d > 0)
@@ -661,14 +684,15 @@ def test_ball_distances_are_kept_by_every_channel_swap(n):
     rows = _unpack(ball.keys, n)
     for a, b in combinations(range(1, n + 1), 2):
         swapped = tableau.apply_word(rows, n, swap_circuit(a, b))
-        assert np.array_equal(ball.distance_of(ball.lookup(swapped)),
+        assert np.array_equal(ball.distance_of(_lookup(ball, swapped)),
                               ball.distance_of(ball.steps))
 
 
 @st.composite
 def scrambled_roots(draw, most=None):
-    """(n, rows): an accepted tableau at n=3 or n=4 with up to `most` (by
-    default 7 or 6) random alphabet gates applied."""
+    """(n, rows): an accepted tableau with an X or Z residue at n=3 or n=4,
+    so in the walk's domain, with up to `most` (by default 7 or 6) random
+    alphabet gates applied."""
     n = draw(st.integers(3, 4))
     rows = draw(st.sampled_from(list(_accepted_tableaux(n))))
     for gate in draw(st.lists(st.sampled_from(gate_alphabet(n)), max_size=most or 10 - n)):
@@ -712,10 +736,10 @@ def _canonical_words(n, length):
 
 
 def _images(n, rows, words):
-    """(W, 2n-1): the tableau `rows` mapped through each of the (W, k)
-    words of alphabet indices, in order."""
+    """(W, R): the R packed rows `rows`, such as a tableau, mapped through
+    each of the (W, k) words of alphabet indices, in order."""
     tables = tableau.row_tables(n)
-    images = np.broadcast_to(rows, (len(words), 2 * n - 1))
+    images = np.broadcast_to(rows, (len(words), len(rows)))
     for column in words.T:
         images = tables[column[:, None], images]
     return images
@@ -765,13 +789,13 @@ def ball_lookups(draw, n):
 @given(st.data())
 def test_scalar_class_key_and_distance_equal_the_vectorised_ones(data):
     """The walk's one-tableau lookup, a class key from _class_keys found by
-    bisection, agrees with _Ball.lookup in the whole step, distance and
+    bisection, agrees with _Ball.members in the whole step, distance and
     completion."""
     n = data.draw(st.integers(3, 4))
     rows = data.draw(ball_lookups(n))
     ball = _ball(n)
     key = int(_class_keys(rows[None], n)[0])
-    assert ball.step_of(key) == int(ball.lookup(rows[None])[0])
+    assert ball.step_of(key) == int(_lookup(ball, rows[None])[0])
 
 
 @st.composite
@@ -810,7 +834,7 @@ def test_the_class_key_table_stops_at_the_ball_channels():
 
 
 @contextlib.contextmanager
-def _recorded_lookups(name="lookup"):
+def _recorded_lookups(name="members"):
     """A list that gains the rows of every call of the _Ball method `name`
     made inside."""
     calls, lookup = [], getattr(search_module._Ball, name)
@@ -827,17 +851,18 @@ def _recorded_lookups(name="lookup"):
 @contextlib.contextmanager
 def _recorded_gathers(n):
     """A list that gains the number of tableaux of every gather from the
-    row tables of n channels made inside."""
-    gathers = []
+    word maps of n channels made inside."""
+    gathers, word_table = [], _word_table
 
     class Recording(np.ndarray):
-        def take(self, indices, *args, **kwargs):
-            gathers.append(len(indices))
-            return np.asarray(self).take(indices, *args, **kwargs)
+        def __getitem__(self, index):
+            out = np.asarray(self)[index]
+            gathers.append(out.shape[-1])
+            return out
 
-    tables, row_tables = tableau.row_tables(n).view(Recording), tableau.row_tables
+    table = word_table(n)._replace(maps=word_table(n).maps.view(Recording))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tableau, "row_tables", lambda m: tables if m == n else row_tables(m))
+        mp.setattr(search_module, "_word_table", lambda m: table if m == n else word_table(m))
         yield gathers
 
 
@@ -845,12 +870,12 @@ def _stream_hit(n, chunks):
     """(k, i, at): the level, the index in it and the stream position of the
     first tableau in the ball among one ball walk's looked-up chunks."""
     ball = _ball(n)
-    at = int(np.argmax(ball.distance_of(ball.lookup(np.concatenate(chunks))) <= _BALL_RADIUS))
+    at = int(np.argmax(ball.distance_of(_lookup(ball, np.concatenate(chunks))) <= _BALL_RADIUS))
     i = at
-    for k, level in enumerate(_word_table(n), 1):
-        if i < len(level.words):
+    for k, level in enumerate(_word_table(n).levels, 1):
+        if i < len(level):
             return k, i, at
-        i -= len(level.words)
+        i -= len(level)
     raise AssertionError("the stream holds no tableau in the ball")
 
 
@@ -860,12 +885,12 @@ def _dead_ends(level, last_gates, n):
     canonical completion: every shortest word from it breaks the order.
     last_gates holds the last gate of each tableau's word."""
     ball, tables, follows = _ball(n), tableau.row_tables(n), _follows(n)
-    dist = ball.distance_of(ball.lookup(level))
+    dist = ball.distance_of(_lookup(ball, level))
     least = int(dist.min())
     dead = []
     for i in np.flatnonzero(dist == least)[1:]:
         kids = tables[:, level[i]]
-        image = ball.distance_of(ball.lookup(kids))
+        image = ball.distance_of(_lookup(ball, kids))
         downhill = follows[last_gates[i] + 1] & (image == least - 1)
         gate = int(np.argmax(downhill))
         words = _canonical_words(n, least - 1)
@@ -877,61 +902,63 @@ def _dead_ends(level, last_gates, n):
 
 
 @pytest.mark.parametrize("accepted, scramble, word", [
-    (7, [Hadamard(1), Hadamard(4), ControlledNot(4, 1), Hadamard(2)],
+    (5, [Hadamard(1), Hadamard(4), ControlledNot(4, 1), Hadamard(2)],
      [Hadamard(1), Hadamard(2), Hadamard(4), ControlledNot(1, 4)]),
-    (63, [ControlledNot(4, 3), ControlledNot(1, 2), ControlledNot(4, 1), Hadamard(3)],
-     [Hadamard(3), ControlledNot(4, 1), ControlledNot(1, 2), ControlledNot(4, 3)]),
+    (46, [Hadamard(2), Hadamard(4), ControlledNot(4, 1), ControlledNot(3, 1)],
+     [Hadamard(2), ControlledNot(3, 1), ControlledNot(1, 4), Hadamard(1)]),
 ])
 def test_the_walk_passes_over_meeting_tableaux_that_dead_end(accepted, scramble, word):
-    """From these scrambled n=4 roots the level that meets the ball holds a
-    later tableau at the least distance whose first downhill child has no
-    canonical completion, where a depth-first descent would backtrack.  The
-    walk completes the first one only and returns the word of the walk
-    without the ball."""
+    """From these scrambled n=4 roots, accepted tableaux with an X or Z
+    residue (so in the walk's domain) and 4 gates applied, the level that
+    meets the ball holds a later tableau at the least distance whose first
+    downhill child has no canonical completion, where a depth-first descent
+    would backtrack.  The walk completes the first one only and returns the
+    word of the walk without the ball."""
     n = 4
     task = _Task(n, n, AuxValue.ZERO, None)
     task.root = tableau.apply_word(_accepted_tableaux(n)[accepted], n, scramble)
     with _recorded_lookups() as chunks:
         assert _walk(n, task.root, _DEPTH_HORIZON[n]) == word
-    meeting = _word_table(n)[_stream_hit(n, chunks)[0] - 1]
-    assert _dead_ends(_images(n, task.root, meeting.words), meeting.words[:, -1], n)
+    meeting = _word_table(n).levels[_stream_hit(n, chunks)[0] - 1]
+    assert _dead_ends(_images(n, task.root, meeting), meeting[:, -1], n)
     assert task._general_walk(_DEPTH_HORIZON[n]) == word
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_word_table_lists_every_canonical_word_in_order(n):
     """Level k of the word table holds every canonical word of k gates in
-    lexicographic order, k = 1..horizon - R, each with the index of its
-    prefix in level k - 1 and its last gate's place in the flat row tables;
-    its arrays are read-only, and both tables take under 128 KiB."""
-    levels = _word_table(n)
-    assert len(levels) == _DEPTH_HORIZON[n] - _BALL_RADIUS
-    prefixes = np.zeros((1, 0), dtype=np.uint8)
-    for k, level in enumerate(levels, 1):
-        assert np.array_equal(level.words, _canonical_words(n, k))
-        assert np.array_equal(prefixes[level.parent], level.words[:, :-1])
-        assert np.array_equal(level.at[:, 0], level.words[:, -1].astype(int) << (2 * n + 1))
-        assert not any(table.flags.writeable for table in level)
-        prefixes = level.words
-    assert [len(level.words) for level in levels] == (
-        [9, 57, 351, 2164] if n == 3 else [16, 174, 1792])
-    tables = [table for m in (3, 4) for level in _word_table(m) for table in level]
-    assert sum(table.nbytes for table in tables) < 128 << 10
+    lexicographic order, k = 1..horizon - R.  Column j of its row-major
+    uint16 maps takes every packed row through word j of the levels joined,
+    one row table after another.  Every array is read-only, and the n=4
+    table, words and maps, takes under 2 MiB."""
+    table, sizes = _word_table(n), {3: [9, 57, 351, 2164], 4: [16, 174, 1792]}[n]
+    assert [len(level) for level in table.levels] == sizes
+    assert len(sizes) == _DEPTH_HORIZON[n] - _BALL_RADIUS
+    rows, start = np.arange(1 << (2 * n + 1)), 0
+    for k, level in enumerate(table.levels, 1):
+        assert np.array_equal(level, _canonical_words(n, k))
+        assert np.array_equal(table.maps[:, start:start + len(level)].T, _images(n, rows, level))
+        start += len(level)
+    assert table.maps.shape == (len(rows), sum(sizes)) and table.maps.dtype == np.uint16
+    assert table.maps.flags.c_contiguous  # a chunk of columns reads 2n-1 runs
+    assert not any(array.flags.writeable for array in (*table.levels, table.maps))
+    if n == 4:
+        assert table.maps.nbytes + sum(level.nbytes for level in table.levels) < 2 << 20
 
 
 def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
-    """After a warm-up, no untargeted n=4 solve calls _Task._step, and each
-    makes one scalar lookup, of the root's key.  Outside the ball it looks
-    levels 1, 2, ... of the word table up as one stream, _FIRST_LOOKUP
-    tableaux and then twice as many each time, a chunk free to cross from
-    one level into the next: the chunks, joined, are a prefix of the root
-    mapped through every level's words, joined in word order.  The last
-    chunk holds the stream's first tableau in the ball, on level L - R, and
-    the walk gathers only the tableaux it looks up, so both 6-gate solves
-    gather and look up fewer than the 1,792 tableaux of level 3.  A shuffled
-    level 3, with repeats, looks up to the bytes of its tableaux looked up
-    one at a time."""
-    n, ball, levels = 4, _ball(4), _word_table(4)
+    """After a warm-up, no untargeted n=4 solve calls _Task._step or reads a
+    row table, and each makes one scalar lookup, of the root's key.  Outside
+    the ball it looks levels 1, 2, ... of the word table up as one stream,
+    _FIRST_LOOKUP tableaux and then twice as many each time, a chunk free to
+    cross from one level into the next: the chunks, joined, are a prefix of
+    the root mapped through every level's words, joined in word order.  Each
+    chunk is one gather from the word maps, of exactly its tableaux.  The
+    last chunk holds the stream's first tableau in the ball, on level L - R,
+    so both 6-gate solves gather and look up fewer than the 1,792 tableaux
+    of level 3.  A shuffled level 3, with repeats, looks up to the bytes of
+    its tableaux looked up one at a time."""
+    n, ball, levels = 4, _ball(4), _word_table(4).levels
     solve_bob_program(n, 1, AuxValue.ONE, 10)
     deep = []
     for aux in range(1, n + 1):
@@ -940,15 +967,16 @@ def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
             with pytest.MonkeyPatch.context() as mp, _recorded_lookups() as chunks, \
                     _recorded_lookups("step_of") as scalars, _recorded_gathers(n) as gathers:
                 mp.setattr(_Task, "_step", lambda *args: pytest.fail("the ball walk stepped"))
+                mp.setattr(tableau, "row_tables", lambda *args: pytest.fail("a row table was read"))
                 program = _ball_walk(n, root, key, _DEPTH_HORIZON[n])
             assert program == solve_bob_program(n, aux, value, 10)
             assert scalars == [key]
-            stream = np.concatenate([_images(n, root, level.words) for level in levels])
+            stream = np.concatenate([_images(n, root, level) for level in levels])
             joined = np.concatenate(chunks) if chunks else stream[:0]
             assert np.array_equal(joined, stream[:len(joined)])
             sizes = [_FIRST_LOOKUP << i for i in range(len(chunks))]
             assert [len(chunk) for chunk in chunks[:-1]] == sizes[:-1]
-            assert sum(gathers) == len(joined)
+            assert gathers == [len(chunk) for chunk in chunks]
             if chunks:
                 assert len(chunks[-1]) == min(sizes[-1], len(stream) - sum(sizes[:-1]))
                 k, _, at = _stream_hit(n, chunks)
@@ -957,9 +985,9 @@ def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
                 assert k == 3 and len(joined) < 1792
                 deep.append(program)
     assert len(deep) == 2
-    deepest = _images(n, _root(n, 1, AuxValue.ONE), levels[2].words)
+    deepest = _images(n, _root(n, 1, AuxValue.ONE), levels[2])
     batch = deepest[np.random.default_rng(5).integers(0, len(deepest), 3000)]
-    assert ball.lookup(batch).tobytes() == b"".join(ball.lookup(row[None]).tobytes()
+    assert _lookup(ball, batch).tobytes() == b"".join(_lookup(ball, row[None]).tobytes()
                                                     for row in batch)
 
 
@@ -1009,35 +1037,37 @@ def test_an_in_ball_root_returns_none_below_its_distance():
 @settings(max_examples=60)
 @given(st.data())
 def test_a_batch_looks_up_as_its_tableaux_one_at_a_time(data):
-    """_Ball.lookup sorts a batch's keys before searching the ball (at
-    256-1,024 keys, the chunks a walk looks up, it pays only when the
-    ball's keys are out of cache) and puts each answer back in its place:
-    any batch, in any order and with repeats, gives the bytes of its
-    tableaux looked up one at a time."""
+    """_Ball.members searches the ball only for the keys its bitmap marks,
+    unsorted, and gives each answer's place: any batch, in any
+    order and with repeats, gives the bytes of its tableaux looked up one at
+    a time."""
     n = data.draw(st.integers(3, 4))
     rows = data.draw(st.lists(ball_lookups(n), min_size=1, max_size=16))
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=48))
     batch, ball = np.array([rows[i] for i in picks]), _ball(n)
-    assert ball.lookup(batch).tobytes() == b"".join(ball.lookup(row[None]).tobytes()
+    assert _lookup(ball, batch).tobytes() == b"".join(_lookup(ball, row[None]).tobytes()
                                                     for row in batch)
 
 
 def test_shallow_solves_build_only_the_n3_ball():
     """The benchmark's warm-ups, one n=3 solve and an in-process n=3
-    solve-bob, build the n=3 ball that fixes their decoders' lengths (5,760
-    keys and their steps, under 64 KiB kept, with a 32 KiB class-key table;
-    under 512 KiB at the peak of both builds), never the n=4 one."""
+    solve-bob, build the n=3 ball that fixes their decoders' lengths (3,228
+    keys and their steps, under 32 KiB kept, with a 32 KiB class-key table;
+    under 512 KiB at the peak of both builds), never the n=4 one.  Every n=3
+    root lies in the ball, so they build no word table and no membership
+    bitmap either."""
     tableau.row_tables(3)  # numpy's first-call allocations, outside the measurement
     _ball.cache_clear()
     _canon.cache_clear()
+    _word_table.cache_clear()
     tracemalloc.start()
     try:
         ball = _ball(3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ball.keys) == 5760 and peak <= 512 << 10
-    assert ball.keys.nbytes + ball.steps.nbytes <= 64 << 10
+    assert len(ball.keys) == 3228 and peak <= 512 << 10
+    assert ball.keys.nbytes + ball.steps.nbytes <= 32 << 10
     assert _canon(3).nbytes == 32 << 10
     _ball.cache_clear()
     _canon.cache_clear()
@@ -1048,18 +1078,23 @@ def test_shallow_solves_build_only_the_n3_ball():
                 assert cli.main(["solve-bob", "--channels", "3", "--aux-channel", str(aux),
                                  "--aux-value", value.value]) == 0
     assert _ball.cache_info().currsize == 1 and _canon.cache_info().currsize == 1
-    _ball(3)  # a hit: the one ball built is the n=3 one
+    assert _ball(3).marks is None  # a hit: the one ball built is the n=3 one
     _canon(3)
     assert _ball.cache_info().currsize == 1 and _canon.cache_info().currsize == 1
+    assert _word_table.cache_info().currsize == 0
 
 
 def test_ball_build_memory_is_bounded():
     """Building the n=4 ball and its class-key table allocates at most 4 MiB
-    at its peak, and they keep at most 2 MiB (keys, steps and the table)."""
+    at its peak, and they keep at most 1.5 MiB (keys, steps and the table).
+    The word table and the membership bitmap, built by the first walk from
+    a root outside the ball, keep at most 3 MiB together (the maps, the
+    words and the marks) and allocate at most 6 MiB at their peak."""
     _ball(3)  # numpy's first-call allocations, outside the measurement
     tableau.row_tables(4)
     _ball.cache_clear()
     _canon.cache_clear()
+    _word_table.cache_clear()
     tracemalloc.start()
     try:
         ball = _ball(4)
@@ -1067,7 +1102,17 @@ def test_ball_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20
-    assert ball.keys.nbytes + ball.steps.nbytes + _canon(4).nbytes <= 2 << 20
+    assert ball.keys.nbytes + ball.steps.nbytes + _canon(4).nbytes <= 3 << 19
+    assert ball.marks is None
+    tracemalloc.start()
+    try:
+        assert len(solve_bob_program(4, 1, AuxValue.ONE, 10)) == 6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = _word_table(4)
+    kept = table.maps.nbytes + sum(level.nbytes for level in table.levels) + ball.marks.nbytes
+    assert kept <= 3 << 20 and peak <= 6 << 20
 
 
 def test_row_table_verify_agrees_with_apply_word():

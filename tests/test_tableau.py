@@ -1,11 +1,13 @@
 """The Clifford core: the conjugation rule against dense matrices, and every
 registered decoder checked exactly against its own layout."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import circuit_matrix_oracle, gate_matrix_oracle
+from helpers import circuit_matrix_oracle, gate_matrix_oracle, y_parity
 
 from intraport import tableau
 from intraport.protocol import (
@@ -86,6 +88,62 @@ def test_multiply_matches_dense_products_of_commuting_rows(pair):
                                atol=1e-12)
     rows = np.array([a, b], dtype=np.uint16)
     assert tableau.multiply(rows[:1], rows[1:], n)[0] == tableau.multiply(a, b, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_gate_keeps_each_rows_y_parity(n):
+    """Every entry of every row table keeps its row's Y-count parity, over
+    all 2^(2n+1) packed rows: no word changes q(x, z) = x . z of a row."""
+    rows = np.arange(1 << (2 * n + 1))
+    for image in tableau.row_tables(n):
+        assert np.array_equal(y_parity(image, n), y_parity(rows, n))
+
+
+def _group_order(n, signed):
+    """The number of distinct tableaux, the images of X_1..X_n and then
+    Z_1..Z_n, that words over gate_alphabet(n) make from the identity: a
+    breadth-first walk over the row tables, signs dropped unless `signed`.
+    The gates are involutions, so the words reach a group."""
+    tables = tableau.row_tables(n).astype(np.int64)
+    if not signed:
+        tables &= (1 << (2 * n)) - 1
+    bits = 2 * n + 1
+    places = np.arange(0, 2 * n * bits, bits)  # 42 bits of key at n=3
+
+    def unpack(keys):
+        return (keys[:, None] >> places) & ((1 << bits) - 1)
+
+    seen = frontier = (np.array([1 << k for k in range(2 * n)]) << places).sum(keepdims=True)
+    while len(frontier):
+        found = []
+        for start in range(0, len(frontier), 1 << 14):
+            rows = tables[:, unpack(frontier[start:start + (1 << 14)])].reshape(-1, 2 * n)
+            keys = np.unique((rows << places).sum(axis=1))
+            found.append(keys[seen.take(seen.searchsorted(keys), mode="clip") != keys])
+        frontier = np.unique(np.concatenate(found))
+        seen = np.union1d(seen, frontier)
+    return len(seen)
+
+
+@pytest.mark.parametrize("n, signed, order", [(1, True, 2), (1, False, 2), (2, True, 1152),
+                                              (2, False, 72), (3, False, 40320)])
+def test_the_words_generate_the_real_clifford_group(n, signed, order):
+    """From n = 2 on, H and CNOT generate 4^n |O+(2n, 2)| signed tableaux
+    and |O+(2n, 2)| unsigned ones, |O+(2n, 2)| = 2 2^(n(n-1)) (2^n - 1)
+    prod_{0<i<n} (4^i - 1) being the orthogonal group of q(x, z) = x . z:
+    every Pauli frame on top of it, the real Clifford group (Nebe, Rains and
+    Sloane, arXiv:math/0001038).  At n = 1 the alphabet is H alone."""
+    if n > 1:
+        orthogonal = 2 * 2 ** (n * (n - 1)) * (2 ** n - 1)
+        orthogonal *= math.prod(4 ** i - 1 for i in range(1, n))
+        assert order == (4 ** n if signed else 1) * orthogonal
+    assert _group_order(n, signed) == order
+
+
+@pytest.mark.slow
+def test_the_signed_n3_group_has_2580480_elements():
+    """The signed n=3 walk of the test above: 64 times 40,320 tableaux."""
+    assert _group_order(3, True) == 2580480
 
 
 def _registered_cases():

@@ -122,6 +122,10 @@ def cli_errors() -> list:
         ["run-figure", "1", "--a", "1e200", "--b", "0", "--c", "1", "--d", "0"],
         ["run-figure", "1", "--a", "1e308", "--b", "1e308"],
         ["bell", "--a", "1e200", "--b", "0", "--e", "1", "--f", "0"],
+        # integers that are not ASCII decimal, refused as in .qc files
+        ["run-figure", "３"], ["run-figure", "1", "--seed", "３"],
+        ["solve-bob", "--channels", "３", "--aux-channel", "1", "--aux-value", "zero"],
+        ["eavesdrop", "--trials", "５"], ["swap", "--to", "２,3,1"],
     ]
     return [_cli(argv) for argv in calls]
 
