@@ -99,6 +99,15 @@ def decimal_int(text: str) -> int:
     return int(text)
 
 
+def decimal_float(text: str) -> float:
+    """float(text) for ASCII text without underscores, the one float rule
+    of the CLI; anything else, such as '1_0.5' or '０.６', which float()
+    alone would take, raises ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal number: {text!r}")
+    return float(text)
+
+
 def _integers(tokens: list[str]) -> list[int] | None:
     """The tokens as ints by decimal_int, or None if one is not."""
     try:

@@ -21,7 +21,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import MAX_CHANNELS, Circuit, CircuitParseError, decimal_int, gate_text, parse_circuit
+from .circuit import (
+    MAX_CHANNELS,
+    Circuit,
+    CircuitParseError,
+    decimal_float,
+    decimal_int,
+    gate_text,
+    parse_circuit,
+)
 from .eavesdrop import DetectionMode, EveStrategy, run_experiment
 from .errors import ImpossibleBranch, IntraportError
 from .protocol import (
@@ -50,9 +58,10 @@ from .search import solve_bob_program
 
 def _tolerance(text: str) -> float:
     """A conformance tolerance: a number in [0, 1] (so never NaN, which
-    would fail every check and is not valid JSON)."""
+    would fail every check and is not valid JSON), read by
+    circuit.decimal_float."""
     try:
-        value = float(text)
+        value = decimal_float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance is not a number: {text!r}") from None
     if not 0.0 <= value <= 1.0:
@@ -74,11 +83,12 @@ def _tol(args) -> float:
 
 
 def _parse_complex(text: str) -> complex:
+    """An amplitude, 're' or 're,im', each part read by circuit.decimal_float."""
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
+        return complex(decimal_float(parts[0]), 0.0)
     if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(decimal_float(parts[0]), decimal_float(parts[1]))
     raise ValueError(f"expected 're' or 're,im', got {text!r}")
 
 

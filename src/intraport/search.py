@@ -25,16 +25,16 @@ the ball, then appends the stored completion of the first tableau it met.
 
 A solve starts from its case's root, the input rows mapped through the
 encoder and the receiver prefix, cached per (n, aux channel, value) by
-_root.  With no target at n <= 4, _root_key caches the root's class key
-(below) beside it, computed by _class_keys once per case, and the solve
-bisects the ball for that key.  A root in the ball returns its class's
-stored least completion at once; a root outside it runs the ball walk,
-_ball_walk, a function of the root rows, their key and the depth that
-needs no task.  A _Task holds one general walk (a target, or n >= 5) and
-the exact check of one word.  Nothing a solve returns is cached: every call
-bisects the ball, and a root outside it streams the word maps again.  What
-is cached is per size (the ball, its bitmap, the word table), or per case
-(the root and its key).
+_root.  With no target at n <= 4, _root_class caches per case the root
+extended by its products with S' and its class key (both below), and the
+solve bisects the ball for that key.  A root in the ball returns its
+class's stored least completion at once; a root outside it runs the ball
+walk, _ball_walk, a function of the extended root, its key and the depth
+that needs no task.  A _Task holds one general walk (a target, or n >= 5)
+and the exact check of one word.  Nothing a solve returns is cached: every
+call bisects the ball, and a root outside it streams the word maps again.
+What is cached is per size (the ball, its bitmap, the word table), or per
+case (the root, and its extension with its key).
 
 The general walk drops every tableau that cannot decode in the gates it has
 left.
@@ -87,27 +87,45 @@ the sign).  Each gate maps a row and its product with S' to the images and
 their product, and acceptance reduces modulo S', so the tableaux whose
 message rows agree modulo S' form a class that gates map to classes and
 that is accepted as a whole.  A class is keyed by S' and then, per message
-row, the smaller of row and row S' (63 bits at n=4).  That smaller row, sign
-included, is read from one table per size, _canon(n), at (S' << (2n+1)) |
-row for every pair of packed rows: 2^18 uint16 entries (512 KiB) at n=4 and
-2^14 (32 KiB) at n=3, built once when a key is first needed.  At n=5 it
-would take 2^22 entries (8 MiB), so it stops at n=4.  _ball(n) holds every
-class within R = 3 gates of acceptance with its distance, the backward half
-of the meet-in-the-middle search of Amy, Maslov, Mosca and Roetteler
-(arXiv:1206.0758): a breadth-first walk over classes from the 4 n! accepted
-ones with an X or Z residue (message j on channel perm[j], a signed X or Z
-residue on the last channel of perm, for every channel permutation perm;
-the gates are involutions, so walking back is walking forward).  At n=4 it
-holds 80,184 keys at distances 0..3 (96, 1,224, 10,440 and 68,424) in 0.76
-MiB with their words below; at n=3, 3,228 keys in 32 KiB.  Each is built
-once, when a walk first needs it.  The ball measures distance over
-unrestricted words, but any word reduces to a canonical one that is no
-longer (drop repeated pairs, sort commuting neighbours), so it is also the
-fewest gates a canonical word needs; distance 0 is exactly acceptance.
+row, the smaller of row and row S', sign included (63 bits at n=4).
+
+The product is carried, not computed per key.  The ball walk and the ball
+build extend each tableau (_extend) to 4n-3 rows: S', the 2n-2 message
+rows, and each message row times S' by tableau.multiply, computed once per
+root and once per accepted start.  A gate maps all 4n-3 rows by its row
+table, and the key is S' OR, at place i, min(row i, product i): one
+np.minimum and one matrix product with the places (_class_keys).  This is
+exact.  Conjugation by a Clifford U is an algebra automorphism, U ab U^dagger
+= (U a U^dagger)(U b U^dagger), sign included, so for commuting rows a and b
+every row table T maps multiply(a, b) to multiply(T[a], T[b]).  (The
+product of anticommuting rows is i times a Pauli, which no row holds.)
+Every accepted start has message rows that commute with S', since they act
+on other channels than S', and so do the input rows that a root is the
+image of.  Conjugation keeps commutation, so every root, and every tableau
+that a walk or the build reaches from a root or a start, has such rows too,
+and by induction on the word the carried row is tableau.multiply of the
+message row's and S''s images at every depth: the carried key is the key
+above.  So the key needs no table per size; its only limit at n <= 4 is
+its packing into a uint64, which 2n-1 rows of 2n+1 bits outgrow at n=5 (99
+bits).
+
+_ball(n) holds every class within R = 3 gates of acceptance with its
+distance, the backward half of the meet-in-the-middle search of Amy,
+Maslov, Mosca and Roetteler (arXiv:1206.0758): a breadth-first walk over
+classes from the 4 n! accepted ones with an X or Z residue (message j on
+channel perm[j], a signed X or Z residue on the last channel of perm, for
+every channel permutation perm; the gates are involutions, so walking back
+is walking forward).  At n=4 it holds 80,184 keys at distances 0..3 (96,
+1,224, 10,440 and 68,424) in 0.76 MiB with their words below; at n=3, 3,228
+keys in 32 KiB.  Each is built once, when a walk first needs it.  The ball
+measures distance over unrestricted words, but any word reduces to a
+canonical one that is no longer (drop repeated pairs, sort commuting
+neighbours), so it is also the fewest gates a canonical word needs;
+distance 0 is exactly acceptance.
 
 The accepted classes with a Y residue are left out, and with them every
-class that only they reach, because no root reaches them.  By the lemma
-above every gate keeps the parity of each row's Y count, and a root's S'
+class that only they reach, because no root reaches them.  By the Y-count
+lemma above every gate keeps the parity of each row's Y count, and a root's S'
 has an even one, so every tableau on any word from a root has an S' with
 an even Y count.  An accepted S' with an even Y count is a signed X or Z on
 one channel.  So a class with such an S' reaches only X/Z accepted classes,
@@ -129,25 +147,27 @@ gate starts some completion), and the rest is the least completion of g's
 image.  One uint16 per key holds both, the distance in the top nibble and
 below it up to R gate nibbles, first gate lowest (n <= 4 has at most 16
 gates).  The build expands level d - 1, the classes first reached at d - 1,
-one gate at a time in alphabet order, and carries beside each tableau of
-the level its class's completion.  Each key it reaches first from a class p
-by a gate g keeps g | completion(p) << 4.  This is the key's least
-completion: a gate is an involution on classes, so g takes a class at d to
-d - 1 exactly when g takes some class at d - 1 to it, the gates are tried in
-order, and g's image is p.  A key is inserted beside its word, so the walk
-ends with both sorted, and the rows of the last level, never expanded, are
-not kept.
+one gate at a time in alphabet order, and carries beside each extended
+tableau of the level its class's completion.  Each key it reaches first
+from a class p by a gate g keeps g | completion(p) << 4.  This is the key's
+least completion: a gate is an involution on classes, so g takes a class at
+d to d - 1 exactly when g takes some class at d - 1 to it, the gates are
+tried in order, and g's image is p.  A key is inserted beside its word, so
+the walk ends with both sorted, and the rows of the last level, never
+expanded, are not kept.
 
-A lookup of many tableaux (_Ball.members, which the walk calls once per
-chunk) first reads a membership bitmap, a read-only bool table of 2^b
+The walk looks its stream up chunk by chunk (_Ball.first_in_ball).  A
+chunk's keys first read a membership bitmap, a read-only bool table of 2^b
 entries, b the least with 2^b at least 8 times the ball's keys (2^20
 entries, 1 MiB, at n=4, 7.4% of them set).  A key's entry is at the top b
 bits of key * 0x9E3779B97F4A7C15 mod 2^64, and every key of the ball sets
 its own, so a key whose entry is clear lies outside the ball: the bitmap
-has no false negatives.  Only the marked keys are searched for, unsorted,
-by binary search in the sorted keys.  The first such lookup builds the
-bitmap, so a solve whose root lies in the ball, as every n=3 root does,
-never does: it looks its one key up by bisection (_Ball.step_of).
+has no false negatives.  Only the marked keys are looked up, one at a time
+in stream order by bisection in the sorted keys (_Ball.step_of), and the
+lookup stops at the first key the ball holds, the stream's first tableau
+in the ball.  The first chunk builds the bitmap, so a solve whose root lies
+in the ball, as every n=3 root does, never does: it bisects for its one
+key.
 
 The ball walk (no target, n <= 4) has no acceptance test, no
 deduplication and no pruning by h.  Level k lists every canonical word of
@@ -157,13 +177,14 @@ k gates in lexicographic order.  _word_table(n) holds these words for k =
 the map of every word, the levels joined in word order: a row-major
 (2^(2n+1), W) uint16 table whose column j takes every packed row through
 word j, each column its last gate's row table after its prefix's column,
-one gather per level (1.94 MiB for the 1,982 words at n=4).  So the root
-mapped through words lo..hi - 1 is one gather of 2n-1 runs, maps[root,
-lo:hi], a (2n-1, K) row-major block, the layout _class_keys reads.  The
-walk looks up the root's key and, outside the ball, levels 1..D - R as one
-stream in word order (level 1, then level 2, and so on): _FIRST_LOOKUP
-tableaux and then twice as many at a time, a lookup free to cross from one
-level into the next.  It stops at the first lookup that holds a tableau in
+one gather per level (1.94 MiB for the 1,982 words at n=4), and where
+each level starts among the words joined.  So the extended root mapped
+through words lo..hi - 1 is one gather of 4n-3 runs, maps[ext, lo:hi], a
+(4n-3, K) row-major block, the layout _class_keys reads, and the level of
+a word is found by bisection in the starts.  The walk looks up the root's
+key and, outside the ball, levels 1..D - R as one stream in word order
+(level 1, then level 2, and so on): _FIRST_LOOKUP tableaux and then twice
+as many at a time, a lookup free to cross from one level into the next.  It stops at the first lookup that holds a tableau in
 the ball, and gathers only the tableaux it looks up.  Let k be the level
 of the first tableau of the stream in the ball (k = 0 for a root in the
 ball).  No level before k meets the ball, and nothing accepted lies outside
@@ -174,9 +195,9 @@ exactly R gates from acceptance.  Hence the first tableau of the stream in
 the ball is the first of level k at the least distance.  L is the minimal
 length: the words to level k give a decoder of k + d gates, and the prefix
 of the least accepted word that stops R gates short of its end is listed
-and lies in the ball, so the walk meets the ball no later than that.  A walk to depth D never looks
-a level past D - R up without meeting the ball, and returns None at once
-when L > D.
+and lies in the ball, so the walk meets the ball no later than that.  A
+walk to depth D never looks a level past D - R up without meeting the ball,
+and returns None at once when L > D.
 
 Pruning by h would change none of this, which is why the walk does not
 prune.  A tableau that h drops at level i has d > D - i, and so has every
@@ -236,7 +257,7 @@ nonexistence proof.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -309,9 +330,11 @@ def _follows(n: int) -> np.ndarray:
 
 class _WordTable(NamedTuple):
     """Levels 1.._DEPTH_HORIZON[n] - _BALL_RADIUS of canonical words, each
-    in lexicographic order, and the row map of every word."""
+    in lexicographic order, where each level starts among the words joined,
+    and the row map of every word."""
 
     levels: tuple[np.ndarray, ...]  # uint8 (W_k, k): level k's words, their gates
+    starts: tuple[int, ...]  # level k's first word is word starts[k - 1]; the last entry is W
     maps: np.ndarray  # uint16 (2^(2n+1), W): column j maps every packed row through word j
 
 
@@ -332,15 +355,16 @@ def _word_table(n: int) -> _WordTable:
         levels.append(words)
         links.append((parent, gate))
         last = gate + 1
-    # row-major, so that a chunk of columns is 2n-1 runs of the table
-    maps = np.empty((tables.shape[1], sum(map(len, levels))), dtype=np.uint16)
-    above, start = np.arange(tables.shape[1], dtype=np.uint16)[:, None], 0  # the empty word's map
-    for parent, gate in links:
+    starts = (0, *np.cumsum([len(level) for level in levels]).tolist())
+    # row-major, so that a chunk of columns is one run of the table per row gathered
+    maps = np.empty((tables.shape[1], starts[-1]), dtype=np.uint16)
+    above = np.arange(tables.shape[1], dtype=np.uint16)[:, None]  # the empty word's map
+    for (parent, gate), start in zip(links, starts):
         maps[:, start:start + len(gate)] = tables[gate, above[:, parent]]
-        above, start = maps[:, start:start + len(gate)], start + len(gate)
+        above = maps[:, start:start + len(gate)]
     for array in (*levels, maps):
         array.flags.writeable = False
-    return _WordTable(tuple(levels), maps)
+    return _WordTable(tuple(levels), starts, maps)
 
 
 @lru_cache(maxsize=None)
@@ -375,47 +399,37 @@ def _root(n: int, aux_channel: int, value: AuxValue) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _root_key(n: int, aux_channel: int, value: AuxValue) -> int:
-    """The class key of a case's root rows (_class_keys), n <= _BALL_CHANNELS."""
-    return int(_class_keys(_root(n, aux_channel, value)[None], n)[0])
+def _extend(rows: np.ndarray, n: int) -> np.ndarray:
+    """(4n-3, ...) uint16: the (2n-1, ...) tableau rows, then each message
+    row times S' (tableau.multiply), sign included: the rows a ball walk
+    carries through its gates."""
+    return np.concatenate([rows, tableau.multiply(rows[1:], rows[:1], n)])
 
 
 @lru_cache(maxsize=None)
-def _row_places(n: int, r: int) -> np.ndarray:
-    """(r,) uint64: 2^(i(2n+1)), the place of row i in a key; the rows'
-    bits do not overlap, so a product with it is their shift-and-OR."""
-    return np.uint64(1) << np.arange(0, r * (2 * n + 1), 2 * n + 1, dtype=np.uint64)
+def _root_class(n: int, aux_channel: int, value: AuxValue) -> tuple[np.ndarray, int]:
+    """A case's root extended by its products (_extend), read-only, and its
+    class key (_class_keys); n <= _BALL_CHANNELS."""
+    ext = _extend(_root(n, aux_channel, value), n)
+    ext.flags.writeable = False
+    return ext, int(_class_keys(ext[:, None], n)[0])
 
 
 @lru_cache(maxsize=None)
-def _canon(n: int) -> np.ndarray:
-    """(2^(4n+2),) uint16, read-only: at (S' << (2n+1)) | row, the smaller
-    of row and the product row S' with its sign (tableau.multiply), for
-    every pair of packed rows; n <= _BALL_CHANNELS (512 KiB at n=4)."""
-    if n > _BALL_CHANNELS:
-        raise UnsupportedSize(f"class keys are tabulated up to {_BALL_CHANNELS} channels, got {n}")
-    half = 1 << (2 * n)  # the rows without a sign
-    row = np.arange(half, dtype=np.uint16)
-    # the product's sign bit depends on neither factor's sign: [row, S']
-    sign = tableau.multiply(row[:, None], row[None, :], n) & np.uint16(half)
-    full = np.arange(2 * half, dtype=np.uint16)
-    table = full[:, None] ^ full[None, :]  # [S', row]: the product up to its sign
-    quarters = table.reshape(2, half, 2, half)  # [S' sign, S', row sign, row]
-    np.bitwise_xor(quarters, sign.T[None, :, None, :], out=quarters)
-    np.minimum(table, full[None, :], out=table)
-    table = table.ravel()
-    table.flags.writeable = False
-    return table
+def _row_places(n: int) -> np.ndarray:
+    """(2n-2,) uint64: 2^(i(2n+1)), the place of message row i = 1..2n-2 in
+    a key; the rows' bits do not overlap, so a product with it is their
+    shift-and-OR."""
+    return np.uint64(1) << np.arange(2 * n + 1, (2 * n - 1) * (2 * n + 1), 2 * n + 1,
+                                     dtype=np.uint64)
 
 
-def _class_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """(K,) uint64: the class key of each (K, 2n-1) tableau, S' and then
-    the smaller of row and row S' for each message row, read from _canon."""
-    at = np.ascontiguousarray(rows.T, dtype=np.intp)  # row-major, so each step runs over K
-    at[1:] |= at[0] << (2 * n + 1)
-    # message row i goes to place i of the key, S' to place 0
-    return _row_places(n, 2 * n - 1)[1:] @ _canon(n).take(at[1:]).astype(np.uint64) | rows[:, 0]
+def _class_keys(ext: np.ndarray, n: int) -> np.ndarray:
+    """(K,) uint64: the class key of each of the (4n-3, K) extended tableaux
+    (_extend), S' and then, at place i, the smaller of message row i and its
+    product with S'."""
+    low = np.minimum(ext[1:2 * n - 1], ext[2 * n - 1:])
+    return np.matmul(_row_places(n), low, dtype=np.uint64) | ext[0]
 
 
 class _Ball:
@@ -453,17 +467,6 @@ class _Ball:
             self.marks = marks
         return self.marks.take((keys * _HASH_MULTIPLIER >> self._shift).view(np.intp))
 
-    def members(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which of the (K, 2n-1) tableaux lie in the ball, in order, and
-        where each one's class key is among the ball's keys.  Only the keys
-        the bitmap marks are searched for."""
-        keys = _class_keys(rows, self.n)
-        marked = np.flatnonzero(self._marked(keys))
-        keys = keys[marked]
-        at = self.keys.searchsorted(keys)
-        found = self.keys.take(at, mode="clip") == keys
-        return marked[found], at[found]
-
     def step_of(self, key: int) -> int:
         """The step of one class key (_class_keys), found by bisection in
         memoryviews of the tables, or _OUTSIDE outside the ball."""
@@ -472,16 +475,18 @@ class _Ball:
         return steps[at] if at < len(keys) and keys[at] == key else _OUTSIDE
 
     def first_in_ball(self, chunks: Iterable[np.ndarray]) -> tuple[int, int]:
-        """The position of the first tableau in the ball among the (K, 2n-1)
-        chunks joined, and its step, or (their length, _OUTSIDE) if none is:
-        each chunk's members are found whole, up to the first chunk that
-        has one."""
+        """The position of the first tableau in the ball among the (4n-3, K)
+        extended chunks joined, and its step, or (their length, _OUTSIDE) if
+        none is: the keys a chunk's bitmap entries mark are bisected in
+        order, up to the first in the ball."""
         start = 0
         for chunk in chunks:
-            inside, at = self.members(chunk)
-            if inside.size:
-                return start + int(inside[0]), int(self.steps[at[0]])
-            start += len(chunk)
+            keys = _class_keys(chunk, self.n)
+            for at in self._marked(keys).nonzero()[0].tolist():
+                step = self.step_of(keys.item(at))
+                if step != _OUTSIDE:
+                    return start + at, step
+            start += len(keys)
         return start, _OUTSIDE
 
 
@@ -499,67 +504,68 @@ def _ball(n: int) -> _Ball:
     accepted one, each key with the gate that first reached it followed by
     the completion of the class it was reached from (see the module
     docstring)."""
-    level = np.array([tableau.input_rows(n, tableau.pauli(n, perm[-1], x, z, sign), perm[:-1])
-                      for perm in permutations(range(1, n + 1))
-                      for x, z in ((1, 0), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
+    starts = np.array([tableau.input_rows(n, tableau.pauli(n, perm[-1], x, z, sign), perm[:-1])
+                       for perm in permutations(range(1, n + 1))
+                       for x, z in ((1, 0), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
+    level = _extend(starts.T, n)  # (4n-3, L): the level's tableaux, extended, one per column
     keys = np.sort(_class_keys(level, n))
     steps = np.zeros(len(keys), dtype=np.uint16)
-    completions = np.zeros(len(level), dtype=np.uint16)  # the least completion of each level tableau
+    # the least completion of each level tableau
+    completions = np.zeros(level.shape[1], dtype=np.uint16)
     for d in range(1, _BALL_RADIUS + 1):
         found, found_completions = [], []
         for gate, table in enumerate(tableau.row_tables(n)):  # in alphabet order
-            for start in range(0, len(level), _CHUNK_CHILDREN):
-                kids = table[level[start:start + _CHUNK_CHILDREN]]
+            for start in range(0, level.shape[1], _CHUNK_CHILDREN):
+                kids = table[level[:, start:start + _CHUNK_CHILDREN]]
                 uniq, first = np.unique(_class_keys(kids, n), return_index=True)
                 at, new = _unseen(keys, uniq)
                 completion = completions[start:start + _CHUNK_CHILDREN][first[new]] << 4 | gate
                 keys = np.insert(keys, at[new], uniq[new])
                 steps = np.insert(steps, at[new], completion | d << _DISTANCE_SHIFT)
                 if d < _BALL_RADIUS:  # the last level is never expanded
-                    found.append(kids[first[new]])
+                    found.append(kids[:, first[new]])
                     found_completions.append(completion)
-        level = np.concatenate(found) if found else level[:0]
+        level = np.concatenate(found, axis=1) if found else level[:, :0]
         completions = np.concatenate(found_completions) if found else completions[:0]
     for table in (keys, steps):
         table.flags.writeable = False
     return _Ball(n, keys, steps)
 
 
-def _ball_walk(n: int, root: np.ndarray, key: int, max_depth: int) -> Optional[list[Gate]]:
+def _ball_walk(n: int, ext: np.ndarray, key: int, max_depth: int) -> Optional[list[Gate]]:
     """The least canonical word of at most max_depth gates, max_depth at
-    most the horizon, that takes the (2n-1,) tableau `root`, of class key
-    `key`, to acceptance with no target, or None (n <= _BALL_CHANNELS).  A
-    root in the ball takes its class's stored least completion.  Outside
-    it, the first tableau in the ball of the levels of _word_table, looked
-    up as one stream, fixes the minimal length; then come its word and its
-    class's stored least completion."""
+    most the horizon, that takes a root to acceptance with no target, or
+    None (n <= _BALL_CHANNELS).  The root is given extended by its products
+    (_extend), as the (4n-3,) `ext`, and by its class key `key`.  A root in
+    the ball takes its class's stored least completion.  Outside it, the
+    first tableau in the ball of the levels of _word_table, looked up as one
+    stream, fixes the minimal length; then come its word and its class's
+    stored least completion."""
     ball, word = _ball(n), []
     step = ball.step_of(key)
-    if ball.distance_of(step) > _BALL_RADIUS:
+    if step == _OUTSIDE:
         # a first meeting past level max_depth - R would take more than max_depth gates
         table = _word_table(n)
-        levels = table.levels[:max(0, max_depth - _BALL_RADIUS)]
-        at, step = ball.first_in_ball(_stream(table.maps, root, sum(map(len, levels))))
-        for level in levels:
-            if at < len(level):
-                word = level[at].tolist()
-                break
-            at -= len(level)
-        else:
+        at, step = ball.first_in_ball(
+            _stream(table.maps, ext, table.starts[max(0, max_depth - _BALL_RADIUS)]))
+        if step == _OUTSIDE:
             return None
+        k = bisect_right(table.starts, at) - 1
+        word = table.levels[k][at - table.starts[k]].tolist()
     if len(word) + ball.distance_of(step) > max_depth:
         return None
     gates = _alphabet(n)
     return [gates[gate] for gate in word + ball.completion(step)]
 
 
-def _stream(maps: np.ndarray, root: np.ndarray, count: int) -> Iterator[np.ndarray]:
-    """The root mapped through the first `count` words of the word table,
-    in word order, as (K, 2n-1) views: _FIRST_LOOKUP tableaux and then twice
-    as many each time, each chunk one gather of `maps`, (2n-1, K) row-major."""
+def _stream(maps: np.ndarray, ext: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """The extended root `ext` mapped through the first `count` words of the
+    word table, in word order, as (4n-3, K) blocks: _FIRST_LOOKUP tableaux
+    and then twice as many each time, each chunk one gather of `maps`, a
+    run per row."""
     start, size = 0, _FIRST_LOOKUP
     while start < count:
-        yield maps[root, start:min(start + size, count)].T
+        yield maps[ext, start:min(start + size, count)]
         start, size = start + size, 2 * size
 
 
@@ -708,8 +714,7 @@ def solve_bob_program(
     horizon = _DEPTH_HORIZON[n]
     depth, task = min(max_gates, horizon), None
     if target is None and n <= _BALL_CHANNELS:
-        found = _ball_walk(n, _root(n, aux_channel, aux_value),
-                           _root_key(n, aux_channel, aux_value), depth)
+        found = _ball_walk(n, *_root_class(n, aux_channel, aux_value), depth)
     else:
         task = _Task(n, aux_channel, aux_value, target)
         found = task._general_walk(depth)

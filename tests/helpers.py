@@ -146,3 +146,12 @@ def y_parity(rows, n):
     y = np.asarray(rows, dtype=np.int64)
     y = y & (y >> n)
     return sum((y >> k) & 1 for k in range(n)) % 2
+
+
+def commutes(a, b, n):
+    """Whether the packed Paulis a and b commute, elementwise: the channels
+    on which one has an x bit and the other a z bit, counted channel by
+    channel, are even in number."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    form = sum((((a >> k) & (b >> (n + k))) ^ ((a >> (n + k)) & (b >> k))) & 1 for k in range(n))
+    return form % 2 == 0

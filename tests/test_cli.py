@@ -158,7 +158,7 @@ def test_run_figure_accepts_a_slightly_short_message():
     assert all(abs(ch["fidelity"] - 1) < 1e-12 for ch in doc["channels"])
 
 
-@pytest.mark.parametrize("raw", ["x", "nan", "-1e-3", "2"])
+@pytest.mark.parametrize("raw", ["x", "nan", "-1e-3", "2", "０.５", "1_0e-3"])
 def test_run_figure_refuses_a_bad_tolerance_env(monkeypatch, raw):
     monkeypatch.setenv("INTRAPORT_TOL", raw)
     code, doc = run_cli(["run-figure", "2", "--seed", "3"])
@@ -539,6 +539,17 @@ def test_unknown_subcommand_exits_2():
      "argument --channels: invalid int value: '３'"),
     (["eavesdrop", "--trials", "５"], "argument --trials: invalid int value: '５'"),
     (["fuzz", "--figure", "1", "--trials", "1_0"], "argument --trials: invalid int value: '1_0'"),
+    # floats follow the same rule (circuit.decimal_float), which float() alone is not
+    (["run-figure", "1", "--a", "０.６", "--b", "0.8", "--e", "1", "--f", "0"],
+     "argument --a: invalid _parse_complex value: '０.６'"),
+    (["bell", "--a", "0.6,０", "--b", "0.8", "--e", "1", "--f", "0"],
+     "argument --a: invalid _parse_complex value: '0.6,０'"),
+    (["bell", "--a", "1", "--b", "0", "--e", "1_0.5", "--f", "0"],
+     "argument --e: invalid _parse_complex value: '1_0.5'"),
+    (["run-figure", "1", "--seed", "1", "--tol", "０.５"],
+     "argument --tol: tolerance is not a number: '０.５'"),
+    (["fuzz", "--figure", "1", "--tol", "1_0e-3"],
+     "argument --tol: tolerance is not a number: '1_0e-3'"),
 ])
 def test_usage_errors_are_json(argv, message):
     buf, err = io.StringIO(), io.StringIO()
@@ -611,12 +622,14 @@ _CLI_WIDE_INTS = st.one_of(_CLI_INTS, st.sampled_from([2**64, -(2**64), 10**30, 
 # Mostly a figure that runs, so that its amplitude flags are read
 _CLI_FIGURES = st.one_of(st.sampled_from(["1", "2", "3", "4", "6", "7", "8", "9"]), _CLI_WIDE_INTS)
 _CLI_PATHS = st.sampled_from([FIG1_PATH, "missing.qc", str(GOLDEN_DIR / "bell_uniform.json")])
+# Amplitudes, past the float range too, and digits that float() takes but the CLI refuses
 _CLI_AMPS = st.sampled_from(["0", "1", "0.6", "0.8", "0,1", "0.6,0.8", "2", "1e308", "-1e308",
-                             "1e308,1e308", "5e-324", "1e200", "1e-200", "1e200,0"])
+                             "1e308,1e308", "5e-324", "1e200", "1e-200", "1e200,0",
+                             "０.６", "0.6,０.８", "1_0.5", "٠.٨"])
 _CLI_VALUES = {
     "--trials": _CLI_INTS,
     "--max-gates": _CLI_INTS,
-    "--tol": st.sampled_from(["1e-3", "0.5", "-1", "nan"]),
+    "--tol": st.sampled_from(["1e-3", "0.5", "-1", "nan", "０.５", "1_0e-3"]),
     "--to": st.sampled_from(["2,3,1", "1,2", "3,1,2,4", "1,1,2"]),
     "--in": _CLI_PATHS,
     "--aux-value": st.sampled_from(["plus", "zero", "one", "minus"]),

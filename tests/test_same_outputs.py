@@ -40,6 +40,20 @@ def test_two_runs_give_the_same_digests():
     assert _run(SUBSET) == first
 
 
+# The ball section's digest: the keys and steps of the n=3 and n=4 balls
+# and the n=4 word maps
+BALL_DIGEST = "371737de6205f52c04acdc44cb74630ef51dc7fef495297b9f719d370b702eec"
+
+
+def test_the_ball_section_digests_the_search_tables():
+    """The ball section runs, and the search's balls and word maps are those
+    whose digest is pinned above: the keys and every stored step are the
+    same bytes however the class keys are formed."""
+    assert _run(["ball"]) == {"ball": BALL_DIGEST}
+    records = runpy.run_path(str(TOOL_PATH))["SECTIONS"]["ball"]()
+    assert [record[:1] for record in records] == [[3], [4], ["maps"]]
+
+
 def test_no_elapsed_time_is_hashed():
     """The cli section drops elapsed_ms from documents that carry it."""
     sections = runpy.run_path(str(TOOL_PATH))["SECTIONS"]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import decoder_layout_oracle, y_parity
+from helpers import commutes, decoder_layout_oracle, y_parity
 
 from intraport import cli, tableau
 from intraport import search as search_module
@@ -59,14 +59,14 @@ from intraport.search import (
     _Task,
     _ball,
     _ball_walk,
-    _canon,
     _class_keys,
     _distances,
+    _extend,
     _follows,
     _registered_extension,
-    _row_places,
     _root,
-    _root_key,
+    _root_class,
+    _row_places,
     _word_table,
     gate_alphabet,
     solve_bob_program,
@@ -562,17 +562,16 @@ def test_n5_aux5_eight_gate_walks_find_a_decoder(value):
 @pytest.mark.parametrize("n", [3, 4])
 def test_pack_equals_the_shift_and_or_of_its_rows(n):
     """The matrix product with _row_places that _class_keys uses equals
-    shifting each row to its place and OR-ing, for random rows and for rows
-    with every bit set (63 bits at n=4), with one row fewer (the message
-    rows of a class key) or all."""
+    shifting message row i to place i, i = 1..2n-2, and OR-ing, for random
+    rows and for rows with every bit set (the top 56 bits of a key at
+    n=4)."""
     bits = 2 * n + 1
-    rows = np.random.default_rng(n).integers(0, 1 << bits, size=(500, 2 * n - 1))
-    rows = np.vstack([rows, np.full((1, 2 * n - 1), (1 << bits) - 1)]).astype(np.uint16)
-    for r in (2 * n - 2, 2 * n - 1):
-        expected = np.zeros(len(rows), dtype=np.uint64)
-        for i in range(r):
-            expected |= rows[:, i].astype(np.uint64) << np.uint64(bits * i)
-        assert np.array_equal(rows[:, :r].astype(np.uint64) @ _row_places(n, r), expected)
+    rows = np.random.default_rng(n).integers(0, 1 << bits, size=(500, 2 * n - 2))
+    rows = np.vstack([rows, np.full((1, 2 * n - 2), (1 << bits) - 1)]).astype(np.uint16)
+    expected = np.zeros(len(rows), dtype=np.uint64)
+    for i in range(2 * n - 2):
+        expected |= rows[:, i].astype(np.uint64) << np.uint64(bits * (i + 1))
+    assert np.array_equal(np.matmul(_row_places(n), rows.T, dtype=np.uint64), expected)
 
 
 def _accepted_tableaux(n):
@@ -585,13 +584,36 @@ def _accepted_tableaux(n):
                      for x, z in ((1, 0), (0, 1)) for sign in (0, 1)], dtype=np.uint16)
 
 
+def _extended(rows, n):
+    """(K, 4n-3) uint16: each of the (K, 2n-1) tableaux, then each message
+    row times S' (tableau.multiply), the rows a ball walk carries; the
+    test's own extension, beside the module's _extend."""
+    rows = np.asarray(rows, dtype=np.uint16)
+    return np.concatenate([rows, tableau.multiply(rows[:, 1:], rows[:, :1], n)], axis=1)
+
+
+def _keys(rows, n):
+    """(K,) uint64: the class key (_class_keys) of each of the (K, 2n-1)
+    tableaux, extended by _extended."""
+    return _class_keys(np.ascontiguousarray(_extended(rows, n).T), n)
+
+
 def _lookup(ball, rows):
     """(K,) uint16: the step of each of the (K, 2n-1) tableaux's class in
-    `ball`, or _OUTSIDE outside it, from _Ball.members."""
-    inside, at = ball.members(rows)
-    steps = np.full(len(rows), _OUTSIDE, dtype=np.uint16)
-    steps[inside] = ball.steps[at]
-    return steps
+    `ball`, or _OUTSIDE outside it, by binary search in the ball's keys."""
+    keys = _keys(rows, ball.n)
+    at = np.minimum(ball.keys.searchsorted(keys), len(ball.keys) - 1)
+    return np.where(ball.keys[at] == keys, ball.steps[at], _OUTSIDE).astype(np.uint16)
+
+
+def _arithmetic_key(rows, n):
+    """The class key of one (2n-1,) tableau by its definition, in Python
+    ints: S', then for each message row the smaller of row and
+    tableau.multiply(row, S') at its place."""
+    s, key = int(rows[0]), int(rows[0])
+    for i, row in enumerate(map(int, rows[1:]), 1):
+        key |= min(row, int(tableau.multiply(row, s, n))) << (i * (2 * n + 1))
+    return key
 
 
 def _unpack(keys, n):
@@ -613,7 +635,7 @@ def test_ball_distance_zero_is_exactly_acceptance(n, sizes):
     assert np.array_equal(np.bincount(dist), sizes)
     assert np.all(ball.keys[1:] > ball.keys[:-1])
     assert np.array_equal(dist == 0, tableau.accepts(_unpack(ball.keys, n), n))
-    accepted = _class_keys(_accepted_tableaux(n), n)
+    accepted = _keys(_accepted_tableaux(n), n)
     assert np.array_equal(np.sort(accepted), ball.keys[dist == 0])
     assert not y_parity(_unpack(ball.keys, n)[:, 0], n).any()
 
@@ -638,7 +660,7 @@ def test_ball_distances_are_exact(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_ball_stores_each_keys_first_downhill_gate(n):
     """Every key stores a least completion of exactly d gates.  At d > 0 it
-    starts with the least alphabet gate whose image _Ball.lookup puts at
+    starts with the least alphabet gate whose image _lookup puts at
     d - 1 and continues with the completion stored for that image's key,
     and following it from the key's tableau reaches one that
     tableau.accepts accepts in exactly d steps."""
@@ -653,8 +675,8 @@ def test_ball_stores_each_keys_first_downhill_gate(n):
     assert np.array_equal(first[d > 0], gates[d > 0, 0])
     down = np.flatnonzero(d > 0)
     image = tables[first[down][:, None], rows[down]]
-    at = ball.keys.searchsorted(_class_keys(image, n))
-    assert np.array_equal(ball.keys[at], _class_keys(image, n))
+    at = ball.keys.searchsorted(_keys(image, n))
+    assert np.array_equal(ball.keys[at], _keys(image, n))
     assert all(completions[i][1:] == completions[j] for i, j in zip(down, at))
     for step, column in enumerate(gates.T):
         assert np.array_equal(tableau.accepts(rows, n), d <= step)
@@ -672,7 +694,7 @@ def test_class_key_ignores_message_rows_times_s(n):
     for j in range(1, 2 * n - 1):
         other = rows.copy()
         other[:, j] = tableau.multiply(rows[:, 0], rows[:, j], n)
-        assert np.array_equal(_class_keys(other, n), ball.keys)
+        assert np.array_equal(_keys(other, n), ball.keys)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -701,8 +723,9 @@ def scrambled_roots(draw, most=None):
 
 
 def _walk(n, rows, depth):
-    """The ball walk from the tableau `rows`, with its class key."""
-    return _ball_walk(n, rows, int(_class_keys(rows[None], n)[0]), depth)
+    """The ball walk from the tableau `rows`, extended by _extended, with
+    its class key."""
+    return _ball_walk(n, _extended(rows[None], n)[0], int(_keys(rows[None], n)[0]), depth)
 
 
 @settings(max_examples=150, deadline=None)
@@ -789,63 +812,149 @@ def ball_lookups(draw, n):
 @given(st.data())
 def test_scalar_class_key_and_distance_equal_the_vectorised_ones(data):
     """The walk's one-tableau lookup, a class key from _class_keys found by
-    bisection, agrees with _Ball.members in the whole step, distance and
-    completion."""
+    bisection, agrees with the binary search of _lookup in the whole step,
+    distance and completion, and so does _Ball.first_in_ball of the
+    tableau alone."""
     n = data.draw(st.integers(3, 4))
     rows = data.draw(ball_lookups(n))
     ball = _ball(n)
-    key = int(_class_keys(rows[None], n)[0])
-    assert ball.step_of(key) == int(_lookup(ball, rows[None])[0])
+    key = int(_keys(rows[None], n)[0])
+    step = ball.step_of(key)
+    assert step == int(_lookup(ball, rows[None])[0])
+    single = np.ascontiguousarray(_extended(rows[None], n).T)
+    assert ball.first_in_ball([single]) == ((1, _OUTSIDE) if step == _OUTSIDE else (0, step))
 
 
 @st.composite
-def signed_tableaux(draw):
+def commuting_tableaux(draw):
     """(n, rows): a batch of 1 to 8 tableaux at n=3 or n=4 whose rows are
-    any packed Paulis, signs included, commuting with S' or not."""
+    any packed Paulis, signs included, each message row commuting with S'
+    (the carried key's domain)."""
     n = draw(st.integers(3, 4))
     row = st.integers(0, (1 << (2 * n + 1)) - 1)
-    tableaux = st.lists(row, min_size=2 * n - 1, max_size=2 * n - 1)
-    return n, np.array(draw(st.lists(tableaux, min_size=1, max_size=8)), dtype=np.uint16)
+    tableaux = []
+    for _ in range(draw(st.integers(1, 8))):
+        s = draw(row)
+        tableaux.append([s] + [draw(row.filter(lambda r: commutes(r, s, n)))
+                               for _ in range(2 * n - 2)])
+    return n, np.array(tableaux, dtype=np.uint16)
 
 
-@given(signed_tableaux())
-def test_class_keys_from_the_table_follow_their_definition(case):
-    """_class_keys reads each message row's part of the key from _canon; it
-    equals the arithmetic key: S', then for each message row the smaller of
-    row and tableau.multiply(row, S') at its place."""
+@given(commuting_tableaux())
+def test_class_keys_from_the_carried_rows_follow_their_definition(case):
+    """_class_keys reads each message row's part of the key from the row
+    and its carried product with S'; it equals the arithmetic key: S', then
+    for each message row the smaller of row and tableau.multiply(row, S')
+    at its place."""
     n, rows = case
-    width = 2 * n + 1
-    expected = []
-    for tab in rows.tolist():
-        s, key = tab[0], tab[0]
-        for i, row in enumerate(tab[1:], 1):
-            key |= min(row, int(tableau.multiply(row, s, n))) << (i * width)
-        expected.append(key)
-    assert _class_keys(rows, n).tolist() == expected
+    assert _keys(rows, n).tolist() == [_arithmetic_key(tab, n) for tab in rows]
 
 
-def test_the_class_key_table_stops_at_the_ball_channels():
-    """_canon is read-only, 2^(4n+2) entries (32 KiB at n=3, 512 KiB at
-    n=4), and refuses n=5, where it would take 8 MiB."""
-    for n, size in ((3, 32 << 10), (4, 512 << 10)):
-        assert _canon(n).nbytes == size and not _canon(n).flags.writeable
-    with pytest.raises(UnsupportedSize):
-        _canon(5)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_every_gate_maps_a_product_of_commuting_rows_to_the_product_of_the_images(n):
+    """Conjugation is an algebra automorphism, so T_g[a b] = T_g[a] T_g[b],
+    sign included, for every row table T_g and every commuting pair of
+    packed rows: exhaustively at n=3 and n=4 (8,320 and 131,584 ordered
+    pairs), and at n=5 and n=6 on the commuting pairs among 200,000 drawn
+    with a fixed seed.  This is
+    why the ball walk may carry each message row's product with S' through
+    the gates as one more row."""
+    size = 1 << (2 * n + 1)
+    if n <= 4:
+        a, b = np.divmod(np.arange(size * size), size)
+    else:
+        a, b = np.random.default_rng(n).integers(0, size, size=(2, 200_000))
+    keep = commutes(a, b, n)
+    a, b = a[keep].astype(np.uint16), b[keep].astype(np.uint16)
+    if n <= 4:
+        assert len(a) == {3: 8320, 4: 131584}[n]
+    product = tableau.multiply(a, b, n)
+    for table in tableau.row_tables(n):
+        assert np.array_equal(table[product], tableau.multiply(table[a], table[b], n))
+
+
+def test_every_carried_tableau_has_message_rows_that_commute_with_s():
+    """The lemma above holds for commuting rows only.  Every root at n=3..6
+    (every auxiliary channel and value), every ball start at n=3 and n=4,
+    and every tableau of the stream of each of the 12 n=4 cases (its root
+    mapped through every word of the word table) has message rows that
+    commute with S'; the stream's carried rows, mapped from the module's
+    extended root, are their products with S'."""
+    for n in range(3, 7):
+        for aux in range(1, n + 1):
+            for value in AuxValue:
+                root = _root(n, aux, value)
+                assert commutes(root[1:], root[0], n).all(), (n, aux, value)
+    for n in (3, 4):
+        starts = _accepted_tableaux(n)
+        assert commutes(starts[:, 1:], starts[:, :1], n).all()
+    maps, r = _word_table(4).maps, 2 * 4 - 1
+    for aux in range(1, 5):
+        for value in AuxValue:
+            stream = maps[_root_class(4, aux, value)[0]]  # (4n-3, W)
+            assert commutes(stream[1:r], stream[:1], 4).all()
+            assert np.array_equal(stream[r:], tableau.multiply(stream[1:r], stream[:1], 4))
+
+
+@given(st.data())
+def test_carried_keys_follow_their_definition_along_random_words(data):
+    """From an accepted start extended by the module's _extend, a random
+    word carries all 4n-3 rows through the row tables.  The carried rows
+    stay the products of the message rows' images with S''s, the carried
+    key of _class_keys equals the arithmetic key of the images, and within
+    R gates of acceptance the ball holds that key at a distance of at most
+    the word's length."""
+    n = data.draw(st.integers(3, 4))
+    start = data.draw(st.sampled_from(list(_accepted_tableaux(n))))
+    word = data.draw(st.lists(st.integers(0, len(gate_alphabet(n)) - 1), max_size=8))
+    ext, tables, r = _extend(start, n), tableau.row_tables(n), 2 * n - 1
+    for gate in word:
+        ext = tables[gate][ext]
+    rows = ext[:r]
+    assert np.array_equal(ext[r:], tableau.multiply(rows[1:], rows[0], n))
+    key = _arithmetic_key(rows, n)
+    assert int(_class_keys(ext[:, None], n)[0]) == key
+    if len(word) <= _BALL_RADIUS:
+        ball = _ball(n)
+        assert ball.distance_of(ball.step_of(key)) <= len(word)
 
 
 @contextlib.contextmanager
-def _recorded_lookups(name="members"):
-    """A list that gains the rows of every call of the _Ball method `name`
-    made inside."""
-    calls, lookup = [], getattr(search_module._Ball, name)
+def _recorded_chunks():
+    """A list that gains a copy of every (4n-3, K) chunk that
+    _Ball.first_in_ball reads inside, as it reads it."""
+    chunks, first_in_ball = [], search_module._Ball.first_in_ball
 
-    def recorded(ball, rows):
-        calls.append(rows.copy() if isinstance(rows, np.ndarray) else rows)
-        return lookup(ball, rows)
+    def recorded(ball, stream):
+        def read():
+            for chunk in stream:
+                chunks.append(chunk.copy())
+                yield chunk
+        return first_in_ball(ball, read())
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search_module._Ball, name, recorded)
-        yield calls
+        mp.setattr(search_module._Ball, "first_in_ball", recorded)
+        yield chunks
+
+
+@contextlib.contextmanager
+def _recorded_steps():
+    """A list that gains the key of every _Ball.step_of call made inside."""
+    keys, step_of = [], search_module._Ball.step_of
+
+    def recorded(ball, key):
+        keys.append(key)
+        return step_of(ball, key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_module._Ball, "step_of", recorded)
+        yield keys
+
+
+def _tableaux(chunks, n):
+    """(K, 2n-1): the tableaux of (4n-3, K) chunks, joined, without their
+    carried rows."""
+    return np.concatenate([chunk[:2 * n - 1].T for chunk in chunks])
 
 
 @contextlib.contextmanager
@@ -868,9 +977,9 @@ def _recorded_gathers(n):
 
 def _stream_hit(n, chunks):
     """(k, i, at): the level, the index in it and the stream position of the
-    first tableau in the ball among one ball walk's looked-up chunks."""
+    first tableau in the ball among one ball walk's (4n-3, K) chunks."""
     ball = _ball(n)
-    at = int(np.argmax(ball.distance_of(_lookup(ball, np.concatenate(chunks))) <= _BALL_RADIUS))
+    at = int(np.argmax(ball.distance_of(_lookup(ball, _tableaux(chunks, n))) <= _BALL_RADIUS))
     i = at
     for k, level in enumerate(_word_table(n).levels, 1):
         if i < len(level):
@@ -917,7 +1026,7 @@ def test_the_walk_passes_over_meeting_tableaux_that_dead_end(accepted, scramble,
     n = 4
     task = _Task(n, n, AuxValue.ZERO, None)
     task.root = tableau.apply_word(_accepted_tableaux(n)[accepted], n, scramble)
-    with _recorded_lookups() as chunks:
+    with _recorded_chunks() as chunks:
         assert _walk(n, task.root, _DEPTH_HORIZON[n]) == word
     meeting = _word_table(n).levels[_stream_hit(n, chunks)[0] - 1]
     assert _dead_ends(_images(n, task.root, meeting), meeting[:, -1], n)
@@ -927,13 +1036,15 @@ def test_the_walk_passes_over_meeting_tableaux_that_dead_end(accepted, scramble,
 @pytest.mark.parametrize("n", [3, 4])
 def test_word_table_lists_every_canonical_word_in_order(n):
     """Level k of the word table holds every canonical word of k gates in
-    lexicographic order, k = 1..horizon - R.  Column j of its row-major
-    uint16 maps takes every packed row through word j of the levels joined,
-    one row table after another.  Every array is read-only, and the n=4
+    lexicographic order, k = 1..horizon - R, and starts at word
+    starts[k - 1] of the levels joined.  Column j of its row-major uint16
+    maps takes every packed row through word j of the levels joined, one
+    row table after another.  Every array is read-only, and the n=4
     table, words and maps, takes under 2 MiB."""
     table, sizes = _word_table(n), {3: [9, 57, 351, 2164], 4: [16, 174, 1792]}[n]
     assert [len(level) for level in table.levels] == sizes
     assert len(sizes) == _DEPTH_HORIZON[n] - _BALL_RADIUS
+    assert table.starts == tuple(np.cumsum([0] + sizes).tolist())
     rows, start = np.arange(1 << (2 * n + 1)), 0
     for k, level in enumerate(table.levels, 1):
         assert np.array_equal(level, _canonical_words(n, k))
@@ -948,47 +1059,61 @@ def test_word_table_lists_every_canonical_word_in_order(n):
 
 def test_untargeted_n4_solves_stop_at_the_first_chunk_that_meets_the_ball():
     """After a warm-up, no untargeted n=4 solve calls _Task._step or reads a
-    row table, and each makes one scalar lookup, of the root's key.  Outside
-    the ball it looks levels 1, 2, ... of the word table up as one stream,
-    _FIRST_LOOKUP tableaux and then twice as many each time, a chunk free to
-    cross from one level into the next: the chunks, joined, are a prefix of
-    the root mapped through every level's words, joined in word order.  Each
+    row table.  Outside the ball it looks levels 1, 2, ... of the word table
+    up as one stream, _FIRST_LOOKUP tableaux and then twice as many each
+    time, a chunk free to cross from one level into the next: the chunks,
+    joined, are a prefix of the root mapped through every level's words,
+    joined in word order, each tableau with its carried products.  Each
     chunk is one gather from the word maps, of exactly its tableaux.  The
-    last chunk holds the stream's first tableau in the ball, on level L - R,
-    so both 6-gate solves gather and look up fewer than the 1,792 tableaux
-    of level 3.  A shuffled level 3, with repeats, looks up to the bytes of
-    its tableaux looked up one at a time."""
+    scalar lookups are the root's key, then the keys of the stream that the
+    bitmap marks, in order, up to the first key in the ball, on level L - R
+    of the last chunk; so both 6-gate solves gather and look up fewer than
+    the 1,792 tableaux of level 3.  A shuffled level 3, with repeats, cut
+    into chunks anywhere, meets the ball where its tableaux looked up one at
+    a time first do."""
     n, ball, levels = 4, _ball(4), _word_table(4).levels
     solve_bob_program(n, 1, AuxValue.ONE, 10)
     deep = []
     for aux in range(1, n + 1):
         for value in AuxValue:
-            root, key = _root(n, aux, value), _root_key(n, aux, value)
-            with pytest.MonkeyPatch.context() as mp, _recorded_lookups() as chunks, \
-                    _recorded_lookups("step_of") as scalars, _recorded_gathers(n) as gathers:
+            ext, key = _root_class(n, aux, value)
+            with pytest.MonkeyPatch.context() as mp, _recorded_chunks() as chunks, \
+                    _recorded_steps() as scalars, _recorded_gathers(n) as gathers:
                 mp.setattr(_Task, "_step", lambda *args: pytest.fail("the ball walk stepped"))
                 mp.setattr(tableau, "row_tables", lambda *args: pytest.fail("a row table was read"))
-                program = _ball_walk(n, root, key, _DEPTH_HORIZON[n])
+                program = _ball_walk(n, ext, key, _DEPTH_HORIZON[n])
             assert program == solve_bob_program(n, aux, value, 10)
-            assert scalars == [key]
+            root = _root(n, aux, value)
+            assert key == int(_keys(root[None], n)[0])
             stream = np.concatenate([_images(n, root, level) for level in levels])
-            joined = np.concatenate(chunks) if chunks else stream[:0]
+            joined = _tableaux(chunks, n) if chunks else stream[:0]
             assert np.array_equal(joined, stream[:len(joined)])
-            sizes = [_FIRST_LOOKUP << i for i in range(len(chunks))]
-            assert [len(chunk) for chunk in chunks[:-1]] == sizes[:-1]
-            assert gathers == [len(chunk) for chunk in chunks]
             if chunks:
-                assert len(chunks[-1]) == min(sizes[-1], len(stream) - sum(sizes[:-1]))
+                assert np.array_equal(np.concatenate(chunks, axis=1).T, _extended(joined, n))
+            sizes = [_FIRST_LOOKUP << i for i in range(len(chunks))]
+            assert [chunk.shape[1] for chunk in chunks[:-1]] == sizes[:-1]
+            assert gathers == [chunk.shape[1] for chunk in chunks]
+            if not chunks:
+                assert scalars == [key]
+            else:
+                assert chunks[-1].shape[1] == min(sizes[-1], len(stream) - sum(sizes[:-1]))
                 k, _, at = _stream_hit(n, chunks)
-                assert at >= len(joined) - len(chunks[-1]) and k == len(program) - _BALL_RADIUS
+                assert at >= len(joined) - chunks[-1].shape[1] and k == len(program) - _BALL_RADIUS
+                keys = _keys(joined[:at + 1], n)
+                assert scalars == [key] + keys[ball._marked(keys)].tolist()
             if len(program) == 6:
                 assert k == 3 and len(joined) < 1792
                 deep.append(program)
     assert len(deep) == 2
     deepest = _images(n, _root(n, 1, AuxValue.ONE), levels[2])
     batch = deepest[np.random.default_rng(5).integers(0, len(deepest), 3000)]
-    assert _lookup(ball, batch).tobytes() == b"".join(_lookup(ball, row[None]).tobytes()
-                                                    for row in batch)
+    steps = _lookup(ball, batch)
+    first = int(np.argmax(steps != _OUTSIDE))
+    assert steps[first] != _OUTSIDE
+    ext = np.ascontiguousarray(_extended(batch, n).T)
+    for cuts in ([], [1, 2, 1000], [first], [first + 1], [256, 768, 1792]):
+        chunks = np.split(ext, cuts, axis=1)
+        assert ball.first_in_ball(chunks) == (first, int(steps[first])), cuts
 
 
 _CASES_N3_N4 = [(n, aux, value) for n in (3, 4) for aux in range(1, n + 1) for value in AuxValue]
@@ -998,13 +1123,13 @@ def test_untargeted_n3_and_n4_solves_build_no_task_and_key_each_root_once():
     """An untargeted solve at n <= 4 looks its case's root up in the ball by
     a class key computed once per (n, aux channel, value), and builds no
     _Task: solving all 21 cases twice computes 21 keys."""
-    _root_key.cache_clear()
+    _root_class.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Task, "__init__", lambda *args: pytest.fail("an untargeted solve built a task"))
         first = [solve_bob_program(*case, 10) for case in _CASES_N3_N4]
         assert [solve_bob_program(*case, 10) for case in _CASES_N3_N4] == first
     assert len(_CASES_N3_N4) == 21 and None not in first
-    assert _root_key.cache_info().misses == 21
+    assert _root_class.cache_info().misses == 21
 
 
 def test_untargeted_n3_and_n4_solves_past_the_goldens_equal_those_at_10():
@@ -1024,7 +1149,7 @@ def test_an_in_ball_root_returns_none_below_its_distance():
     inside = 0
     for n, aux, value in _CASES_N3_N4:
         ball = _ball(n)
-        distance = ball.distance_of(ball.step_of(_root_key(n, aux, value)))
+        distance = ball.distance_of(ball.step_of(_root_class(n, aux, value)[1]))
         if distance <= _BALL_RADIUS:
             inside += 1
             for max_gates in range(distance):
@@ -1037,28 +1162,32 @@ def test_an_in_ball_root_returns_none_below_its_distance():
 @settings(max_examples=60)
 @given(st.data())
 def test_a_batch_looks_up_as_its_tableaux_one_at_a_time(data):
-    """_Ball.members searches the ball only for the keys its bitmap marks,
-    unsorted, and gives each answer's place: any batch, in any
-    order and with repeats, gives the bytes of its tableaux looked up one at
-    a time."""
+    """_Ball.first_in_ball bisects only the keys its bitmap marks, in order,
+    and every key of the ball is marked: any batch, in any order, with
+    repeats and cut into chunks anywhere, gives the position and step of
+    its first tableau in the ball that its tableaux looked up one at a time
+    give, or its length and _OUTSIDE when none is in the ball."""
     n = data.draw(st.integers(3, 4))
     rows = data.draw(st.lists(ball_lookups(n), min_size=1, max_size=16))
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=48))
     batch, ball = np.array([rows[i] for i in picks]), _ball(n)
-    assert _lookup(ball, batch).tobytes() == b"".join(_lookup(ball, row[None]).tobytes()
-                                                    for row in batch)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(batch)), max_size=4)))
+    chunks = np.split(np.ascontiguousarray(_extended(batch, n).T), cuts, axis=1)
+    singles = [int(_lookup(ball, row[None])[0]) for row in batch]
+    inside = [i for i, step in enumerate(singles) if step != _OUTSIDE]
+    assert ball.first_in_ball(chunks) == ((inside[0], singles[inside[0]]) if inside
+                                          else (len(batch), _OUTSIDE))
+    assert ball._marked(ball.keys).all()
 
 
 def test_shallow_solves_build_only_the_n3_ball():
     """The benchmark's warm-ups, one n=3 solve and an in-process n=3
     solve-bob, build the n=3 ball that fixes their decoders' lengths (3,228
-    keys and their steps, under 32 KiB kept, with a 32 KiB class-key table;
-    under 512 KiB at the peak of both builds), never the n=4 one.  Every n=3
-    root lies in the ball, so they build no word table and no membership
-    bitmap either."""
+    keys and their steps, under 32 KiB kept; under 256 KiB at the peak of
+    the build), never the n=4 one.  Every n=3 root lies in the ball, so
+    they build no word table and no membership bitmap either."""
     tableau.row_tables(3)  # numpy's first-call allocations, outside the measurement
     _ball.cache_clear()
-    _canon.cache_clear()
     _word_table.cache_clear()
     tracemalloc.start()
     try:
@@ -1066,34 +1195,30 @@ def test_shallow_solves_build_only_the_n3_ball():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(ball.keys) == 3228 and peak <= 512 << 10
+    assert len(ball.keys) == 3228 and peak <= 256 << 10
     assert ball.keys.nbytes + ball.steps.nbytes <= 32 << 10
-    assert _canon(3).nbytes == 32 << 10
     _ball.cache_clear()
-    _canon.cache_clear()
     assert solve_bob_program(3, 2, AuxValue.PLUS, 10) == [ControlledNot(1, 3), ControlledNot(2, 3)]
     for aux in range(1, 4):
         for value in AuxValue:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["solve-bob", "--channels", "3", "--aux-channel", str(aux),
                                  "--aux-value", value.value]) == 0
-    assert _ball.cache_info().currsize == 1 and _canon.cache_info().currsize == 1
+    assert _ball.cache_info().currsize == 1
     assert _ball(3).marks is None  # a hit: the one ball built is the n=3 one
-    _canon(3)
-    assert _ball.cache_info().currsize == 1 and _canon.cache_info().currsize == 1
+    assert _ball.cache_info().currsize == 1
     assert _word_table.cache_info().currsize == 0
 
 
 def test_ball_build_memory_is_bounded():
-    """Building the n=4 ball and its class-key table allocates at most 4 MiB
-    at its peak, and they keep at most 1.5 MiB (keys, steps and the table).
-    The word table and the membership bitmap, built by the first walk from
-    a root outside the ball, keep at most 3 MiB together (the maps, the
-    words and the marks) and allocate at most 6 MiB at their peak."""
+    """Building the n=4 ball allocates at most 4 MiB at its peak, and it
+    keeps at most 1 MiB (keys and steps, 0.76 MiB).  The word table and the
+    membership bitmap, built by the first walk from a root outside the ball,
+    keep at most 3 MiB together (the maps, the words and the marks) and
+    allocate at most 6 MiB at their peak."""
     _ball(3)  # numpy's first-call allocations, outside the measurement
     tableau.row_tables(4)
     _ball.cache_clear()
-    _canon.cache_clear()
     _word_table.cache_clear()
     tracemalloc.start()
     try:
@@ -1102,7 +1227,7 @@ def test_ball_build_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 << 20
-    assert ball.keys.nbytes + ball.steps.nbytes + _canon(4).nbytes <= 3 << 19
+    assert ball.keys.nbytes + ball.steps.nbytes <= 1 << 20
     assert ball.marks is None
     tracemalloc.start()
     try:

@@ -4,8 +4,8 @@ section, to show that a change keeps the outputs of its parent commit.
     python tools/same_outputs.py [section ...]      (default: every section)
 
 Run it on two trees and compare the objects; a section whose digest differs
-holds some output that changed.  It imports only public names, so it runs
-against any tree of the package:
+holds some output that changed.  Every section but ball imports only public
+names, so it runs against any tree of the package:
 
     PYTHONPATH=<tree>/src python tools/same_outputs.py
 
@@ -17,6 +17,10 @@ Sections:
     exec-bad-states  exec of fig1.qc on malformed input state files
     solve            every n <= 4 solve_bob_program case at max_gates 0..14,
                      the n=6 miss (6, 1, plus) and fallback (6, 6, plus)
+    ball             the sha256 of the keys and of the steps of the search's
+                     n=3 and n=4 balls (search._ball), and of its n=4 word
+                     maps (search._word_table), so that a change to how class
+                     keys are formed shows the same tables
     experiment       run_experiment at n=3..6, 64 trials, for each strategy
                      in both detection modes
     parse-errors     parse_circuit of a fixed set of bad texts
@@ -126,6 +130,10 @@ def cli_errors() -> list:
         ["run-figure", "３"], ["run-figure", "1", "--seed", "３"],
         ["solve-bob", "--channels", "３", "--aux-channel", "1", "--aux-value", "zero"],
         ["eavesdrop", "--trials", "５"], ["swap", "--to", "２,3,1"],
+        # floats that are not ASCII decimal, refused by the same rule
+        ["run-figure", "1", "--a", "０.６", "--b", "0.8", "--e", "1", "--f", "0"],
+        ["run-figure", "1", "--seed", "1", "--tol", "０.５"],
+        ["bell", "--a", "1", "--b", "0", "--e", "1_0.5", "--f", "0"],
     ]
     return [_cli(argv) for argv in calls]
 
@@ -183,6 +191,17 @@ def solve_results() -> list:
     cases += [(6, 1, "plus", 10), (6, 6, "plus", 10)]
     return [[list(case), _word(solve_bob_program(*case[:2], AuxValue(case[2]), case[3]))]
             for case in cases]
+
+
+def _sha256(array: np.ndarray) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def ball_tables() -> list:
+    from intraport.search import _ball, _word_table  # private: read in this section only
+
+    records = [[n, _sha256(_ball(n).keys), _sha256(_ball(n).steps)] for n in (3, 4)]
+    return records + [["maps", 4, _sha256(_word_table(4).maps)]]
 
 
 def _stats(*args) -> dict:
@@ -253,6 +272,7 @@ SECTIONS = {
     "exec": exec_documents,
     "exec-bad-states": exec_bad_states,
     "solve": solve_results,
+    "ball": ball_tables,
     "experiment": experiment_results,
     "parse-errors": parse_errors,
     "parse-tokens": parse_tokens,
