@@ -83,13 +83,16 @@ def _tol(args) -> float:
 
 
 def _parse_complex(text: str) -> complex:
-    """An amplitude, 're' or 're,im', each part read by circuit.decimal_float."""
+    """An amplitude, 're' or 're,im', each part read by circuit.decimal_float,
+    refused in those words."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(decimal_float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(decimal_float(parts[0]), decimal_float(parts[1]))
-    raise ValueError(f"expected 're' or 're,im', got {text!r}")
+    try:
+        if len(parts) <= 2:
+            return complex(*map(decimal_float, parts))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"an amplitude is 're' or 're,im' in decimal numbers, got {text!r}")
 
 
 def _pair(z: complex) -> list[float]:

@@ -57,6 +57,7 @@ from .errors import (
 )
 from .qsim import (
     DEFAULT_TOL,
+    MATRIX_CHANNELS,
     ControlledNot,
     Gate,
     Hadamard,
@@ -68,6 +69,7 @@ from .qsim import (
     SingleQubit,
     _apply_gates,
     _channel_rows,
+    apply_word_matrix,
     bloch_rows,
     channel_factors,
     channel_fidelity,
@@ -77,6 +79,7 @@ from .qsim import (
     make_state,
     pair_norm2,
     project,
+    word_matrix,
 )
 
 
@@ -139,9 +142,12 @@ class Layout(Mapping[int, ExpectedOut]):
     channels 1..n other than the residue's.  Anything else raises
     InvalidLayout.  `columns` holds each channel's message index, or n - 1
     for the residue, and `message_channels` each message's channel.
+    `block_matrix` is the block's word_matrix, or None for no block or past
+    MATRIX_CHANNELS channels.
     """
 
-    __slots__ = ("_entries", "block", "columns", "message_channels", "residue_channel")
+    __slots__ = ("_entries", "block", "block_matrix", "columns", "message_channels",
+                 "residue_channel")
 
     def __init__(self, entries: Mapping[int, ExpectedOut], block: Sequence[Gate] = (),
                  channels: Optional[int] = None):
@@ -161,6 +167,7 @@ class Layout(Mapping[int, ExpectedOut]):
         init = partial(object.__setattr__, self)
         init("_entries", ordered)
         init("block", tuple(block))
+        init("block_matrix", word_matrix(n, block) if block and n <= MATRIX_CHANNELS else None)
         init("residue_channel", residues[0])
         init("message_channels", tuple(by_index[j] for j in range(n - 1)))
         init("columns", tuple(getattr(out, "index", n - 1) for out in ordered.values()))
@@ -217,11 +224,16 @@ def message_batch(messages: Sequence[SingleQubit]) -> np.ndarray:
 def layout_states(layout: Mapping[int, ExpectedOut], messages: np.ndarray) -> np.ndarray:
     """(T, 2^n) states of a layout over channels 1..n, one for each (m, 2)
     message tuple of the (T, m, 2) batch `messages`: the product of the
-    channels' qubits, then the layout's block word."""
+    channels' qubits, then the layout's block word (its block_matrix, or
+    gate by gate past MATRIX_CHANNELS)."""
     layout = Layout.of(layout)
-    qubits = np.empty((len(messages), len(layout), 2), dtype=complex)
+    n = len(layout)
+    qubits = np.empty((len(messages), n, 2), dtype=complex)
     qubits[:, :-1], qubits[:, -1] = messages, layout.residue.as_array()
-    return _apply_gates(column_states(layout.columns, qubits), len(layout), layout.block)
+    states = column_states(layout.columns, qubits)
+    if layout.block_matrix is None:
+        return _apply_gates(states, n, layout.block)
+    return apply_word_matrix(states, layout.block_matrix)
 
 
 def stabilizer_row(q: SingleQubit, channel: int, n: int) -> int:
@@ -334,6 +346,12 @@ class ProtocolCase:
         """The sender's encoder, then the case's program: what verify_case runs."""
         return (*alice_encoder(self.channel_count), *self.bob_program)
 
+    @cached_property
+    def gate_matrix(self) -> np.ndarray:
+        """gate_word's word_matrix, built on first use, not with the case:
+        what verify_case applies on up to MATRIX_CHANNELS channels."""
+        return word_matrix(self.channel_count, self.gate_word)
+
     @property
     def psi_block(self) -> Optional[tuple[int, ...]]:
         """The channels of the expected layout's block word, or None."""
@@ -370,12 +388,18 @@ _MANIFEST = {
 SCENARIO_FIGURES = tuple(_MANIFEST)
 
 
-@lru_cache(maxsize=None)
 def figure_circuit(name: int | str) -> Circuit:
     """Load a bundled circuit file: 1..9 or 'fig1_literal'.
 
-    Circuits are immutable, so the parsed value is cached and shared.
+    Circuits are immutable, so the parsed value is cached and shared.  A
+    number goes through require_integer first, so a bool is refused and a
+    numpy integer keys the cache as its int.
     """
+    return _figure_circuit(name if isinstance(name, str) else require_integer("figure id", name))
+
+
+@lru_cache(maxsize=None)
+def _figure_circuit(name: int | str) -> Circuit:
     fname = name if isinstance(name, str) else f"fig{name}"
     try:
         text = _figures_file(f"{fname}.qc").read_text(encoding="utf-8")
@@ -384,17 +408,22 @@ def figure_circuit(name: int | str) -> Circuit:
     return parse_circuit(text)
 
 
-@lru_cache(maxsize=None)
 def builtin_scenario(figure_id: int) -> ProtocolCase:
     """A bundled figure as a case, with its roles, claimed outputs and
-    entangled block read from the manifest."""
+    entangled block read from the manifest.  The id goes through
+    require_integer before the cache, as in figure_circuit."""
+    return _builtin_scenario(require_integer("figure id", figure_id))
+
+
+@lru_cache(maxsize=None)
+def _builtin_scenario(figure_id: int) -> ProtocolCase:
     if figure_id not in _MANIFEST:
         valid = ", ".join(map(str, SCENARIO_FIGURES))
         what = ("figure 5 is the swap demonstration, not a scenario" if figure_id == 5
                 else f"no builtin scenario for figure {figure_id}")
         raise UnknownScenario(f"{what} (valid: {valid})")
     entry = _MANIFEST[figure_id]
-    circuit = figure_circuit(figure_id)
+    circuit = _figure_circuit(figure_id)
     (aux,) = [r for r in entry["roles"] if r["kind"] == "aux"]
     messages = sorted(
         (r for r in entry["roles"] if r["kind"] == "message"), key=lambda r: r["index"]
@@ -452,6 +481,9 @@ def verify_case(
 ) -> VerificationReport:
     """Encode, decode with the case's program, compare against its layout.
 
+    The encoder and program run as one contraction with the case's
+    gate_matrix (gate by gate past MATRIX_CHANNELS channels).  Every
+    message must be a SingleQubit; anything else raises InvalidInput.
     Every layout is compared with its own state, layout_states of the
     messages, built once per call.  Per-channel fidelities are computed
     against the expected factors through the channel's reduced density, so
@@ -468,9 +500,14 @@ def verify_case(
     m = len(case.message_channels)
     if len(messages) != m:
         raise ShapeMismatch(f"case {case.case_id} takes {m} messages, got {len(messages)}")
+    for q in messages:
+        if not isinstance(q, SingleQubit):
+            raise InvalidInput(f"a message must be a SingleQubit, got {q!r}")
     n = case.channel_count
     batch = message_batch(messages)
-    amps = _apply_gates(layout_states(case.input_layout, batch)[0], n, case.gate_word)
+    inputs = layout_states(case.input_layout, batch)[0]
+    amps = (apply_word_matrix(inputs, case.gate_matrix) if n <= MATRIX_CHANNELS
+            else _apply_gates(inputs, n, case.gate_word))
     out = PureState(n, amps, _trust=True)
     factors = channel_factors(out, tol)
 

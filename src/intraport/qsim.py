@@ -9,9 +9,14 @@ Single-qubit states written in the a|1>+b|0> style map to SingleQubit as
 a -> coeff1, b -> coeff0.  The only gates are the Hadamard and the
 controlled-NOT |e1>|e2> -> |e1>|e1 xor e2>; both are real and self-inverse.
 
-The kernels _apply_h, _apply_cn and _apply_gates apply gates one at a time
-to a state or a batch of states.  A word applied to many states need not
-come here: every circuit is Clifford, and tableau maps Paulis through it.
+The kernels _apply_h and _apply_cn apply one gate to a state or a batch of
+states.  word_matrix runs them once over the identity batch, compiling a
+gate word on up to MATRIX_CHANNELS channels into its (2^n, 2^n) matrix, and
+_apply_gates applies a word as one contraction with that matrix
+(apply_word_matrix), so every word on the protocol's sizes goes through one
+path.  An object whose word never changes (a protocol.ProtocolCase, a
+Layout's block) keeps its matrix.  A word applied to many states need not come here: every
+circuit is Clifford, and tableau maps Paulis through it.
 
 column_states is the package's one product-state builder, for one state
 (make_state) or a batch (protocol.layout_states).  bloch_rows is the one
@@ -38,6 +43,7 @@ from .errors import (
     InvalidInput,
     NotNormalized,
     ShapeMismatch,
+    UnsupportedSize,
 )
 
 NORM_TOL = 1e-9
@@ -203,7 +209,7 @@ class Segment(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Raw kernels on flat arrays (shared with the decoder search for speed)
+# Raw kernels on flat arrays
 #
 # _apply_h, _apply_cn and _apply_gates take one state of shape (2^N,) or a
 # batch of shape (B, 2^N) and return the same shape.  Rows are contiguous,
@@ -247,13 +253,49 @@ def _apply_cn(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray
     return out.reshape(amps.shape)
 
 
-def _apply_gates(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
+# The most channels a word_matrix is built for: the protocol's sizes.  Past
+# them a matrix holds 4^n amplitudes (64 GiB at a .qc file's 16 channels),
+# and _apply_gates runs the kernels gate by gate instead.
+MATRIX_CHANNELS = 6
+
+
+def _gate_by_gate(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
     for g in gates:
         if isinstance(g, Hadamard):
             amps = _apply_h(amps, n, g.channel)
         else:
             amps = _apply_cn(amps, n, g.control, g.target)
     return amps
+
+
+def word_matrix(n: int, gates: Sequence[Gate]) -> np.ndarray:
+    """The read-only (2^n, 2^n) matrix of a gate word over n <=
+    MATRIX_CHANNELS channels: row i is the word applied to basis state i by
+    the gate kernels, so a state's image is the state times the matrix
+    (apply_word_matrix)."""
+    if not 1 <= n <= MATRIX_CHANNELS:
+        raise UnsupportedSize(f"word matrices are built for 1..{MATRIX_CHANNELS} channels, "
+                              f"got {n}")
+    m = _gate_by_gate(np.eye(1 << n, dtype=complex), n, gates)
+    m.flags.writeable = False
+    return m
+
+
+def apply_word_matrix(amps: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """A state (2^n,) or batch (B, 2^n) times a word_matrix.  einsum sums in
+    one fixed order whatever the batch size, so a state and its row of a
+    batch come out bit for bit equal; a BLAS matmul picks other kernels for a
+    single row than for a batch and does not."""
+    return np.einsum("...i,ij->...j", amps, m)
+
+
+def _apply_gates(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
+    """A gate word applied to a state or batch: one contraction with its
+    word_matrix, built for this call, or gate by gate past
+    MATRIX_CHANNELS.  The empty word returns `amps` itself."""
+    if not gates or n > MATRIX_CHANNELS:
+        return _gate_by_gate(amps, n, gates)
+    return apply_word_matrix(amps, word_matrix(n, gates))
 
 
 # ---------------------------------------------------------------------------

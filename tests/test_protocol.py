@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from intraport.circuit import MAX_CHANNELS, Circuit
 from intraport import protocol, tableau
@@ -46,6 +46,7 @@ from intraport.protocol import (
 )
 from intraport.qsim import (
     DEFAULT_TOL,
+    MATRIX_CHANNELS,
     ControlledNot,
     Hadamard,
     PureState,
@@ -65,6 +66,7 @@ from intraport.qsim import (
     random_qubit,
     reduced_density,
     run_circuit,
+    word_matrix,
 )
 
 from intraport.search import gate_alphabet, solve_bob_program
@@ -72,8 +74,10 @@ from intraport.search import gate_alphabet, solve_bob_program
 from helpers import (
     apply_circuit_oracle,
     circuit_matrix_oracle,
+    gate_matrix_oracle,
     nearly_product_case,
     permute_channels_oracle,
+    product_oracle,
     random_state_vector,
 )
 
@@ -780,6 +784,149 @@ def test_gate_word_is_built_once_per_case(monkeypatch):
         assert verify_case(case, [random_qubit(rng) for _ in range(3)]).passed
     assert calls == [4]
     assert case.gate_word == tuple(real(4)) + tuple(case.bob_program)
+
+
+def _every_case_up_to_six_channels():
+    cases = [builtin_scenario(f) for f in SCENARIO_FIGURES] + protocol_table(3)
+    return cases + [relocated_case(n, aux, value) for n in range(3, 7)
+                    for aux in range(1, n + 1) for value in AuxValue]
+
+
+def test_each_case_keeps_the_matrix_of_its_gate_word():
+    """A case's gate_matrix is word_matrix of its gate word, bit for bit,
+    built on first use and then kept: a relocated case is built without
+    one, as the experiment's set-up builds them."""
+    for case in _every_case_up_to_six_channels():
+        fresh = replace(case)
+        assert "gate_matrix" not in vars(fresh)
+        np.testing.assert_array_equal(fresh.gate_matrix,
+                                      word_matrix(case.channel_count, case.gate_word))
+        assert fresh.gate_matrix is fresh.gate_matrix
+
+
+def _reference_report(case, messages, tol):
+    """(passed, product_ok, per-channel fidelities) of verify_case, from
+    dense matrices applied one gate at a time and eigendecompositions."""
+    n, layout = case.channel_count, case.expected_layout
+    inputs = {case.aux_channel: case.aux_value.qubit.as_array()}
+    inputs.update({ch: q.as_array() for ch, q in zip(case.message_channels, messages)})
+    out = product_oracle([inputs[ch] for ch in range(1, n + 1)])
+    for gate in case.gate_word:
+        out = gate_matrix_oracle(n, gate) @ out
+    known = [*messages, layout.residue]
+    expected = product_oracle([known[col].as_array() for col in layout.columns])
+    for gate in layout.block:
+        expected = gate_matrix_oracle(n, gate) @ expected
+
+    def rows(state, ch):  # channel ch's bit as the row index
+        return np.moveaxis(state.reshape((2,) * n), ch - 1, 0).reshape(2, -1)
+
+    def density(state, ch):
+        m = rows(state, ch)
+        return m @ m.conj().T
+
+    def pure(state, ch):
+        rho = density(state, ch)
+        return np.trace(rho @ rho).real >= 1 - tol
+
+    def fid(state, ch, q):
+        return (q.conj() @ density(state, ch) @ q).real
+
+    if not layout.block:
+        product_ok = all(pure(out, ch) for ch in range(1, n + 1))
+        fids = [fid(out, ch, known[col].as_array()) for ch, col in enumerate(layout.columns, 1)]
+    else:
+        res = layout.residue_channel
+        product_ok = pure(out, res)
+        block_fid = 0.0
+        if product_ok:
+            factor = np.linalg.eigh(density(out, res))[1][:, -1]
+            rest = factor.conj() @ rows(out, res)
+            claimed = layout.residue.as_array().conj() @ rows(expected, res)
+            block_fid = abs(np.vdot(claimed, rest / np.linalg.norm(rest))) ** 2
+        fids = [block_fid] * n
+        fids[res - 1] = fid(out, res, layout.residue.as_array())
+    return bool(product_ok and min(fids) >= 1 - tol), product_ok, fids
+
+
+def _failing_cases():
+    """A nearly product output and a block word the decoder does not reach."""
+    figure = builtin_scenario(6)
+    wrong_block = replace(figure, expected_layout=Layout(dict(figure.expected_layout),
+                                                         [Hadamard(2), ControlledNot(1, 2)]))
+    return [nearly_product_case()[0], wrong_block]
+
+
+@pytest.mark.parametrize("case", _every_case_up_to_six_channels() + _failing_cases(),
+                         ids=lambda case: case.case_id)
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_verify_case_agrees_with_a_gate_by_gate_dense_reference(case, seed):
+    rng = np.random.default_rng(seed)
+    messages = [random_qubit(rng) for _ in case.message_channels]
+    report = verify_case(case, messages)
+    passed, product_ok, fids = _reference_report(case, messages, DEFAULT_TOL)
+    assert (report.passed, report.product_ok) == (passed, product_ok)
+    np.testing.assert_allclose(report.per_channel_fidelity, fids, rtol=0, atol=1e-14)
+
+
+def test_nearly_product_case_fails_as_the_reference_does():
+    case, messages = nearly_product_case()
+    for tol in (DEFAULT_TOL, 1e-6):
+        report = verify_case(case, messages, tol)
+        passed, product_ok, fids = _reference_report(case, messages, tol)
+        assert (report.passed, report.product_ok) == (passed, product_ok) == (tol > 1e-9,) * 2
+        np.testing.assert_allclose(report.per_channel_fidelity, fids, rtol=0, atol=1e-14)
+
+
+def test_cases_and_blocks_past_the_matrix_sizes_verify_gate_by_gate():
+    """A case over more than MATRIX_CHANNELS channels builds no matrix: the
+    general extension still decodes at 7 channels, and a block word there
+    is applied to the product state gate by gate."""
+    n = MATRIX_CHANNELS + 1
+    rng = np.random.default_rng(7)
+    for value in AuxValue:
+        case = protocol.ProtocolCase(
+            case_id=f"n{n}-aux{n}-{value.value}", channel_count=n, aux_channel=n,
+            aux_value=value, message_channels=tuple(range(1, n)),
+            bob_program=tuple(bob_prefix(n)) + tuple(general_extension(n, value)),
+            expected_layout=protocol.input_layout(range(1, n), n, value))
+        assert verify_case(case, [random_qubit(rng) for _ in range(n - 1)]).passed
+        assert "gate_matrix" not in vars(case)
+    block = [Hadamard(1), ControlledNot(1, 2)]
+    layout = Layout({**{ch: MessageOut(ch - 1) for ch in range(1, n)},
+                     n: ResidueOut(QUBIT_ZERO)}, block)
+    messages = [random_qubit(rng) for _ in range(n - 1)]
+    product = product_oracle([q.as_array() for q in messages] + [QUBIT_ZERO.as_array()])
+    np.testing.assert_allclose(layout_states(layout, message_batch(messages))[0],
+                               apply_circuit_oracle(product, n, block), rtol=0, atol=1e-15)
+
+
+def test_verify_case_refuses_a_message_that_is_not_a_single_qubit():
+    with pytest.raises(InvalidInput, match="SingleQubit"):
+        run_scenario(1, [(1, 0), (0, 1)])
+    with pytest.raises(InvalidInput):
+        verify_case(builtin_scenario(2), [QUBIT_ZERO, np.array([1, 0])])
+
+
+def test_figure_ids_go_through_require_integer_before_the_caches():
+    """A bool is refused and a numpy integer is its int, whichever of them
+    a process meets first: neither keys the figure caches."""
+    messages = [QUBIT_ZERO, QUBIT_ONE]
+    for order in (("bool", "numpy", "bool"), ("numpy", "bool")):
+        protocol._builtin_scenario.cache_clear()
+        protocol._figure_circuit.cache_clear()
+        for kind in order:
+            if kind == "bool":
+                for call in (lambda: run_scenario(True, messages), lambda: figure_circuit(True),
+                             lambda: builtin_scenario(False)):
+                    with pytest.raises(InvalidInput, match="figure id must be an integer"):
+                        call()
+            else:
+                assert run_scenario(np.int8(1), messages).passed
+                case = builtin_scenario(np.int64(2))
+                assert case is builtin_scenario(2) and type(case.figure_id) is int
+                assert figure_circuit(np.int8(1)) is figure_circuit(1)
 
 
 def test_stabilizer_row_of_the_known_qubits():

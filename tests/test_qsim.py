@@ -11,8 +11,10 @@ from intraport.errors import (
     InvalidInput,
     NotNormalized,
     ShapeMismatch,
+    UnsupportedSize,
 )
 from intraport.qsim import (
+    MATRIX_CHANNELS,
     ControlledNot,
     Hadamard,
     PureState,
@@ -22,8 +24,11 @@ from intraport.qsim import (
     QUBIT_ZERO,
     Segment,
     SingleQubit,
+    _apply_cn,
     _apply_gates,
+    _apply_h,
     apply_gate,
+    apply_word_matrix,
     channel_factors,
     channel_fidelity,
     column_states,
@@ -36,6 +41,7 @@ from intraport.qsim import (
     random_qubit,
     reduced_density,
     run_circuit,
+    word_matrix,
 )
 from intraport.circuit import Circuit
 
@@ -317,6 +323,41 @@ def test_batched_application_matches_oracle_row_by_row(word, batch, seed):
     for vec, row in zip(states, out):
         np.testing.assert_allclose(row, apply_circuit_oracle(vec, n, gates), atol=1e-12)
     np.testing.assert_array_equal(_apply_gates(states[0], n, gates), out[0])
+
+
+@given(_words())
+def test_word_matrix_is_the_kernels_applied_to_the_identity(word):
+    """Bit for bit: row i of a word's matrix is what the gate kernels make
+    of basis state i, one gate at a time."""
+    n, gates = word
+    rows = np.eye(1 << n, dtype=complex)
+    for g in gates:
+        rows = (_apply_h(rows, n, g.channel) if isinstance(g, Hadamard)
+                else _apply_cn(rows, n, g.control, g.target))
+    m = word_matrix(n, gates)
+    np.testing.assert_array_equal(m, rows)
+    assert not m.flags.writeable
+    # a basis input selects its row exactly
+    np.testing.assert_array_equal(apply_word_matrix(np.eye(1 << n, dtype=complex), m), m)
+
+
+@pytest.mark.parametrize("n", [0, MATRIX_CHANNELS + 1])
+def test_word_matrix_refuses_sizes_outside_its_range(n):
+    with pytest.raises(UnsupportedSize):
+        word_matrix(n, ())
+
+
+def test_words_past_the_matrix_sizes_run_gate_by_gate():
+    """Past MATRIX_CHANNELS no matrix is built: a batch and a single state
+    still get the dense oracle's image, and the same bits for the same row."""
+    n = MATRIX_CHANNELS + 1
+    gates = [Hadamard(1), ControlledNot(1, n), Hadamard(n), ControlledNot(n, 2), Hadamard(4)]
+    rng = np.random.default_rng(17)
+    states = np.array([random_state_vector(rng, n) for _ in range(3)])
+    out = _apply_gates(states, n, gates)
+    for vec, row in zip(states, out):
+        np.testing.assert_allclose(row, apply_circuit_oracle(vec, n, gates), atol=1e-12)
+    np.testing.assert_array_equal(_apply_gates(states[1], n, gates), out[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """tools/same_outputs.py: digests of the package's outputs that two runs
 reproduce, with no elapsed time among what is hashed."""
 
+import hashlib
 import json
 import os
 import runpy
@@ -15,13 +16,17 @@ TOOL_PATH = ROOT / "tools" / "same_outputs.py"
 SUBSET = ["cli-errors", "exec-bad-states", "parse-errors", "parse-tokens"]
 
 
-def _run(sections):
+def _output(args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, str(TOOL_PATH), *sections],
+    run = subprocess.run([sys.executable, str(TOOL_PATH), *args],
                          env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, timeout=300)
+                         capture_output=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout)
+    return run.stdout
+
+
+def _run(sections):
+    return json.loads(_output(sections))
 
 
 def _keys(value):
@@ -38,6 +43,13 @@ def test_two_runs_give_the_same_digests():
     assert list(first) == SUBSET
     assert all(len(digest) == 64 for digest in first.values())
     assert _run(SUBSET) == first
+
+
+def test_raw_prints_the_text_the_digest_hashes():
+    for section in ("cli-errors", "parse-tokens"):
+        raw = _output(["--raw", section])
+        assert hashlib.sha256(raw).hexdigest() == _run([section])[section]
+        assert isinstance(json.loads(raw), list)
 
 
 # The ball section's digest: the keys and steps of the n=3 and n=4 balls

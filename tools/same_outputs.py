@@ -2,9 +2,12 @@
 section, to show that a change keeps the outputs of its parent commit.
 
     python tools/same_outputs.py [section ...]      (default: every section)
+    python tools/same_outputs.py --raw SECTION      (the text one digest hashes)
 
 Run it on two trees and compare the objects; a section whose digest differs
-holds some output that changed.  Every section but ball imports only public
+holds some output that changed.  --raw prints that section's canonical JSON
+(no newline after it), whose sha256 is the section's digest, so two trees'
+texts can be compared value by value.  Every section but ball imports only public
 names, so it runs against any tree of the package:
 
     PYTHONPATH=<tree>/src python tools/same_outputs.py
@@ -134,6 +137,8 @@ def cli_errors() -> list:
         ["run-figure", "1", "--a", "０.６", "--b", "0.8", "--e", "1", "--f", "0"],
         ["run-figure", "1", "--seed", "1", "--tol", "０.５"],
         ["bell", "--a", "1", "--b", "0", "--e", "1_0.5", "--f", "0"],
+        # amplitudes that are not 're' or 're,im'
+        ["bell", "--a", "x", "--b", "0", "--e", "1", "--f", "0"], ["run-figure", "1", "--a", "1,2,3"],
     ]
     return [_cli(argv) for argv in calls]
 
@@ -280,20 +285,31 @@ SECTIONS = {
 }
 
 
+def canonical(records) -> str:
+    """The records' JSON text, keys sorted; a value JSON cannot hold (a
+    numpy integer, say) is written as its repr."""
+    return json.dumps(records, sort_keys=True, default=repr)
+
+
 def digest(records) -> str:
-    """The sha256 of the records' JSON text, keys sorted; a value JSON
-    cannot hold (a numpy integer, say) is written as its repr."""
-    text = json.dumps(records, sort_keys=True, default=repr)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """The sha256 of the records' canonical text."""
+    return hashlib.sha256(canonical(records).encode("utf-8")).hexdigest()
 
 
 def main(argv: list[str]) -> int:
-    names = argv or list(SECTIONS)
+    raw = argv[:1] == ["--raw"]
+    if raw and len(argv) != 2:
+        print("--raw takes one section", file=sys.stderr)
+        return 2
+    names = argv[1:] if raw else argv or list(SECTIONS)
     unknown = [name for name in names if name not in SECTIONS]
     if unknown:
         print(f"unknown sections {unknown}; known: {list(SECTIONS)}", file=sys.stderr)
         return 2
-    print(json.dumps({name: digest(SECTIONS[name]()) for name in names}, indent=2))
+    if raw:
+        sys.stdout.write(canonical(SECTIONS[names[0]]()))
+    else:
+        print(json.dumps({name: digest(SECTIONS[name]()) for name in names}, indent=2))
     return 0
 
 
