@@ -24,14 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import IntraportError
-from .qsim import ControlledNot, Gate, Hadamard
-
-
-# Largest channel count a circuit file may declare.  A state on 16 channels
-# holds 2^16 complex amplitudes (1 MiB); a larger count is refused on its
-# 'channels' line, before anything is allocated.
-MAX_CHANNELS = 16
+from .errors import IntraportError, require_integer
+from .qsim import MAX_CHANNELS, ControlledNot, Gate, Hadamard
 
 
 class ParseErrorKind(enum.Enum):
@@ -64,6 +58,8 @@ class Circuit:
     measurements: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "channel_count",
+                           require_integer("channel count", self.channel_count))
         for g in self.gates:
             for k in g.channels():
                 if not 1 <= k <= self.channel_count:

@@ -57,7 +57,6 @@ from .errors import (
 )
 from .qsim import (
     DEFAULT_TOL,
-    MATRIX_CHANNELS,
     ControlledNot,
     Gate,
     Hadamard,
@@ -69,7 +68,6 @@ from .qsim import (
     SingleQubit,
     _apply_gates,
     _channel_rows,
-    apply_word_matrix,
     bloch_rows,
     channel_factors,
     channel_fidelity,
@@ -142,8 +140,9 @@ class Layout(Mapping[int, ExpectedOut]):
     channels 1..n other than the residue's.  Anything else raises
     InvalidLayout.  `columns` holds each channel's message index, or n - 1
     for the residue, and `message_channels` each message's channel.
-    `block_matrix` is the block's word_matrix, or None for no block or past
-    MATRIX_CHANNELS channels.
+    `block_matrix` is the block's word_matrix, kept because layout_states
+    applies the block on every call: None for no block, or where word_matrix
+    builds none.
     """
 
     __slots__ = ("_entries", "block", "block_matrix", "columns", "message_channels",
@@ -167,7 +166,7 @@ class Layout(Mapping[int, ExpectedOut]):
         init = partial(object.__setattr__, self)
         init("_entries", ordered)
         init("block", tuple(block))
-        init("block_matrix", word_matrix(n, block) if block and n <= MATRIX_CHANNELS else None)
+        init("block_matrix", word_matrix(n, block) if block else None)
         init("residue_channel", residues[0])
         init("message_channels", tuple(by_index[j] for j in range(n - 1)))
         init("columns", tuple(getattr(out, "index", n - 1) for out in ordered.values()))
@@ -224,16 +223,14 @@ def message_batch(messages: Sequence[SingleQubit]) -> np.ndarray:
 def layout_states(layout: Mapping[int, ExpectedOut], messages: np.ndarray) -> np.ndarray:
     """(T, 2^n) states of a layout over channels 1..n, one for each (m, 2)
     message tuple of the (T, m, 2) batch `messages`: the product of the
-    channels' qubits, then the layout's block word (its block_matrix, or
-    gate by gate past MATRIX_CHANNELS)."""
+    channels' qubits, then the layout's block word, applied with its
+    block_matrix (gate by gate where that is None)."""
     layout = Layout.of(layout)
     n = len(layout)
     qubits = np.empty((len(messages), n, 2), dtype=complex)
     qubits[:, :-1], qubits[:, -1] = messages, layout.residue.as_array()
-    states = column_states(layout.columns, qubits)
-    if layout.block_matrix is None:
-        return _apply_gates(states, n, layout.block)
-    return apply_word_matrix(states, layout.block_matrix)
+    return _apply_gates(column_states(layout.columns, qubits), n, layout.block,
+                        layout.block_matrix)
 
 
 def stabilizer_row(q: SingleQubit, channel: int, n: int) -> int:
@@ -347,9 +344,10 @@ class ProtocolCase:
         return (*alice_encoder(self.channel_count), *self.bob_program)
 
     @cached_property
-    def gate_matrix(self) -> np.ndarray:
-        """gate_word's word_matrix, built on first use, not with the case:
-        what verify_case applies on up to MATRIX_CHANNELS channels."""
+    def gate_matrix(self) -> Optional[np.ndarray]:
+        """gate_word's word_matrix, built on first use, not with the case,
+        and kept because verify_case applies it on every call (None where
+        word_matrix builds none)."""
         return word_matrix(self.channel_count, self.gate_word)
 
     @property
@@ -481,8 +479,8 @@ def verify_case(
 ) -> VerificationReport:
     """Encode, decode with the case's program, compare against its layout.
 
-    The encoder and program run as one contraction with the case's
-    gate_matrix (gate by gate past MATRIX_CHANNELS channels).  Every
+    The encoder and program run as one _apply_gates call with the case's
+    gate_matrix (gate by gate where it is None).  Every
     message must be a SingleQubit; anything else raises InvalidInput.
     Every layout is compared with its own state, layout_states of the
     messages, built once per call.  Per-channel fidelities are computed
@@ -506,9 +504,7 @@ def verify_case(
     n = case.channel_count
     batch = message_batch(messages)
     inputs = layout_states(case.input_layout, batch)[0]
-    amps = (apply_word_matrix(inputs, case.gate_matrix) if n <= MATRIX_CHANNELS
-            else _apply_gates(inputs, n, case.gate_word))
-    out = PureState(n, amps, _trust=True)
+    out = PureState(n, _apply_gates(inputs, n, case.gate_word, case.gate_matrix), _trust=True)
     factors = channel_factors(out, tol)
 
     layout = case.expected_layout

@@ -10,13 +10,15 @@ a -> coeff1, b -> coeff0.  The only gates are the Hadamard and the
 controlled-NOT |e1>|e2> -> |e1>|e1 xor e2>; both are real and self-inverse.
 
 The kernels _apply_h and _apply_cn apply one gate to a state or a batch of
-states.  word_matrix runs them once over the identity batch, compiling a
-gate word on up to MATRIX_CHANNELS channels into its (2^n, 2^n) matrix, and
-_apply_gates applies a word as one contraction with that matrix
-(apply_word_matrix), so every word on the protocol's sizes goes through one
-path.  An object whose word never changes (a protocol.ProtocolCase, a
-Layout's block) keeps its matrix.  A word applied to many states need not come here: every
-circuit is Clifford, and tableau maps Paulis through it.
+states, and _apply_gates is the one way to apply a word: gate by gate
+through the kernels, or, given the word's matrix, as one contraction with
+it.  word_matrix runs the kernels once over the identity batch, compiling a
+word on up to MATRIX_CHANNELS channels into its (2^n, 2^n) matrix.  Only an
+object that keeps a word and applies it again builds one (a
+protocol.ProtocolCase's gate_matrix, a Layout's block_matrix); a word
+applied once runs through the kernels, which cost less than its matrix.  A
+word applied to many states need not come here: every circuit is Clifford,
+and tableau maps Paulis through it.
 
 column_states is the package's one product-state builder, for one state
 (make_state) or a batch (protocol.layout_states).  bloch_rows is the one
@@ -44,6 +46,7 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
     UnsupportedSize,
+    require_integer,
 )
 
 NORM_TOL = 1e-9
@@ -52,6 +55,10 @@ NORM_TOL = 1e-9
 ROUNDING_TOL = 16 * np.finfo(float).eps
 # The default tolerance of every purity and fidelity check.
 DEFAULT_TOL = 1e-10
+# Largest channel count of a state or a circuit file.  A state on 16 channels
+# holds 2^16 complex amplitudes (1 MiB); a larger count is refused before
+# anything is allocated.
+MAX_CHANNELS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +68,9 @@ DEFAULT_TOL = 1e-10
 @dataclass(frozen=True)
 class Hadamard:
     channel: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "channel", require_integer("gate channel", self.channel))
 
     def channels(self) -> tuple[int, ...]:
         return (self.channel,)
@@ -72,6 +82,8 @@ class ControlledNot:
     target: int
 
     def __post_init__(self):
+        object.__setattr__(self, "control", require_integer("gate control", self.control))
+        object.__setattr__(self, "target", require_integer("gate target", self.target))
         if self.control == self.target:
             raise InvalidGate(
                 f"controlled-NOT requires control != target, got {self.control}"
@@ -166,14 +178,21 @@ QUBIT_PLUS = SingleQubit(1 / np.sqrt(2), 1 / np.sqrt(2))
 QUBIT_MINUS10 = SingleQubit(-1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
+def _check_count(n) -> int:
+    """n as an int, refused with UnsupportedSize outside 1..MAX_CHANNELS."""
+    n = require_integer("channel count", n)
+    if not 1 <= n <= MAX_CHANNELS:
+        raise UnsupportedSize(f"a state has 1..{MAX_CHANNELS} channels, got {n}")
+    return n
+
+
 class PureState:
     """Normalized complex amplitude vector over N channels (immutable)."""
 
     __slots__ = ("channel_count", "amplitudes")
 
     def __init__(self, channel_count: int, amplitudes: np.ndarray, *, _trust: bool = False):
-        if channel_count < 1:
-            raise InvalidInput("channel_count must be >= 1")
+        channel_count = _check_count(channel_count)
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (2**channel_count,):
             raise ShapeMismatch(
@@ -217,9 +236,12 @@ class Segment(enum.Enum):
 # and a batch costs no extra array axis.
 
 
-def _check_channel(n: int, k: int):
+def _check_channel(n: int, k) -> int:
+    """k as an int, refused with ChannelOutOfRange outside 1..n."""
+    k = require_integer("channel", k)
     if not 1 <= k <= n:
         raise ChannelOutOfRange(f"channel {k} outside 1..{n}")
+    return k
 
 
 def _channel_rows(amps: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -253,13 +275,16 @@ def _apply_cn(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray
     return out.reshape(amps.shape)
 
 
-# The most channels a word_matrix is built for: the protocol's sizes.  Past
-# them a matrix holds 4^n amplitudes (64 GiB at a .qc file's 16 channels),
-# and _apply_gates runs the kernels gate by gate instead.
-MATRIX_CHANNELS = 6
-
-
-def _gate_by_gate(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
+def _apply_gates(amps: np.ndarray, n: int, gates: Sequence[Gate],
+                 matrix: Optional[np.ndarray] = None) -> np.ndarray:
+    """A gate word applied to a state or batch.  Given the word's
+    word_matrix, one contraction with it: einsum sums in one fixed order
+    whatever the batch size, so a state and its row of a batch come out bit
+    for bit equal (a BLAS matmul picks other kernels for a single row than
+    for a batch and does not).  Without it, gate by gate through the kernels;
+    the empty word returns `amps` itself."""
+    if matrix is not None:
+        return np.einsum("...i,ij->...j", amps, matrix)
     for g in gates:
         if isinstance(g, Hadamard):
             amps = _apply_h(amps, n, g.channel)
@@ -268,34 +293,24 @@ def _gate_by_gate(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray
     return amps
 
 
-def word_matrix(n: int, gates: Sequence[Gate]) -> np.ndarray:
-    """The read-only (2^n, 2^n) matrix of a gate word over n <=
-    MATRIX_CHANNELS channels: row i is the word applied to basis state i by
+# The most channels a word_matrix is built for: the protocol's sizes.  Past
+# them a matrix holds 4^n amplitudes (64 GiB at a .qc file's 16 channels),
+# and word_matrix returns None.
+MATRIX_CHANNELS = 6
+
+
+def word_matrix(n: int, gates: Sequence[Gate]) -> Optional[np.ndarray]:
+    """The read-only (2^n, 2^n) matrix of a gate word over n channels, or
+    None past MATRIX_CHANNELS: row i is the word applied to basis state i by
     the gate kernels, so a state's image is the state times the matrix
-    (apply_word_matrix)."""
-    if not 1 <= n <= MATRIX_CHANNELS:
-        raise UnsupportedSize(f"word matrices are built for 1..{MATRIX_CHANNELS} channels, "
-                              f"got {n}")
-    m = _gate_by_gate(np.eye(1 << n, dtype=complex), n, gates)
+    (_apply_gates given it).  Build it only for a word applied again."""
+    if n < 1:
+        raise UnsupportedSize(f"a word matrix needs at least one channel, got {n}")
+    if n > MATRIX_CHANNELS:
+        return None
+    m = _apply_gates(np.eye(1 << n, dtype=complex), n, gates)
     m.flags.writeable = False
     return m
-
-
-def apply_word_matrix(amps: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """A state (2^n,) or batch (B, 2^n) times a word_matrix.  einsum sums in
-    one fixed order whatever the batch size, so a state and its row of a
-    batch come out bit for bit equal; a BLAS matmul picks other kernels for a
-    single row than for a batch and does not."""
-    return np.einsum("...i,ij->...j", amps, m)
-
-
-def _apply_gates(amps: np.ndarray, n: int, gates: Sequence[Gate]) -> np.ndarray:
-    """A gate word applied to a state or batch: one contraction with its
-    word_matrix, built for this call, or gate by gate past
-    MATRIX_CHANNELS.  The empty word returns `amps` itself."""
-    if not gates or n > MATRIX_CHANNELS:
-        return _gate_by_gate(amps, n, gates)
-    return apply_word_matrix(amps, word_matrix(n, gates))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +331,7 @@ def make_state(factors: Sequence[SingleQubit]) -> PureState:
     case of column_states."""
     if not factors:
         raise InvalidInput("make_state requires at least one factor")
+    _check_count(len(factors))
     qubits = np.array([[q.as_array() for q in factors]])
     return PureState(len(factors), column_states(range(len(factors)), qubits)[0])
 
@@ -350,7 +366,8 @@ def project(state: PureState, channel: int, outcome: int) -> tuple[float, PureSt
     Raises ImpossibleBranch when the branch probability is below 1e-12.
     """
     n = state.channel_count
-    _check_channel(n, channel)
+    channel = _check_channel(n, channel)
+    outcome = require_integer("outcome", outcome)
     if outcome not in (0, 1):
         raise InvalidInput("outcome must be 0 or 1")
     t = state.amplitudes.reshape(1 << (channel - 1), 2, 1 << (n - channel))
@@ -380,7 +397,7 @@ def equal_up_to_global_phase(s1: PureState, s2: PureState, tol: float = DEFAULT_
 def reduced_density(state: PureState, channel: int) -> np.ndarray:
     """2x2 reduced density matrix of one channel."""
     n = state.channel_count
-    _check_channel(n, channel)
+    channel = _check_channel(n, channel)
     m = _channel_rows(state.amplitudes, n, channel)
     return m @ m.conj().T
 
@@ -388,7 +405,7 @@ def reduced_density(state: PureState, channel: int) -> np.ndarray:
 def channel_fidelity(state: PureState, channel: int, qubit: SingleQubit) -> float:
     """<q| rho_channel |q>; equals fidelity of the channel factor for products."""
     n = state.channel_count
-    _check_channel(n, channel)
+    channel = _check_channel(n, channel)
     m = _channel_rows(state.amplitudes, n, channel)
     # <q|rho|q> = || (<q| x I) |psi> ||^2, cheaper than forming rho
     contracted = qubit.as_array().conj() @ m
@@ -426,7 +443,7 @@ def factor_channel(
     factor and remainder equals the input up to global phase.
     """
     n = state.channel_count
-    _check_channel(n, channel)
+    channel = _check_channel(n, channel)
     if n < 2:
         raise InvalidInput("factor_channel needs at least 2 channels")
     m = _channel_rows(state.amplitudes, n, channel)

@@ -10,13 +10,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intraport import cli, protocol
+from intraport import cli, protocol, qsim
+from intraport.circuit import Circuit, parse_circuit
 from intraport.eavesdrop import ExperimentStats
 
 from helpers import nearly_product_case
@@ -329,8 +331,8 @@ def test_swap_rejects_bad_permutation():
 
 
 def test_swap_plans_leave_no_matrix_behind():
-    """Each --to makes a new word, whose matrix is built for its call and
-    dropped: 300 distinct six-channel plans add less than 1 MiB of traced
+    """Each --to makes a new word, which runs through the gate kernels and
+    keeps no matrix: 300 distinct six-channel plans add less than 1 MiB of traced
     memory, where keeping their 64 KiB matrices would add about 19 MiB."""
     plans = itertools.islice(itertools.permutations(range(1, 7)), 301)
     argv = [["swap", "--channels", "6", "--to", ",".join(map(str, p))] for p in plans]
@@ -345,6 +347,33 @@ def test_swap_plans_leave_no_matrix_behind():
     finally:
         tracemalloc.stop()
     assert grown < 1 << 20
+
+
+def test_one_off_words_build_no_matrix(monkeypatch, tmp_path):
+    """A word applied once runs through the gate kernels: with word_matrix
+    refusing every call, swap, exec of every bundled .qc, bell, run_circuit
+    and apply_gate all still succeed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word applied once built its matrix")
+
+    monkeypatch.setattr(qsim, "word_matrix", refuse)
+    monkeypatch.setattr(protocol, "word_matrix", refuse)
+    assert run_cli(["swap", "--channels", "6"])[0] == 0
+    figures = resources.files("intraport") / "figures"
+    infile = tmp_path / "in.json"
+    names = sorted(p.name for p in figures.iterdir() if p.name.endswith(".qc"))
+    assert names
+    for name in names:
+        n = parse_circuit((figures / name).read_text(encoding="utf-8")).channel_count
+        infile.write_text(json.dumps({"basis": "0" * n}), encoding="utf-8")
+        assert run_cli(["exec", str(figures / name), "--in", str(infile)])[0] == 0, name
+    assert run_cli(["bell", "--seed", "3"])[0] == 0
+    state = qsim.make_state([qsim.QUBIT_PLUS, qsim.QUBIT_ONE, qsim.QUBIT_ZERO])
+    gates = (qsim.Hadamard(1), qsim.ControlledNot(1, 3), qsim.Hadamard(2))
+    out = qsim.run_circuit(state, Circuit(3, gates))
+    for gate in gates:
+        state = qsim.apply_gate(state, gate)
+    np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
 @pytest.mark.parametrize("channels", ["1", "17", "60"])

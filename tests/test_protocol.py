@@ -494,6 +494,21 @@ def test_bell_byproduct_validates_inputs():
         bell_byproduct(1, 1, 1, 0, outcome=0)
 
 
+@pytest.mark.parametrize("outcome", [True, False, 1.0, "1", np.int64(1)],
+                         ids=["True", "False", "float-1", "str-1", "int64-1"])
+def test_bell_byproduct_takes_an_integer_outcome(outcome):
+    """A bool, a float or a string outcome is refused with InvalidInput,
+    not an IndexError or ShapeMismatch; a numpy integer is its int."""
+    if isinstance(outcome, np.integer):
+        (prob, state), (want_prob, want) = (bell_byproduct(SQ2, SQ2, SQ2, SQ2, k)
+                                            for k in (outcome, int(outcome)))
+        assert prob == want_prob
+        np.testing.assert_array_equal(state.amplitudes, want.amplitudes)
+    else:
+        with pytest.raises(InvalidInput, match="outcome must be an integer"):
+            bell_byproduct(1, 0, 1, 0, outcome)
+
+
 # ---------------------------------------------------------------------------
 # Registered decoders
 
@@ -892,7 +907,7 @@ def test_cases_and_blocks_past_the_matrix_sizes_verify_gate_by_gate():
             bob_program=tuple(bob_prefix(n)) + tuple(general_extension(n, value)),
             expected_layout=protocol.input_layout(range(1, n), n, value))
         assert verify_case(case, [random_qubit(rng) for _ in range(n - 1)]).passed
-        assert "gate_matrix" not in vars(case)
+        assert case.gate_matrix is None
     block = [Hadamard(1), ControlledNot(1, 2)]
     layout = Layout({**{ch: MessageOut(ch - 1) for ch in range(1, n)},
                      n: ResidueOut(QUBIT_ZERO)}, block)

@@ -13,8 +13,10 @@ from intraport.errors import (
     ShapeMismatch,
     UnsupportedSize,
 )
+from intraport import circuit
 from intraport.qsim import (
     MATRIX_CHANNELS,
+    MAX_CHANNELS,
     ControlledNot,
     Hadamard,
     PureState,
@@ -28,7 +30,6 @@ from intraport.qsim import (
     _apply_gates,
     _apply_h,
     apply_gate,
-    apply_word_matrix,
     channel_factors,
     channel_fidelity,
     column_states,
@@ -109,6 +110,31 @@ def test_pure_state_validation():
         PureState(1, np.array([1.0, 1.0]))
     with pytest.raises(InvalidInput):
         PureState(1, np.array([np.inf, 0.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PureState(MAX_CHANNELS + 1, np.eye(1, 1 << (MAX_CHANNELS + 1))[0]),
+    lambda: PureState(MAX_CHANNELS + 1, np.array([1.0, 0.0])),
+    lambda: PureState(0, np.array([1.0])),
+    lambda: PureState(10**20, np.array([1.0, 0.0])),
+    lambda: make_state([QUBIT_ZERO] * (MAX_CHANNELS + 1)),
+], ids=["17-channels", "17-channels-two-amplitudes", "0-channels", "10**20-channels",
+        "make-state-17-factors"])
+def test_states_past_the_channel_cap_are_refused_up_front(call):
+    """A state has 1..MAX_CHANNELS channels, the cap of a .qc file and of
+    swap; another count is refused before 2^n is computed or anything is
+    allocated (at 10**20 channels computing 2^n alone never returns)."""
+    with pytest.raises(UnsupportedSize, match=f"1..{MAX_CHANNELS} channels"):
+        call()
+
+
+def test_a_state_channel_count_is_an_integer():
+    assert circuit.MAX_CHANNELS is MAX_CHANNELS
+    for n in (True, 1.0, "1"):
+        with pytest.raises(InvalidInput, match="channel count must be an integer"):
+            PureState(n, np.array([1.0, 0.0]))
+    s = PureState(np.int64(1), np.array([1.0, 0.0]))
+    assert type(s.channel_count) is int
 
 
 def test_pure_state_is_immutable():
@@ -315,14 +341,17 @@ def _words(draw):
 
 @given(_words(), st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_batched_application_matches_oracle_row_by_row(word, batch, seed):
+    """Both paths, the kernels and the word's matrix, give each row the
+    oracle's image and a state the bits of its row of a batch."""
     n, gates = word
     rng = np.random.default_rng(seed)
     states = np.array([random_state_vector(rng, n) for _ in range(batch)])
-    out = _apply_gates(states, n, gates)
-    assert out.shape == states.shape
-    for vec, row in zip(states, out):
-        np.testing.assert_allclose(row, apply_circuit_oracle(vec, n, gates), atol=1e-12)
-    np.testing.assert_array_equal(_apply_gates(states[0], n, gates), out[0])
+    for matrix in (None, word_matrix(n, gates)):
+        out = _apply_gates(states, n, gates, matrix)
+        assert out.shape == states.shape
+        for vec, row in zip(states, out):
+            np.testing.assert_allclose(row, apply_circuit_oracle(vec, n, gates), atol=1e-12)
+        np.testing.assert_array_equal(_apply_gates(states[0], n, gates, matrix), out[0])
 
 
 @given(_words())
@@ -338,13 +367,17 @@ def test_word_matrix_is_the_kernels_applied_to_the_identity(word):
     np.testing.assert_array_equal(m, rows)
     assert not m.flags.writeable
     # a basis input selects its row exactly
-    np.testing.assert_array_equal(apply_word_matrix(np.eye(1 << n, dtype=complex), m), m)
+    np.testing.assert_array_equal(_apply_gates(np.eye(1 << n, dtype=complex), n, gates, m), m)
 
 
 @pytest.mark.parametrize("n", [0, MATRIX_CHANNELS + 1])
 def test_word_matrix_refuses_sizes_outside_its_range(n):
-    with pytest.raises(UnsupportedSize):
-        word_matrix(n, ())
+    """No channels is refused; past MATRIX_CHANNELS no matrix is built."""
+    if n < 1:
+        with pytest.raises(UnsupportedSize):
+            word_matrix(n, ())
+    else:
+        assert word_matrix(n, ()) is None
 
 
 def test_words_past_the_matrix_sizes_run_gate_by_gate():
@@ -358,6 +391,38 @@ def test_words_past_the_matrix_sizes_run_gate_by_gate():
     for vec, row in zip(states, out):
         np.testing.assert_allclose(row, apply_circuit_oracle(vec, n, gates), atol=1e-12)
     np.testing.assert_array_equal(_apply_gates(states[1], n, gates), out[1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: Hadamard(1.5),
+    lambda s: Hadamard(True),
+    lambda s: ControlledNot(1, 2.0),
+    lambda s: ControlledNot(False, 2),
+    lambda s: Circuit(3.5),
+    lambda s: project(s, 1.5, 0),
+    lambda s: reduced_density(s, 1.5),
+    lambda s: channel_fidelity(s, 2.0, QUBIT_ONE),
+    lambda s: factor_channel(s, 1.5),
+    lambda s: apply_gate(s, Hadamard(1.5)),
+], ids=["hadamard-1.5", "hadamard-True", "cn-target-2.0", "cn-control-False",
+        "circuit-3.5", "project-1.5", "reduced-density-1.5", "channel-fidelity-2.0",
+        "factor-channel-1.5", "apply-gate-1.5"])
+def test_a_channel_that_is_not_an_integer_is_refused(call):
+    """Gate channels, a circuit's channel count and the channel of each state
+    operation go through require_integer: InvalidInput, not a TypeError."""
+    with pytest.raises(InvalidInput, match="must be an integer"):
+        call(make_state([QUBIT_PLUS, QUBIT_ONE, QUBIT_ZERO]))
+
+
+def test_numpy_integer_channels_are_kept_as_ints():
+    wide = np.int64
+    gate = ControlledNot(wide(1), wide(3))
+    assert (type(gate.control), type(gate.target)) == (int, int)
+    assert type(Hadamard(wide(2)).channel) is int
+    assert type(Circuit(wide(3)).channel_count) is int
+    s = make_state([QUBIT_PLUS, QUBIT_ONE, QUBIT_ZERO])
+    np.testing.assert_array_equal(reduced_density(s, wide(2)), reduced_density(s, 2))
+    assert channel_fidelity(s, wide(1), QUBIT_PLUS) == channel_fidelity(s, 1, QUBIT_PLUS)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +487,22 @@ def test_project_impossible_branch():
     assert exc_info.value.probability == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ChannelOutOfRange):
         project(make_state([QUBIT_ZERO]), 2, 0)
+
+
+@pytest.mark.parametrize("outcome", [True, False, 1.0, "1", np.int64(1)],
+                         ids=["True", "False", "float-1", "str-1", "int64-1"])
+def test_project_takes_an_integer_outcome(outcome):
+    """The outcome goes through require_integer: a bool, a float or a string
+    is refused, not read as a mask or an index; a numpy integer is its int."""
+    s = make_state([QUBIT_PLUS] * 3)
+    if isinstance(outcome, np.integer):
+        prob, out = project(s, 2, outcome)
+        want_prob, want = project(s, 2, int(outcome))
+        assert prob == want_prob == pytest.approx(0.5)
+        np.testing.assert_array_equal(out.amplitudes, want.amplitudes)
+    else:
+        with pytest.raises(InvalidInput, match="outcome must be an integer"):
+            project(s, 2, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ TOOL_PATH = ROOT / "tools" / "same_outputs.py"
 SUBSET = ["cli-errors", "exec-bad-states", "parse-errors", "parse-tokens"]
 
 
-def _output(args):
+def _output(args, code=0):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, str(TOOL_PATH), *args],
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, timeout=300)
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == code, run.stderr
     return run.stdout
 
 
@@ -72,3 +72,28 @@ def test_no_elapsed_time_is_hashed():
     records = sections["cli"]()
     assert any(argv[0] == "run-figure" for argv, _, _ in records)
     assert "elapsed_ms" not in _keys(records)
+
+
+def _diff(tmp_path, a, b, code):
+    """The --diff report of texts a and b, which exits with `code`."""
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for file, text in zip(files, (a, b)):
+        file.write_text(text, encoding="utf-8")
+    return json.loads(_output(["--diff", *map(str, files)], code))
+
+
+def test_diff_of_a_text_with_itself_is_empty(tmp_path):
+    raw = _output(["--raw", "cli-errors"]).decode("utf-8")
+    assert _diff(tmp_path, raw, raw, 0) == {"floats": 0, "largest": 0.0, "paths": []}
+
+
+def test_diff_counts_moved_floats_and_names_every_other_difference(tmp_path):
+    """A float moved by 1e-16 is counted, not named; a flipped bool and a
+    shortened list are named by their JSON paths, and they fail the diff."""
+    before = [["bell", 0, {"fidelity": 0.5, "passed": True, "fids": [1.0, 0.25, 0.75]}]]
+    after = [["bell", 0, {"fidelity": 0.5 + 1e-16, "passed": False, "fids": [1.0, 0.25]}]]
+    report = _diff(tmp_path, json.dumps(before), json.dumps(after), 1)
+    assert report == {"floats": 1, "largest": abs(0.5 + 1e-16 - 0.5),
+                      "paths": ['$[0][2]["fids"]', '$[0][2]["passed"]']}
+    # floats alone do not fail it
+    assert _diff(tmp_path, "[1.0, 0.25]", json.dumps([1.0, 0.25 + 1e-16]), 0)["floats"] == 1

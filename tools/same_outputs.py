@@ -3,12 +3,17 @@ section, to show that a change keeps the outputs of its parent commit.
 
     python tools/same_outputs.py [section ...]      (default: every section)
     python tools/same_outputs.py --raw SECTION      (the text one digest hashes)
+    python tools/same_outputs.py --diff A B         (compare two --raw texts)
 
 Run it on two trees and compare the objects; a section whose digest differs
 holds some output that changed.  --raw prints that section's canonical JSON
 (no newline after it), whose sha256 is the section's digest, so two trees'
-texts can be compared value by value.  Every section but ball imports only public
-names, so it runs against any tree of the package:
+texts can be compared value by value: --diff reads two such files and prints
+the number of floats that differ, the largest absolute difference between
+them, and the JSON path of every other difference (a string, bool, integer
+or exit code, a key, or a list's length); it exits 1 if there is any such
+path.  Every section but ball imports only public names, so it runs against
+any tree of the package:
 
     PYTHONPATH=<tree>/src python tools/same_outputs.py
 
@@ -41,6 +46,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -296,7 +302,50 @@ def digest(records) -> str:
     return hashlib.sha256(canonical(records).encode("utf-8")).hexdigest()
 
 
+def compare(a, b, path: str = "$") -> tuple[int, float, list[str]]:
+    """(floats that differ, the largest absolute difference between them, the
+    path of every other difference) between two JSON values.  A path starts
+    at $ and names each key and list index, as $[3]["fidelity"]; a list of
+    another length is one difference at its own path."""
+    if type(a) is not type(b):
+        return 0, 0.0, [path]
+    if isinstance(a, float):
+        if a == b or (a != a and b != b):  # NaN is written as NaN
+            return 0, 0.0, []
+        diff = abs(a - b)  # an infinite or NaN one is no rounding: a path
+        return (1, diff, []) if math.isfinite(diff) else (0, 0.0, [path])
+    if isinstance(a, dict):
+        pairs = [(a[k], b[k], f"{path}[{json.dumps(k)}]") for k in sorted(a.keys() & b.keys())]
+        other = [f"{path}[{json.dumps(k)}]" for k in sorted(a.keys() ^ b.keys())]
+    elif isinstance(a, list):
+        pairs = [(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+        other = [path] if len(a) != len(b) else []
+    else:
+        return (0, 0.0, []) if a == b else (0, 0.0, [path])
+    count, largest = 0, 0.0
+    for x, y, where in pairs:
+        n, d, paths = compare(x, y, where)
+        count, largest = count + n, max(largest, d)
+        other += paths
+    return count, largest, other
+
+
+def _diff(path_a: str, path_b: str) -> int:
+    texts = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            texts.append(json.load(fh))
+    count, largest, paths = compare(*texts)
+    print(json.dumps({"floats": count, "largest": largest, "paths": paths}, indent=2))
+    return 1 if paths else 0
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--diff"]:
+        if len(argv) != 3:
+            print("--diff takes two files", file=sys.stderr)
+            return 2
+        return _diff(*argv[1:])
     raw = argv[:1] == ["--raw"]
     if raw and len(argv) != 2:
         print("--raw takes one section", file=sys.stderr)
